@@ -74,19 +74,18 @@ class ExperimentConfig:
     kind: str
     seed: int | None
     out_dir: str
-    threads: int
     params: dict
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "out_dir": self.out_dir,
-                "threads": self.threads, "params": self.params}
+                "params": self.params}
 
     def identity_dict(self) -> dict:
         """The experiment identity: everything except where outputs land."""
         return {"kind": self.kind, "seed": self.seed, "params": self.params}
 
 
-_TOP_KEYS = {"kind", "seed", "out_dir", "threads", "params"}
+_TOP_KEYS = {"kind", "seed", "out_dir", "params"}
 
 _PARAM_KEYS = {
     "rates": {"sequence", "class", "alpha", "beta", "schedule", "grid_order"},
@@ -119,11 +118,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"experiment kind {kind!r} samples points and requires a seed")
     if seed is not None and not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
-    threads = raw.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError("threads must be a positive integer")
     return ExperimentConfig(kind=kind, seed=seed, out_dir=str(raw.get("out_dir", ".")),
-                            threads=threads, params=params)
+                            params=params)
 
 
 # ------------------------------------------------------------ spec -> objects
@@ -451,7 +447,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         "kind": cfg.kind,
         "config": cfg.identity_dict(),
         "config_sha256": config_hash(cfg),
-        "threads": cfg.threads,
         "results": results,
     }
     (out / "report.json").write_text(canonical_json(report) + "\n")
@@ -530,7 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--config", type=str, help="JSON config path")
     runp.add_argument("--seed", type=int)
     runp.add_argument("--out-dir", type=str)
-    runp.add_argument("--threads", type=int)
     runp.add_argument("--N", type=str, help="size shortcut (counterexample, prop27 modulator)")
     runp.add_argument("--convention", type=str, help="counterexample index convention")
     runp.add_argument("--seq", type=str, help="named sequence shortcut (rates)")
@@ -582,8 +576,6 @@ def _config_from_args(args) -> ExperimentConfig:
         raw["seed"] = args.seed
     if args.out_dir is not None:
         raw["out_dir"] = args.out_dir
-    if args.threads is not None:
-        raw["threads"] = args.threads
     return parse_config(raw)
 
 

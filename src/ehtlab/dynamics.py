@@ -311,13 +311,6 @@ def constant_observable(sys_kind: str, c: complex = 1.0) -> Observable:
                       {"l1": abs(cc), "l2": abs(cc), "linf": abs(cc)})
 
 
-def scale_observable(f: Observable, factor: float) -> Observable:
-    def fn(coords) -> np.ndarray:
-        return factor * f.coord_fn(coords)
-    norms = {k: abs(factor) * v for k, v in f.norms.items()}
-    return Observable(f"{factor:.6g}*{f.label}", f.system_kind, fn, norms)
-
-
 # ----------------------------------------------------------------- operations
 
 def orbit_values(sys: DynamicalSystem, f: Observable, x0, N: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Partial sums with 1/k weights lose digits under naive accumulation once n
 reaches 1e6-1e7, so every checkpointed sum goes through `checkpoint_sums`,
-which combines pairwise segment sums with an exactly-rounded merge.
+which combines pairwise segment sums with a compensated merge.
 """
 
 from __future__ import annotations
@@ -39,33 +39,23 @@ class NeumaierSum:
         return self._s + self._c
 
 
-def neumaier_total(values) -> float:
-    acc = NeumaierSum()
-    for v in values:
-        acc.add(float(v))
-    return acc.value
-
-
 def checkpoint_sums(terms: np.ndarray, ends: Sequence[int]) -> np.ndarray:
-    """Prefix sums ``sum(terms[:e])`` for each ``e`` in the increasing ``ends``.
+    """Prefix sums ``sum(terms[:e])`` for each ``e`` in the nondecreasing ``ends``.
 
-    Two regimes: for a handful of checkpoints each prefix is summed pairwise
-    from scratch; for dense checkpoint lists the array is cut into segments
-    (pairwise within a segment) and segment totals are merged with fsum, so
-    the error never accumulates linearly across the whole range.
+    The range up to the last end is cut into segments at the ends (pairwise
+    within a segment) and the segment totals are merged with a compensated
+    accumulator, so the error never accumulates linearly across the range.
     """
     ends = np.asarray(ends, dtype=np.int64)
-    if ends.size == 0:
-        return np.zeros(0, dtype=terms.dtype)
-    if np.any(np.diff(ends) < 0) or ends[0] < 0 or ends[-1] > terms.size:
-        raise ValueError("checkpoint ends must be increasing and within the term range")
-
-    if ends.size <= 64:
-        return np.array([terms[:e].sum() for e in ends], dtype=complex)
-
-    starts = np.concatenate(([0], ends[:-1]))
-    seg = np.add.reduceat(terms, starts)
-    seg[starts == ends] = 0.0  # reduceat treats empty segments as terms[start]
+    if ends.size and (np.any(np.diff(ends) < 0) or ends[0] < 0 or ends[-1] > terms.size):
+        raise ValueError("checkpoint ends must be nondecreasing and within the term range")
+    starts = np.concatenate(([0], ends))[:-1]
+    nonempty = starts < ends
+    seg = np.zeros(ends.size, dtype=complex)
+    if nonempty.any():
+        # reduceat sums from each index up to the next one, and would read
+        # terms[start] for an empty segment, so only nonempty starts go in
+        seg[nonempty] = np.add.reduceat(terms[: ends[-1]], starts[nonempty])
     out = np.empty(ends.size, dtype=complex)
     re = NeumaierSum()
     im = NeumaierSum()

@@ -5,10 +5,12 @@ A process here is the canonical monotone form f_i = v_{|i|} o T^i with
 0 <= v_r <= v_{r+1} <= delta: symmetry (f_i = f_{-i} o T^{2i}) and
 admissibility (f_{+-i} o T^{+-1} <= f_{+-(i+1)}) then hold identically, and
 because points carry their orbit index lazily the identities hold bitwise on
-every sampled point, not merely within a tolerance. The truncated
+every sampled point, not merely within a tolerance. The levels come from
+one factor schedule v_r = c(r) delta (`FactorSchedule`): `SHRINK` has
+c(r) = r/(r+1), `CONSTANT` has c(r) = 1, the additive case. The truncated
 approximant freezes v at level r outside [-r, r]:
     g_i^r = v_min(|i|, r) o T^i,
-so 0 <= f_i - g_i^r <= (delta - v_r) o T^i with equality inside the window.
+so 0 <= f_i - g_i^r <= (1 - c(r)) delta o T^i with equality inside the window.
 
 The weighted-sum side lives in `seminorm_and_hilbert`: the log-weighted
 prefix seminorm of a sequence, the dyadic Cauchy-trend verdict of
@@ -20,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import DynamicalSystem, Observable, sample_points, scale_observable
+from .dynamics import DynamicalSystem, Observable, sample_points
 from .errors import InvariantError
 from .rates import RateParams, abs_prefix_ratios
 from .sequences import ModulatingSequence, eval_range, transform_sequence
@@ -36,50 +38,28 @@ from .transform import (
 )
 
 
-class ShrinkSchedule:
-    """v_r = (1 - 1/(r+1)) * delta: the closed-form monotone schedule."""
+@dataclass(frozen=True)
+class FactorSchedule:
+    """Monotone schedule v_r = c(r) * delta with 0 <= c(r) <= c(r+1) <= 1.
 
-    def __init__(self, delta: Observable):
-        self.delta = delta
+    `factor` maps a float array of levels r to c(r); `gap` is the closed form
+    of 1 - c(r), kept separate because subtracting from one rounds differently.
+    """
 
-    def observable(self, r: int) -> Observable:
-        return scale_observable(self.delta, r / (r + 1.0))
-
-    def factors(self, mags: np.ndarray) -> np.ndarray:
-        m = np.asarray(mags, dtype=float)
-        return m / (m + 1.0)
-
-    def sup_gap(self, r: int) -> float:
-        return self.delta.norm("linf") / (r + 1.0)
-
-    def l2_gap(self, r: int) -> float:
-        return self.delta.norm("l2") / (r + 1.0)
+    label: str
+    factor: Callable[[np.ndarray], np.ndarray]
+    gap: Callable[[int], float]
 
 
-class ConstantSchedule:
-    """v_r = delta for every r: the additive (equality) case."""
-
-    def __init__(self, delta: Observable):
-        self.delta = delta
-
-    def observable(self, r: int) -> Observable:
-        return self.delta
-
-    def factors(self, mags: np.ndarray) -> np.ndarray:
-        return np.ones(np.shape(mags), dtype=float)
-
-    def sup_gap(self, r: int) -> float:
-        return 0.0
-
-    def l2_gap(self, r: int) -> float:
-        return 0.0
+SHRINK = FactorSchedule("shrink", lambda r: r / (r + 1.0), lambda r: 1.0 / (r + 1.0))
+CONSTANT = FactorSchedule("constant", np.ones_like, lambda r: 0.0)
 
 
 @dataclass(frozen=True)
 class AdmissibleProcess:
     sys: DynamicalSystem
     delta: Observable
-    schedule: object  # ShrinkSchedule | ConstantSchedule | callable r -> Observable
+    schedule: FactorSchedule
     label: str = "process"
 
     def _delta_along(self, x0, ks: np.ndarray) -> np.ndarray:
@@ -88,57 +68,39 @@ class AdmissibleProcess:
 
     def f_values(self, x0, ks: np.ndarray) -> np.ndarray:
         """f_i(x0) = v_{|i|}(T^i x0) for each i in ks."""
-        ks = np.asarray(ks, dtype=np.int64)
-        if hasattr(self.schedule, "factors"):
-            return self.schedule.factors(np.abs(ks)) * self._delta_along(x0, ks)
-        out = np.empty(ks.size, dtype=float)
-        for idx, i in enumerate(ks):
-            v = self.schedule(int(abs(i)))
-            coords = self.sys.orbit_coords(x0, np.array([i], dtype=np.int64))
-            out[idx] = float(np.asarray(v.coord_fn(coords)).real[0])
-        return out
+        return self.g_values(x0, ks, math.inf)
 
     def f_eval(self, i: int, x0) -> float:
         return float(self.f_values(x0, np.array([i], dtype=np.int64))[0])
 
-    def g_values(self, x0, ks: np.ndarray, r: int) -> np.ndarray:
+    def g_values(self, x0, ks: np.ndarray, r: float) -> np.ndarray:
         """Truncated approximant g_i^r(x0) = v_min(|i|, r)(T^i x0)."""
         ks = np.asarray(ks, dtype=np.int64)
-        clipped = np.minimum(np.abs(ks), r)
-        if hasattr(self.schedule, "factors"):
-            return self.schedule.factors(clipped) * self._delta_along(x0, ks)
-        out = np.empty(ks.size, dtype=float)
-        for idx, (i, lvl) in enumerate(zip(ks, clipped)):
-            v = self.schedule(int(lvl))
-            coords = self.sys.orbit_coords(x0, np.array([i], dtype=np.int64))
-            out[idx] = float(np.asarray(v.coord_fn(coords)).real[0])
-        return out
+        levels = np.minimum(np.abs(ks).astype(float), r)
+        return self.schedule.factor(levels) * self._delta_along(x0, ks)
 
 
-def build_process(sys: DynamicalSystem, delta: Observable, schedule=None, *,
+def build_process(sys: DynamicalSystem, delta: Observable, schedule: FactorSchedule = SHRINK, *,
                   validation_count: int = 1000, probe_radii: Sequence[int] = (0, 1, 2, 4, 8, 16),
                   seed: int = 7, label: str = "process") -> AdmissibleProcess:
-    """Validated process from a monotone schedule (default: the shrink factory).
+    """Validated process from a monotone factor schedule (default: SHRINK).
 
     Validation draws `validation_count` points and requires, at every probe
     level, real nonnegative values with v_r <= v_{r+1} <= delta pointwise;
     any violation is a hard error.
     """
-    if schedule is None:
-        schedule = ShrinkSchedule(delta)
     pts = sample_points(sys, validation_count, seed)
     ks0 = np.array([0], dtype=np.int64)
-    get = (lambda r: schedule.observable(r)) if hasattr(schedule, "observable") else schedule
-
-    coords = [sys.orbit_coords(p, ks0) for p in pts]
-    dvals = np.array([np.asarray(delta.coord_fn(c)).ravel()[0] for c in coords])
+    dvals = np.array([np.asarray(delta.coord_fn(sys.orbit_coords(p, ks0))).ravel()[0]
+                      for p in pts])
     if np.any(np.abs(dvals.imag) > 0):
         raise InvariantError("invalid process: delta takes non-real values")
     if np.any(dvals.real < 0):
         raise InvariantError("invalid process: delta takes negative values")
+    factors = schedule.factor(np.asarray(probe_radii, dtype=float))
     prev = None
-    for r in probe_radii:
-        vr = np.array([np.asarray(get(int(r)).coord_fn(c)).ravel()[0] for c in coords])
+    for r, c in zip(probe_radii, factors):
+        vr = c * dvals
         if np.any(np.abs(vr.imag) > 0) or np.any(vr.real < 0):
             raise InvariantError(f"invalid process: v_{r} is not real nonnegative")
         if np.any(vr.real > dvals.real):
@@ -157,16 +119,14 @@ def structural_identity_check(F: AdmissibleProcess, points, i_list: Sequence[int
     admissible  : f_i(T x) <= f_{i+1}(x) and f_{-i}(T^{-1} x) <= f_{-(i+1)}(x)
     """
     sys = F.sys
+    ks0 = np.array([0], dtype=np.int64)
     exact_structure = exact_symmetry = admissible = True
     for x in points:
         for i in i_list:
             fi = F.f_eval(i, x)
-            if hasattr(F.schedule, "observable"):
-                v = F.schedule.observable(abs(int(i)))
-                direct = float(np.asarray(
-                    v.coord_fn(sys.orbit_coords(sys.iterate(x, i), np.array([0])))).real[0])
-                if direct != fi:
-                    exact_structure = False
+            c = F.schedule.factor(np.array([abs(int(i))], dtype=float))
+            if float((c * F._delta_along(sys.iterate(x, i), ks0))[0]) != fi:
+                exact_structure = False
             if F.f_eval(-i, sys.iterate(x, 2 * i)) != fi:
                 exact_symmetry = False
             if F.f_eval(abs(i), sys.forward(x)) > F.f_eval(abs(i) + 1, x):
@@ -188,13 +148,12 @@ def truncated_approximant(F: AdmissibleProcess, r: int, i: int, points) -> dict:
     ks = np.array([i], dtype=np.int64)
     rows = []
     ok = True
-    vr = F.schedule.observable(r) if hasattr(F.schedule, "observable") else F.schedule(r)
+    c_r = F.schedule.factor(np.array([r], dtype=float))[0]
     for x in points:
         f = float(F.f_values(x, ks)[0])
         g = float(F.g_values(x, ks, r)[0])
-        coords = F.sys.orbit_coords(x, ks)
-        gap = float(np.asarray(F.delta.coord_fn(coords)).real[0]
-                    - np.asarray(vr.coord_fn(coords)).real[0])
+        d = float(F._delta_along(x, ks)[0])
+        gap = d - float(c_r * d)
         resid = f - g
         if abs(i) <= r:
             ok = ok and resid == 0.0
@@ -210,8 +169,9 @@ def process_eht_trace(a: ModulatingSequence, F: AdmissibleProcess, x0,
 
     For each r the trace of sum' a_i g_i^r(x0)/i is computed alongside; the
     max checkpoint deviation is reported against the rigorous pointwise bound
-    sup|delta - v_r| * sum_{r<|i|<=N} |a_i|/|i| (the closed-form sup gap for
-    factory schedules). The L2 gap ||delta - v_r||_2 rides along for scale.
+    sup|delta - v_r| * sum_{r<|i|<=N} |a_i|/|i|, where the sup gap is the closed
+    form sup|delta| * (1 - c(r)). The L2 gap ||delta - v_r||_2 rides along for
+    scale.
     """
     checkpoints = tuple(int(n) for n in checkpoints)
     N = checkpoints[-1]
@@ -230,21 +190,14 @@ def process_eht_trace(a: ModulatingSequence, F: AdmissibleProcess, x0,
         tr = eht_trace(a, gvals, checkpoints)
         dev = float(np.max(np.abs(base.H_values - tr.H_values)))
         tail_weight = float(np.sum(weighted[np.abs(ks) > r]))
-        if hasattr(F.schedule, "sup_gap"):
-            sup_gap = F.schedule.sup_gap(r)
-            l2_gap = F.schedule.l2_gap(r)
-            gap_kind = "closed_form"
-        else:
-            sup_gap = math.nan
-            l2_gap = math.nan
-            gap_kind = "unavailable"
+        gap = F.schedule.gap(r)
+        sup_gap = F.delta.norm("linf") * gap
         rows.append({
             "r": r,
             "max_deviation": dev,
             "deviation_bound": sup_gap * tail_weight,
             "sup_gap": sup_gap,
-            "l2_gap": l2_gap,
-            "gap_kind": gap_kind,
+            "l2_gap": F.delta.norm("l2") * gap,
             "trace": tr,
         })
     return {"trace": base, "verdict": verdict, "approximants": rows,

@@ -34,7 +34,7 @@ from .dynamics import (
 )
 from .errors import InvariantError
 from .numerics import checkpoint_sums, fit_line
-from .sequences import ModulatingSequence, eval_range
+from .sequences import ModulatingSequence, eval_range, named_sequence, transform_sequence
 
 
 @dataclass(frozen=True)
@@ -303,14 +303,6 @@ def maximal_and_weak11(a: ModulatingSequence, sys: DynamicalSystem, f: Observabl
             "sup_quantiles": [float(q) for q in np.quantile(sups, [0.0, 0.5, 0.9, 1.0])]}
 
 
-def _unit_modulation(label: str, theta: float, symmetric: bool) -> ModulatingSequence:
-    if symmetric:
-        fn = lambda ks: np.exp(2j * np.pi * ((np.abs(ks) * theta) % 1.0))
-    else:
-        fn = lambda ks: np.exp(2j * np.pi * ((ks * theta) % 1.0))
-    return ModulatingSequence(label, fn, bound=1.0, symmetric=symmetric)
-
-
 def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, lam_grid: Sequence[complex],
                          checkpoints: Sequence[int], symmetric: bool) -> list[dict]:
     """Unit-circle modulation sweep: one trace and verdict per lambda.
@@ -327,7 +319,9 @@ def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, lam_grid: Sequ
             raise ValueError("sweep grid must lie on the unit circle")
         theta = math.atan2(lam.imag, lam.real) / (2 * math.pi)
         tag = "sym" if symmetric else "two_sided"
-        a = _unit_modulation(f"lambda^{'|k|' if symmetric else 'k'}[{theta:.8f}]", theta, symmetric)
+        a = transform_sequence(named_sequence("constant"), "modulate", lam=lam)
+        if symmetric:
+            a = transform_sequence(a, "symmetrize")
         trace = eht_trace(a, orbit, checkpoints, x0=str(x0),
                           metadata={"lambda_turns": theta, "mode": tag})
         out.append({"lambda": lam, "theta_turns": theta, "trace": trace,

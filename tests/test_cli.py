@@ -47,14 +47,19 @@ def test_config_schema_validation():
     with pytest.raises(ConfigError, match="kind"):
         parse_config({"params": {}})
     cfg = parse_config({"kind": "rates", "params": {"class": "star"}})
-    assert cfg.seed is None and cfg.threads == 1
+    assert cfg.seed is None
 
 
-def test_cli_bad_config_exit_codes(tmp_path):
+def test_cli_bad_config_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "rates", "mystery": True}))
     assert run_cli(["run", "--config", str(bad)]) == 2
     assert run_cli(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    # the former `threads` knob is no longer part of the schema
+    bad.write_text(json.dumps({"kind": "rates", "threads": 1}))
+    capsys.readouterr()
+    assert run_cli(["run", "--config", str(bad)]) == 2
+    assert "unknown top-level config fields: ['threads']" in capsys.readouterr().err
 
 
 def test_budget_exceeded_exit_3(tmp_path):
@@ -112,6 +117,16 @@ def test_transform_config(tmp_path):
     assert rows[0] == "n,re_H,im_H,abel_main,abel_tail"
     assert len(rows) == 13
     assert all("bound_ratio" in r for r in report["results"]["maximal"]["tails"])
+
+
+def test_readme_default_transform(tmp_path):
+    # default checkpoints are dense, so the Abel main sums end below the orbit
+    # radius and must stop there
+    assert run_cli(["run", "transform", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "trace.csv").read_text().strip().splitlines()
+    assert rows[0] == "n,re_H,im_H,abel_main,abel_tail"
+    assert len(rows) > 65
+    assert all(len(r.split(",")) == 5 and "" not in r.split(",") for r in rows[1:])
 
 
 def test_identity_hash_ignores_out_dir(tmp_path):

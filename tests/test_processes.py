@@ -11,8 +11,8 @@ from ehtlab.dynamics import (
 )
 from ehtlab.errors import InvariantError
 from ehtlab.processes import (
-    ConstantSchedule,
-    ShrinkSchedule,
+    CONSTANT,
+    FactorSchedule,
     build_process,
     hilbert_partial_sums,
     process_eht_trace,
@@ -37,25 +37,19 @@ def shrink_process(rotation):
 def test_build_validation_rejects_bad_schedules(rotation):
     delta = rotation_raised_cosine()
 
-    class Decreasing(ShrinkSchedule):
-        def factors(self, mags):
-            m = np.asarray(mags, dtype=float)
-            return 1.0 / (m + 1.0)
-
-        def observable(self, r):
-            from ehtlab.dynamics import scale_observable
-            return scale_observable(self.delta, 1.0 / (r + 1.0))
-
+    decreasing = FactorSchedule("decreasing", lambda r: 1.0 / (r + 1.0), lambda r: r / (r + 1.0))
     with pytest.raises(InvariantError, match="decreases"):
-        build_process(rotation, delta, Decreasing(delta))
+        build_process(rotation, delta, decreasing)
 
-    class TooBig(ShrinkSchedule):
-        def observable(self, r):
-            from ehtlab.dynamics import scale_observable
-            return scale_observable(self.delta, 2.0)
-
+    # monotone, but v_r = 2r/(r+1) delta overtakes delta from r = 2 on
+    too_big = FactorSchedule("too_big", lambda r: 2.0 * r / (r + 1.0),
+                             lambda r: (1.0 - r) / (r + 1.0))
     with pytest.raises(InvariantError, match="exceeds delta"):
-        build_process(rotation, delta, TooBig(delta))
+        build_process(rotation, delta, too_big)
+
+    doubled = FactorSchedule("doubled", lambda r: np.full(np.shape(r), 2.0), lambda r: -1.0)
+    with pytest.raises(InvariantError, match="exceeds delta"):
+        build_process(rotation, delta, doubled)
 
 
 def test_structural_identities_bitwise(rotation, shrink_process):
@@ -66,7 +60,7 @@ def test_structural_identities_bitwise(rotation, shrink_process):
 
 def test_additive_process_is_equality_case(rotation):
     delta = rotation_raised_cosine()
-    F = build_process(rotation, delta, ConstantSchedule(delta))
+    F = build_process(rotation, delta, CONSTANT)
     pts = sample_points(rotation, 200, seed=5)
     app = truncated_approximant(F, r=3, i=11, points=pts)
     assert app["sandwich_ok"]
@@ -105,7 +99,7 @@ def test_process_trace_and_deviations(rotation, shrink_process, sparse_dyadic):
 
 def test_process_trace_constant_cancels(rotation):
     ones = constant_observable("rotation", 1.0)
-    F = build_process(rotation, ones, ConstantSchedule(ones))
+    F = build_process(rotation, ones, CONSTANT)
     a = named_sequence("constant", value=1.0)
     res = process_eht_trace(a, F, rotation.default_point(), default_checkpoints(1 << 10), [4])
     assert np.all(res["trace"].H_values == 0)
@@ -182,7 +176,7 @@ def test_bounded_multiplier_stability(sparse_dyadic):
 
 def test_additive_sparse_trace_settles(rotation, sparse_dyadic):
     delta = rotation_raised_cosine()
-    F = build_process(rotation, delta, ConstantSchedule(delta))
+    F = build_process(rotation, delta, CONSTANT)
     res = process_eht_trace(sparse_dyadic, F, rotation.default_point(),
                             default_checkpoints(1 << 13), [8])
     assert res["verdict"].verdict == "cauchy_trend"
