@@ -41,7 +41,7 @@ from .envelope import (
     kernel_series_l1_profile,
     verify_envelope_conditions,
 )
-from .errors import BudgetExceededError, HorizonExceededError
+from .errors import BudgetExceededError, HorizonExceededError, InvariantError
 from .processes import build_process, process_eht_trace, seminorm_and_hilbert
 from .rates import (
     RateParams,
@@ -432,7 +432,13 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Run one experiment; returns (exit_code, report dict) and writes files."""
+    """Run one experiment; returns (exit_code, report dict) and writes files.
+
+    A spec the runner cannot turn into objects (a missing field, a value its
+    constructor rejects) raises ConfigError; exhausted budgets and horizons
+    return exit code 3 with the error in the report. An InvariantError marks
+    a fault of the program, not of the config, and propagates unchanged.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -442,6 +448,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
                   "config_sha256": config_hash(cfg), "error": str(exc)}
         (out / "report.json").write_text(canonical_json(report) + "\n")
         return 3, report
+    except InvariantError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"missing field {exc.args[0]!r} in the {cfg.kind} params") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     report = {
         "version": __version__,
         "kind": cfg.kind,
@@ -465,7 +477,8 @@ residual, verdict, grid_order) and ratios.csv.""",
     "transform": """transform: checkpointed weighted orbit sums sum' a_k f(T^k x)/k with the
 summation-by-parts split and a dyadic-window convergence verdict; optional
 maximal-function tail profile over a lambda grid (requires seed).
-Params: sequence, system, observable, checkpoints, with_abel, maximal.
+Params: sequence, system, observable, checkpoints, with_abel, maximal,
+x0_angle (accepted but ignored: orbits start at the system's default point).
 Output: trace.csv (n, re_H, im_H, abel_main, abel_tail), report.json.""",
     "counterexample": """counterexample: the 3-cycle visit-indicator sequence on the three-cell
 system. Two negative-index conventions ship: 'symmetric' (a_{-n} = a_n),
@@ -482,9 +495,10 @@ doubling integer breakpoints. Verifies conditions (i) stays above h,
 n_{k+1} <= 2(n_{k+1}-n_k), (vi) slope wedge s_k < s_{k+1}-s_k < -s_k;
 reports the weighted second-difference partial sums with a geometric tail,
 the positive-kernel integral check (= pi), and optionally the two-route
-evaluation of the limit function g and the divergent-modulator demo.
+evaluation of the limit function g, the L1 profile of the partial kernel
+series against its uniform bound, and the divergent-modulator demo.
 Params: h (inverse-log | inverse-log2 | inverse-linear), K, M, evaluate,
-modulator_N.
+modulator_N, l1_profile.
 Output: report.json, g_eval.csv (x, g, tail_bound, s_n_direct).""",
     "spectral": """spectral: correlation table, Fourier-Bohr means on a roots-of-unity grid,
 threshold-plus-refinement atom detection, and optionally collisions of the
@@ -590,10 +604,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         cfg = _config_from_args(args)
+        code, report = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    code, report = run_experiment(cfg)
     print(f"{cfg.kind}: report written to {Path(cfg.out_dir) / 'report.json'} "
           f"(config {report['config_sha256'][:12]})")
     return code

@@ -370,24 +370,26 @@ def verify_envelope_conditions(env: EnvelopeSpec, hm: MajorantH | None = None) -
 
 # -------------------------------------------------------------------- kernels
 
-def _sin_of_multiple(factor, x: float) -> float:
-    """sin(factor * x) where factor may be an integer-valued mpf of any size.
+def _sin_of_multiple(factor, xs: np.ndarray) -> np.ndarray:
+    """sin(factor * x) at every point, where factor is an mpf multiple of 1/4
+    of any size.
 
-    Beyond the exact float range the product is reduced mod 2 pi at a
+    Below 2^45 the float64 product is exact enough and one vectorized sine
+    serves the whole array; beyond it each product is reduced mod 2 pi at a
     precision matched to the factor's magnitude.
     """
-    with mp.workprec(_WORKPREC):
-        f = mp.mpf(factor)
-        mag = mp.mag(f)
+    mag = mp.mag(factor)
     if mag < 45:
-        return math.sin(float(factor) * x)
+        return np.sin(float(factor) * xs)
     if mag > 1_000_000:
         raise DomainError("kernel index too large for trigonometric reduction")
     with mp.workprec(int(mag) + 90):
-        return float(mp.sin(mp.fmod(mp.mpf(factor) * mp.mpf(x), 2 * mp.pi)))
+        f, two_pi = mp.mpf(factor), 2 * mp.pi
+        return np.array([float(mp.sin(mp.fmod(f * mp.mpf(float(x)), two_pi)))
+                         for x in xs.flat]).reshape(xs.shape)
 
 
-def kernel_eval(kind: str, n, x: float) -> float:
+def kernel_eval(kind: str, n, x):
     """Closed-form positive/oscillating summability kernels on (0, 2 pi).
 
     dirichlet      : 1/2 + sum_{k=1}^n cos(kx) = sin((n+1/2)x) / (2 sin(x/2))
@@ -396,29 +398,36 @@ def kernel_eval(kind: str, n, x: float) -> float:
     fejer_printed  : variant with sin((n+1/2)x/2) in place of sin((n+1)x/2);
                      kept as a diagnostic because its mean-of-kernels identity
                      fails (see `fejer_variant_discrepancy`)
+
+    `x` is a float or an array of points; the result is a float or an array
+    of the same shape, and every point must lie in (1e-9, 2 pi - 1e-9).
+    Orders whose sine factor stays below 2^45 take one float64 path over the
+    whole array; larger orders reduce each product mod 2 pi in mpmath. The
+    factor is formed at a fixed working precision and the rest is float64,
+    so the result does not depend on the caller's mpmath precision.
     """
-    if not (_EDGE < x < _TWO_PI - _EDGE):
-        raise DomainError(f"x = {x} is within 1e-9 of the kernel singularities")
-    half = 2.0 * math.sin(0.5 * x)
-    if kind == "dirichlet":
-        return _sin_of_multiple(_as_index(n) + mp.mpf("0.5"), x) / half
-    if kind == "fejer":
-        s = _sin_of_multiple((_as_index(n) + 1) / 2, x)
-        np1 = _as_index(n) + 1
-        return float(2.0 / np1 * mp.mpf((s / half) ** 2))
-    if kind == "fejer_printed":
-        s = _sin_of_multiple((_as_index(n) + mp.mpf("0.5")) / 2, x)
-        np1 = _as_index(n) + 1
-        return float(2.0 / np1 * mp.mpf((s / half) ** 2))
-    raise ValueError(f"unknown kernel kind {kind!r}")
-
-
-def _as_index(n):
+    xs = np.asarray(x, dtype=float)
+    inside = (xs > _EDGE) & (xs < _TWO_PI - _EDGE)
+    if not inside.all():
+        raise DomainError(f"x = {xs[~inside].flat[0]} is within 1e-9 of the kernel "
+                          "singularities")
     with mp.workprec(_WORKPREC):
-        v = mp.mpf(n)
-        if mp.floor(v) != v or v < 0:
+        order = mp.mpf(n)
+        if mp.floor(order) != order or order < 0:
             raise ValueError("kernel order must be a nonnegative integer")
-        return v
+        if kind == "dirichlet":
+            factor = order + mp.mpf("0.5")
+        elif kind == "fejer":
+            factor = (order + 1) / 2
+        elif kind == "fejer_printed":
+            factor = (order + mp.mpf("0.5")) / 2
+        else:
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        scale = float(2 / (order + 1))
+    r = _sin_of_multiple(factor, xs) / (2.0 * np.sin(0.5 * xs))
+    if kind != "dirichlet":
+        r = scale * (r * r)
+    return float(r) if r.ndim == 0 else r
 
 
 def fejer_integral(n: int) -> float:
@@ -426,13 +435,14 @@ def fejer_integral(n: int) -> float:
     quadrature on a grid fine enough to be exact for its trig-poly degree."""
     G = 4 * (int(n) + 1)
     xs = _TWO_PI * (np.arange(G) + 0.5) / G
-    vals = np.array([kernel_eval("fejer", n, float(x)) for x in xs])
-    return float(vals.sum() * _TWO_PI / G)
+    return float(kernel_eval("fejer", n, xs).sum() * _TWO_PI / G)
 
 
 def fejer_variant_discrepancy(n: int, xs: Sequence[float]) -> float:
     """max |fejer - fejer_printed| over the sample points (diagnostic record)."""
-    return max(abs(kernel_eval("fejer", n, x) - kernel_eval("fejer_printed", n, x)) for x in xs)
+    xs = np.asarray(xs, dtype=float)
+    gap = kernel_eval("fejer", n, xs) - kernel_eval("fejer_printed", n, xs)
+    return float(np.max(np.abs(gap)))
 
 
 # ------------------------------------------------------------ limit function
@@ -559,13 +569,13 @@ def kernel_series_l1_profile(env: EnvelopeSpec, eps: float = 1e-3,
     partial = np.zeros(xs.size)
     integrals = []
     with mp.workprec(_WORKPREC):
-        cum = 0.0
-        for k in range(1, terms_avail + 1):
-            coef = float(mp.mpf(env.breakpoints[k]) * (env.slopes[k] - env.slopes[k - 1]))
-            kern = np.array([kernel_eval("fejer", bps[k] - 1, float(x)) for x in xs])
-            partial += coef * kern
-            cum += abs(coef)
-            integrals.append(float(np.sum(np.abs(partial)) * 2.0 * math.pi / G))
+        coefs = [float(mp.mpf(env.breakpoints[k]) * (env.slopes[k] - env.slopes[k - 1]))
+                 for k in range(1, terms_avail + 1)]
+    cum = 0.0
+    for k, coef in enumerate(coefs, start=1):
+        partial += coef * kernel_eval("fejer", bps[k] - 1, xs)
+        cum += abs(coef)
+        integrals.append(float(np.sum(np.abs(partial)) * 2.0 * math.pi / G))
     return {
         "eps": eps,
         "grid": G,

@@ -1,10 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from ehtlab import __version__
 from ehtlab.cli import (
+    _PARAM_KEYS,
     ConfigError,
     KINDS,
     describe,
@@ -31,6 +33,12 @@ def test_describe_all_kinds(capsys):
     prop = describe("prop27")
     for token in ("(i)", "(ii)", "(iii)", "(iv)", "(v)", "(vi)"):
         assert token in prop
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_describe_lists_every_param_key(kind):
+    params = describe(kind).split("Params:")[1].split("Output:")[0]
+    assert _PARAM_KEYS[kind] <= set(re.findall(r"\w+", params))
 
 
 def test_describe_unknown_kind_exits_2():
@@ -60,6 +68,16 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["run", "--config", str(bad)]) == 2
     assert "unknown top-level config fields: ['threads']" in capsys.readouterr().err
+    # values and specs the runner rejects while building its objects
+    out = str(tmp_path / "o")
+    assert run_cli(["run", "rates", "--alpha", "3", "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: alpha must lie in (1, 2]\n"
+    bad.write_text(json.dumps({"kind": "rates", "params": {
+        "sequence": {"op": "truncate", "base": {"name": "hardy_littlewood"}}}}))
+    assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'r'" in err and err.count("\n") == 1
 
 
 def test_budget_exceeded_exit_3(tmp_path):
@@ -72,6 +90,18 @@ def test_budget_exceeded_exit_3(tmp_path):
     assert run_cli(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert "error" in report
+
+
+def test_invariant_failure_is_not_a_config_error(tmp_path, monkeypatch):
+    from ehtlab import cli
+    from ehtlab.errors import InvariantError
+
+    def broken(cfg, out):
+        raise InvariantError("evaluator changed the index shape")
+
+    monkeypatch.setitem(cli._RUNNERS, "rates", broken)
+    with pytest.raises(InvariantError):
+        run_cli(["run", "rates", "--out-dir", str(tmp_path / "o")])
 
 
 def test_run_via_flags(tmp_path):

@@ -80,6 +80,64 @@ def test_kernel_huge_order_reduction():
     assert val == pytest.approx(ref, abs=1e-9)
 
 
+def test_kernel_orders_beyond_double_mantissa():
+    # n + 1/2 and (n + 1)/2 are not doubles here; the factor must be formed
+    # exactly even when the caller runs at mpmath's default 53 bits
+    n = 3**64 - 4
+    with mp.workprec(400):
+        half = 2 * mp.sin(mp.mpf("0.5"))
+        dirichlet = float(mp.sin(mp.mpf(n) + mp.mpf("0.5")) / half)
+        fejer = float(2 / (mp.mpf(n) + 1) * (mp.sin((mp.mpf(n) + 1) / 2) / half) ** 2)
+    assert kernel_eval("dirichlet", n, 1.0) == pytest.approx(dirichlet, abs=1e-9)
+    assert kernel_eval("fejer", n, 1.0) == pytest.approx(fejer, rel=1e-9)
+
+
+_KINDS = ("dirichlet", "fejer", "fejer_printed")
+
+
+@pytest.mark.parametrize("n", [0, 1, 100, 65535, 2**44 - 1, 2**45, 3**32 - 4])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_kernel_array_matches_scalars_bitwise(kind, n):
+    # both sides of the 2^45 reduction cutoff, plus the points next to the
+    # singularities and an off-grid sample
+    rng = np.random.default_rng(n % 9973)
+    xs = np.concatenate([np.linspace(2e-9, 2 * math.pi - 2e-9, 41),
+                         rng.uniform(0.0, 2 * math.pi, 23)]).reshape(8, 8)
+    vals = kernel_eval(kind, n, xs)
+    assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
+    scalars = [kernel_eval(kind, n, float(x)) for x in xs.flat]
+    assert all(type(s) is float for s in scalars)
+    assert vals.ravel().tobytes() == np.array(scalars).tobytes()
+
+
+def test_kernel_results_ignore_ambient_precision():
+    from ehtlab.envelope import kernel_series_l1_profile
+    env = build_envelope(inverse_linear_majorant(), K=10)
+    outside = ([fejer_integral(k) for k in (1, 10, 100)], kernel_series_l1_profile(env))
+    with mp.workprec(140):
+        inside = ([fejer_integral(k) for k in (1, 10, 100)], kernel_series_l1_profile(env))
+    assert repr(outside) == repr(inside)
+
+
+@pytest.mark.parametrize("bad_x", [0.5e-9, 2 * math.pi - 0.5e-9, 0.0, 2 * math.pi])
+def test_kernel_domain_guard_covers_every_point(bad_x):
+    xs = np.linspace(0.1, 2 * math.pi - 0.1, 16)
+    xs[11] = bad_x
+    for kind in _KINDS:
+        with pytest.raises(DomainError):
+            kernel_eval(kind, 4, xs)
+
+
+def test_kernel_validation_for_arrays():
+    xs = np.linspace(0.1, 2 * math.pi - 0.1, 16)
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        kernel_eval("mystery", 4, xs)
+    for bad_n in (2.5, -1, mp.mpf("7.25")):
+        for kind in _KINDS:
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                kernel_eval(kind, bad_n, xs)
+
+
 # ---------------------------------------------------------------- envelopes
 
 def test_build_inverse_log_breakpoints():
