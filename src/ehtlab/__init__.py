@@ -30,6 +30,7 @@ from .dynamics import (
     Observable,
     make_system,
     invariance_check,
+    orbit_rows,
     orbit_values,
     sample_points,
 )
@@ -59,6 +60,7 @@ from .spectral import (
     SpectralEstimate,
     correlation_estimate,
     gamma_and_spectrum,
+    match_resonances,
     resonance_report,
 )
 from .processes import (

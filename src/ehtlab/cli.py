@@ -51,7 +51,7 @@ from .rates import (
     parseval_holder_check,
 )
 from .sequences import ModulatingSequence, TrigPolynomial, named_sequence, trig_poly_sequence, transform_sequence
-from .spectral import gamma_and_spectrum, resonance_report
+from .spectral import gamma_and_spectrum, match_resonances
 from .transform import (
     cesaro_average_trace,
     default_checkpoints,
@@ -89,8 +89,7 @@ _TOP_KEYS = {"kind", "seed", "out_dir", "params"}
 
 _PARAM_KEYS = {
     "rates": {"sequence", "class", "alpha", "beta", "schedule", "grid_order"},
-    "transform": {"sequence", "system", "observable", "checkpoints", "with_abel",
-                  "x0_angle", "maximal"},
+    "transform": {"sequence", "system", "observable", "checkpoints", "with_abel", "maximal"},
     "counterexample": {"N", "convention"},
     "prop27": {"h", "K", "M", "evaluate", "modulator_N", "l1_profile"},
     "spectral": {"sequence", "n", "grid_order", "threshold", "resonance_system"},
@@ -357,9 +356,7 @@ def _run_spectral(cfg: ExperimentConfig, out: Path) -> dict:
     est = gamma_and_spectrum(seq, grid_order, n, float(p.get("threshold", 0.1)))
     result = {"spectrum": est.to_dict()}
     if "resonance_system" in p:
-        sys_ = _system_from_spec(p["resonance_system"])
-        result["resonance"] = resonance_report(seq, sys_, n=n, grid_order=grid_order,
-                                               threshold=float(p.get("threshold", 0.1)))
+        result["resonance"] = match_resonances(est, _system_from_spec(p["resonance_system"]))
     return result
 
 
@@ -477,8 +474,8 @@ residual, verdict, grid_order) and ratios.csv.""",
     "transform": """transform: checkpointed weighted orbit sums sum' a_k f(T^k x)/k with the
 summation-by-parts split and a dyadic-window convergence verdict; optional
 maximal-function tail profile over a lambda grid (requires seed).
-Params: sequence, system, observable, checkpoints, with_abel, maximal,
-x0_angle (accepted but ignored: orbits start at the system's default point).
+Params: sequence, system, observable, checkpoints, with_abel, maximal.
+Orbits start at the system's default point.
 Output: trace.csv (n, re_H, im_H, abel_main, abel_tail), report.json.""",
     "counterexample": """counterexample: the 3-cycle visit-indicator sequence on the three-cell
 system. Two negative-index conventions ship: 'symmetric' (a_{-n} = a_n),

@@ -17,9 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .numerics import frac1
 
 SQRT2_TURNS = math.sqrt(2.0) - 1.0  # sqrt(2) mod 1
 _MAX_SHIFT = 1 << 27  # exactness limit of the split-angle product
@@ -30,15 +32,33 @@ def _split_angle(theta: float) -> tuple[float, float]:
     return hi, theta - hi  # difference is exact (Sterbenz)
 
 
-def angle_mod1(t0: float, ks: np.ndarray, theta_hi: float, theta_lo: float) -> np.ndarray:
-    """(t0 + k*theta) mod 1 with the k*theta product split for exactness.
+def _turn_table(ks: np.ndarray, theta_hi: float,
+                theta_lo: float) -> tuple[np.ndarray, np.ndarray]:
+    """The anchor-independent part of (t0 + k*theta) mod 1: frac(k*theta_hi), k*theta_lo.
 
     k*theta_hi is exact for |k| < 2^27 (26-bit mantissa times 27-bit integer),
-    so the only rounding happens in the small correction term.
+    so its fractional part is exact too and the only rounding happens in the
+    small correction term.
     """
-    a = ks * theta_hi
-    frac_hi = a - np.floor(a)
-    return (frac_hi + (ks * theta_lo + t0)) % 1.0
+    return frac1(ks * theta_hi), ks * theta_lo
+
+
+def _add_anchor(frac_hi: np.ndarray, klo: np.ndarray, t0: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """(frac_hi + (klo + t0)) mod 1, the anchor step of `angle_mod1`; `out` is reused."""
+    out = np.add(klo, t0, out=out)
+    np.add(frac_hi, out, out=out)
+    return frac1(out, out=out)
+
+
+def angle_mod1(t0: float, ks: np.ndarray, theta_hi: float, theta_lo: float) -> np.ndarray:
+    """(t0 + k*theta) mod 1 with the k*theta product split for exactness."""
+    return _add_anchor(*_turn_table(ks, theta_hi, theta_lo), t0)
+
+
+def _check_index_range(max_abs_k: int) -> None:
+    if max_abs_k >= _MAX_SHIFT:
+        raise ValueError(f"orbit index beyond the exact-angle range (|k| < {_MAX_SHIFT})")
 
 
 @dataclass(frozen=True)
@@ -123,8 +143,7 @@ class Rotation:
 
     def orbit_coords(self, x0: RotationPoint, ks: np.ndarray) -> np.ndarray:
         idx = ks + x0.shift
-        if np.max(np.abs(idx), initial=0) >= _MAX_SHIFT:
-            raise ValueError(f"orbit index beyond the exact-angle range (|k| < {_MAX_SHIFT})")
+        _check_index_range(int(np.max(np.abs(idx), initial=0)))
         return angle_mod1(x0.t0, idx, self._hi, self._lo)
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[RotationPoint]:
@@ -264,7 +283,7 @@ def make_system(kind: str, **params) -> DynamicalSystem:
 
 def rotation_character(m: int = 1) -> Observable:
     def fn(angles: np.ndarray) -> np.ndarray:
-        return np.exp(2j * np.pi * ((m * angles) % 1.0))
+        return np.exp(2j * np.pi * frac1(m * angles))
     return Observable(f"z^{m}", "rotation", fn, {"l1": 1.0, "l2": 1.0, "linf": 1.0},
                       meta={"m": int(m)})
 
@@ -297,7 +316,7 @@ def cycle_indicator_observable() -> Observable:
 def torus_character(p: int, q: int) -> Observable:
     def fn(coords) -> np.ndarray:
         xs, ys = coords
-        return np.exp(2j * np.pi * ((p * xs + q * ys) % 1.0))
+        return np.exp(2j * np.pi * frac1(p * xs + q * ys))
     return Observable(f"e(px+qy)[{p},{q}]", "torus_automorphism", fn,
                       {"l1": 1.0, "l2": 1.0, "linf": 1.0}, meta={"pq": (int(p), int(q))})
 
@@ -313,14 +332,48 @@ def constant_observable(sys_kind: str, c: complex = 1.0) -> Observable:
 
 # ----------------------------------------------------------------- operations
 
-def orbit_values(sys: DynamicalSystem, f: Observable, x0, N: int) -> np.ndarray:
-    """f(T^k x0) for -N <= k <= N as a length 2N+1 complex array."""
+def _check_orbit_request(sys: DynamicalSystem, f: Observable, N: int) -> None:
     if N < 0:
         raise ValueError("orbit radius must be nonnegative")
     if f.system_kind != sys.kind:
         raise ValueError(f"observable {f.label} does not belong to system {sys.kind}")
+
+
+def orbit_values(sys: DynamicalSystem, f: Observable, x0, N: int) -> np.ndarray:
+    """f(T^k x0) for -N <= k <= N as a length 2N+1 complex array."""
+    _check_orbit_request(sys, f, N)
     ks = np.arange(-N, N + 1, dtype=np.int64)
     return np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
+
+
+def orbit_rows(sys: DynamicalSystem, f: Observable, points: Iterable,
+               N: int) -> Iterator[np.ndarray]:
+    """`orbit_values(sys, f, p, N)` for each of the points, in order, one row at a time.
+
+    On a rotation the anchor-independent turn table of k = -N..N is built
+    once and every unshifted point only adds its anchor, so the rows are
+    bitwise the per-point ones at a fraction of the cost; shifted points and
+    the other systems go through `orbit_values`. The request is validated
+    here, the exact-angle range included; the rows are computed as they are
+    consumed.
+    """
+    _check_orbit_request(sys, f, N)
+    if not isinstance(sys, Rotation):
+        return (orbit_values(sys, f, p, N) for p in points)
+    _check_index_range(N)
+    return _rotation_rows(sys, f, points, N)
+
+
+def _rotation_rows(rot: Rotation, f: Observable, points: Iterable, N: int) -> Iterator[np.ndarray]:
+    frac_hi, klo = _turn_table(np.arange(-N, N + 1, dtype=np.int64), rot._hi, rot._lo)
+    # reused for every anchor; rows never alias it, since they are complex
+    angles = np.empty(2 * N + 1)
+    for p in points:
+        if p.shift:  # the table holds the unshifted indices only
+            yield orbit_values(rot, f, p, N)
+        else:
+            yield np.asarray(f.coord_fn(_add_anchor(frac_hi, klo, p.t0, out=angles)),
+                             dtype=complex)
 
 
 def sample_points(sys: DynamicalSystem, count: int, seed: int) -> list:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import DynamicalSystem, Observable, sample_points
+from .dynamics import DynamicalSystem, Observable, orbit_rows, sample_points
 from .errors import InvariantError
 from .rates import RateParams, abs_prefix_ratios
 from .sequences import ModulatingSequence, eval_range, transform_sequence
@@ -90,9 +90,7 @@ def build_process(sys: DynamicalSystem, delta: Observable, schedule: FactorSched
     any violation is a hard error.
     """
     pts = sample_points(sys, validation_count, seed)
-    ks0 = np.array([0], dtype=np.int64)
-    dvals = np.array([np.asarray(delta.coord_fn(sys.orbit_coords(p, ks0))).ravel()[0]
-                      for p in pts])
+    dvals = np.array([row[0] for row in orbit_rows(sys, delta, pts, 0)])
     if np.any(np.abs(dvals.imag) > 0):
         raise InvariantError("invalid process: delta takes non-real values")
     if np.any(dvals.real < 0):

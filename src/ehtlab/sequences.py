@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvariantError
+from .numerics import frac1
 
 _BOUND_RTOL = 1e-9
 
@@ -135,7 +136,7 @@ def trig_poly_sequence(p: TrigPolynomial) -> ModulatingSequence:
 
     def fn(ks: np.ndarray) -> np.ndarray:
         # lambda^k by angle arithmetic; exact modulus 1 for every k
-        phases = np.exp(2j * np.pi * ((ks[:, None] * angles[None, :]) % 1.0))
+        phases = np.exp(2j * np.pi * frac1(ks[:, None] * angles[None, :]))
         return phases @ coeffs
 
     label = "trig_poly(" + ",".join(f"{c:.3g}@{th:.4f}" for c, th in zip(coeffs, angles)) + ")"
@@ -275,7 +276,7 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
                 return a.values(ks) * (1.0 - 2.0 * (ks % 2))
         else:
             def fn(ks: np.ndarray) -> np.ndarray:
-                return a.values(ks) * np.exp(2j * np.pi * ((ks * theta) % 1.0))
+                return a.values(ks) * np.exp(2j * np.pi * frac1(ks * theta))
         lam_exact_real = lam in (1.0, -1.0)
         return ModulatingSequence(f"modulate({a.label},{theta:.6f})", fn, bound=a.bound,
                                   symmetric=a.symmetric and lam_exact_real,

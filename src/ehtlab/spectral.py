@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Rotation, TorusAutomorphism, DynamicalSystem
+from .numerics import frac1
 from .sequences import ModulatingSequence
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -98,7 +99,7 @@ def toeplitz_min_eigenvalue(gamma: np.ndarray) -> float:
 
 def _gamma_at(a_vals: np.ndarray, n: int, theta: float) -> complex:
     js = np.arange(0, n + 1)
-    return complex(np.sum(a_vals * np.exp(-2j * np.pi * ((js * theta) % 1.0))) / n)
+    return complex(np.sum(a_vals * np.exp(-2j * np.pi * frac1(js * theta))) / n)
 
 
 def _refine_atom(a_vals: np.ndarray, n: int, lo: float, hi: float, iters: int = 60) -> float:
@@ -184,23 +185,33 @@ def resonance_report(a: ModulatingSequence, sys: DynamicalSystem, *,
                      n: int = 1 << 14, grid_order: int | None = None,
                      threshold: float = 0.1, m_bound: int = 32,
                      match_tol: float | None = None) -> dict:
-    """Collisions between detected spectrum atoms and the system's point spectrum.
+    """Collisions between the detected spectrum atoms of `a` at truncation n
+    and the system's point spectrum: `match_resonances` applied to a fresh
+    `gamma_and_spectrum` (computed for rotations only; see there)."""
+    est = None
+    if isinstance(sys, Rotation):
+        est = gamma_and_spectrum(a, grid_order or (4 * n), n, threshold)
+    return match_resonances(est, sys, m_bound=m_bound, match_tol=match_tol)
+
+
+def match_resonances(est: SpectralEstimate | None, sys: DynamicalSystem, *,
+                     m_bound: int = 32, match_tol: float | None = None) -> dict:
+    """Collisions between the atoms of an existing estimate and the point spectrum.
 
     For a rotation the eigenvalues are the powers phi^m; an atom within
-    `match_tol` (in turns) of phi^m for some 0 < |m| <= m_bound is a
-    collision, and a collision predicts divergence of the symmetric
-    modulation lambda^|k| at that atom (cross-check with the sweep). The
-    torus automorphism has no nonconstant eigenfunctions, so its collision
-    list is empty by construction.
+    `match_tol` (in turns, default max(8/n, 1e-9) at the estimate's
+    truncation n) of phi^m for some 0 < |m| <= m_bound is a collision, and a
+    collision predicts divergence of the symmetric modulation lambda^|k| at
+    that atom (cross-check with the sweep). The torus automorphism has no
+    nonconstant eigenfunctions, so its collision list is empty by
+    construction and the estimate is not read.
     """
     if isinstance(sys, TorusAutomorphism):
         return {"system": sys.kind, "collisions": [], "atoms": [],
                 "note": "continuous spectrum on nonconstant functions"}
     if not isinstance(sys, Rotation):
         raise ValueError("resonance_report supports rotations and the torus automorphism")
-
-    grid_order = grid_order or (4 * n)
-    est = gamma_and_spectrum(a, grid_order, n, threshold)
+    n = est.truncation
     tol = match_tol if match_tol is not None else max(8.0 / n, 1e-9)
     collisions = []
     for atom in est.atoms:

@@ -29,11 +29,12 @@ from .dynamics import (
     TORUS_MATRIX_INV,
     DynamicalSystem,
     Observable,
+    orbit_rows,
     orbit_values,
     sample_points,
 )
 from .errors import InvariantError
-from .numerics import checkpoint_sums, fit_line
+from .numerics import checkpoint_sums, fit_line, frac1
 from .sequences import ModulatingSequence, eval_range, named_sequence, transform_sequence
 
 
@@ -110,17 +111,45 @@ def default_checkpoints(n_max: int, n_min: int = 16) -> tuple[int, ...]:
     return tuple(sorted(p for p in pts if n_min <= p <= n_max))
 
 
+@dataclass(frozen=True)
+class _PairWeights:
+    """The weights a_{+k}, a_{-k} and the divisors k for k = 1..N of one sequence.
+
+    Formed once per (sequence, N) and shared by every orbit of that radius.
+    `neg` is the reversed view of the memoized range. Terms are always
+    (a_k v_k - a_{-k} v_{-k}) / k in that order: dividing the weights by k
+    beforehand would round differently.
+    """
+
+    pos: np.ndarray
+    neg: np.ndarray
+    ks: np.ndarray  # complex, so dividing complex numerators needs no cast
+
+    @classmethod
+    def of(cls, a: ModulatingSequence, N: int) -> "_PairWeights":
+        avals = eval_range(a, N)
+        return cls(avals[N + 1 :], avals[N - 1 :: -1], np.arange(1, N + 1, dtype=complex))
+
+    def numerators(self, vpos: np.ndarray, vneg: np.ndarray, out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
+        """a_k u_k - a_{-k} w_k for k = 1..N; `out` and `scratch` are reused when given."""
+        out = np.multiply(self.pos, vpos, out=out)
+        return np.subtract(out, np.multiply(self.neg, vneg, out=scratch), out=out)
+
+    def orbit_numerators(self, orbit: np.ndarray, out: np.ndarray | None = None,
+                         scratch: np.ndarray | None = None) -> np.ndarray:
+        """Numerators d_k = a_k v_k - a_{-k} v_{-k} of a two-sided orbit of radius N."""
+        N = self.pos.size
+        return self.numerators(orbit[N + 1 :], orbit[N - 1 :: -1], out, scratch)
+
+
 def _pairwise_terms(a: ModulatingSequence, orbit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numerators d_k = a_k v_k - a_{-k} v_{-k} and terms d_k / k for k = 1..N."""
     if orbit.ndim != 1 or orbit.size % 2 == 0:
         raise ValueError("orbit must be a two-sided array of odd length")
-    N = orbit.size // 2
-    avals = eval_range(a, N)
-    pos = avals[N + 1 :] * orbit[N + 1 :]
-    neg = avals[N - 1 :: -1] * orbit[N - 1 :: -1]
-    numerators = pos - neg
-    ks = np.arange(1, N + 1, dtype=float)
-    return numerators, numerators / ks
+    w = _PairWeights.of(a, orbit.size // 2)
+    numerators = w.orbit_numerators(orbit)
+    return numerators, numerators / w.ks
 
 
 def eht_trace(a: ModulatingSequence, orbit: np.ndarray, checkpoints: Sequence[int],
@@ -288,12 +317,7 @@ def maximal_and_weak11(a: ModulatingSequence, sys: DynamicalSystem, f: Observabl
     The ratios are reported, never asserted against a theoretical constant.
     """
     norm1 = f.norm("l1")
-    pts = sample_points(sys, sample_count, seed)
-    sups = np.empty(sample_count)
-    for i, p in enumerate(pts):
-        orbit = orbit_values(sys, f, p, N)
-        _, terms = _pairwise_terms(a, orbit)
-        sups[i] = float(np.max(np.abs(np.cumsum(terms))))
+    sups = _maximal_sups(a, sys, f, sample_points(sys, sample_count, seed), N)
     rows = []
     for lam in lambdas:
         tail = float(np.mean(sups > lam))
@@ -301,6 +325,22 @@ def maximal_and_weak11(a: ModulatingSequence, sys: DynamicalSystem, f: Observabl
                      "bound_ratio": tail * float(lam) / norm1 if norm1 > 0 else 0.0})
     return {"N": N, "sample_count": sample_count, "f_l1": norm1, "tails": rows,
             "sup_quantiles": [float(q) for q in np.quantile(sups, [0.0, 0.5, 0.9, 1.0])]}
+
+
+def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, points,
+                  N: int) -> np.ndarray:
+    """max_{1<=n<=N} |H_n(p)| for each point p, one reused set of buffers for all."""
+    w = _PairWeights.of(a, N)
+    terms, scratch, mags = np.empty(N, dtype=complex), np.empty(N, dtype=complex), np.empty(N)
+    sups = np.empty(len(points))
+    rows = orbit_rows(sys, f, points, N)
+    for i in range(len(points)):
+        # the row is bound to no name, so it is freed before the next is built
+        w.orbit_numerators(next(rows), out=terms, scratch=scratch)
+        np.divide(terms, w.ks, out=terms)
+        np.abs(np.cumsum(terms, out=terms), out=mags)
+        sups[i] = mags.max()
+    return sups
 
 
 def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, lam_grid: Sequence[complex],
@@ -331,15 +371,6 @@ def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, lam_grid: Sequ
 
 # ------------------------------------------------------- L2 vs spectral route
 
-def _signed_block_sums(a: ModulatingSequence, pows_pos: np.ndarray, pows_neg: np.ndarray,
-                       ends: np.ndarray) -> np.ndarray:
-    """sum_{i<=j} (a_i u_i - a_{-i} w_i) at each end j, for given power arrays."""
-    jmax = pows_pos.size
-    avals = eval_range(a, jmax)
-    terms = avals[jmax + 1 :] * pows_pos - avals[jmax - 1 :: -1] * pows_neg
-    return checkpoint_sums(terms, ends)
-
-
 def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observable,
                         j_schedule: Sequence[int], sample_count: int = 256, seed: int = 0,
                         row_sample_count: int | None = None) -> dict:
@@ -364,19 +395,17 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
         m = int(f.meta["m"])
         ks = np.arange(1, jmax + 1, dtype=np.int64)
         # eigenvalue powers by the same drift-free angle arithmetic as orbits
-        ang = (ks * (m * sys.theta)) % 1.0
-        pows_pos = np.exp(2j * np.pi * ang)
-        pows_neg = np.conj(pows_pos)
-        P = _signed_block_sums(a, pows_pos, pows_neg, ends)
+        pows_pos = np.exp(2j * np.pi * frac1(ks * (m * sys.theta)))
+        w = _PairWeights.of(a, jmax)
+        P = checkpoint_sums(w.numerators(pows_pos, np.conj(pows_pos)), ends)
         spectral = np.abs(P) * f.norm("l2")
 
-        pts = sample_points(sys, sample_count, seed)
+        numerators, scratch = np.empty(jmax, dtype=complex), np.empty(jmax, dtype=complex)
         acc = np.zeros(len(j_schedule))
-        for p in pts:
-            orbit = orbit_values(sys, f, p, jmax)
-            numerators, _ = _pairwise_terms(a, orbit)
-            D = checkpoint_sums(numerators, ends)
-            acc += np.abs(D) ** 2
+        rows = orbit_rows(sys, f, sample_points(sys, sample_count, seed), jmax)
+        for _ in range(sample_count):
+            w.orbit_numerators(next(rows), out=numerators, scratch=scratch)
+            acc += np.abs(checkpoint_sums(numerators, ends)) ** 2
         mc = np.sqrt(acc / sample_count)
         return {
             "kind": "rotation_eigenfunction",

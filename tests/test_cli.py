@@ -68,6 +68,10 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["run", "--config", str(bad)]) == 2
     assert "unknown top-level config fields: ['threads']" in capsys.readouterr().err
+    # transform runs from the system's default point; x0_angle was never read
+    bad.write_text(json.dumps({"kind": "transform", "seed": 1, "params": {"x0_angle": 0.3}}))
+    assert run_cli(["run", "--config", str(bad)]) == 2
+    assert "unknown params for transform: ['x0_angle']" in capsys.readouterr().err
     # values and specs the runner rejects while building its objects
     out = str(tmp_path / "o")
     assert run_cli(["run", "rates", "--alpha", "3", "--out-dir", out]) == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ehtlab import dynamics
 from ehtlab.dynamics import (
     CyclePoint,
     LatticeTorusPoint,
@@ -15,6 +16,7 @@ from ehtlab.dynamics import (
     invariance_check,
     lattice_character_correlation,
     make_system,
+    orbit_rows,
     orbit_values,
     rotation_character,
     rotation_raised_cosine,
@@ -180,3 +182,55 @@ def test_orbit_csv_dump(tmp_path):
     assert rows[0] == "k,re,im"
     assert len(rows) == 8
     assert int(rows[1].split(",")[0]) == -3
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def test_rotation_angles_match_remainder_reference():
+    # the split-angle arithmetic with numpy's remainder, as a reference
+    rot = make_system("rotation", angle_turns="sqrt2")
+    hi = math.floor(SQRT2_TURNS * 2**26 + 0.5) / 2**26
+    lo = SQRT2_TURNS - hi
+    ks = np.arange(-3000, 3001, dtype=np.int64)
+    for p in (RotationPoint(0.1), RotationPoint(0.999999), RotationPoint(0.25, shift=-41)):
+        idx = ks + p.shift
+        ref = ((idx * hi) % 1.0 + (idx * lo + p.t0)) % 1.0
+        assert np.array_equal(_bits(rot.orbit_coords(p, ks)), _bits(ref))
+
+
+@pytest.mark.parametrize("system, observable", [
+    ("rotation", rotation_raised_cosine()),
+    ("rotation", rotation_character(3)),
+    ("three_cycle", cycle_step_observable()),
+    ("torus_automorphism", torus_character(1, 2)),
+])
+def test_orbit_rows_match_orbit_values_bitwise(system, observable):
+    sys_ = make_system(system)
+    pts = sample_points(sys_, 24, seed=5)
+    if system == "rotation":
+        pts[3] = RotationPoint(pts[3].t0, shift=17)  # off the shared table
+        pts.append(RotationPoint(0.1, shift=-5))
+    N = 6 if system == "torus_automorphism" else 700  # float torus orbits decay fast
+    for N_ in (0, N):
+        rows = list(orbit_rows(sys_, observable, pts, N_))
+        assert len(rows) == len(pts)
+        for p, row in zip(pts, rows):
+            assert row.dtype == complex and row.shape == (2 * N_ + 1,)
+            assert np.array_equal(_bits(row), _bits(orbit_values(sys_, observable, p, N_)))
+
+
+def test_orbit_rows_keep_the_exact_angle_guard(monkeypatch):
+    rot = make_system("rotation", angle_turns="sqrt2")
+    f = rotation_character(1)
+    monkeypatch.setattr(dynamics, "_MAX_SHIFT", 64)
+    assert len(list(orbit_rows(rot, f, [RotationPoint(0.3)], 63))) == 1
+    with pytest.raises(ValueError, match="exact-angle range"):
+        orbit_rows(rot, f, [RotationPoint(0.3)], 64)  # shared table, raised up front
+    with pytest.raises(ValueError, match="exact-angle range"):
+        list(orbit_rows(rot, f, [RotationPoint(0.3, shift=60)], 4))  # shifted point
+    with pytest.raises(ValueError, match="exact-angle range"):
+        orbit_values(rot, f, RotationPoint(0.3), 64)
+    with pytest.raises(ValueError, match="does not belong"):
+        orbit_rows(rot, cycle_step_observable(), [RotationPoint(0.3)], 4)

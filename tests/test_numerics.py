@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from ehtlab.numerics import checkpoint_sums
+from ehtlab.numerics import checkpoint_sums, frac1
 
 
 def _fsum_prefix(terms: np.ndarray, e: int) -> complex:
@@ -26,3 +26,21 @@ def test_checkpoint_sums_match_fsum_prefixes(seed, n, raw_ends):
     for e, value in zip(ends, got):
         magnitude = math.fsum(np.abs(terms[:e]))
         assert abs(value - _fsum_prefix(terms, e)) <= 1e-13 * (1.0 + magnitude)
+
+
+_FRAC1_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300, -1e-300,
+                1.0 - 2.0**-53, -(1.0 - 2.0**-53), 2.0**-53, -(2.0**-53), 1.0, -1.0,
+                2.0**52 - 0.5, 2.0**52 + 1.0, -(2.0**52) + 0.5, -(2.0**52) - 1.0,
+                2.0**53, -(2.0**53),
+                1.7976931348623157e308, -1.7976931348623157e308, -3.0, 7.5, -7.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+@example(xs=_FRAC1_EDGES)
+def test_frac1_is_bitwise_mod_one(xs):
+    x = np.array(xs, dtype=float)
+    want = (x % 1.0).view(np.int64)
+    assert np.array_equal(frac1(x).view(np.int64), want)
+    frac1(x, out=x)  # in place, as the orbit kernels use it
+    assert np.array_equal(x.view(np.int64), want)

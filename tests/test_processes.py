@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ehtlab.dynamics import (
+    Observable,
     constant_observable,
     make_system,
+    orbit_rows,
     rotation_raised_cosine,
     sample_points,
 )
@@ -50,6 +52,26 @@ def test_build_validation_rejects_bad_schedules(rotation):
     doubled = FactorSchedule("doubled", lambda r: np.full(np.shape(r), 2.0), lambda r: -1.0)
     with pytest.raises(InvariantError, match="exceeds delta"):
         build_process(rotation, delta, doubled)
+
+
+def test_validation_deltas_are_the_pointwise_ones(rotation):
+    delta = rotation_raised_cosine()
+    pts = sample_points(rotation, 300, seed=4)
+    batched = np.array([row[0] for row in orbit_rows(rotation, delta, pts, 0)])
+    k0 = np.array([0], dtype=np.int64)
+    per_point = np.array([delta.coord_fn(rotation.orbit_coords(p, k0))[0] for p in pts])
+    assert np.array_equal(batched.view(np.int64), per_point.view(np.int64))
+    F = build_process(rotation, delta, CONSTANT, validation_count=300, seed=4)
+    evaluated = np.array([F.f_eval(0, p) for p in pts])
+    assert np.array_equal(batched.real.copy().view(np.int64), evaluated.view(np.int64))
+
+    # one negative sample among the 300 is enough to reject delta
+    bad_t0 = pts[123].t0
+    spiky = Observable("spiky", "rotation",
+                       lambda ang: np.where(ang == bad_t0, -1.0, 1.0).astype(complex),
+                       {"l1": 1.0, "l2": 1.0, "linf": 1.0})
+    with pytest.raises(InvariantError, match="negative"):
+        build_process(rotation, spiky, validation_count=300, seed=4)
 
 
 def test_structural_identities_bitwise(rotation, shrink_process):

@@ -11,6 +11,8 @@ from ehtlab.dynamics import (
     make_system,
     orbit_values,
     rotation_character,
+    rotation_raised_cosine,
+    sample_points,
     torus_character,
 )
 from ehtlab.sequences import (
@@ -20,6 +22,7 @@ from ehtlab.sequences import (
     transform_sequence,
 )
 from ehtlab.transform import (
+    _maximal_sups,
     abel_identity_residual,
     cesaro_average_trace,
     default_checkpoints,
@@ -264,6 +267,36 @@ def test_maximal_sparse_on_rotation_recorded():
                              [0.5, 1, 2, 4], N=1 << 12, sample_count=256, seed=4)
     ratios = [row["bound_ratio"] for row in out["tails"]]
     assert all(np.isfinite(r) for r in ratios)  # recorded, not asserted
+
+
+def _reference_sups(a, sys_, f, pts, N):
+    """The per-sample loop: one fresh orbit and fresh weight slices per point."""
+    sups = []
+    for p in pts:
+        orbit = orbit_values(sys_, f, p, N)
+        avals = eval_range(a, N)
+        d = avals[N + 1 :] * orbit[N + 1 :] - avals[N - 1 :: -1] * orbit[N - 1 :: -1]
+        sups.append(float(np.max(np.abs(np.cumsum(d / np.arange(1, N + 1, dtype=float))))))
+    return np.array(sups)
+
+
+@pytest.mark.parametrize("system, observable, seq", [
+    ("rotation", rotation_raised_cosine(), "hardy_littlewood"),
+    ("rotation", rotation_character(2), "sparse_dyadic"),
+    ("three_cycle", cycle_step_observable(), "cycle_indicator"),
+])
+def test_maximal_sups_match_per_sample_loop_bitwise(system, observable, seq):
+    sys_ = make_system(system)
+    a = named_sequence(seq)
+    N, count, seed = 3000, 40, 8
+    pts = sample_points(sys_, count, seed)
+    ref = _reference_sups(a, sys_, observable, pts, N)
+    got = _maximal_sups(a, sys_, observable, pts, N)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    out = maximal_and_weak11(a, sys_, observable, [0.5, 1.0, 2.0], N, count, seed)
+    assert out["sup_quantiles"] == [float(q) for q in np.quantile(ref, [0.0, 0.5, 0.9, 1.0])]
+    assert [row["empirical_tail"] for row in out["tails"]] == [
+        float(np.mean(ref > lam)) for lam in (0.5, 1.0, 2.0)]
 
 
 def test_cesaro_average_decay(sparse_dyadic):
