@@ -293,6 +293,7 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
             }
             if cell == 0:
                 trace.to_csv(out / f"trace_{conv}.csv")
+            del orbit, trace  # else they stay alive while the next cell builds its own
         results[conv] = per_cell
     return {"N": N, "conventions": results}
 

@@ -138,9 +138,6 @@ class Rotation:
     def iterate(self, p: RotationPoint, j: int) -> RotationPoint:
         return RotationPoint(p.t0, p.shift + int(j))
 
-    def angle_of(self, p: RotationPoint) -> float:
-        return float(angle_mod1(p.t0, np.array([p.shift]), self._hi, self._lo)[0])
-
     def orbit_coords(self, x0: RotationPoint, ks: np.ndarray) -> np.ndarray:
         idx = ks + x0.shift
         _check_index_range(int(np.max(np.abs(idx), initial=0)))
@@ -170,9 +167,6 @@ class ThreeCycle:
 
     def iterate(self, p: CyclePoint, j: int) -> CyclePoint:
         return CyclePoint(p.cell0, p.jitter, p.shift + int(j))
-
-    def cell_of(self, p: CyclePoint) -> int:
-        return (p.cell0 + p.shift) % 3
 
     def orbit_coords(self, x0: CyclePoint, ks: np.ndarray) -> np.ndarray:
         return (np.asarray(ks, dtype=np.int64) + x0.cell0 + x0.shift) % 3
@@ -232,21 +226,15 @@ class TorusAutomorphism:
         ks = np.asarray(ks, dtype=np.int64)
         lo, hi = int(ks.min()), int(ks.max())
         if isinstance(x0, LatticeTorusPoint):
-            # exact integer orbit on the invariant lattice
-            xs = np.empty(hi - lo + 1, dtype=float)
-            ys = np.empty(hi - lo + 1, dtype=float)
+            xy = lattice_orbit(x0.r, x0.s, x0.L, lo, hi) / x0.L
+        else:
             p = self.iterate(x0, lo)
-            for i in range(hi - lo + 1):
-                xs[i], ys[i] = p.r / p.L, p.s / p.L
+            pts = []
+            for _ in range(hi - lo + 1):
+                pts.append(self.xy_of(p))
                 p = self.forward(p)
-            return xs[ks - lo], ys[ks - lo]
-        xs = np.empty(hi - lo + 1, dtype=float)
-        ys = np.empty(hi - lo + 1, dtype=float)
-        p = self.iterate(x0, lo)
-        for i in range(hi - lo + 1):
-            xs[i], ys[i] = p.x, p.y
-            p = self.forward(p)
-        return xs[ks - lo], ys[ks - lo]
+            xy = np.array(pts, dtype=float)
+        return xy[ks - lo, 0], xy[ks - lo, 1]
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[TorusPoint]:
         pts = rng.random((count, 2))
@@ -254,6 +242,28 @@ class TorusAutomorphism:
 
     def default_point(self) -> TorusPoint:
         return TorusPoint(0.2, 0.3)
+
+
+def lattice_orbit(r: int, s: int, L: int, lo: int, hi: int) -> np.ndarray:
+    """M^k (r, s) mod L for k = lo..hi as an (hi - lo + 1, 2) int64 array.
+
+    Every step is reduced mod L, as in `TorusAutomorphism.forward` and
+    `backward`, so the integers stay small and the orbit is exact at any k;
+    row k = 0 is (r, s) as given. M = [[2,1],[1,1]] is symmetric, so the rows
+    are also the frequencies w M^k of the character e(w.x) with w = (r, s).
+    """
+    fwd, bwd = [(r, s)], []
+    x, y = r, s
+    for _ in range(max(hi, 0)):
+        x, y = (2 * x + y) % L, (x + y) % L
+        fwd.append((x, y))
+    x, y = r, s
+    for _ in range(max(-lo, 0)):
+        x, y = (x - y) % L, (-x + 2 * y) % L
+        bwd.append((x, y))
+    pts = np.array(bwd[::-1] + fwd, dtype=np.int64).reshape(-1, 2)
+    start = len(bwd) + lo
+    return pts[start : start + hi - lo + 1]
 
 
 DynamicalSystem = Rotation | ThreeCycle | TorusAutomorphism
@@ -414,9 +424,7 @@ def lattice_character_correlation(p: int, q: int, k: int, L: int = 64) -> comple
     """
     rs = np.arange(L)
     R, S = np.meshgrid(rs, rs, indexing="ij")
-    w = np.array([p, q], dtype=np.int64)
-    Mk = np.linalg.matrix_power(TORUS_MATRIX if k >= 0 else TORUS_MATRIX_INV, abs(int(k)))
-    wk = (w @ Mk) % L
-    phase = (wk[0] - w[0]) * R + (wk[1] - w[1]) * S
+    wk = lattice_orbit(p, q, L, k, k)[0]
+    phase = (wk[0] - p) * R + (wk[1] - q) * S
     vals = np.exp(2j * np.pi * (phase % L) / L)
     return complex(vals.mean())

@@ -102,7 +102,3 @@ def fit_loglog(n: np.ndarray, y: np.ndarray) -> LineFit:
     if mask.sum() < 2:
         return LineFit(0.0, -math.inf, 0.0)
     return fit_line(np.log(n[mask]), np.log(y[mask]))
-
-
-def relative_error(a: float, b: float) -> float:
-    return abs(a - b) / (1.0 + max(abs(a), abs(b)))

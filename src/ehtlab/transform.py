@@ -25,10 +25,9 @@ import numpy as np
 from .dynamics import (
     Rotation,
     TorusAutomorphism,
-    TORUS_MATRIX,
-    TORUS_MATRIX_INV,
     DynamicalSystem,
     Observable,
+    lattice_orbit,
     orbit_rows,
     orbit_values,
     sample_points,
@@ -372,8 +371,8 @@ def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, lam_grid: Sequ
 # ------------------------------------------------------- L2 vs spectral route
 
 def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observable,
-                        j_schedule: Sequence[int], sample_count: int = 256, seed: int = 0,
-                        row_sample_count: int | None = None) -> dict:
+                        j_schedule: Sequence[int], sample_count: int = 256,
+                        seed: int = 0) -> dict:
     """||S_j - S_{-j}||_2 estimated from orbits versus its spectral closed form.
 
     S_{+-j} = sum_{i=1}^j a_{+-i} f o T^{+-i}. For a rotation eigenfunction
@@ -381,9 +380,11 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
     closed form is |sum_{i<=j} (a_i phi^i - a_{-i} phi^-i)| * ||f||_2 (the
     one-sided case reduces to |sum_{1<=|k|<=j} a_k phi^k|). For a torus
     character the spectral measure is Lebesgue and the closed form is
-    (sum_{1<=|k|<=j} |a_k|^2)^(1/2); the L2 estimate is then an exact lattice
-    quadrature evaluated row-by-row with FFTs on a lattice large enough that
-    the shifted frequencies stay distinct mod L (verified at runtime).
+    (sum_{1<=|k|<=j} |a_k|^2)^(1/2), and the L2 value is the exact lattice
+    quadrature: on an L x L lattice large enough that the shifted frequencies
+    u_i = w M^i stay distinct mod L (verified at runtime), the lattice mean of
+    |sum_i c_i e(u_i.x/L)|^2 is sum_u |sum_{i: u_i = u} c_i|^2.
+    `sample_count` and `seed` drive the rotation route only.
     """
     j_schedule = tuple(int(j) for j in j_schedule)
     if any(j < 1 for j in j_schedule) or any(b <= a_ for a_, b in zip(j_schedule, j_schedule[1:])):
@@ -416,7 +417,7 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
         }
 
     if isinstance(sys, TorusAutomorphism) and "pq" in f.meta:
-        return _torus_l2(a, f, j_schedule, seed, row_sample_count)
+        return _torus_l2(a, f, j_schedule)
 
     raise ValueError("l2_diff_vs_spectral supports rotation eigenfunctions and torus characters")
 
@@ -429,26 +430,15 @@ def _pisano_lattice_order(jmax: int) -> int:
     return 2**e
 
 
-def _torus_l2(a: ModulatingSequence, f: Observable, j_schedule, seed,
-              row_sample_count) -> dict:
+def _torus_l2(a: ModulatingSequence, f: Observable, j_schedule) -> dict:
     p, q = f.meta["pq"]
     jmax = j_schedule[-1]
     L = _pisano_lattice_order(jmax)
 
-    w = np.array([p, q], dtype=np.int64) % L
-    freqs = np.empty((2 * jmax + 1, 2), dtype=np.int64)  # index i + jmax
-    freqs[jmax] = w
-    cur = w.copy()
-    for i in range(1, jmax + 1):
-        cur = cur @ TORUS_MATRIX % L
-        freqs[jmax + i] = cur
-    cur = w.copy()
-    for i in range(1, jmax + 1):
-        cur = cur @ TORUS_MATRIX_INV % L
-        freqs[jmax - i] = cur
-
+    freqs = lattice_orbit(p % L, q % L, L, -jmax, jmax)  # index i + jmax
     used = np.concatenate([freqs[:jmax], freqs[jmax + 1 :]])
-    if len({(int(r), int(s)) for r, s in used}) != used.shape[0]:
+    codes, group = np.unique(used[:, 0] * L + used[:, 1], return_inverse=True)
+    if codes.size != used.shape[0]:
         raise ValueError(f"lattice order {L} too small: shifted frequencies collide mod L")
 
     avals = eval_range(a, jmax)
@@ -456,30 +446,14 @@ def _torus_l2(a: ModulatingSequence, f: Observable, j_schedule, seed,
     idx_i = np.concatenate([np.arange(-jmax, 0), np.arange(1, jmax + 1)])
     order = np.argsort(np.abs(idx_i), kind="stable")  # add terms in increasing |i|
     signed = signed[order]
-    fr = used[order]
+    group = group[order]
 
-    rng = np.random.default_rng(seed)
-    if row_sample_count is None or row_sample_count >= L:
-        rows = np.arange(L)
-        exact = True
-    else:
-        rows = np.sort(rng.choice(L, size=row_sample_count, replace=False))
-        exact = False
-
-    sumsq = np.zeros(len(j_schedule))
-    counts = np.array([2 * j for j in j_schedule])
-    for r in rows:
-        coeff = np.zeros(L, dtype=complex)
-        lo = 0
-        for jidx, j in enumerate(j_schedule):
-            hi = 2 * j
-            if hi > lo:
-                ph = np.exp(2j * np.pi * ((fr[lo:hi, 0] * int(r)) % L) / L)
-                np.add.at(coeff, fr[lo:hi, 1], signed[lo:hi] * ph)
-                lo = hi
-            S_row = np.fft.ifft(coeff) * L
-            sumsq[jidx] += float(np.sum(np.abs(S_row) ** 2))
-    mean = sumsq / (L * len(rows))
+    # lattice mean of |S|^2: the squared moduli of the per-frequency coefficient sums
+    mean = np.empty(len(j_schedule))
+    for jidx, j in enumerate(j_schedule):
+        re = np.bincount(group[: 2 * j], weights=signed[: 2 * j].real)
+        im = np.bincount(group[: 2 * j], weights=signed[: 2 * j].imag)
+        mean[jidx] = np.sum(re**2 + im**2)
     mc = np.sqrt(mean) * f.norm("l2")
 
     sq = np.abs(avals) ** 2
@@ -490,7 +464,6 @@ def _torus_l2(a: ModulatingSequence, f: Observable, j_schedule, seed,
         "rows": [{"j": int(j), "mc_norm": float(m_), "spectral_value": float(s_)}
                  for j, m_, s_ in zip(j_schedule, mc, spectral)],
         "lattice_order": L,
-        "rows_used": int(len(rows)),
-        "exact": exact,
-        "counts": counts.tolist(),
+        "exact": True,
+        "counts": [2 * j for j in j_schedule],
     }

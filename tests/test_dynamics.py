@@ -8,6 +8,8 @@ from ehtlab.dynamics import (
     CyclePoint,
     LatticeTorusPoint,
     RotationPoint,
+    TORUS_MATRIX,
+    TORUS_MATRIX_INV,
     SQRT2_TURNS,
     TorusPoint,
     constant_observable,
@@ -15,6 +17,7 @@ from ehtlab.dynamics import (
     cycle_step_observable,
     invariance_check,
     lattice_character_correlation,
+    lattice_orbit,
     make_system,
     orbit_rows,
     orbit_values,
@@ -158,6 +161,48 @@ def test_torus_character_orthogonality_on_lattice():
             val = lattice_character_correlation(p, q, k, L=64)
             assert abs(val) <= 1e-12, (p, q, k)
     assert lattice_character_correlation(1, 0, 0, L=64) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("r, s, L", [(3, 7, 64), (5, 11, 1000), (0, 1, 60), (59, 58, 90)])
+def test_lattice_orbit_matches_stepping_and_matrix_powers(r, s, L):
+    tor = make_system("torus_automorphism")
+    K = 150
+    pts = lattice_orbit(r, s, L, -K, K)
+    assert pts.dtype == np.int64 and pts.shape == (2 * K + 1, 2)
+    steps = [LatticeTorusPoint(r, s, L)]
+    for _ in range(K):
+        steps.append(tor.forward(steps[-1]))
+    back = [LatticeTorusPoint(r, s, L)]
+    for _ in range(K):
+        back.append(tor.backward(back[-1]))
+    ref = [(p.r, p.s) for p in back[:0:-1] + steps]
+    assert pts.tolist() == [list(t) for t in ref]
+    # sub-ranges, on either side of k = 0 or across it, are slices of the same orbit
+    for lo, hi in ((-K, -K), (-7, 3), (4, 9), (K, K)):
+        assert lattice_orbit(r, s, L, lo, hi).tolist() == pts[lo + K : hi + K + 1].tolist()
+    # small |k|, where the int64 matrix powers cannot overflow
+    for k in range(-30, 31):
+        Mk = np.linalg.matrix_power(TORUS_MATRIX if k >= 0 else TORUS_MATRIX_INV, abs(k))
+        assert ((Mk @ np.array([r, s])) % L).tolist() == pts[k + K].tolist()
+    # the float coordinates of a lattice orbit are the stepped points' r/L, s/L bitwise
+    ks = np.array([3, -K, 0, K, 17, 3])
+    xs, ys = tor.orbit_coords(LatticeTorusPoint(r, s, L), ks)
+    step_xy = np.array([[p.r / L, p.s / L] for p in back[:0:-1] + steps])
+    assert xs.tobytes() == step_xy[ks + K, 0].tobytes()
+    assert ys.tobytes() == step_xy[ks + K, 1].tobytes()
+
+
+def test_lattice_correlation_beyond_int64_matrix_powers():
+    # M^k overflows int64 near |k| = 46; the orbit mod L must stay exact
+    def exact(p, q, k, L):
+        x, y = p, q
+        for _ in range(abs(k)):
+            x, y = ((2 * x + y) % L, (x + y) % L) if k > 0 else ((x - y) % L, (2 * y - x) % L)
+        return 1.0 if (x, y) == (p % L, q % L) else 0.0
+    for L in (60, 90):
+        for k in (60, -60, 120, -120, 47, -50, 99):
+            val = lattice_character_correlation(1, 0, k, L=L)
+            assert abs(val - exact(1, 0, k, L)) <= 1e-12, (L, k)
 
 
 def test_observable_norm_hints():

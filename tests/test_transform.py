@@ -21,6 +21,7 @@ from ehtlab.sequences import (
     named_sequence,
     transform_sequence,
 )
+from ehtlab import transform
 from ehtlab.transform import (
     _maximal_sups,
     abel_identity_residual,
@@ -360,17 +361,28 @@ def test_l2_torus_exact_lattice():
         assert row["spectral_value"] == pytest.approx(expect)
 
 
-def test_l2_torus_sampled_rows_bound():
-    # deeper truncations: sampled-row quadrature stays under the sqrt(2j) cap
+def test_l2_torus_exact_deep_truncations():
+    # the grouped lattice quadrature is exact at every depth, under the sqrt(2j) cap
     tor = make_system("torus_automorphism")
     f = torus_character(1, 0)
     a = named_sequence("cycle_indicator")
-    res = l2_diff_vs_spectral(a, tor, f, [1 << 12, 1 << 14], seed=6,
-                              row_sample_count=2048)
-    assert not res["exact"]
+    res = l2_diff_vs_spectral(a, tor, f, [1 << 12, 1 << 14])
+    assert res["exact"]
     for row in res["rows"]:
-        assert row["mc_norm"] <= math.sqrt(2 * row["j"])
-        assert row["mc_norm"] == pytest.approx(row["spectral_value"], rel=0.05)
+        j = row["j"]
+        closed = math.sqrt(2 * ((j + 2) // 3))
+        assert abs(row["mc_norm"] - closed) / (1 + closed) <= 1e-8
+        assert row["mc_norm"] <= math.sqrt(2 * j)
+
+
+def test_l2_torus_collision_certificate(monkeypatch):
+    # a lattice whose orbit period is below 2 jmax folds frequencies together,
+    # so its average is no longer the Lebesgue integral: refuse it
+    monkeypatch.setattr(transform, "_pisano_lattice_order", lambda jmax: 8)
+    tor = make_system("torus_automorphism")
+    with pytest.raises(ValueError, match="collide"):
+        l2_diff_vs_spectral(named_sequence("cycle_indicator"), tor, torus_character(1, 0),
+                            [4, 16], seed=0)
 
 
 def test_l2_rejects_unsupported_observable():
