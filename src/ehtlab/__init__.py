@@ -5,6 +5,12 @@ admissible-process approximation."""
 
 __version__ = "0.1.0"
 
+import os
+
+# ehtlab's BLAS calls are all small; extra OpenBLAS workers only spin and stall,
+# and a threaded ddot rounds differently, so reports would depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .sequences import (
     ModulatingSequence,
     TrigPolynomial,

@@ -350,9 +350,16 @@ def _check_orbit_request(sys: DynamicalSystem, f: Observable, N: int) -> None:
 
 
 def orbit_values(sys: DynamicalSystem, f: Observable, x0, N: int) -> np.ndarray:
-    """f(T^k x0) for -N <= k <= N as a length 2N+1 complex array."""
+    """f(T^k x0) for -N <= k <= N as a length 2N+1 complex array.
+
+    Three-cycle orbits have period 3, so one period k = -N, -N+1, -N+2 is
+    evaluated and repeated.
+    """
     _check_orbit_request(sys, f, N)
     ks = np.arange(-N, N + 1, dtype=np.int64)
+    if isinstance(sys, ThreeCycle):
+        period = np.asarray(f.coord_fn(sys.orbit_coords(x0, ks[:3])), dtype=complex)
+        return np.tile(period, -(-ks.size // 3))[: ks.size]
     return np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
 
 
@@ -386,6 +393,26 @@ def _rotation_rows(rot: Rotation, f: Observable, points: Iterable, N: int) -> It
                              dtype=complex)
 
 
+def point_values(sys: DynamicalSystem, f: Observable, points: Sequence) -> np.ndarray:
+    """f(p) for each of the points in one evaluation, bitwise `orbit_values(sys, f, p, 0)[0]`.
+
+    The coordinates are the ones `orbit_coords(p, [0])` gives, computed with
+    the same arithmetic for all points at once.
+    """
+    _check_orbit_request(sys, f, 0)
+    if isinstance(sys, Rotation):
+        shifts = np.array([p.shift for p in points], dtype=np.int64)
+        _check_index_range(int(np.max(np.abs(shifts), initial=0)))
+        coords = angle_mod1(np.array([p.t0 for p in points], dtype=float), shifts,
+                            sys._hi, sys._lo)
+    elif isinstance(sys, ThreeCycle):
+        coords = np.array([p.cell0 + p.shift for p in points], dtype=np.int64) % 3
+    else:
+        xy = np.array([sys.xy_of(p) for p in points], dtype=float).reshape(-1, 2)
+        coords = (xy[:, 0], xy[:, 1])
+    return np.asarray(f.coord_fn(coords), dtype=complex)
+
+
 def sample_points(sys: DynamicalSystem, count: int, seed: int) -> list:
     """Deterministic pseudorandom points from the invariant measure."""
     if count < 1:
@@ -398,10 +425,10 @@ def invariance_check(sys: DynamicalSystem, observables: Sequence[Observable],
                      count: int = 4096, seed: int = 0) -> float:
     """Monte-Carlo discrepancy max_f |E[f o T] - E[f]| over the given observables."""
     pts = sample_points(sys, count, seed)
+    moved = [sys.forward(p) for p in pts]
     worst = 0.0
     for f in observables:
-        here = np.array([f.coord_fn(sys.orbit_coords(p, np.array([0]))) for p in pts]).ravel()
-        there = np.array([f.coord_fn(sys.orbit_coords(p, np.array([1]))) for p in pts]).ravel()
+        here, there = point_values(sys, f, pts), point_values(sys, f, moved)
         worst = max(worst, abs(complex(np.mean(there) - np.mean(here))))
     return worst
 
@@ -420,11 +447,8 @@ def lattice_character_correlation(p: int, q: int, k: int, L: int = 64) -> comple
 
     The L x L integer lattice is invariant under the matrix, so the average
     over lattice points is the exact integral as long as the shifted
-    frequency does not wrap to the original one mod L.
+    frequency does not wrap to the original one mod L. That average of
+    e((M^k w - w).x) is 1 when M^k w = w (mod L) and 0 otherwise.
     """
-    rs = np.arange(L)
-    R, S = np.meshgrid(rs, rs, indexing="ij")
     wk = lattice_orbit(p, q, L, k, k)[0]
-    phase = (wk[0] - p) * R + (wk[1] - q) * S
-    vals = np.exp(2j * np.pi * (phase % L) / L)
-    return complex(vals.mean())
+    return complex(bool(np.all((wk - (p, q)) % L == 0)))

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import DynamicalSystem, Observable, orbit_rows, sample_points
+from .dynamics import DynamicalSystem, Observable, point_values, sample_points
 from .errors import InvariantError
 from .rates import RateParams, abs_prefix_ratios
 from .sequences import ModulatingSequence, eval_range, transform_sequence
@@ -90,7 +90,7 @@ def build_process(sys: DynamicalSystem, delta: Observable, schedule: FactorSched
     any violation is a hard error.
     """
     pts = sample_points(sys, validation_count, seed)
-    dvals = np.array([row[0] for row in orbit_rows(sys, delta, pts, 0)])
+    dvals = point_values(sys, delta, pts)
     if np.any(np.abs(dvals.imag) > 0):
         raise InvariantError("invalid process: delta takes non-real values")
     if np.any(dvals.real < 0):

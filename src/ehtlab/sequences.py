@@ -169,12 +169,12 @@ def _sparse_dyadic(ks: np.ndarray) -> np.ndarray:
 
 def _cycle_indicator(ks: np.ndarray, signed_negative: bool) -> np.ndarray:
     # positive side: 1 exactly when the 3-cycle shift of state 1 lands in {2},
-    # i.e. k = 1 mod 3; negative side per the chosen convention
+    # i.e. k = 1 mod 3; negative side (-k = 1 mod 3, i.e. k = 2 mod 3) per the
+    # chosen convention
     out = np.zeros(ks.shape, dtype=complex)
-    pos_hit = (ks > 0) & (ks % 3 == 1)
-    out[pos_hit] = 1.0
-    neg_hit = (ks < 0) & ((-ks) % 3 == 1)
-    out[neg_hit] = -1.0 if signed_negative else 1.0
+    res = ks % 3
+    out[(ks > 0) & (res == 1)] = 1.0
+    out[(ks < 0) & (res == 2)] = -1.0 if signed_negative else 1.0
     return out
 
 

@@ -76,25 +76,32 @@ def correlation_estimate(a: ModulatingSequence, k: int, n: int) -> complex:
 
 
 def correlation_table(a: ModulatingSequence, K: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Correlations for all lags -K..K (one pass over the positive lags)."""
-    lags = np.arange(-K, K + 1)
+    """Correlations for all lags -K..K, bitwise `correlation_estimate` at each lag."""
+    return _lag_table(a.values(np.arange(0, n + K + 1, dtype=np.int64)), K, n)
+
+
+def _lag_table(v: np.ndarray, K: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`correlation_table` from one evaluation v = a_0 .. a_{n+K}."""
+    if n < 1:
+        raise ValueError("truncation n must be >= 1")
+    base = np.conj(v[1 : n + 1])
     out = np.empty(2 * K + 1, dtype=complex)
-    for k in range(K + 1):
-        g = correlation_estimate(a, k, n)
+    # lag 0 is exactly real, as in correlation_estimate; its slot holds the
+    # conjugate like the negative lags, so the imaginary part is -0.0
+    out[K] = np.conj(complex(float(np.mean(np.abs(v[1 : n + 1]) ** 2)), 0.0))
+    for k in range(1, K + 1):
+        g = complex(np.mean(v[1 + k : n + 1 + k] * base))
         out[K + k] = g
         out[K - k] = np.conj(g)
-    return lags, out
+    return np.arange(-K, K + 1), out
 
 
 def toeplitz_min_eigenvalue(gamma: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian Toeplitz matrix of a correlation
     table (lags -K..K); the limit object is positive semidefinite."""
     K = gamma.size // 2
-    M = np.empty((K + 1, K + 1), dtype=complex)
-    for r in range(K + 1):
-        for s in range(K + 1):
-            M[r, s] = gamma[K + (r - s)]
-    return float(np.linalg.eigvalsh(M).min())
+    r = np.arange(K + 1)
+    return float(np.linalg.eigvalsh(gamma[K + r[:, None] - r[None, :]]).min())
 
 
 def _gamma_at(a_vals: np.ndarray, n: int, theta: float) -> complex:
@@ -134,8 +141,9 @@ def gamma_and_spectrum(a: ModulatingSequence, grid_order: int, n: int,
     """
     if grid_order < 2 * n + 1:
         raise ValueError("grid_order must be >= 2n+1")
-    js = np.arange(0, n + 1, dtype=np.int64)
-    a_vals = a.values(js)
+    # one evaluation serves the grid and every correlation lag
+    v = a.values(np.arange(0, n + corr_lags + 1, dtype=np.int64))
+    a_vals = v[: n + 1]
     coeffs = np.zeros(grid_order, dtype=complex)
     coeffs[: n + 1] = a_vals
     # sum a_j conj(z)^j at z = e(g/G) is a plain forward DFT
@@ -173,7 +181,7 @@ def gamma_and_spectrum(a: ModulatingSequence, grid_order: int, n: int,
             atoms.append(cand)
     atoms.sort(key=lambda at: at.theta_turns)
 
-    lags, gam_table = correlation_table(a, corr_lags, n)
+    lags, gam_table = _lag_table(v, corr_lags, n)
     return SpectralEstimate(
         truncation=n, grid_order=grid_order, threshold=threshold,
         gamma_hat=gam_table, lags=lags, Gamma_grid=Gamma,

@@ -21,6 +21,7 @@ from ehtlab.dynamics import (
     make_system,
     orbit_rows,
     orbit_values,
+    point_values,
     rotation_character,
     rotation_raised_cosine,
     sample_points,
@@ -205,6 +206,27 @@ def test_lattice_correlation_beyond_int64_matrix_powers():
             assert abs(val - exact(1, 0, k, L)) <= 1e-12, (L, k)
 
 
+def test_lattice_correlation_is_exact():
+    # the lattice mean of a character is exactly 1 or 0, never rounding noise
+    vals = [lattice_character_correlation(p, q, k, L=L)
+            for (p, q) in ((1, 0), (0, 1), (2, 3)) for k in range(-20, 21) for L in (60, 64)]
+    assert set(vals) == {0j, 1 + 0j}
+    assert lattice_character_correlation(1, 0, 60, L=60) == 1.0
+
+
+def test_three_cycle_orbits_repeat_one_period_bitwise():
+    cyc = make_system("three_cycle")
+    pts = [CyclePoint(c, 0.1, s) for c in range(3) for s in (0, 1, 2, -5)]
+    for f in (cycle_step_observable(), cycle_indicator_observable(),
+              constant_observable("three_cycle", 0.5 - 2j)):
+        for p in pts:
+            for N in (*range(8), 100_001):
+                ks = np.arange(-N, N + 1, dtype=np.int64)
+                ref = np.asarray(f.coord_fn(cyc.orbit_coords(p, ks)), dtype=complex)
+                got = orbit_values(cyc, f, p, N)
+                assert got.shape == ref.shape and np.array_equal(_bits(got), _bits(ref))
+
+
 def test_observable_norm_hints():
     assert cycle_indicator_observable().norm("l1") == pytest.approx(1.0 / 3.0)
     assert rotation_raised_cosine().norm("linf") == 2.0
@@ -257,6 +279,10 @@ def test_orbit_rows_match_orbit_values_bitwise(system, observable):
     if system == "rotation":
         pts[3] = RotationPoint(pts[3].t0, shift=17)  # off the shared table
         pts.append(RotationPoint(0.1, shift=-5))
+    elif system == "three_cycle":
+        pts.append(CyclePoint(2, 0.2, shift=-4))
+    else:
+        pts.append(LatticeTorusPoint(3, 7, 64))
     N = 6 if system == "torus_automorphism" else 700  # float torus orbits decay fast
     for N_ in (0, N):
         rows = list(orbit_rows(sys_, observable, pts, N_))
@@ -264,6 +290,8 @@ def test_orbit_rows_match_orbit_values_bitwise(system, observable):
         for p, row in zip(pts, rows):
             assert row.dtype == complex and row.shape == (2 * N_ + 1,)
             assert np.array_equal(_bits(row), _bits(orbit_values(sys_, observable, p, N_)))
+    at_points = np.array([orbit_values(sys_, observable, p, 0)[0] for p in pts])
+    assert np.array_equal(_bits(point_values(sys_, observable, pts)), _bits(at_points))
 
 
 def test_orbit_rows_keep_the_exact_angle_guard(monkeypatch):
@@ -277,5 +305,7 @@ def test_orbit_rows_keep_the_exact_angle_guard(monkeypatch):
         list(orbit_rows(rot, f, [RotationPoint(0.3, shift=60)], 4))  # shifted point
     with pytest.raises(ValueError, match="exact-angle range"):
         orbit_values(rot, f, RotationPoint(0.3), 64)
+    with pytest.raises(ValueError, match="exact-angle range"):
+        point_values(rot, f, [RotationPoint(0.3), RotationPoint(0.3, shift=-64)])
     with pytest.raises(ValueError, match="does not belong"):
         orbit_rows(rot, cycle_step_observable(), [RotationPoint(0.3)], 4)

@@ -61,6 +61,11 @@ def test_cycle_indicator_conventions():
     signed = named_sequence("cycle_indicator", convention="signed")
     assert (signed.eval(1), signed.eval(-1), signed.eval(-4)) == (1, -1, -1)
     assert signed.eval(-2) == 0
+    # per index: state 1 moved k steps lands in state 2 exactly when k = 1 mod 3
+    ks = np.arange(-40, 41, dtype=np.int64)
+    hit = [k != 0 and abs(k) % 3 == 1 for k in ks]
+    assert sym.values(ks).tolist() == [complex(h) for h in hit]
+    assert signed.values(ks).tolist() == [complex(h * (1 if k > 0 else -1)) for k, h in zip(ks, hit)]
     with pytest.raises(ValueError):
         named_sequence("cycle_indicator", convention="odd")
 

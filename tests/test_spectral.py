@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,19 @@ def test_correlation_hermitian_by_construction():
     for i, k in enumerate(lags):
         j = np.flatnonzero(lags == -k)[0]
         assert gam[j] == np.conj(gam[i])
+
+
+def test_correlation_table_is_the_per_lag_estimate_bitwise(sequence_corpus):
+    for a in sequence_corpus:
+        for n, K in ((1, 3), (1000, 16), (4097, 12)):
+            lags, table = correlation_table(a, K, n)
+            ref = np.array([correlation_estimate(a, int(k), n) for k in lags])
+            # the lag-0 slot holds the conjugate of the real estimate (imaginary part -0.0)
+            ref[K] = np.conj(ref[K])
+            assert np.array_equal(table.view(np.int64), ref.view(np.int64)), (a.label, n)
+            est = gamma_and_spectrum(a, 2 * n + 1, n, threshold=math.inf, corr_lags=K)
+            assert np.array_equal(est.gamma_hat.view(np.int64), table.view(np.int64))
+            assert np.array_equal(est.lags, lags)
 
 
 def test_spectrum_single_atom():
