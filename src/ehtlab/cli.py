@@ -10,6 +10,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import sys
@@ -53,6 +54,7 @@ from .rates import (
 from .sequences import ModulatingSequence, TrigPolynomial, named_sequence, trig_poly_sequence, transform_sequence
 from .spectral import gamma_and_spectrum, match_resonances
 from .transform import (
+    as_checkpoints,
     cesaro_average_trace,
     default_checkpoints,
     eht_trace,
@@ -75,10 +77,6 @@ class ExperimentConfig:
     seed: int | None
     out_dir: str
     params: dict
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "seed": self.seed, "out_dir": self.out_dir,
-                "params": self.params}
 
     def identity_dict(self) -> dict:
         """The experiment identity: everything except where outputs land."""
@@ -123,11 +121,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 # ------------------------------------------------------------ spec -> objects
 
+def _spec(parent: dict, key: str, default: dict | None = None) -> dict:
+    """The nested spec parent[key] (or `default` when absent; required when no
+    default is given), which must be a JSON object."""
+    sp = parent[key] if default is None else parent.get(key, default)
+    if not isinstance(sp, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {sp!r}")
+    return sp
+
+
 def _sequence_from_spec(sp: dict) -> ModulatingSequence:
-    if not isinstance(sp, dict) or "name" not in sp and "op" not in sp:
-        raise ConfigError(f"bad sequence spec: {sp!r}")
     if "op" in sp:
-        base = _sequence_from_spec(sp.get("base", {}))
+        base = _sequence_from_spec(_spec(sp, "base", {}))
         op = sp["op"]
         kwargs = {}
         if op == "truncate":
@@ -137,40 +142,32 @@ def _sequence_from_spec(sp: dict) -> ModulatingSequence:
         elif op == "modulate":
             kwargs["lam"] = complex(np.exp(2j * np.pi * float(sp["angle_turns"])))
         elif op == "product":
-            kwargs["b"] = _sequence_from_spec(sp["b"])
-        elif op != "symmetrize":
-            raise ConfigError(f"unknown sequence op {op!r}")
+            kwargs["b"] = _sequence_from_spec(_spec(sp, "b"))
         return transform_sequence(base, op, **kwargs)
     name = sp["name"]
     if name == "trig_poly":
-        terms = tuple((_complex_of(t[0]), complex(np.exp(2j * np.pi * float(t[1]))))
-                      for t in sp["terms"])
+        terms = tuple((_complex_of(coeff), complex(np.exp(2j * np.pi * float(turns))))
+                      for coeff, turns in sp["terms"])
         return trig_poly_sequence(TrigPolynomial(terms))
     if name == "constant":
         return named_sequence("constant", value=_complex_of(sp.get("value", 1.0)))
     if name == "cycle_indicator":
         return named_sequence("cycle_indicator", convention=sp.get("convention", "symmetric"))
-    if name in ("hardy_littlewood", "sparse_dyadic"):
-        return named_sequence(name)
-    raise ConfigError(f"unknown sequence name {name!r}")
+    return named_sequence(name)
 
 
 def _complex_of(v) -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    return complex(float(v), 0.0)
+        z = complex(float(v[0]), float(v[1]))
+    else:
+        z = complex(float(v), 0.0)
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex value {v!r} is not finite")
+    return z
 
 
 def _system_from_spec(sp: dict):
-    if not isinstance(sp, dict) or "kind" not in sp:
-        raise ConfigError(f"bad system spec: {sp!r}")
-    kind = sp["kind"]
-    if kind == "rotation":
-        angle = sp.get("angle_turns", "sqrt2")
-        return make_system("rotation", angle_turns=angle)
-    if kind in ("three_cycle", "torus_automorphism"):
-        return make_system(kind)
-    raise ConfigError(f"unknown system kind {kind!r}")
+    return make_system(sp["kind"], angle_turns=sp.get("angle_turns", "sqrt2"))
 
 
 def _observable_from_spec(sp: dict, sys_kind: str):
@@ -205,8 +202,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
-    if hasattr(obj, "to_dict"):
-        return _jsonable(obj.to_dict())
     return obj
 
 
@@ -222,7 +217,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def _run_rates(cfg: ExperimentConfig, out: Path) -> dict:
     p = cfg.params
-    seq = _sequence_from_spec(p.get("sequence", {"name": "hardy_littlewood"}))
+    seq = _sequence_from_spec(_spec(p, "sequence", {"name": "hardy_littlewood"}))
     klass = p.get("class", "a_alpha")
     klass = {"A": "a_alpha", "A-plain": "a_alpha_plain", "M": "m_alpha"}.get(klass, klass)
     schedule = tuple(int(n) for n in p.get("schedule", [2**j for j in range(8, 16)]))
@@ -248,14 +243,12 @@ def _run_rates(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_transform(cfg: ExperimentConfig, out: Path) -> dict:
     p = cfg.params
-    sys_ = _system_from_spec(p.get("system", {"kind": "rotation"}))
-    seq = _sequence_from_spec(p.get("sequence", {"name": "sparse_dyadic"}))
-    obs = _observable_from_spec(p.get("observable", {"kind": "rotation_character"}), sys_.kind)
-    checkpoints = tuple(int(n) for n in p.get("checkpoints", default_checkpoints(1 << 14)))
-    x0 = sys_.default_point()
-    orbit = orbit_values(sys_, obs, x0, checkpoints[-1])
-    trace = eht_trace(seq, orbit, checkpoints, with_abel=bool(p.get("with_abel", True)),
-                      x0=str(x0), metadata={"system": sys_.kind, "observable": obs.label})
+    sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
+    seq = _sequence_from_spec(_spec(p, "sequence", {"name": "sparse_dyadic"}))
+    obs = _observable_from_spec(_spec(p, "observable", {"kind": "rotation_character"}), sys_.kind)
+    checkpoints = as_checkpoints(p.get("checkpoints", default_checkpoints(1 << 14)))
+    orbit = orbit_values(sys_, obs, sys_.default_point(), checkpoints[-1])
+    trace = eht_trace(seq, orbit, checkpoints, with_abel=bool(p.get("with_abel", True)))
     trace.to_csv(out / "trace.csv")
     verdict = make_convergence_verdict(checkpoints, trace.H_values)
     averages = cesaro_average_trace(seq, orbit, checkpoints)
@@ -263,7 +256,7 @@ def _run_transform(cfg: ExperimentConfig, out: Path) -> dict:
               "H_final": complex(trace.H_values[-1]),
               "cesaro_average_final_abs": float(abs(averages[-1]))}
     if "maximal" in p:
-        m = p["maximal"]
+        m = _spec(p, "maximal")
         result["maximal"] = maximal_and_weak11(
             seq, sys_, obs, [float(x) for x in m.get("lambdas", [0.5, 1, 2, 4])],
             int(m.get("N", 1 << 14)), int(m.get("sample_count", 512)), cfg.seed)
@@ -285,7 +278,7 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
         for cell in range(3):
             x0 = CyclePoint(cell, 0.1)
             orbit = orbit_values(sys_, obs, x0, N)
-            trace = eht_trace(seq, orbit, checkpoints, x0=f"cell{cell}")
+            trace = eht_trace(seq, orbit, checkpoints)
             verdict = make_convergence_verdict(checkpoints, trace.H_values)
             per_cell[f"cell_{cell}"] = {
                 "H_final": complex(trace.H_values[-1]),
@@ -323,11 +316,11 @@ def _run_prop27(cfg: ExperimentConfig, out: Path) -> dict:
         },
     }
     if "evaluate" in p:
-        ev = p["evaluate"]
+        ev = _spec(p, "evaluate")
         xs = np.linspace(float(ev.get("x_lo", 0.5)), float(ev.get("x_hi", 5.78)),
                          int(ev.get("x_count", 20)))
         tol = float(ev.get("tol", 1e-6))
-        rows = [evaluate_g(env, float(x), tol) for x in xs]
+        rows = evaluate_g(env, xs, tol)
         with open(out / "g_eval.csv", "w") as fh:
             fh.write("x,g,tail_bound,s_n_direct\n")
             for r in rows:
@@ -351,26 +344,27 @@ def _run_prop27(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_spectral(cfg: ExperimentConfig, out: Path) -> dict:
     p = cfg.params
-    seq = _sequence_from_spec(p.get("sequence", {"name": "hardy_littlewood"}))
+    seq = _sequence_from_spec(_spec(p, "sequence", {"name": "hardy_littlewood"}))
     n = int(p.get("n", 1 << 12))
     grid_order = int(p.get("grid_order", 4 * n))
     est = gamma_and_spectrum(seq, grid_order, n, float(p.get("threshold", 0.1)))
     result = {"spectrum": est.to_dict()}
     if "resonance_system" in p:
-        result["resonance"] = match_resonances(est, _system_from_spec(p["resonance_system"]))
+        result["resonance"] = match_resonances(
+            est, _system_from_spec(_spec(p, "resonance_system")))
     return result
 
 
 def _run_process(cfg: ExperimentConfig, out: Path) -> dict:
     p = cfg.params
-    sys_ = _system_from_spec(p.get("system", {"kind": "rotation"}))
-    seq = _sequence_from_spec(p.get("sequence", {"name": "sparse_dyadic"}))
+    sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
+    seq = _sequence_from_spec(_spec(p, "sequence", {"name": "sparse_dyadic"}))
     delta = rotation_raised_cosine() if sys_.kind == "rotation" else constant_observable(sys_.kind, 1.0)
     F = build_process(sys_, delta, validation_count=int(p.get("validation_count", 1000)),
                       seed=cfg.seed)
-    checkpoints = tuple(int(n) for n in p.get("checkpoints", default_checkpoints(1 << 13)))
     r_schedule = [int(r) for r in p.get("r_schedule", [4, 16, 64, 256])]
-    res = process_eht_trace(seq, F, sys_.default_point(), checkpoints, r_schedule)
+    res = process_eht_trace(seq, F, sys_.default_point(),
+                            p.get("checkpoints", default_checkpoints(1 << 13)), r_schedule)
     res["trace"].to_csv(out / "process_trace.csv")
     payload = {
         "r_schedule": r_schedule,
@@ -392,7 +386,7 @@ def _run_process(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     p = cfg.params
-    sys_ = _system_from_spec(p.get("system", {"kind": "rotation"}))
+    sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
     if sys_.kind != "rotation":
         raise ConfigError("sweep experiments run on rotations")
     obs = rotation_character(int(p.get("m", 1)))
@@ -450,7 +444,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         raise
     except KeyError as exc:
         raise ConfigError(f"missing field {exc.args[0]!r} in the {cfg.kind} params") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     report = {
         "version": __version__,
@@ -556,7 +550,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         try:
             raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -564,7 +558,7 @@ def _config_from_args(args) -> ExperimentConfig:
         raw.setdefault("kind", args.kind)
     if "kind" not in raw:
         raise ConfigError("no experiment kind given (positional or in --config)")
-    params = dict(raw.get("params", {}))
+    params = dict(_spec(raw, "params", {}))
     if args.N is not None:
         key = "N" if raw["kind"] == "counterexample" else "modulator_N"
         params[key] = int(float(args.N))

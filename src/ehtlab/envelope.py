@@ -26,12 +26,13 @@ import numpy as np
 from mpmath import mp
 
 from .errors import BudgetExceededError, DomainError, HorizonExceededError
-from .numerics import NeumaierSum
+from .numerics import NeumaierSum, checkpoint_sums
 from .sequences import ModulatingSequence
 
 _WORKPREC = 140
 _TWO_PI = 2.0 * math.pi
 _EDGE = 1e-9
+_MAX_H_SCAN = 1 << 20
 
 
 # ------------------------------------------------------------------ majorants
@@ -52,13 +53,15 @@ class MajorantH:
     horizon: float | None
     label: str
 
-    def max_h(self, hard_cap: int = 1 << 20) -> float:
-        """Certified max of h: scan a prefix until hhat drops below the max seen."""
+    def max_h(self) -> float:
+        """Certified max of h: scan a prefix of at most 2^20 indices until hhat
+        drops below the max seen."""
+        cap = _MAX_H_SCAN if self.horizon is None else int(min(self.horizon, _MAX_H_SCAN))
         scan = 1024
         best = -math.inf
         scanned = 0
         while True:
-            hi = min(scan, hard_cap if self.horizon is None else int(min(self.horizon, hard_cap)))
+            hi = min(scan, cap)
             for n in range(scanned, hi + 1):
                 v = float(self.h(n))
                 if v > best:
@@ -66,7 +69,7 @@ class MajorantH:
             scanned = hi + 1
             if best >= float(self.hhat(hi)):
                 return best
-            if hi >= (hard_cap if self.horizon is None else min(self.horizon, hard_cap)):
+            if hi >= cap:
                 if best <= 0.0:
                     return best
                 raise HorizonExceededError(
@@ -347,11 +350,7 @@ def verify_envelope_conditions(env: EnvelopeSpec, hm: MajorantH | None = None) -
         )
 
         terms = [float(bps[k] * abs(slopes[k - 1] - slopes[k])) for k in range(1, K)]
-        acc = NeumaierSum()
-        partial = []
-        for t in terms:
-            acc.add(t)
-            partial.append(acc.value)
+        partial = checkpoint_sums(np.asarray(terms), np.arange(1, K)).real
         ratios = [terms[i + 1] / terms[i] for i in range(len(terms) - 1) if terms[i] > 0]
         tail_ratio = max(ratios[len(ratios) // 2 :], default=0.0)
         report["star1_terms"] = terms
@@ -455,25 +454,10 @@ def _dirichlet_block_sum(lo: int, hi: int, x: float) -> float:
     return (math.cos(lo * x) - math.cos((hi + 1) * x)) / denom
 
 
-def _direct_cache(env: EnvelopeSpec, direct_cap: int) -> tuple[int, np.ndarray]:
-    bps = env.practical_breakpoints(direct_cap)
-    n_direct = bps[-1]
-    if n_direct < 1:
-        raise ValueError("no usable breakpoint below direct_cap")
-    return n_direct, env.values_at(np.arange(0, n_direct + 1))
-
-
-def evaluate_g_profile(env: EnvelopeSpec, xs: Sequence[float], tol: float,
-                       direct_cap: int = 1 << 23) -> list[dict]:
-    """evaluate_g at many points, sharing the direct-route coefficient table."""
-    cache = _direct_cache(env, direct_cap)
-    return [evaluate_g(env, float(x), tol, direct_cap=direct_cap, _cache=cache) for x in xs]
-
-
-def evaluate_g(env: EnvelopeSpec, x: float, tol: float,
-               direct_cap: int = 1 << 23, chunk: int = 1 << 20,
-               _cache: tuple[int, np.ndarray] | None = None) -> dict:
-    """Limit of the cosine series with envelope coefficients, two ways.
+def evaluate_g(env: EnvelopeSpec, xs: Sequence[float], tol: float,
+               direct_cap: int = 1 << 23) -> list[dict]:
+    """Limit of the cosine series with envelope coefficients, two ways, at
+    each point of `xs`.
 
     Kernel route: the resummed series has one term per breakpoint,
     n_k (s_{k+1} - s_k) F_{n_k - 1}(x); terms are added until the certified
@@ -481,57 +465,65 @@ def evaluate_g(env: EnvelopeSpec, x: float, tol: float,
     built envelope, from the slope budget a(n_K) = M/2^K) drops below `tol`.
     Direct route: s_n(x) = a_0/2 + sum_{k<=n} a_k cos(kx) at the largest
     breakpoint below `direct_cap`, plus the block-summed form
-    s_n = sum Delta a_k D_k + a_n D_n as an internal identity check.
+    s_n = sum Delta a_k D_k + a_n D_n as an internal identity check. The
+    direct-route coefficient table is built once and shared by every point.
     """
-    if not (_EDGE < x < _TWO_PI - _EDGE):
-        raise DomainError(f"x = {x} is within 1e-9 of the series singularities")
-    with mp.workprec(_WORKPREC):
-        q = 1.0 / (2.0 * math.sin(0.5 * x)) ** 2
-        K = env.K
-        dslopes = [abs(float(env.slopes[k] - env.slopes[k + 1])) for k in range(K - 1)]
-        beyond = 2.0 * q * 2.0 * (abs(float(env.slopes[-1])) + env.M / 2.0**K / 3.0)
-        suffix = [0.0] * (K - 1) + [beyond]
-        for i in range(K - 2, -1, -1):
-            suffix[i] = suffix[i + 1] + 2.0 * q * dslopes[i]
+    bps = env.practical_breakpoints(direct_cap)
+    n_direct = bps[-1]
+    if n_direct < 1:
+        raise ValueError("no usable breakpoint below direct_cap")
+    avals = env.values_at(np.arange(0, n_direct + 1))
+    chunk = 1 << 20
+    rows = []
+    for x in xs:
+        x = float(x)
+        if not (_EDGE < x < _TWO_PI - _EDGE):
+            raise DomainError(f"x = {x} is within 1e-9 of the series singularities")
+        with mp.workprec(_WORKPREC):
+            q = 1.0 / (2.0 * math.sin(0.5 * x)) ** 2
+            K = env.K
+            dslopes = [abs(float(env.slopes[k] - env.slopes[k + 1])) for k in range(K - 1)]
+            beyond = 2.0 * q * 2.0 * (abs(float(env.slopes[-1])) + env.M / 2.0**K / 3.0)
+            suffix = [0.0] * (K - 1) + [beyond]
+            for i in range(K - 2, -1, -1):
+                suffix[i] = suffix[i + 1] + 2.0 * q * dslopes[i]
 
-        acc = NeumaierSum()
-        used = 0
-        tail_bound = suffix[0] if K > 1 else beyond
-        for k in range(1, K):
-            if suffix[k - 1] <= tol:
-                tail_bound = suffix[k - 1]
-                break
-            coef = float(mp.mpf(env.breakpoints[k]) * (env.slopes[k] - env.slopes[k - 1]))
-            acc.add(coef * kernel_eval("fejer", env.breakpoints[k] - 1, x))
-            used = k
-            tail_bound = suffix[k]
-        if tail_bound > tol:
-            raise BudgetExceededError(
-                f"kernel tail {tail_bound:.3e} stuck above tol {tol:.3e}; build a deeper envelope"
-            )
-        g_value = acc.value
+            acc = NeumaierSum()
+            used = 0
+            tail_bound = suffix[0] if K > 1 else beyond
+            for k in range(1, K):
+                if suffix[k - 1] <= tol:
+                    tail_bound = suffix[k - 1]
+                    break
+                coef = float(mp.mpf(env.breakpoints[k]) * (env.slopes[k] - env.slopes[k - 1]))
+                acc.add(coef * kernel_eval("fejer", env.breakpoints[k] - 1, x))
+                used = k
+                tail_bound = suffix[k]
+            if tail_bound > tol:
+                raise BudgetExceededError(
+                    f"kernel tail {tail_bound:.3e} stuck above tol {tol:.3e}; "
+                    "build a deeper envelope"
+                )
+            g_value = acc.value
 
-        n_direct, avals = _cache if _cache is not None else _direct_cache(env, direct_cap)
-        direct = NeumaierSum(0.5 * avals[0])
-        for lo in range(1, n_direct + 1, chunk):
-            hi = min(lo + chunk - 1, n_direct)
-            ns = np.arange(lo, hi + 1)
-            direct.add(float(np.dot(avals[lo : hi + 1], np.cos(ns * x))))
-        s_direct = direct.value
-        bps = env.practical_breakpoints(direct_cap)
+            direct = NeumaierSum(0.5 * avals[0])
+            for lo in range(1, n_direct + 1, chunk):
+                hi = min(lo + chunk - 1, n_direct)
+                ns = np.arange(lo, hi + 1)
+                direct.add(float(np.dot(avals[lo : hi + 1], np.cos(ns * x))))
+            s_direct = direct.value
 
-        # block-summed first identity at the same n
-        first = NeumaierSum()
-        for j in range(1, len(bps)):
-            seg_lo, seg_hi = bps[j - 1], min(bps[j], n_direct) - 1
-            first.add(-float(env.slopes[j - 1]) * _dirichlet_block_sum(seg_lo, seg_hi, x))
-            if bps[j] >= n_direct:
-                break
-        a_n = float(env.values_at(np.array([n_direct]))[0])
-        first.add(a_n * kernel_eval("dirichlet", n_direct, x))
-        first_form = first.value
+            # block-summed first identity at the same n
+            first = NeumaierSum()
+            for j in range(1, len(bps)):
+                seg_lo, seg_hi = bps[j - 1], min(bps[j], n_direct) - 1
+                first.add(-float(env.slopes[j - 1]) * _dirichlet_block_sum(seg_lo, seg_hi, x))
+                if bps[j] >= n_direct:
+                    break
+            first.add(float(avals[n_direct]) * kernel_eval("dirichlet", n_direct, x))
+            first_form = first.value
 
-        return {
+        rows.append({
             "x": x,
             "g_value": g_value,
             "tail_bound": tail_bound,
@@ -541,18 +533,18 @@ def evaluate_g(env: EnvelopeSpec, x: float, tol: float,
             "first_form_value": first_form,
             "first_form_residual": abs(first_form - s_direct),
             "two_route_gap": abs(g_value - s_direct),
-        }
+        })
+    return rows
 
 
-def kernel_series_l1_profile(env: EnvelopeSpec, eps: float = 1e-3,
-                             grid: int | None = None, max_terms: int | None = None) -> dict:
-    """Grid quadrature of |partial kernel series| on (eps, 2 pi - eps).
+def kernel_series_l1_profile(env: EnvelopeSpec, max_terms: int | None = None) -> dict:
+    """Grid quadrature of |partial kernel series| on (eps, 2 pi - eps), eps = 1e-3.
 
     The resummed series has nonnegative kernels and a summable coefficient
     stream, so these integrals must stay uniformly bounded in the truncation
     depth (the certified cap is pi times the weighted second-difference sum).
-    Values are midpoint-rule estimates; the grid defaults to four points per
-    top kernel order (capped), and the `resolved` flag records whether the
+    Values are midpoint-rule estimates on a grid of four points per top
+    kernel order (capped at 2^18), and the `resolved` flag records whether the
     top order was actually resolved.
     """
     bps = env.practical_breakpoints()
@@ -562,7 +554,8 @@ def kernel_series_l1_profile(env: EnvelopeSpec, eps: float = 1e-3,
     if terms_avail < 1:
         raise ValueError("no practical breakpoint terms to integrate")
     top_order = bps[terms_avail] - 1
-    G = grid if grid is not None else min(4 * (top_order + 1), 1 << 18)
+    eps = 1e-3
+    G = min(4 * (top_order + 1), 1 << 18)
     xs = 2.0 * math.pi * (np.arange(G) + 0.5) / G
     keep = (xs > eps) & (xs < 2.0 * math.pi - eps)
     xs = xs[keep]
@@ -589,24 +582,20 @@ def kernel_series_l1_profile(env: EnvelopeSpec, eps: float = 1e-3,
 
 # --------------------------------------------------- divergent modulator demo
 
-def divergent_modulator_demo(N: int, checkpoints: Sequence[int] | None = None,
-                             chunk: int = 1 << 21) -> dict:
+def divergent_modulator_demo(N: int) -> dict:
     """Partial sums of sum_{n=2}^{N} a_n / n for the slow envelope sequence.
 
     The oracle is the bare minorant a_n = 1/log(n+2) (the n+2 shift keeps
     index 1 regular and changes nothing asymptotically); the envelope built
     on that minorant dominates it termwise, so its sums grow at least as fast.
-    Both are fitted against log log N + c.
+    Both are reported at the powers of two up to N and at N, and fitted
+    against log log N + c.
     """
     if N < 10:
         raise ValueError("N must be >= 10")
-    if checkpoints is None:
-        checkpoints = [n for n in (2**j for j in range(2, 64)) if n <= N]
-        if checkpoints[-1] != N:
-            checkpoints.append(N)
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints[0] < 2 or checkpoints[-1] > N:
-        raise ValueError("checkpoints must lie in [2, N]")
+    checkpoints = [n for n in (2**j for j in range(2, 64)) if n <= N]
+    if checkpoints[-1] != N:
+        checkpoints.append(N)
 
     hm = inverse_log_majorant(shift=2)
     env = build_envelope(hm, K=12)
@@ -616,6 +605,7 @@ def divergent_modulator_demo(N: int, checkpoints: Sequence[int] | None = None,
     sums_o, sums_e = [], []
     dominated = True
     ci = 0
+    chunk = 1 << 21
     for lo in range(2, N + 1, chunk):
         hi = min(lo + chunk - 1, N)
         ns = np.arange(lo, hi + 1, dtype=np.int64)

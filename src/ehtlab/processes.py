@@ -32,6 +32,7 @@ from .rates import RateParams, abs_prefix_ratios
 from .sequences import ModulatingSequence, eval_range, transform_sequence
 from .transform import (
     ConvergenceVerdict,
+    as_checkpoints,
     default_checkpoints,
     eht_trace,
     make_convergence_verdict,
@@ -60,7 +61,6 @@ class AdmissibleProcess:
     sys: DynamicalSystem
     delta: Observable
     schedule: FactorSchedule
-    label: str = "process"
 
     def _delta_along(self, x0, ks: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.delta.coord_fn(self.sys.orbit_coords(x0, ks)))
@@ -81,13 +81,12 @@ class AdmissibleProcess:
 
 
 def build_process(sys: DynamicalSystem, delta: Observable, schedule: FactorSchedule = SHRINK, *,
-                  validation_count: int = 1000, probe_radii: Sequence[int] = (0, 1, 2, 4, 8, 16),
-                  seed: int = 7, label: str = "process") -> AdmissibleProcess:
+                  validation_count: int = 1000, seed: int = 7) -> AdmissibleProcess:
     """Validated process from a monotone factor schedule (default: SHRINK).
 
     Validation draws `validation_count` points and requires, at every probe
-    level, real nonnegative values with v_r <= v_{r+1} <= delta pointwise;
-    any violation is a hard error.
+    level r in 0, 1, 2, 4, 8, 16, real nonnegative values with
+    v_r <= v_{r+1} <= delta pointwise; any violation is a hard error.
     """
     pts = sample_points(sys, validation_count, seed)
     dvals = point_values(sys, delta, pts)
@@ -95,6 +94,7 @@ def build_process(sys: DynamicalSystem, delta: Observable, schedule: FactorSched
         raise InvariantError("invalid process: delta takes non-real values")
     if np.any(dvals.real < 0):
         raise InvariantError("invalid process: delta takes negative values")
+    probe_radii = (0, 1, 2, 4, 8, 16)
     factors = schedule.factor(np.asarray(probe_radii, dtype=float))
     prev = None
     for r, c in zip(probe_radii, factors):
@@ -106,7 +106,7 @@ def build_process(sys: DynamicalSystem, delta: Observable, schedule: FactorSched
         if prev is not None and np.any(vr.real < prev):
             raise InvariantError(f"invalid process: schedule decreases at r = {r}")
         prev = vr.real
-    return AdmissibleProcess(sys, delta, schedule, label=label)
+    return AdmissibleProcess(sys, delta, schedule)
 
 
 def structural_identity_check(F: AdmissibleProcess, points, i_list: Sequence[int]) -> dict:
@@ -171,11 +171,11 @@ def process_eht_trace(a: ModulatingSequence, F: AdmissibleProcess, x0,
     form sup|delta| * (1 - c(r)). The L2 gap ||delta - v_r||_2 rides along for
     scale.
     """
-    checkpoints = tuple(int(n) for n in checkpoints)
+    checkpoints = as_checkpoints(checkpoints)
     N = checkpoints[-1]
     ks = np.arange(-N, N + 1, dtype=np.int64)
     fvals = F.f_values(x0, ks).astype(complex)
-    base = eht_trace(a, fvals, checkpoints, x0=str(x0), metadata={"process": F.label})
+    base = eht_trace(a, fvals, checkpoints)
     verdict = make_convergence_verdict(checkpoints, base.H_values)
 
     mags = np.abs(eval_range(a, N))
@@ -184,6 +184,8 @@ def process_eht_trace(a: ModulatingSequence, F: AdmissibleProcess, x0,
 
     rows = []
     for r in sorted(int(r) for r in r_schedule):
+        if r < 0:
+            raise ValueError("approximant level r must be >= 0")
         gvals = F.g_values(x0, ks, r).astype(complex)
         tr = eht_trace(a, gvals, checkpoints)
         dev = float(np.max(np.abs(base.H_values - tr.H_values)))

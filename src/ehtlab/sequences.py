@@ -37,7 +37,7 @@ class TrigPolynomial:
         if not self.terms:
             raise ValueError("trig polynomial needs at least one term")
         for _, lam in self.terms:
-            if abs(abs(lam) - 1.0) > 1e-12:
+            if not abs(abs(lam) - 1.0) <= 1e-12:  # NaN fails too
                 raise ValueError(f"frequency {lam!r} is not on the unit circle")
 
     @property
@@ -61,6 +61,10 @@ class ModulatingSequence:
     one_sided: bool = False
     real_valued: bool = False
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.bound is not None and not math.isfinite(self.bound):
+            raise ValueError(f"{self.label}: declared bound {self.bound} is not finite")
 
     def values(self, ks: np.ndarray) -> np.ndarray:
         ks = np.asarray(ks, dtype=np.int64)
@@ -95,6 +99,9 @@ class ModulatingSequence:
                 raise InvariantError(
                     f"{self.label}: |a_k| = {worst} exceeds declared bound {self.bound}"
                 )
+        elif not np.isfinite(arr).all():
+            # no declared bound catches overflow in a scaled or multiplied unbounded sequence
+            raise OverflowError(f"{self.label}: non-finite values on [-{n}, {n}]")
         if self.symmetric and n > 0:
             if not np.array_equal(arr[: n][::-1], arr[n + 1 :]):
                 raise InvariantError(f"{self.label}: symmetric flag violated on [-{n}, {n}]")
@@ -265,7 +272,7 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
         if lam is None:
             raise ValueError("modulate needs a unit-modulus factor lam")
         lam = complex(lam)
-        if abs(abs(lam) - 1.0) > 1e-12:
+        if not abs(abs(lam) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"modulation factor must have |lam| = 1, got |{lam!r}|")
         theta = math.atan2(lam.imag, lam.real) / (2 * math.pi)
         if lam == 1.0:

@@ -31,10 +31,6 @@ class SpectrumAtom:
     gamma: complex         # Fourier-Bohr mean at the refined location
     mass: float            # |gamma|^2, the atom weight of the spectral measure
 
-    @property
-    def z(self) -> complex:
-        return complex(np.exp(2j * np.pi * self.theta_turns))
-
 
 @dataclass(frozen=True)
 class SpectralEstimate:
@@ -109,13 +105,13 @@ def _gamma_at(a_vals: np.ndarray, n: int, theta: float) -> complex:
     return complex(np.sum(a_vals * np.exp(-2j * np.pi * frac1(js * theta))) / n)
 
 
-def _refine_atom(a_vals: np.ndarray, n: int, lo: float, hi: float, iters: int = 60) -> float:
-    # golden-section maximization of |Gamma| on the arc [lo, hi] (turns)
+def _refine_atom(a_vals: np.ndarray, n: int, lo: float, hi: float) -> float:
+    # golden-section maximization of |Gamma| on the arc [lo, hi] (turns), 60 steps
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1 = abs(_gamma_at(a_vals, n, x1))
     f2 = abs(_gamma_at(a_vals, n, x2))
-    for _ in range(iters):
+    for _ in range(60):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
@@ -141,6 +137,8 @@ def gamma_and_spectrum(a: ModulatingSequence, grid_order: int, n: int,
     """
     if grid_order < 2 * n + 1:
         raise ValueError("grid_order must be >= 2n+1")
+    if not threshold > 0:
+        raise ValueError("threshold must be positive")
     # one evaluation serves the grid and every correlation lag
     v = a.values(np.arange(0, n + corr_lags + 1, dtype=np.int64))
     a_vals = v[: n + 1]
@@ -191,28 +189,26 @@ def gamma_and_spectrum(a: ModulatingSequence, grid_order: int, n: int,
 
 def resonance_report(a: ModulatingSequence, sys: DynamicalSystem, *,
                      n: int = 1 << 14, grid_order: int | None = None,
-                     threshold: float = 0.1, m_bound: int = 32,
-                     match_tol: float | None = None) -> dict:
+                     threshold: float = 0.1, m_bound: int = 32) -> dict:
     """Collisions between the detected spectrum atoms of `a` at truncation n
     and the system's point spectrum: `match_resonances` applied to a fresh
     `gamma_and_spectrum` (computed for rotations only; see there)."""
     est = None
     if isinstance(sys, Rotation):
         est = gamma_and_spectrum(a, grid_order or (4 * n), n, threshold)
-    return match_resonances(est, sys, m_bound=m_bound, match_tol=match_tol)
+    return match_resonances(est, sys, m_bound=m_bound)
 
 
 def match_resonances(est: SpectralEstimate | None, sys: DynamicalSystem, *,
-                     m_bound: int = 32, match_tol: float | None = None) -> dict:
+                     m_bound: int = 32) -> dict:
     """Collisions between the atoms of an existing estimate and the point spectrum.
 
     For a rotation the eigenvalues are the powers phi^m; an atom within
-    `match_tol` (in turns, default max(8/n, 1e-9) at the estimate's
-    truncation n) of phi^m for some 0 < |m| <= m_bound is a collision, and a
-    collision predicts divergence of the symmetric modulation lambda^|k| at
-    that atom (cross-check with the sweep). The torus automorphism has no
-    nonconstant eigenfunctions, so its collision list is empty by
-    construction and the estimate is not read.
+    max(8/n, 1e-9) turns (n the estimate's truncation) of phi^m for some
+    0 < |m| <= m_bound is a collision, and a collision predicts divergence of
+    the symmetric modulation lambda^|k| at that atom (cross-check with the
+    sweep). The torus automorphism has no nonconstant eigenfunctions, so its
+    collision list is empty by construction and the estimate is not read.
     """
     if isinstance(sys, TorusAutomorphism):
         return {"system": sys.kind, "collisions": [], "atoms": [],
@@ -220,7 +216,7 @@ def match_resonances(est: SpectralEstimate | None, sys: DynamicalSystem, *,
     if not isinstance(sys, Rotation):
         raise ValueError("resonance_report supports rotations and the torus automorphism")
     n = est.truncation
-    tol = match_tol if match_tol is not None else max(8.0 / n, 1e-9)
+    tol = max(8.0 / n, 1e-9)
     collisions = []
     for atom in est.atoms:
         for m in range(-m_bound, m_bound + 1):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,8 +69,6 @@ class TransformTrace:
     checkpoints: tuple[int, ...]
     H_values: np.ndarray                       # complex, one per checkpoint
     abel_parts: tuple[tuple[complex, complex], ...] | None = None
-    x0: str = ""
-    metadata: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -108,6 +106,14 @@ def default_checkpoints(n_max: int, n_min: int = 16) -> tuple[int, ...]:
         j += 1
     pts.add(n_max)
     return tuple(sorted(p for p in pts if n_min <= p <= n_max))
+
+
+def as_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
+    """The checkpoints as a tuple of ints, which must be nonempty and strictly increasing."""
+    checkpoints = tuple(int(n) for n in checkpoints)
+    if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("checkpoints must be nonempty and strictly increasing")
+    return checkpoints
 
 
 @dataclass(frozen=True)
@@ -152,7 +158,7 @@ def _pairwise_terms(a: ModulatingSequence, orbit: np.ndarray) -> tuple[np.ndarra
 
 
 def eht_trace(a: ModulatingSequence, orbit: np.ndarray, checkpoints: Sequence[int],
-              *, with_abel: bool = False, x0: str = "", metadata: dict | None = None) -> TransformTrace:
+              *, with_abel: bool = False) -> TransformTrace:
     """Partial sums H_n at the given checkpoints (k = 0 is always excluded).
 
     `orbit` holds f(T^k x0) for -N <= k <= N; every checkpoint must satisfy
@@ -161,10 +167,8 @@ def eht_trace(a: ModulatingSequence, orbit: np.ndarray, checkpoints: Sequence[in
         H_n = sum_{k<n} (S_k - S_{-k})/(k(k+1)) + (S_n - S_{-n})/n,
     whose sum must reproduce H_n up to pure rounding error.
     """
-    checkpoints = tuple(int(n) for n in checkpoints)
+    checkpoints = as_checkpoints(checkpoints)
     N = orbit.size // 2
-    if not checkpoints or any(b <= a_ for a_, b in zip(checkpoints, checkpoints[1:])):
-        raise ValueError("checkpoints must be nonempty and strictly increasing")
     if checkpoints[0] < 1 or checkpoints[-1] > N:
         raise ValueError(f"checkpoints must lie in [1, {N}] for this orbit")
 
@@ -186,9 +190,7 @@ def eht_trace(a: ModulatingSequence, orbit: np.ndarray, checkpoints: Sequence[in
                     "summation-by-parts split disagrees with the direct sum "
                     "beyond rounding scale"
                 )
-    meta = dict(metadata or {})
-    meta.setdefault("sequence", a.label)
-    return TransformTrace(checkpoints, H, abel, x0=x0, metadata=meta)
+    return TransformTrace(checkpoints, H, abel)
 
 
 def abel_identity_residual(a: ModulatingSequence, orbit: np.ndarray, n: int) -> float:
@@ -349,20 +351,16 @@ def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, lam_grid: Sequ
     symmetric=True modulates by lambda^|k| (the resonance-prone variant),
     otherwise by lambda^k.
     """
-    checkpoints = tuple(int(n) for n in checkpoints)
+    checkpoints = as_checkpoints(checkpoints)
     orbit = orbit_values(sys, f, x0, checkpoints[-1])
     out = []
     for lam in lam_grid:
-        lam = complex(lam)
-        if abs(abs(lam) - 1.0) > 1e-12:
-            raise ValueError("sweep grid must lie on the unit circle")
+        lam = complex(lam)  # the modulate op checks |lam| = 1
         theta = math.atan2(lam.imag, lam.real) / (2 * math.pi)
-        tag = "sym" if symmetric else "two_sided"
         a = transform_sequence(named_sequence("constant"), "modulate", lam=lam)
         if symmetric:
             a = transform_sequence(a, "symmetrize")
-        trace = eht_trace(a, orbit, checkpoints, x0=str(x0),
-                          metadata={"lambda_turns": theta, "mode": tag})
+        trace = eht_trace(a, orbit, checkpoints)
         out.append({"lambda": lam, "theta_turns": theta, "trace": trace,
                     "verdict": make_convergence_verdict(checkpoints, trace.H_values)})
     return out

@@ -27,7 +27,7 @@ from ehtlab.dynamics import (
 from ehtlab.envelope import (
     build_envelope,
     divergent_modulator_demo,
-    evaluate_g_profile,
+    evaluate_g,
     fejer_integral,
     inverse_linear_majorant,
     inverse_log_majorant,
@@ -218,7 +218,7 @@ def test_criterion_6_envelope_construction():
     # summable depth, hence the fast minorant through the same construction
     fast = build_envelope(inverse_linear_majorant(), K=26)
     xs = np.linspace(0.5, 2 * math.pi - 0.5, 100)
-    rows = evaluate_g_profile(fast, xs, tol=1e-6, direct_cap=1 << 21)
+    rows = evaluate_g(fast, xs, tol=1e-6, direct_cap=1 << 21)
     gap = max(r["two_route_gap"] for r in rows)
     assert gap <= 1e-5
     assert max(r["tail_bound"] for r in rows) <= 1e-6

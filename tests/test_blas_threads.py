@@ -34,7 +34,7 @@ def test_direct_cosine_sum_bits_do_not_depend_on_the_core_count():
     # n_direct = 65535 lies above the size where a threaded ddot splits the sum
     code = ("from ehtlab.envelope import build_envelope, evaluate_g, inverse_log_majorant;"
             "env = build_envelope(inverse_log_majorant(shift=2), 30);"
-            "r = evaluate_g(env, 1.3, 1e-6);"
+            "[r] = evaluate_g(env, [1.3], 1e-6);"
             "print(r['n_direct'], float(r['s_n_direct']).hex())")
     unset = _run(code)
     assert unset.split()[0] == "65535"

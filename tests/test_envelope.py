@@ -10,7 +10,6 @@ from ehtlab.envelope import (
     divergent_modulator_demo,
     envelope_modulator,
     evaluate_g,
-    evaluate_g_profile,
     fejer_integral,
     fejer_variant_discrepancy,
     inverse_linear_majorant,
@@ -255,7 +254,7 @@ def test_second_abel_identity_brute_force():
 
 def test_evaluate_g_two_routes():
     env = build_envelope(inverse_linear_majorant(), K=26)
-    out = evaluate_g(env, math.pi, 1e-6)
+    [out] = evaluate_g(env, [math.pi], 1e-6)
     assert out["tail_bound"] <= 1e-6
     assert out["two_route_gap"] <= 1e-5
     assert out["first_form_residual"] <= 1e-9
@@ -264,12 +263,12 @@ def test_evaluate_g_two_routes():
 def test_evaluate_g_profile_and_budget():
     env = build_envelope(inverse_linear_majorant(), K=26)
     xs = np.linspace(0.5, 2 * math.pi - 0.5, 7)
-    rows = evaluate_g_profile(env, xs, 1e-6, direct_cap=1 << 21)
+    rows = evaluate_g(env, xs, 1e-6, direct_cap=1 << 21)
     assert max(r["two_route_gap"] for r in rows) <= 1e-5
     assert max(r["tail_bound"] for r in rows) <= 1e-6
     shallow = build_envelope(inverse_linear_majorant(), K=8)
     with pytest.raises(BudgetExceededError):
-        evaluate_g(shallow, 0.7, 1e-9)
+        evaluate_g(shallow, [0.7], 1e-9)
 
 
 def test_evaluate_g_slow_envelope():
@@ -277,7 +276,7 @@ def test_evaluate_g_slow_envelope():
     # slope budget M/2^K must itself sit below tol: build deep (cheap), but
     # only a handful of kernel terms are ever evaluated
     env = build_envelope(inverse_log_majorant(2), K=22)
-    out = evaluate_g(env, 2.0, 1e-6, direct_cap=1 << 17)
+    [out] = evaluate_g(env, [2.0], 1e-6, direct_cap=1 << 17)
     assert out["tail_bound"] <= 1e-6
     assert out["first_form_residual"] <= 1e-9
     assert 3 <= out["terms_used"] <= 8

@@ -36,6 +36,8 @@ def test_trig_poly_bound_over_range():
 def test_trig_poly_rejects_off_circle_frequency():
     with pytest.raises(ValueError):
         TrigPolynomial(((1.0, 0.5 + 0j),))
+    with pytest.raises(ValueError):
+        TrigPolynomial(((1.0, complex("nan+nanj")),))
 
 
 def test_hardy_littlewood_values():
@@ -104,6 +106,8 @@ def test_modulate_alternating_and_flags():
     assert alt.symmetric
     with pytest.raises(ValueError):
         transform_sequence(named_sequence("constant"), "modulate", lam=2.0)
+    with pytest.raises(ValueError):
+        transform_sequence(named_sequence("constant"), "modulate", lam=complex("nan+nanj"))
 
 
 def test_modulate_preserves_modulus():
