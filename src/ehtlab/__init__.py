@@ -14,7 +14,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .sequences import (
     ModulatingSequence,
     TrigPolynomial,
-    eval_range,
     from_values,
     named_sequence,
     sequence_to_csv,

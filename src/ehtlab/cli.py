@@ -44,13 +44,7 @@ from .envelope import (
 )
 from .errors import BudgetExceededError, HorizonExceededError, InvariantError
 from .processes import build_process, process_eht_trace, seminorm_and_hilbert
-from .rates import (
-    RateParams,
-    abs_prefix_ratios,
-    check_A_alpha,
-    one_sided_sup_ratios,
-    parseval_holder_check,
-)
+from .rates import RateParams, parseval_holder_check, rate_report
 from .sequences import ModulatingSequence, TrigPolynomial, named_sequence, trig_poly_sequence, transform_sequence
 from .spectral import gamma_and_spectrum, match_resonances
 from .transform import (
@@ -121,12 +115,27 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 # ------------------------------------------------------------ spec -> objects
 
+_SEQUENCE_KEYS = {"name", "value", "convention", "terms", "op", "base", "r", "c", "angle_turns", "b"}
+_SYSTEM_KEYS = {"kind", "angle_turns"}
+# the keys each nested spec may hold; params keys are checked per kind in parse_config
+_SPEC_KEYS = {
+    "sequence": _SEQUENCE_KEYS, "base": _SEQUENCE_KEYS, "b": _SEQUENCE_KEYS,
+    "system": _SYSTEM_KEYS, "resonance_system": _SYSTEM_KEYS,
+    "observable": {"kind", "m", "p", "q", "value"},
+    "maximal": {"lambdas", "N", "sample_count"},
+    "evaluate": {"x_lo", "x_hi", "x_count", "tol"},
+}
+
+
 def _spec(parent: dict, key: str, default: dict | None = None) -> dict:
     """The nested spec parent[key] (or `default` when absent; required when no
-    default is given), which must be a JSON object."""
+    default is given), which must be a JSON object holding only known keys."""
     sp = parent[key] if default is None else parent.get(key, default)
     if not isinstance(sp, dict):
         raise ConfigError(f"{key} must be a JSON object, got {sp!r}")
+    unknown = set(sp) - _SPEC_KEYS.get(key, set(sp))
+    if unknown:
+        raise ConfigError(f"unknown fields in {key}: {sorted(unknown)}")
     return sp
 
 
@@ -223,16 +232,7 @@ def _run_rates(cfg: ExperimentConfig, out: Path) -> dict:
     schedule = tuple(int(n) for n in p.get("schedule", [2**j for j in range(8, 16)]))
     rp = RateParams(alpha=float(p.get("alpha", 1.5)), beta=float(p.get("beta", 0.5)),
                     schedule=schedule, grid_order=p.get("grid_order"))
-    if klass in ("star", "m_alpha", "two_sided_raw"):
-        report = abs_prefix_ratios(seq, klass, rp)
-    elif klass == "a_alpha":
-        report = check_A_alpha(seq, rp)
-    elif klass == "a_alpha_plain":
-        report = check_A_alpha(seq, rp, include_log=False)
-    elif klass == "one_sided_sup":
-        report = one_sided_sup_ratios(seq, rp)
-    else:
-        raise ConfigError(f"unknown rates class {klass!r}")
+    report = rate_report(seq, klass, rp)
     parseval = parseval_holder_check(seq, schedule[0], 4 * schedule[0] + 1)
     with open(out / "ratios.csv", "w") as fh:
         fh.write("n,ratio\n")
@@ -276,8 +276,7 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
         seq = named_sequence("cycle_indicator", convention=conv)
         per_cell = {}
         for cell in range(3):
-            x0 = CyclePoint(cell, 0.1)
-            orbit = orbit_values(sys_, obs, x0, N)
+            orbit = orbit_values(sys_, obs, CyclePoint(cell), N)
             trace = eht_trace(seq, orbit, checkpoints)
             verdict = make_convergence_verdict(checkpoints, trace.H_values)
             per_cell[f"cell_{cell}"] = {

@@ -70,7 +70,6 @@ class RotationPoint:
 @dataclass(frozen=True)
 class CyclePoint:
     cell0: int       # 0, 1, 2: which third of the circle the anchor sits in
-    jitter: float = 0.0  # position within the cell, for genericity only
     shift: int = 0
 
 
@@ -160,24 +159,22 @@ class ThreeCycle:
     STEP_VALUES = (0.0, 1.0, -1.0)
 
     def forward(self, p: CyclePoint) -> CyclePoint:
-        return CyclePoint(p.cell0, p.jitter, p.shift + 1)
+        return CyclePoint(p.cell0, p.shift + 1)
 
     def backward(self, p: CyclePoint) -> CyclePoint:
-        return CyclePoint(p.cell0, p.jitter, p.shift - 1)
+        return CyclePoint(p.cell0, p.shift - 1)
 
     def iterate(self, p: CyclePoint, j: int) -> CyclePoint:
-        return CyclePoint(p.cell0, p.jitter, p.shift + int(j))
+        return CyclePoint(p.cell0, p.shift + int(j))
 
     def orbit_coords(self, x0: CyclePoint, ks: np.ndarray) -> np.ndarray:
         return (np.asarray(ks, dtype=np.int64) + x0.cell0 + x0.shift) % 3
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[CyclePoint]:
-        cells = rng.integers(0, 3, size=count)
-        jit = rng.random(count) / 3.0
-        return [CyclePoint(int(c), float(j)) for c, j in zip(cells, jit)]
+        return [CyclePoint(int(c)) for c in rng.integers(0, 3, size=count)]
 
     def default_point(self) -> CyclePoint:
-        return CyclePoint(0, 0.1)  # x0 = 0.1 lies in the first cell
+        return CyclePoint(0)
 
 
 TORUS_MATRIX = np.array([[2, 1], [1, 1]], dtype=np.int64)

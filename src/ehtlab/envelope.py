@@ -120,7 +120,6 @@ class EnvelopeSpec:
     """
 
     M: float
-    lam: float
     breakpoints: tuple        # mpf, length K+1, n_0 = 0
     values: tuple[float, ...]  # a(n_k) = M/2^k, length K+1
     slopes: tuple             # mpf, length K, slope on (n_{k-1}, n_k)
@@ -171,7 +170,7 @@ class EnvelopeSpec:
     def to_dict(self) -> dict:
         return {
             "M": self.M,
-            "lambda": self.lam,
+            "lambda": 2.0,  # the doubling factor, fixed by build_envelope (values M/2^k)
             "breakpoints": [mp.nstr(mp.mpf(b), 20) for b in self.breakpoints],
             "values": list(self.values),
             "slopes": [mp.nstr(mp.mpf(s), 20) for s in self.slopes],
@@ -285,7 +284,7 @@ def build_envelope(hm: MajorantH, K: int, M: float | None = None) -> EnvelopeSpe
             slopes.append((mp.mpf(v_k) - mp.mpf(values[-1])) / (n_k - bps[-1]))
             bps.append(n_k)
             values.append(v_k)
-        return EnvelopeSpec(M=float(M), lam=2.0, breakpoints=tuple(bps),
+        return EnvelopeSpec(M=float(M), breakpoints=tuple(bps),
                             values=tuple(values), slopes=tuple(slopes),
                             majorant_label=hm.label)
 
@@ -302,7 +301,15 @@ def envelope_modulator(env: EnvelopeSpec, radius: int) -> ModulatingSequence:
         return out
 
     return ModulatingSequence(f"envelope[{env.majorant_label}]<= {radius}", fn,
-                              bound=float(env.M), one_sided=True, real_valued=True)
+                              bound=float(env.M), one_sided=True)
+
+
+def _kernel_coefficients(env: EnvelopeSpec, count: int) -> list[float]:
+    """The kernel weights n_k (s_{k+1} - s_k) for k = 1..count, formed at the
+    working precision."""
+    with mp.workprec(_WORKPREC):
+        return [float(env.breakpoints[k] * (env.slopes[k] - env.slopes[k - 1]))
+                for k in range(1, count + 1)]
 
 
 def verify_envelope_conditions(env: EnvelopeSpec, hm: MajorantH | None = None) -> dict:
@@ -339,7 +346,7 @@ def verify_envelope_conditions(env: EnvelopeSpec, hm: MajorantH | None = None) -
             and all(b - a >= 3 for a, b in zip(bps, bps[1:]))
         )
         report["v_doubling"] = bool(
-            all(bps[k + 1] <= env.lam * (bps[k + 1] - bps[k]) for k in range(K))
+            all(bps[k + 1] <= 2 * (bps[k + 1] - bps[k]) for k in range(K))
         )
         # the wedge s_k < s_{k+1} - s_k < -s_k, tested in the equivalent
         # cancellation-free form 2 s_k < s_{k+1} < 0 (the subtraction itself
@@ -349,7 +356,7 @@ def verify_envelope_conditions(env: EnvelopeSpec, hm: MajorantH | None = None) -
             all(2 * slopes[k] < slopes[k + 1] < 0 for k in range(K - 1))
         )
 
-        terms = [float(bps[k] * abs(slopes[k - 1] - slopes[k])) for k in range(1, K)]
+        terms = [abs(c) for c in _kernel_coefficients(env, K - 1)]
         partial = checkpoint_sums(np.asarray(terms), np.arange(1, K)).real
         ratios = [terms[i + 1] / terms[i] for i in range(len(terms) - 1) if terms[i] > 0]
         tail_ratio = max(ratios[len(ratios) // 2 :], default=0.0)
@@ -474,15 +481,16 @@ def evaluate_g(env: EnvelopeSpec, xs: Sequence[float], tol: float,
         raise ValueError("no usable breakpoint below direct_cap")
     avals = env.values_at(np.arange(0, n_direct + 1))
     chunk = 1 << 20
+    K = env.K
+    coefs = _kernel_coefficients(env, K - 1)
     rows = []
-    for x in xs:
-        x = float(x)
-        if not (_EDGE < x < _TWO_PI - _EDGE):
-            raise DomainError(f"x = {x} is within 1e-9 of the series singularities")
-        with mp.workprec(_WORKPREC):
+    with mp.workprec(_WORKPREC):
+        dslopes = [abs(float(env.slopes[k] - env.slopes[k + 1])) for k in range(K - 1)]
+        for x in xs:
+            x = float(x)
+            if not (_EDGE < x < _TWO_PI - _EDGE):
+                raise DomainError(f"x = {x} is within 1e-9 of the series singularities")
             q = 1.0 / (2.0 * math.sin(0.5 * x)) ** 2
-            K = env.K
-            dslopes = [abs(float(env.slopes[k] - env.slopes[k + 1])) for k in range(K - 1)]
             beyond = 2.0 * q * 2.0 * (abs(float(env.slopes[-1])) + env.M / 2.0**K / 3.0)
             suffix = [0.0] * (K - 1) + [beyond]
             for i in range(K - 2, -1, -1):
@@ -490,13 +498,12 @@ def evaluate_g(env: EnvelopeSpec, xs: Sequence[float], tol: float,
 
             acc = NeumaierSum()
             used = 0
-            tail_bound = suffix[0] if K > 1 else beyond
+            tail_bound = suffix[0]  # K >= 2 for every EnvelopeSpec
             for k in range(1, K):
                 if suffix[k - 1] <= tol:
                     tail_bound = suffix[k - 1]
                     break
-                coef = float(mp.mpf(env.breakpoints[k]) * (env.slopes[k] - env.slopes[k - 1]))
-                acc.add(coef * kernel_eval("fejer", env.breakpoints[k] - 1, x))
+                acc.add(coefs[k - 1] * kernel_eval("fejer", env.breakpoints[k] - 1, x))
                 used = k
                 tail_bound = suffix[k]
             if tail_bound > tol:
@@ -521,19 +528,17 @@ def evaluate_g(env: EnvelopeSpec, xs: Sequence[float], tol: float,
                 if bps[j] >= n_direct:
                     break
             first.add(float(avals[n_direct]) * kernel_eval("dirichlet", n_direct, x))
-            first_form = first.value
 
-        rows.append({
-            "x": x,
-            "g_value": g_value,
-            "tail_bound": tail_bound,
-            "terms_used": used,
-            "s_n_direct": s_direct,
-            "n_direct": n_direct,
-            "first_form_value": first_form,
-            "first_form_residual": abs(first_form - s_direct),
-            "two_route_gap": abs(g_value - s_direct),
-        })
+            rows.append({
+                "x": x,
+                "g_value": g_value,
+                "tail_bound": tail_bound,
+                "terms_used": used,
+                "s_n_direct": s_direct,
+                "n_direct": n_direct,
+                "first_form_residual": abs(first.value - s_direct),
+                "two_route_gap": abs(g_value - s_direct),
+            })
     return rows
 
 
@@ -561,11 +566,8 @@ def kernel_series_l1_profile(env: EnvelopeSpec, max_terms: int | None = None) ->
     xs = xs[keep]
     partial = np.zeros(xs.size)
     integrals = []
-    with mp.workprec(_WORKPREC):
-        coefs = [float(mp.mpf(env.breakpoints[k]) * (env.slopes[k] - env.slopes[k - 1]))
-                 for k in range(1, terms_avail + 1)]
     cum = 0.0
-    for k, coef in enumerate(coefs, start=1):
+    for k, coef in enumerate(_kernel_coefficients(env, terms_avail), start=1):
         partial += coef * kernel_eval("fejer", bps[k] - 1, xs)
         cum += abs(coef)
         integrals.append(float(np.sum(np.abs(partial)) * 2.0 * math.pi / G))

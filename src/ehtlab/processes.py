@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import DynamicalSystem, Observable, point_values, sample_points
 from .errors import InvariantError
 from .rates import RateParams, abs_prefix_ratios
-from .sequences import ModulatingSequence, eval_range, transform_sequence
+from .sequences import ModulatingSequence, transform_sequence
 from .transform import (
     ConvergenceVerdict,
     as_checkpoints,
@@ -47,13 +47,12 @@ class FactorSchedule:
     of 1 - c(r), kept separate because subtracting from one rounds differently.
     """
 
-    label: str
     factor: Callable[[np.ndarray], np.ndarray]
     gap: Callable[[int], float]
 
 
-SHRINK = FactorSchedule("shrink", lambda r: r / (r + 1.0), lambda r: 1.0 / (r + 1.0))
-CONSTANT = FactorSchedule("constant", np.ones_like, lambda r: 0.0)
+SHRINK = FactorSchedule(lambda r: r / (r + 1.0), lambda r: 1.0 / (r + 1.0))
+CONSTANT = FactorSchedule(np.ones_like, lambda r: 0.0)
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def process_eht_trace(a: ModulatingSequence, F: AdmissibleProcess, x0,
     base = eht_trace(a, fvals, checkpoints)
     verdict = make_convergence_verdict(checkpoints, base.H_values)
 
-    mags = np.abs(eval_range(a, N))
+    mags = np.abs(a.range_values(N))
     inv_i = np.concatenate([1.0 / np.abs(np.arange(-N, 0)), [0.0], 1.0 / np.arange(1, N + 1)])
     weighted = mags * inv_i
 
@@ -187,21 +186,16 @@ def process_eht_trace(a: ModulatingSequence, F: AdmissibleProcess, x0,
         if r < 0:
             raise ValueError("approximant level r must be >= 0")
         gvals = F.g_values(x0, ks, r).astype(complex)
-        tr = eht_trace(a, gvals, checkpoints)
-        dev = float(np.max(np.abs(base.H_values - tr.H_values)))
+        dev = float(np.max(np.abs(base.H_values - eht_trace(a, gvals, checkpoints).H_values)))
         tail_weight = float(np.sum(weighted[np.abs(ks) > r]))
         gap = F.schedule.gap(r)
-        sup_gap = F.delta.norm("linf") * gap
         rows.append({
             "r": r,
             "max_deviation": dev,
-            "deviation_bound": sup_gap * tail_weight,
-            "sup_gap": sup_gap,
+            "deviation_bound": F.delta.norm("linf") * gap * tail_weight,
             "l2_gap": F.delta.norm("l2") * gap,
-            "trace": tr,
         })
-    return {"trace": base, "verdict": verdict, "approximants": rows,
-            "checkpoints": checkpoints}
+    return {"trace": base, "verdict": verdict, "approximants": rows}
 
 
 @dataclass(frozen=True)
@@ -250,8 +244,7 @@ def seminorm_and_hilbert(c: ModulatingSequence, alpha: float, N_schedule: Sequen
     schedule = tuple(int(n) for n in N_schedule)
     est = _seminorm_values(c, alpha, schedule)
     verdict = _hilbert_verdict(c, schedule[-1])
-    out = {"seminorm": est, "verdict": verdict,
-           "partial_sums": hilbert_partial_sums(c, schedule)}
+    out = {"seminorm": est, "verdict": verdict}
     if truncation_radii is not None:
         rows = []
         for r in truncation_radii:

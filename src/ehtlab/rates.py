@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import fit_loglog
-from .sequences import ModulatingSequence, eval_range
+from .sequences import ModulatingSequence
 
 GROWTH_FACTOR = 1.5
 DEFAULT_SCHEDULE = tuple(2**j for j in range(8, 16))
@@ -112,7 +112,7 @@ def _report(kind: str, schedule, ratios, grids=None, **params) -> RateReport:
 def abs_prefix_sums(a: ModulatingSequence, schedule: Sequence[int]) -> np.ndarray:
     """sum_{|k| <= n} |a_k| for each n of the schedule."""
     n_max = max(schedule)
-    mags = np.abs(eval_range(a, n_max))
+    mags = np.abs(a.range_values(n_max))
     csum = np.cumsum(mags)
     total = lambda n: csum[n_max + n] - (csum[n_max - n - 1] if n_max - n - 1 >= 0 else 0.0)
     return np.array([total(int(n)) for n in schedule])
@@ -155,10 +155,10 @@ def exp_sum_grid(a: ModulatingSequence, n: int, grid_order: int, side: str = "tw
     coeffs = np.zeros(grid_order, dtype=complex)
     if side == "two_sided":
         ks = np.arange(-n, n + 1, dtype=np.int64)
-        coeffs[np.mod(ks, grid_order)] = eval_range(a, n)
+        coeffs[np.mod(ks, grid_order)] = a.range_values(n)
     elif side == "one_sided":
         ks = np.arange(1, n + 1, dtype=np.int64)
-        coeffs[np.mod(ks, grid_order)] = eval_range(a, n)[n + 1 :]
+        coeffs[np.mod(ks, grid_order)] = a.range_values(n)[n + 1 :]
     else:
         raise ValueError(f"unknown side {side!r}")
     return np.fft.ifft(coeffs) * grid_order
@@ -197,6 +197,19 @@ def one_sided_sup_ratios(a: ModulatingSequence, params: RateParams) -> RateRepor
                    beta=params.beta, sequence=a.label)
 
 
+def rate_report(a: ModulatingSequence, klass: str, params: RateParams) -> RateReport:
+    """The rate check of one class: star, m_alpha or two_sided_raw (prefix
+    |a_k| sums), a_alpha or a_alpha_plain (two-sided exponential sums with or
+    without the log weight), or one_sided_sup."""
+    if klass in ("star", "m_alpha", "two_sided_raw"):
+        return abs_prefix_ratios(a, klass, params)
+    if klass in ("a_alpha", "a_alpha_plain"):
+        return check_A_alpha(a, params, include_log=klass == "a_alpha")
+    if klass == "one_sided_sup":
+        return one_sided_sup_ratios(a, params)
+    raise ValueError(f"unknown rates class {klass!r}")
+
+
 def parseval_holder_check(a: ModulatingSequence, n: int, grid_order: int) -> dict:
     """Cauchy-Schwarz chain and grid Parseval identity at radius n.
 
@@ -209,7 +222,7 @@ def parseval_holder_check(a: ModulatingSequence, n: int, grid_order: int) -> dic
     """
     if grid_order < 4 * n + 1:
         raise ValueError("grid_order must be >= 4n+1 for exact Parseval quadrature")
-    vals = eval_range(a, n)
+    vals = a.range_values(n)
     lhs = float(np.sum(np.abs(vals)))
     sq = float(np.sum(np.abs(vals) ** 2))
     grid_vals = exp_sum_grid(a, n, grid_order, "two_sided")
@@ -272,14 +285,7 @@ def besicovitch_witness_check(a: ModulatingSequence, w: ModulatingSequence, kind
     diff_fn = lambda ks: a.values(ks) - w.values(ks)
     bound = None if (a.bound is None or w.bound is None) else a.bound + w.bound
     diff = ModulatingSequence(f"({a.label})-({w.label})", diff_fn, bound=bound)
-    if kind == "m_alpha":
-        report = abs_prefix_ratios(diff, "m_alpha", params)
-    elif kind == "a_alpha":
-        report = check_A_alpha(diff, params)
-    elif kind == "star":
-        report = abs_prefix_ratios(diff, "star", params)
-    else:
-        raise ValueError(f"unknown witness check kind {kind!r}")
+    report = rate_report(diff, kind, params)
     sums = abs_prefix_sums(diff, params.schedule)
     cesaro = [float(s / n) for s, n in zip(sums, params.schedule)]
     return {"witness": w.label, "report": report, "cesaro_means": cesaro}

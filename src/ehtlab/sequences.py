@@ -51,7 +51,7 @@ class ModulatingSequence:
 
     `fn` maps an int64 index array to complex128 values; it must be pure.
     `bound` is a finite sup bound or None for unbounded sequences. Flags are
-    enforced on every evaluated range (see `eval_range`).
+    enforced on every evaluated range (see `range_values`).
     """
 
     label: str
@@ -59,7 +59,6 @@ class ModulatingSequence:
     bound: float | None
     symmetric: bool = False
     one_sided: bool = False
-    real_valued: bool = False
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,11 +109,6 @@ class ModulatingSequence:
                 raise InvariantError(f"{self.label}: one_sided flag violated on [-{n}, 0]")
 
 
-def eval_range(a: ModulatingSequence, n: int) -> np.ndarray:
-    """The 2n+1 values a_k for -n <= k <= n, in index order."""
-    return a.range_values(n)
-
-
 def from_values(values: Sequence[complex], label: str = "tabulated", **flags) -> ModulatingSequence:
     """Sequence backed by an explicit symmetric table (zero outside).
 
@@ -149,7 +143,6 @@ def trig_poly_sequence(p: TrigPolynomial) -> ModulatingSequence:
     label = "trig_poly(" + ",".join(f"{c:.3g}@{th:.4f}" for c, th in zip(coeffs, angles)) + ")"
     return ModulatingSequence(
         label=label, fn=fn, bound=p.coefficient_bound, symmetric=all_real,
-        real_valued=bool(all_real and np.allclose(coeffs.imag, 0.0)),
     )
 
 
@@ -199,8 +192,7 @@ def named_sequence(name: str, value: complex = 1.0, convention: str = "symmetric
     if name == "hardy_littlewood":
         return ModulatingSequence("hardy_littlewood", _hardy_littlewood, bound=1.0)
     if name == "sparse_dyadic":
-        return ModulatingSequence("sparse_dyadic", _sparse_dyadic, bound=None, symmetric=True,
-                                  real_valued=True)
+        return ModulatingSequence("sparse_dyadic", _sparse_dyadic, bound=None, symmetric=True)
     if name == "cycle_indicator":
         if convention not in ("symmetric", "signed"):
             raise ValueError(f"unknown cycle_indicator convention {convention!r}")
@@ -208,14 +200,14 @@ def named_sequence(name: str, value: complex = 1.0, convention: str = "symmetric
         return ModulatingSequence(
             f"cycle_indicator[{convention}]",
             lambda ks, s=signed: _cycle_indicator(ks, s),
-            bound=1.0, symmetric=not signed, real_valued=True,
+            bound=1.0, symmetric=not signed,
         )
     if name == "constant":
         c = complex(value)
         return ModulatingSequence(
             f"constant({c:.6g})",
             lambda ks: np.full(ks.shape, c, dtype=complex),
-            bound=abs(c), symmetric=True, real_valued=abs(c.imag) == 0.0,
+            bound=abs(c), symmetric=True,
         )
     raise ValueError(f"unknown named sequence {name!r}")
 
@@ -232,8 +224,7 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
     if op == "symmetrize":
         def fn(ks: np.ndarray) -> np.ndarray:
             return a.values(np.abs(ks).astype(np.int64))
-        return ModulatingSequence(f"symmetrize({a.label})", fn, bound=a.bound,
-                                  symmetric=True, real_valued=a.real_valued)
+        return ModulatingSequence(f"symmetrize({a.label})", fn, bound=a.bound, symmetric=True)
 
     if op == "truncate":
         if r is None or r < 0:
@@ -243,8 +234,7 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
             out[np.abs(ks) > r] = 0.0
             return out
         return ModulatingSequence(f"truncate({a.label},{r})", fn, bound=a.bound,
-                                  symmetric=a.symmetric, one_sided=a.one_sided,
-                                  real_valued=a.real_valued)
+                                  symmetric=a.symmetric, one_sided=a.one_sided)
 
     if op == "scale":
         if c is None:
@@ -254,8 +244,7 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
             return cc * a.values(ks)
         return ModulatingSequence(f"scale({a.label},{cc:.6g})", fn,
                                   bound=None if a.bound is None else abs(cc) * a.bound,
-                                  symmetric=a.symmetric, one_sided=a.one_sided,
-                                  real_valued=a.real_valued and cc.imag == 0.0)
+                                  symmetric=a.symmetric, one_sided=a.one_sided)
 
     if op == "product":
         if b is None:
@@ -265,8 +254,7 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
         bound = None if (a.bound is None or b.bound is None) else a.bound * b.bound
         return ModulatingSequence(f"product({a.label},{b.label})", fn, bound=bound,
                                   symmetric=a.symmetric and b.symmetric,
-                                  one_sided=a.one_sided or b.one_sided,
-                                  real_valued=a.real_valued and b.real_valued)
+                                  one_sided=a.one_sided or b.one_sided)
 
     if op == "modulate":
         if lam is None:
@@ -284,18 +272,16 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
         else:
             def fn(ks: np.ndarray) -> np.ndarray:
                 return a.values(ks) * np.exp(2j * np.pi * frac1(ks * theta))
-        lam_exact_real = lam in (1.0, -1.0)
         return ModulatingSequence(f"modulate({a.label},{theta:.6f})", fn, bound=a.bound,
-                                  symmetric=a.symmetric and lam_exact_real,
-                                  one_sided=a.one_sided,
-                                  real_valued=a.real_valued and lam_exact_real)
+                                  symmetric=a.symmetric and lam in (1.0, -1.0),
+                                  one_sided=a.one_sided)
 
     raise ValueError(f"unknown sequence op {op!r}")
 
 
 def sequence_to_csv(a: ModulatingSequence, n: int, path) -> None:
     """Dump a_k for |k| <= n as CSV with columns k, re, im."""
-    vals = eval_range(a, n)
+    vals = a.range_values(n)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "re", "im"])

@@ -188,14 +188,14 @@ def gamma_and_spectrum(a: ModulatingSequence, grid_order: int, n: int,
 
 
 def resonance_report(a: ModulatingSequence, sys: DynamicalSystem, *,
-                     n: int = 1 << 14, grid_order: int | None = None,
-                     threshold: float = 0.1, m_bound: int = 32) -> dict:
+                     n: int = 1 << 14, m_bound: int = 32) -> dict:
     """Collisions between the detected spectrum atoms of `a` at truncation n
     and the system's point spectrum: `match_resonances` applied to a fresh
-    `gamma_and_spectrum` (computed for rotations only; see there)."""
+    `gamma_and_spectrum` on the 4n grid at threshold 0.1 (computed for
+    rotations only; see there)."""
     est = None
     if isinstance(sys, Rotation):
-        est = gamma_and_spectrum(a, grid_order or (4 * n), n, threshold)
+        est = gamma_and_spectrum(a, 4 * n, n, 0.1)
     return match_resonances(est, sys, m_bound=m_bound)
 
 

@@ -34,7 +34,7 @@ from .dynamics import (
 )
 from .errors import InvariantError
 from .numerics import checkpoint_sums, fit_line, frac1
-from .sequences import ModulatingSequence, eval_range, named_sequence, transform_sequence
+from .sequences import ModulatingSequence, named_sequence, transform_sequence
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class _PairWeights:
 
     @classmethod
     def of(cls, a: ModulatingSequence, N: int) -> "_PairWeights":
-        avals = eval_range(a, N)
+        avals = a.range_values(N)
         return cls(avals[N + 1 :], avals[N - 1 :: -1], np.arange(1, N + 1, dtype=complex))
 
     def numerators(self, vpos: np.ndarray, vneg: np.ndarray, out: np.ndarray | None = None,
@@ -273,10 +273,8 @@ def _growth_fit(checkpoints: np.ndarray, H: np.ndarray) -> GrowthFit | None:
         return None
     n = checkpoints[usable].astype(float)
     y = np.abs(H[usable])
-    start = n.size // 3  # drop the head transient
+    start = n.size // 3  # drop the head transient; at least 3 of the >= 4 points remain
     n, y = n[start:], y[start:]
-    if n.size < 3:
-        return None
     fits = []
     for model, x in (("log n", np.log(n)), ("log log n", np.log(np.log(n)))):
         f = fit_line(x, y)
@@ -302,7 +300,7 @@ def cesaro_average_trace(a: ModulatingSequence, orbit: np.ndarray,
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
     if checkpoints[-1] > N + 1:
         raise ValueError("orbit too short for the requested averages")
-    avals = eval_range(a, N)
+    avals = a.range_values(N)
     terms = avals[N:] * orbit[N:]
     sums = checkpoint_sums(terms, checkpoints)
     return sums / checkpoints
@@ -361,7 +359,7 @@ def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, lam_grid: Sequ
         if symmetric:
             a = transform_sequence(a, "symmetrize")
         trace = eht_trace(a, orbit, checkpoints)
-        out.append({"lambda": lam, "theta_turns": theta, "trace": trace,
+        out.append({"theta_turns": theta, "trace": trace,
                     "verdict": make_convergence_verdict(checkpoints, trace.H_values)})
     return out
 
@@ -439,7 +437,7 @@ def _torus_l2(a: ModulatingSequence, f: Observable, j_schedule) -> dict:
     if codes.size != used.shape[0]:
         raise ValueError(f"lattice order {L} too small: shifted frequencies collide mod L")
 
-    avals = eval_range(a, jmax)
+    avals = a.range_values(jmax)
     signed = np.concatenate([-avals[:jmax], avals[jmax + 1 :]])  # index order -jmax..-1, 1..jmax
     idx_i = np.concatenate([np.arange(-jmax, 0), np.arange(1, jmax + 1)])
     order = np.argsort(np.abs(idx_i), kind="stable")  # add terms in increasing |i|

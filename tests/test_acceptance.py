@@ -42,7 +42,7 @@ from ehtlab.processes import (
     truncated_approximant,
 )
 from ehtlab.rates import exp_sum_sup, parseval_holder_check
-from ehtlab.sequences import eval_range, from_values, named_sequence
+from ehtlab.sequences import from_values, named_sequence
 from ehtlab.transform import (
     abel_identity_residual,
     default_checkpoints,
@@ -142,7 +142,7 @@ def test_criterion_3_counterexample_growth_law():
     f = cycle_step_observable()
     seq = named_sequence("cycle_indicator")  # symmetric convention
     n_hi = 10**6
-    orbit = orbit_values(cyc, f, CyclePoint(0, 0.1), 3 * n_hi + 1)
+    orbit = orbit_values(cyc, f, CyclePoint(0), 3 * n_hi + 1)
     ns = np.arange(10, n_hi + 1)
     trace = eht_trace(seq, orbit, 3 * ns + 1)
     H = trace.H_values.real
@@ -265,7 +265,7 @@ def test_criterion_8_spectral_identity():
         a = from_values(vals, one_sided=True, label=f"one_sided_m{m}")
         f = rotation_character(m)
         res = l2_diff_vs_spectral(a, rot, f, j_schedule, sample_count=128, seed=5)
-        avals = eval_range(a, jmax)
+        avals = a.range_values(jmax)
         phi_m = complex(np.exp(2j * np.pi * ((m * rot.theta) % 1.0)))
         for row in res["rows"]:
             ks = np.arange(-row["j"], row["j"] + 1)
@@ -285,7 +285,7 @@ def test_criterion_8_spectral_identity():
     for a in (named_sequence("cycle_indicator"), from_values(table, label="hermitian_random")):
         res = l2_diff_vs_spectral(a, tor, f, j_schedule, seed=0)
         assert res["exact"]
-        avals = eval_range(a, jmax)
+        avals = a.range_values(jmax)
         for row in res["rows"]:
             j = row["j"]
             sq = np.abs(avals) ** 2

@@ -84,10 +84,16 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "'r'" in err and err.count("\n") == 1
-    # wrong nested types, non-finite sizes and undecodable files are config errors too
+    # wrong nested types, unknown nested keys, non-finite sizes and undecodable
+    # files are config errors too
     prop27_eval = {"h": "inverse-linear", "K": 10, "evaluate": 3}
     trig_short = {"sequence": {"name": "trig_poly", "terms": [[1]]}, "n": 64}
+    typo_seq = {"sequence": {"name": "hardy_littlewood", "valu": 3}}
+    typo_obs = {"observable": {"kind": "rotation_character", "n": 2}}
     for raw in ({"kind": "transform", "seed": 1, "params": {"maximal": 5}},
+                {"kind": "rates", "params": typo_seq},
+                {"kind": "rates", "params": {"class": "bogus"}},
+                {"kind": "transform", "seed": 1, "params": typo_obs},
                 {"kind": "transform", "seed": 1, "params": {"observable": "x"}},
                 {"kind": "prop27", "params": prop27_eval},
                 {"kind": "spectral", "params": trig_short},

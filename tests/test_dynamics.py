@@ -86,7 +86,7 @@ def test_three_cycle_orbit_pattern():
     # value at shift k is (0, 1, -1) according to k mod 3
     cyc = make_system("three_cycle")
     f = cycle_step_observable()
-    vals = [v.real for v in orbit_values(cyc, f, CyclePoint(0, 0.1), 4)]
+    vals = [v.real for v in orbit_values(cyc, f, CyclePoint(0), 4)]
     assert vals == [-1, 0, 1, -1, 0, 1, -1, 0, 1]
     assert f.norm("l2") == pytest.approx(math.sqrt(2.0 / 3.0))
 
@@ -216,7 +216,7 @@ def test_lattice_correlation_is_exact():
 
 def test_three_cycle_orbits_repeat_one_period_bitwise():
     cyc = make_system("three_cycle")
-    pts = [CyclePoint(c, 0.1, s) for c in range(3) for s in (0, 1, 2, -5)]
+    pts = [CyclePoint(c, s) for c in range(3) for s in (0, 1, 2, -5)]
     for f in (cycle_step_observable(), cycle_indicator_observable(),
               constant_observable("three_cycle", 0.5 - 2j)):
         for p in pts:
@@ -280,7 +280,7 @@ def test_orbit_rows_match_orbit_values_bitwise(system, observable):
         pts[3] = RotationPoint(pts[3].t0, shift=17)  # off the shared table
         pts.append(RotationPoint(0.1, shift=-5))
     elif system == "three_cycle":
-        pts.append(CyclePoint(2, 0.2, shift=-4))
+        pts.append(CyclePoint(2, shift=-4))
     else:
         pts.append(LatticeTorusPoint(3, 7, 64))
     N = 6 if system == "torus_automorphism" else 700  # float torus orbits decay fast

@@ -206,7 +206,7 @@ def test_hand_built_violations_detected():
     with mp.workprec(80):
         # gap rule broken: n_1 - n_0 = 2 < 3
         bad_gap = EnvelopeSpec(
-            M=1.0, lam=2.0,
+            M=1.0,
             breakpoints=(mp.mpf(0), mp.mpf(2), mp.mpf(7), mp.mpf(17)),
             values=(1.0, 0.5, 0.25, 0.125),
             slopes=(mp.mpf(-0.25), mp.mpf(-0.05), mp.mpf(-0.0125)),
@@ -215,7 +215,7 @@ def test_hand_built_violations_detected():
 
         # doubled slope s_{k+1} = 2 s_k breaks the wedge
         bad_wedge = EnvelopeSpec(
-            M=1.0, lam=2.0,
+            M=1.0,
             breakpoints=(mp.mpf(0), mp.mpf(4), mp.mpf(11), mp.mpf(25)),
             values=(1.0, 0.5, 0.25, 0.125),
             slopes=(mp.mpf(-0.01), mp.mpf(-0.02), mp.mpf(-0.005)),
@@ -224,7 +224,7 @@ def test_hand_built_violations_detected():
 
         # uniform slopes pass the wedge (0 sits strictly between s and -s)
         uniform = EnvelopeSpec(
-            M=1.0, lam=2.0,
+            M=1.0,
             breakpoints=(mp.mpf(0), mp.mpf(4), mp.mpf(11), mp.mpf(25)),
             values=(1.0, 0.5, 0.25, 0.125),
             slopes=(mp.mpf(-1.0), mp.mpf(-1.0), mp.mpf(-1.0)),
@@ -232,7 +232,7 @@ def test_hand_built_violations_detected():
         assert verify_envelope_conditions(uniform)["vi_slope_wedge"]
 
         with pytest.raises(ValueError):
-            EnvelopeSpec(M=1.0, lam=2.0, breakpoints=(mp.mpf(0), mp.mpf(5), mp.mpf(4)),
+            EnvelopeSpec(M=1.0, breakpoints=(mp.mpf(0), mp.mpf(5), mp.mpf(4)),
                          values=(1.0, 0.5, 0.25), slopes=(mp.mpf(-0.1), mp.mpf(-0.2)))
 
 

@@ -39,17 +39,17 @@ def shrink_process(rotation):
 def test_build_validation_rejects_bad_schedules(rotation):
     delta = rotation_raised_cosine()
 
-    decreasing = FactorSchedule("decreasing", lambda r: 1.0 / (r + 1.0), lambda r: r / (r + 1.0))
+    decreasing = FactorSchedule(lambda r: 1.0 / (r + 1.0), lambda r: r / (r + 1.0))
     with pytest.raises(InvariantError, match="decreases"):
         build_process(rotation, delta, decreasing)
 
     # monotone, but v_r = 2r/(r+1) delta overtakes delta from r = 2 on
-    too_big = FactorSchedule("too_big", lambda r: 2.0 * r / (r + 1.0),
+    too_big = FactorSchedule(lambda r: 2.0 * r / (r + 1.0),
                              lambda r: (1.0 - r) / (r + 1.0))
     with pytest.raises(InvariantError, match="exceeds delta"):
         build_process(rotation, delta, too_big)
 
-    doubled = FactorSchedule("doubled", lambda r: np.full(np.shape(r), 2.0), lambda r: -1.0)
+    doubled = FactorSchedule(lambda r: np.full(np.shape(r), 2.0), lambda r: -1.0)
     with pytest.raises(InvariantError, match="exceeds delta"):
         build_process(rotation, delta, doubled)
 

@@ -19,7 +19,6 @@ from ehtlab.rates import (
 from ehtlab.sequences import (
     ModulatingSequence,
     TrigPolynomial,
-    eval_range,
     from_values,
     named_sequence,
     transform_sequence,
@@ -78,7 +77,7 @@ def test_exp_sum_matches_brute_force():
     grid = exp_sum_grid(a, n, G)
     zs = np.exp(2j * np.pi * np.arange(G) / G)
     ks = np.arange(-n, n + 1)
-    vals = eval_range(a, n)
+    vals = a.range_values(n)
     brute = np.array([np.sum(vals * z**ks) for z in zs])
     assert np.max(np.abs(grid - brute)) < 1e-12 * np.max(np.abs(brute))
     one_grid = exp_sum_grid(a, n, G, side="one_sided")

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from ehtlab.errors import InvariantError
 from ehtlab.sequences import (
     TrigPolynomial,
-    eval_range,
     from_values,
     named_sequence,
     sequence_to_csv,
@@ -29,7 +28,7 @@ def test_trig_poly_bound_over_range():
     lam = complex(np.exp(2j * np.pi * 0.3))
     a = trig_poly_sequence(TrigPolynomial(((1.0, lam), (2.0, -1.0 + 0j))))
     assert a.eval(0) == pytest.approx(3.0)
-    vals = eval_range(a, 10**4)
+    vals = a.range_values(10**4)
     assert np.max(np.abs(vals)) <= 3.0 + 1e-12
 
 
@@ -44,7 +43,7 @@ def test_hardy_littlewood_values():
     a = named_sequence("hardy_littlewood")
     assert a.eval(1) == pytest.approx(1.0)  # log 1 = 0
     assert a.eval(0) == 1.0
-    assert np.allclose(np.abs(eval_range(a, 2)), 1.0)
+    assert np.allclose(np.abs(a.range_values(2)), 1.0)
 
 
 def test_sparse_dyadic_values():
@@ -53,7 +52,7 @@ def test_sparse_dyadic_values():
     assert a.eval(-8) == 3
     assert a.eval(5) == 0
     assert a.eval(1) == 0  # exponents start at j = 1
-    assert [v.real for v in eval_range(a, 4)] == [2, 0, 1, 0, 0, 0, 1, 0, 2]
+    assert [v.real for v in a.range_values(4)] == [2, 0, 1, 0, 0, 0, 1, 0, 2]
 
 
 def test_cycle_indicator_conventions():
@@ -74,13 +73,13 @@ def test_cycle_indicator_conventions():
 
 def test_eval_range_plumbing():
     one = named_sequence("constant", value=1.0)
-    assert list(eval_range(one, 1)) == [1, 1, 1]
+    assert list(one.range_values(1)) == [1, 1, 1]
     # memoized: repeated calls return identical arrays, larger cache is sliced
     a = named_sequence("hardy_littlewood")
-    big = eval_range(a, 50)
-    small = eval_range(a, 7)
+    big = a.range_values(50)
+    small = a.range_values(7)
     assert np.array_equal(small, big[50 - 7 : 50 + 8])
-    assert np.array_equal(eval_range(a, 50), big)
+    assert np.array_equal(a.range_values(50), big)
 
 
 def test_truncate_and_compose():
@@ -89,7 +88,7 @@ def test_truncate_and_compose():
     # truncate(r) then eval_range(n <= r) sees the original values
     base = named_sequence("hardy_littlewood")
     tr = transform_sequence(base, "truncate", r=64)
-    assert np.array_equal(eval_range(tr, 32), eval_range(base, 32))
+    assert np.array_equal(tr.range_values(32), base.range_values(32))
 
 
 def test_symmetrize_and_scale():
@@ -115,7 +114,7 @@ def test_modulate_preserves_modulus():
     base = named_sequence("hardy_littlewood")
     mod = transform_sequence(base, "modulate", lam=lam)
     n = 2048
-    assert np.allclose(np.abs(eval_range(mod, n)), np.abs(eval_range(base, n)),
+    assert np.allclose(np.abs(mod.range_values(n)), np.abs(base.range_values(n)),
                        rtol=1e-13, atol=0)
 
 
@@ -131,14 +130,14 @@ def test_bound_invariant_enforced():
     bad = from_values([1.0, 1.0, 1.0], label="liar")
     object.__setattr__(bad, "bound", 0.5)
     with pytest.raises(InvariantError):
-        eval_range(bad, 1)
+        bad.range_values(1)
 
 
 def test_symmetric_flag_enforced():
     vals = np.array([1.0, 0.0, 2.0])  # a_{-1} != a_1
     bad = from_values(vals, label="asym", symmetric=True)
     with pytest.raises(InvariantError):
-        eval_range(bad, 1)
+        bad.range_values(1)
 
 
 @settings(derandomize=True, max_examples=40)
@@ -146,8 +145,8 @@ def test_symmetric_flag_enforced():
 def test_truncate_is_compositional(r, n):
     base = named_sequence("hardy_littlewood")
     tr = transform_sequence(base, "truncate", r=r)
-    vals = eval_range(tr, n)
-    expect = eval_range(base, n).copy()
+    vals = tr.range_values(n)
+    expect = base.range_values(n).copy()
     ks = np.arange(-n, n + 1)
     expect[np.abs(ks) > r] = 0
     assert np.array_equal(vals, expect)
@@ -160,7 +159,7 @@ def test_symmetrize_idempotent(n):
     a = from_values(rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1))
     s1 = transform_sequence(a, "symmetrize")
     s2 = transform_sequence(s1, "symmetrize")
-    assert np.array_equal(eval_range(s1, n), eval_range(s2, n))
+    assert np.array_equal(s1.range_values(n), s2.range_values(n))
 
 
 def test_csv_round_trip(tmp_path):
@@ -178,5 +177,5 @@ def test_corpus_bounds_hold_at_ten_thousand(sequence_corpus):
     for a in sequence_corpus:
         if a.bound is None:
             continue
-        vals = eval_range(a, 10**4)  # flag checks run inside
+        vals = a.range_values(10**4)  # flag checks run inside
         assert np.max(np.abs(vals)) <= a.bound * (1 + 1e-9)

@@ -16,7 +16,6 @@ from ehtlab.dynamics import (
     torus_character,
 )
 from ehtlab.sequences import (
-    eval_range,
     from_values,
     named_sequence,
     transform_sequence,
@@ -129,11 +128,38 @@ def test_three_cycle_closed_form():
     seq = named_sequence("cycle_indicator")
     n = 400
     N = 3 * n + 1
-    orbit = orbit_values(cyc, f, CyclePoint(0, 0.1), N)
+    orbit = orbit_values(cyc, f, CyclePoint(0), N)
     tr = eht_trace(seq, orbit, [N])
     expected = 2.0 * sum(1.0 / (3 * m + 1) for m in range(n + 1))
     assert tr.H_values[0].real == pytest.approx(expected, abs=1e-12)
     assert tr.H_values[0].imag == 0.0
+
+
+@pytest.mark.parametrize("convention", ["symmetric", "signed"])
+def test_counterexample_digamma_closed_form(convention):
+    # only k = 1 mod 3 carries weight: a_k = 1 and a_{-k} = s (+1 symmetric,
+    # -1 signed), so on cell c every term is d / k with
+    # d = step[(1+c)%3] - s * step[(2+c)%3] and, with M = (n-1)//3,
+    # H_n = d * sum_{m<=M} 1/(3m+1) = (d/3) (psi(M + 4/3) - psi(1/3))
+    from mpmath import mp
+
+    cyc = make_system("three_cycle")
+    f = cycle_step_observable()
+    seq = named_sequence("cycle_indicator", convention=convention)
+    s = 1 if convention == "symmetric" else -1
+    step = cyc.STEP_VALUES
+    cps = default_checkpoints(2 * 10**5, n_min=4)
+    for cell in range(3):
+        d = step[(1 + cell) % 3] - s * step[(2 + cell) % 3]
+        tr = eht_trace(seq, orbit_values(cyc, f, CyclePoint(cell), cps[-1]), cps)
+        assert np.all(tr.H_values.imag == 0)
+        if d == 0:
+            assert np.all(tr.H_values == 0), (convention, cell)
+            continue
+        with mp.workdps(30):
+            expect = [float(d / mp.mpf(3) * (mp.digamma((n - 1) // 3 + mp.mpf(4) / 3)
+                                             - mp.digamma(mp.mpf(1) / 3))) for n in cps]
+        np.testing.assert_allclose(tr.H_values.real, expect, rtol=1e-12, atol=0)
 
 
 def test_rotation_symmetric_modulation_closed_form():
@@ -163,7 +189,7 @@ def test_incremental_matches_batch():
     orbit = rng.uniform(-1, 1, 2 * n + 1) + 1j * rng.uniform(-1, 1, 2 * n + 1)
     cps = default_checkpoints(n, n_min=16)
     tr = eht_trace(a, orbit, cps)
-    avals = eval_range(a, n)
+    avals = a.range_values(n)
     for i, c in enumerate(cps):
         ks = np.arange(1, c + 1)
         batch = np.sum((avals[n + ks] * orbit[n + ks] - avals[n - ks] * orbit[n - ks]) / ks)
@@ -198,6 +224,20 @@ def test_convergence_verdict_shapes():
     # bounded but non-shrinking oscillation stays inconclusive
     wobble = make_convergence_verdict(cps, np.cos(np.arange(len(cps))) + 0j)
     assert wobble.verdict == "inconclusive"
+
+
+def test_convergence_verdict_three_windows():
+    # 16..128 holds exactly three dyadic windows, which the verdict grades on
+    # the last window against the two before it
+    cps = default_checkpoints(128, n_min=16)
+    n = np.asarray(cps, float)
+    alternating = 1.0 + 0.3 * (-1.0) ** np.arange(len(cps))
+    for H, expect in ((1.0 + 1.0 / n, "cauchy_trend"),
+                      (alternating, "inconclusive"),
+                      (np.log(n), "diverging")):
+        v = make_convergence_verdict(cps, H + 0j)
+        assert len(v.oscillations) == 3
+        assert v.verdict == expect
 
 
 def test_wiener_wintner_sweep_verdicts():
@@ -275,7 +315,7 @@ def _reference_sups(a, sys_, f, pts, N):
     sups = []
     for p in pts:
         orbit = orbit_values(sys_, f, p, N)
-        avals = eval_range(a, N)
+        avals = a.range_values(N)
         d = avals[N + 1 :] * orbit[N + 1 :] - avals[N - 1 :: -1] * orbit[N - 1 :: -1]
         sups.append(float(np.max(np.abs(np.cumsum(d / np.arange(1, N + 1, dtype=float))))))
     return np.array(sups)
@@ -337,7 +377,7 @@ def test_l2_rotation_one_sided_matches_plain_sum():
     a = from_values(vals, label="one_sided_random", one_sided=True)
     res = l2_diff_vs_spectral(a, rot, f, [16, 64, 256], sample_count=32, seed=1)
     phi_m = complex(np.exp(2j * np.pi * ((2 * rot.theta) % 1.0)))
-    avals = eval_range(a, n)
+    avals = a.range_values(n)
     for row in res["rows"]:
         j = row["j"]
         ks = np.arange(1, j + 1)
