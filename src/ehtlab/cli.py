@@ -14,8 +14,9 @@ import cmath
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,10 +58,6 @@ from .transform import (
     wiener_wintner_sweep,
 )
 
-KINDS = ("rates", "transform", "counterexample", "prop27", "spectral", "process", "sweep")
-_NEEDS_SEED = {"transform", "process"}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -79,17 +76,6 @@ class ExperimentConfig:
 
 _TOP_KEYS = {"kind", "seed", "out_dir", "params"}
 
-_PARAM_KEYS = {
-    "rates": {"sequence", "class", "alpha", "beta", "schedule", "grid_order"},
-    "transform": {"sequence", "system", "observable", "checkpoints", "with_abel", "maximal"},
-    "counterexample": {"N", "convention"},
-    "prop27": {"h", "K", "M", "evaluate", "modulator_N", "l1_profile"},
-    "spectral": {"sequence", "n", "grid_order", "threshold", "resonance_system"},
-    "process": {"system", "sequence", "r_schedule", "checkpoints", "validation_count",
-                "seminorm_alpha", "seminorm_schedule", "truncation_radii"},
-    "sweep": {"system", "m", "lambdas_turns", "n_max", "symmetric"},
-}
-
 
 def parse_config(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _TOP_KEYS
@@ -101,11 +87,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    bad = set(params) - _PARAM_KEYS[kind]
+    bad = set(params) - _KINDS[kind].params
     if bad:
         raise ConfigError(f"unknown params for {kind}: {sorted(bad)}")
     seed = raw.get("seed")
-    if seed is None and kind in _NEEDS_SEED:
+    if seed is None and _KINDS[kind].needs_seed:
         raise ConfigError(f"experiment kind {kind!r} samples points and requires a seed")
     if seed is not None and not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
@@ -238,7 +224,7 @@ def _run_rates(cfg: ExperimentConfig, out: Path) -> dict:
         fh.write("n,ratio\n")
         for n, r in zip(report.schedule, report.ratios):
             fh.write(f"{n},{r!r}\n")
-    return {"rate_report": report.to_dict(), "parseval_check_at_min_n": parseval}
+    return {"rate_report": asdict(report), "parseval_check_at_min_n": parseval}
 
 
 def _run_transform(cfg: ExperimentConfig, out: Path) -> dict:
@@ -252,7 +238,7 @@ def _run_transform(cfg: ExperimentConfig, out: Path) -> dict:
     trace.to_csv(out / "trace.csv")
     verdict = make_convergence_verdict(checkpoints, trace.H_values)
     averages = cesaro_average_trace(seq, orbit, checkpoints)
-    result = {"verdict": verdict.to_dict(), "checkpoints": list(checkpoints),
+    result = {"verdict": asdict(verdict), "checkpoints": list(checkpoints),
               "H_final": complex(trace.H_values[-1]),
               "cesaro_average_final_abs": float(abs(averages[-1]))}
     if "maximal" in p:
@@ -281,7 +267,7 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
             verdict = make_convergence_verdict(checkpoints, trace.H_values)
             per_cell[f"cell_{cell}"] = {
                 "H_final": complex(trace.H_values[-1]),
-                "verdict": verdict.to_dict(),
+                "verdict": asdict(verdict),
             }
             if cell == 0:
                 trace.to_csv(out / f"trace_{conv}.csv")
@@ -334,10 +320,7 @@ def _run_prop27(cfg: ExperimentConfig, out: Path) -> dict:
         usable = sum(1 for b in env.practical_breakpoints(1 << 16) if b >= 1) - 1
         result["l1_profile"] = kernel_series_l1_profile(env, max_terms=max(1, usable))
     if "modulator_N" in p:
-        result["divergent_modulator"] = {
-            k: v for k, v in divergent_modulator_demo(int(float(p["modulator_N"]))).items()
-            if k != "envelope"
-        }
+        result["divergent_modulator"] = divergent_modulator_demo(int(float(p["modulator_N"])))
     return result
 
 
@@ -369,14 +352,14 @@ def _run_process(cfg: ExperimentConfig, out: Path) -> dict:
         "r_schedule": r_schedule,
         "deviations": [{"r": row["r"], "max_deviation": row["max_deviation"],
                         "bound": row["deviation_bound"]} for row in res["approximants"]],
-        "verdict": res["verdict"].to_dict(),
+        "verdict": asdict(res["verdict"]),
     }
     alpha = float(p.get("seminorm_alpha", 1.5))
     schedule = tuple(int(n) for n in p.get("seminorm_schedule", [2**j for j in range(8, 14)]))
     radii = p.get("truncation_radii")
     sh = seminorm_and_hilbert(seq, alpha, schedule,
                               None if radii is None else [int(r) for r in radii])
-    payload["seminorm"] = sh["seminorm"].to_dict()
+    payload["seminorm"] = asdict(sh["seminorm"])
     payload["hilbert_verdict"] = sh["verdict"].verdict
     if "truncation_experiment" in sh:
         payload["truncation_experiment"] = sh["truncation_experiment"]
@@ -405,21 +388,96 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
         row["trace"].to_csv(out / f"sweep_lambda_{i}.csv")
         payload.append({
             "theta_turns": row["theta_turns"],
-            "verdict": row["verdict"].to_dict(),
+            "verdict": asdict(row["verdict"]),
             "H_final_abs": float(abs(row["trace"].H_values[-1])),
         })
     return {"n_max": n_max, "per_lambda": payload}
 
 
-_RUNNERS = {
-    "rates": _run_rates,
-    "transform": _run_transform,
-    "counterexample": _run_counterexample,
-    "prop27": _run_prop27,
-    "spectral": _run_spectral,
-    "process": _run_process,
-    "sweep": _run_sweep,
+class _Kind(NamedTuple):
+    """One experiment kind: its runner, the params keys it accepts and its
+    `describe` text (a field, not the runner's docstring, which -OO strips)."""
+    run: Callable[[ExperimentConfig, Path], dict]
+    params: set[str]
+    text: str
+    needs_seed: bool = False  # the kind samples points
+
+
+_KINDS = {
+    "rates": _Kind(
+        _run_rates, {"sequence", "class", "alpha", "beta", "schedule", "grid_order"},
+        """rates: growth-rate membership tests for a modulating sequence.
+Classes: star (prefix |a_k| sums vs n^beta), m_alpha (prefix sums vs
+n^(alpha-1)/log^alpha n), a_alpha (grid sup of two-sided exponential sums,
+log-weighted), a_alpha_plain (same without the log factor), one_sided_sup
+(one-sided sums vs n^(1-beta)), two_sided_raw.
+Params: sequence, class, alpha, beta, schedule, grid_order.
+Output: report.json (schedule, ratios, sup_estimate, fitted_exponent,
+residual, verdict, grid_order) and ratios.csv."""),
+    "transform": _Kind(
+        _run_transform,
+        {"sequence", "system", "observable", "checkpoints", "with_abel", "maximal"},
+        """transform: checkpointed weighted orbit sums sum' a_k f(T^k x)/k with the
+summation-by-parts split and a dyadic-window convergence verdict; optional
+maximal-function tail profile over a lambda grid (requires seed).
+Params: sequence, system, observable, checkpoints, with_abel, maximal.
+Orbits start at the system's default point.
+Output: trace.csv (n, re_H, im_H, abel_main, abel_tail), report.json.""", needs_seed=True),
+    "counterexample": _Kind(
+        _run_counterexample, {"N", "convention"},
+        """counterexample: the 3-cycle visit-indicator sequence on the three-cell
+system. Two negative-index conventions ship: 'symmetric' (a_{-n} = a_n),
+which makes the sums on the first cell grow like (2/3) log n, and 'signed'
+(a_{-n} = -1 wherever a_n = 1), whose displayed sums on the first cell
+cancel to zero; convention 'both' runs the pair. Traces are reported for a
+point of each cell.
+Params: N, convention.
+Output: trace_<convention>.csv, report.json with per-cell verdicts."""),
+    "prop27": _Kind(
+        _run_prop27, {"h", "K", "M", "evaluate", "modulator_N", "l1_profile"},
+        """prop27: piecewise-linear envelope above a vanishing minorant h with
+doubling integer breakpoints. Verifies conditions (i) stays above h,
+(ii) strictly decreasing, (iii) starts at M and heads to zero,
+(iv) integer breakpoints with gaps >= 3, (v) doubling rule
+n_{k+1} <= 2(n_{k+1}-n_k), (vi) slope wedge s_k < s_{k+1}-s_k < -s_k;
+reports the weighted second-difference partial sums with a geometric tail,
+the positive-kernel integral check (= pi), and optionally the two-route
+evaluation of the limit function g, the L1 profile of the partial kernel
+series against its uniform bound, and the divergent-modulator demo.
+Params: h (inverse-log | inverse-log2 | inverse-linear), K, M, evaluate,
+modulator_N, l1_profile.
+Output: report.json, g_eval.csv (x, g, tail_bound, s_n_direct)."""),
+    "spectral": _Kind(
+        _run_spectral, {"sequence", "n", "grid_order", "threshold", "resonance_system"},
+        """spectral: correlation table, Fourier-Bohr means on a roots-of-unity grid,
+threshold-plus-refinement atom detection, and optionally collisions of the
+detected atoms with a rotation's eigenvalue powers (which predict divergence
+of the symmetric modulation at the colliding atom).
+Params: sequence, n, grid_order, threshold, resonance_system.
+Output: report.json (n, gamma[{k,re,im}], atoms[{theta, gamma, mass}])."""),
+    "process": _Kind(
+        _run_process,
+        {"system", "sequence", "r_schedule", "checkpoints", "validation_count",
+         "seminorm_alpha", "seminorm_schedule", "truncation_radii"},
+        """process: monotone admissible family f_i = v_{|i|} o T^i from the shrink
+schedule v_r = (1-1/(r+1)) delta, with weighted process sums, truncated
+additive approximants at the given r schedule, deviation bounds, the
+log-weighted seminorm of the modulating sequence, and the truncation
+experiment (requires seed for validation sampling).
+Params: system, sequence, r_schedule, checkpoints, validation_count,
+seminorm_alpha, seminorm_schedule, truncation_radii.
+Output: process_trace.csv, report.json (r_schedule, deviations, seminorm,
+verdict).""", needs_seed=True),
+    "sweep": _Kind(
+        _run_sweep, {"system", "m", "lambdas_turns", "n_max", "symmetric"},
+        """sweep: unit-circle modulation sweep on a rotation; 'resonant' in
+lambdas_turns selects the conjugate of the rotation factor, where the
+symmetric modulation grows like log n; off-resonance entries settle into a
+Cauchy trend.
+Params: system, m, lambdas_turns, n_max, symmetric.
+Output: sweep_lambda_<i>.csv per lambda, report.json."""),
 }
+KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
@@ -432,93 +490,28 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    report = {"version": __version__, "kind": cfg.kind, "config": cfg.identity_dict(),
+              "config_sha256": config_hash(cfg)}
+    code = 0
     try:
-        results = _RUNNERS[cfg.kind](cfg, out)
+        report["results"] = _KINDS[cfg.kind].run(cfg, out)
     except (BudgetExceededError, HorizonExceededError) as exc:
-        report = {"version": __version__, "kind": cfg.kind, "config": cfg.identity_dict(),
-                  "config_sha256": config_hash(cfg), "error": str(exc)}
-        (out / "report.json").write_text(canonical_json(report) + "\n")
-        return 3, report
+        report["error"] = str(exc)
+        code = 3
     except InvariantError:
         raise
     except KeyError as exc:
         raise ConfigError(f"missing field {exc.args[0]!r} in the {cfg.kind} params") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    report = {
-        "version": __version__,
-        "kind": cfg.kind,
-        "config": cfg.identity_dict(),
-        "config_sha256": config_hash(cfg),
-        "results": results,
-    }
     (out / "report.json").write_text(canonical_json(report) + "\n")
-    return 0, report
-
-
-_DESCRIPTIONS = {
-    "rates": """rates: growth-rate membership tests for a modulating sequence.
-Classes: star (prefix |a_k| sums vs n^beta), m_alpha (prefix sums vs
-n^(alpha-1)/log^alpha n), a_alpha (grid sup of two-sided exponential sums,
-log-weighted), a_alpha_plain (same without the log factor), one_sided_sup
-(one-sided sums vs n^(1-beta)), two_sided_raw.
-Params: sequence, class, alpha, beta, schedule, grid_order.
-Output: report.json (schedule, ratios, sup_estimate, fitted_exponent,
-residual, verdict, grid_order) and ratios.csv.""",
-    "transform": """transform: checkpointed weighted orbit sums sum' a_k f(T^k x)/k with the
-summation-by-parts split and a dyadic-window convergence verdict; optional
-maximal-function tail profile over a lambda grid (requires seed).
-Params: sequence, system, observable, checkpoints, with_abel, maximal.
-Orbits start at the system's default point.
-Output: trace.csv (n, re_H, im_H, abel_main, abel_tail), report.json.""",
-    "counterexample": """counterexample: the 3-cycle visit-indicator sequence on the three-cell
-system. Two negative-index conventions ship: 'symmetric' (a_{-n} = a_n),
-which makes the sums on the first cell grow like (2/3) log n, and 'signed'
-(a_{-n} = -1 wherever a_n = 1), whose displayed sums on the first cell
-cancel to zero; convention 'both' runs the pair. Traces are reported for a
-point of each cell.
-Params: N, convention.
-Output: trace_<convention>.csv, report.json with per-cell verdicts.""",
-    "prop27": """prop27: piecewise-linear envelope above a vanishing minorant h with
-doubling integer breakpoints. Verifies conditions (i) stays above h,
-(ii) strictly decreasing, (iii) starts at M and heads to zero,
-(iv) integer breakpoints with gaps >= 3, (v) doubling rule
-n_{k+1} <= 2(n_{k+1}-n_k), (vi) slope wedge s_k < s_{k+1}-s_k < -s_k;
-reports the weighted second-difference partial sums with a geometric tail,
-the positive-kernel integral check (= pi), and optionally the two-route
-evaluation of the limit function g, the L1 profile of the partial kernel
-series against its uniform bound, and the divergent-modulator demo.
-Params: h (inverse-log | inverse-log2 | inverse-linear), K, M, evaluate,
-modulator_N, l1_profile.
-Output: report.json, g_eval.csv (x, g, tail_bound, s_n_direct).""",
-    "spectral": """spectral: correlation table, Fourier-Bohr means on a roots-of-unity grid,
-threshold-plus-refinement atom detection, and optionally collisions of the
-detected atoms with a rotation's eigenvalue powers (which predict divergence
-of the symmetric modulation at the colliding atom).
-Params: sequence, n, grid_order, threshold, resonance_system.
-Output: report.json (n, gamma[{k,re,im}], atoms[{theta, gamma, mass}]).""",
-    "process": """process: monotone admissible family f_i = v_{|i|} o T^i from the shrink
-schedule v_r = (1-1/(r+1)) delta, with weighted process sums, truncated
-additive approximants at the given r schedule, deviation bounds, the
-log-weighted seminorm of the modulating sequence, and the truncation
-experiment (requires seed for validation sampling).
-Params: system, sequence, r_schedule, checkpoints, validation_count,
-seminorm_alpha, seminorm_schedule, truncation_radii.
-Output: process_trace.csv, report.json (r_schedule, deviations, seminorm,
-verdict).""",
-    "sweep": """sweep: unit-circle modulation sweep on a rotation; 'resonant' in
-lambdas_turns selects the conjugate of the rotation factor, where the
-symmetric modulation grows like log n; off-resonance entries settle into a
-Cauchy trend.
-Params: system, m, lambdas_turns, n_max, symmetric.
-Output: sweep_lambda_<i>.csv per lambda, report.json.""",
-}
+    return code, report
 
 
 def describe(kind: str) -> str:
-    if kind not in _DESCRIPTIONS:
+    if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
-    return _DESCRIPTIONS[kind]
+    return _KINDS[kind].text
 
 
 def _build_parser() -> argparse.ArgumentParser:

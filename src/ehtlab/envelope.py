@@ -103,10 +103,6 @@ def inverse_linear_majorant() -> MajorantH:
     return MajorantH(h, hhat, horizon=None, label="1/(n+1)")
 
 
-def majorant_from_callables(h, hhat, horizon: float, label: str = "custom") -> MajorantH:
-    return MajorantH(h, hhat, horizon=float(horizon), label=label)
-
-
 # ------------------------------------------------------------------- envelope
 
 @dataclass(frozen=True)
@@ -646,5 +642,4 @@ def divergent_modulator_demo(N: int) -> dict:
         "dominates_oracle": bool(dominated),
         "loglog_offset": c_hat,
         "loglog_residual": residual,
-        "envelope": env.to_dict(),
     }

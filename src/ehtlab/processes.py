@@ -205,10 +205,6 @@ class SeminormEstimate:
     values: tuple[float, ...]
     limsup_proxy: float  # max over the final dyadic windows, a proxy only
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "schedule": list(self.schedule),
-                "values": list(self.values), "limsup_proxy": self.limsup_proxy}
-
 
 def _seminorm_values(c: ModulatingSequence, alpha: float, schedule: Sequence[int]) -> SeminormEstimate:
     report = abs_prefix_ratios(c, "m_alpha", RateParams(alpha=alpha, schedule=tuple(schedule)))

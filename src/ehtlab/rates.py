@@ -72,19 +72,6 @@ class RateReport:
     grid_order: tuple[int, ...] | None = None
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "schedule": list(self.schedule),
-            "ratios": list(self.ratios),
-            "sup_estimate": self.sup_estimate,
-            "fitted_exponent": self.fitted_exponent,
-            "residual": self.residual,
-            "verdict": self.verdict,
-            "grid_order": None if self.grid_order is None else list(self.grid_order),
-            "params": self.params,
-        }
-
 
 def _verdict(ratios: np.ndarray) -> str:
     w = max(1, len(ratios) // 3)

@@ -81,7 +81,9 @@ class ModulatingSequence:
             raise ValueError("range radius must be nonnegative")
         cached_n, cached = self._cache.get("range", (-1, None))
         if cached_n < n:
-            arr = self.values(np.arange(-n, n + 1, dtype=np.int64))
+            # overflow surfaces as the non-finite values _check_flags rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                arr = self.values(np.arange(-n, n + 1, dtype=np.int64))
             self._check_flags(arr, n)
             arr.setflags(write=False)
             self._cache["range"] = (n, arr)

@@ -23,6 +23,7 @@ from .numerics import frac1
 from .sequences import ModulatingSequence
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+M_BOUND = 32  # match_resonances tries the eigenvalue powers phi^m with 0 < |m| <= M_BOUND
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class SpectralEstimate:
     gamma_hat: np.ndarray          # correlations for lags -K..K
     lags: np.ndarray
     Gamma_grid: np.ndarray         # Fourier-Bohr means on the grid
-    periodogram: np.ndarray        # (1/n) |sum a_j conj(z)^j|^2 on the grid (density scale)
     atoms: tuple[SpectrumAtom, ...]
 
     def to_dict(self) -> dict:
@@ -73,7 +73,7 @@ def correlation_estimate(a: ModulatingSequence, k: int, n: int) -> complex:
 
 def correlation_table(a: ModulatingSequence, K: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Correlations for all lags -K..K, bitwise `correlation_estimate` at each lag."""
-    return _lag_table(a.values(np.arange(0, n + K + 1, dtype=np.int64)), K, n)
+    return _lag_table(a.range_values(n + K)[n + K :], K, n)
 
 
 def _lag_table(v: np.ndarray, K: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,24 +130,20 @@ def gamma_and_spectrum(a: ModulatingSequence, grid_order: int, n: int,
     Grid entry g holds (1/n) sum_{j=0}^{n} a_j conj(z)^j at z = e(g/G); local
     maxima of |Gamma| above `threshold` seed a golden-section refinement over
     the two neighboring grid arcs, and each refined point contributes an atom
-    with mass |Gamma|^2. The raw periodogram (1/n)|sum a_j conj(z)^j|^2 is
-    recorded on the grid as the density-scale companion (it diverges at atoms
-    instead of converging to the mass, which is why the mass field uses
-    |Gamma|^2).
+    with mass |Gamma|^2.
     """
     if grid_order < 2 * n + 1:
         raise ValueError("grid_order must be >= 2n+1")
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    # one evaluation serves the grid and every correlation lag
-    v = a.values(np.arange(0, n + corr_lags + 1, dtype=np.int64))
+    # one flag-checked evaluation serves the grid and every correlation lag
+    v = a.range_values(n + corr_lags)[n + corr_lags :]
     a_vals = v[: n + 1]
     coeffs = np.zeros(grid_order, dtype=complex)
     coeffs[: n + 1] = a_vals
     # sum a_j conj(z)^j at z = e(g/G) is a plain forward DFT
     sums = np.fft.fft(coeffs)
     Gamma = sums / n
-    periodogram = np.abs(sums) ** 2 / n
 
     mags = np.abs(Gamma)
     hits = np.flatnonzero(
@@ -182,13 +178,12 @@ def gamma_and_spectrum(a: ModulatingSequence, grid_order: int, n: int,
     lags, gam_table = _lag_table(v, corr_lags, n)
     return SpectralEstimate(
         truncation=n, grid_order=grid_order, threshold=threshold,
-        gamma_hat=gam_table, lags=lags, Gamma_grid=Gamma,
-        periodogram=periodogram, atoms=tuple(atoms),
+        gamma_hat=gam_table, lags=lags, Gamma_grid=Gamma, atoms=tuple(atoms),
     )
 
 
 def resonance_report(a: ModulatingSequence, sys: DynamicalSystem, *,
-                     n: int = 1 << 14, m_bound: int = 32) -> dict:
+                     n: int = 1 << 14) -> dict:
     """Collisions between the detected spectrum atoms of `a` at truncation n
     and the system's point spectrum: `match_resonances` applied to a fresh
     `gamma_and_spectrum` on the 4n grid at threshold 0.1 (computed for
@@ -196,16 +191,15 @@ def resonance_report(a: ModulatingSequence, sys: DynamicalSystem, *,
     est = None
     if isinstance(sys, Rotation):
         est = gamma_and_spectrum(a, 4 * n, n, 0.1)
-    return match_resonances(est, sys, m_bound=m_bound)
+    return match_resonances(est, sys)
 
 
-def match_resonances(est: SpectralEstimate | None, sys: DynamicalSystem, *,
-                     m_bound: int = 32) -> dict:
+def match_resonances(est: SpectralEstimate | None, sys: DynamicalSystem) -> dict:
     """Collisions between the atoms of an existing estimate and the point spectrum.
 
     For a rotation the eigenvalues are the powers phi^m; an atom within
     max(8/n, 1e-9) turns (n the estimate's truncation) of phi^m for some
-    0 < |m| <= m_bound is a collision, and a collision predicts divergence of
+    0 < |m| <= M_BOUND is a collision, and a collision predicts divergence of
     the symmetric modulation lambda^|k| at that atom (cross-check with the
     sweep). The torus automorphism has no nonconstant eigenfunctions, so its
     collision list is empty by construction and the estimate is not read.
@@ -219,7 +213,7 @@ def match_resonances(est: SpectralEstimate | None, sys: DynamicalSystem, *,
     tol = max(8.0 / n, 1e-9)
     collisions = []
     for atom in est.atoms:
-        for m in range(-m_bound, m_bound + 1):
+        for m in range(-M_BOUND, M_BOUND + 1):
             if m == 0:
                 continue
             eig_theta = (m * sys.theta) % 1.0

@@ -51,18 +51,6 @@ class ConvergenceVerdict:
     verdict: str  # cauchy_trend | diverging | inconclusive
     growth_fit: GrowthFit | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "oscillations": [[lo, hi, osc] for lo, hi, osc in self.oscillations],
-            "growth_fit": None if self.growth_fit is None else {
-                "model": self.growth_fit.model,
-                "coefficient": self.growth_fit.coefficient,
-                "intercept": self.growth_fit.intercept,
-                "residual": self.growth_fit.residual,
-            },
-        }
-
 
 @dataclass(frozen=True)
 class TransformTrace:

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ehtlab import __version__
 from ehtlab.cli import (
-    _PARAM_KEYS,
+    _KINDS,
     ConfigError,
     KINDS,
     describe,
@@ -40,7 +40,7 @@ def test_describe_all_kinds(capsys):
 @pytest.mark.parametrize("kind", KINDS)
 def test_describe_lists_every_param_key(kind):
     params = describe(kind).split("Params:")[1].split("Output:")[0]
-    assert _PARAM_KEYS[kind] <= set(re.findall(r"\w+", params))
+    assert _KINDS[kind].params <= set(re.findall(r"\w+", params))
 
 
 def test_describe_unknown_kind_exits_2():
@@ -97,6 +97,8 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
                 {"kind": "transform", "seed": 1, "params": {"observable": "x"}},
                 {"kind": "prop27", "params": prop27_eval},
                 {"kind": "spectral", "params": trig_short},
+                {"kind": "spectral", "params": {"n": 64, "sequence": {
+                    "op": "scale", "c": 1e308, "base": {"name": "sparse_dyadic"}}}},
                 '{"kind": "counterexample", "params": {"N": 1e400}}',
                 {"kind": "rates", "params": [1]},
                 b"\xff\xfe"):
@@ -127,14 +129,14 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
 
 def test_budget_exceeded_exit_3(tmp_path):
     cfg = tmp_path / "tight.json"
-    cfg.write_text(json.dumps({
-        "kind": "prop27",
-        "params": {"h": "inverse-linear", "K": 8,
-                   "evaluate": {"x_count": 1, "tol": 1e-12}},
-    }))
-    assert run_cli(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
-    report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert "error" in report
+    budget = {"h": "inverse-linear", "K": 8, "evaluate": {"x_count": 1, "tol": 1e-12}}
+    horizon = {"h": "inverse-log", "K": 45}
+    for i, params in enumerate((budget, horizon)):
+        cfg.write_text(json.dumps({"kind": "prop27", "params": params}))
+        out = tmp_path / f"o{i}"
+        assert run_cli(["run", "--config", str(cfg), "--out-dir", str(out)]) == 3, params
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"config", "config_sha256", "error", "kind", "version"}
 
 
 def test_invariant_failure_is_not_a_config_error(tmp_path, monkeypatch):
@@ -144,7 +146,7 @@ def test_invariant_failure_is_not_a_config_error(tmp_path, monkeypatch):
     def broken(cfg, out):
         raise InvariantError("evaluator changed the index shape")
 
-    monkeypatch.setitem(cli._RUNNERS, "rates", broken)
+    monkeypatch.setitem(cli._KINDS, "rates", cli._KINDS["rates"]._replace(run=broken))
     with pytest.raises(InvariantError):
         run_cli(["run", "rates", "--out-dir", str(tmp_path / "o")])
 

@@ -6,6 +6,7 @@ from mpmath import mp
 
 from ehtlab.envelope import (
     EnvelopeSpec,
+    MajorantH,
     build_envelope,
     divergent_modulator_demo,
     envelope_modulator,
@@ -15,7 +16,6 @@ from ehtlab.envelope import (
     inverse_linear_majorant,
     inverse_log_majorant,
     kernel_eval,
-    majorant_from_callables,
     verify_envelope_conditions,
 )
 from ehtlab.errors import BudgetExceededError, DomainError, HorizonExceededError
@@ -186,8 +186,7 @@ def test_envelope_stays_above_h():
 
 
 def test_degenerate_h_rejected():
-    zero = majorant_from_callables(lambda n: 0.0, lambda n: mp.mpf(2) ** (-n),
-                                   horizon=10**6, label="zero")
+    zero = MajorantH(lambda n: 0.0, lambda n: mp.mpf(2) ** (-n), horizon=1e6, label="zero")
     with pytest.raises(ValueError, match="explicit positive M"):
         build_envelope(zero, K=4)
     env = build_envelope(zero, K=4, M=1.0)  # explicit scale builds fine
@@ -195,9 +194,9 @@ def test_degenerate_h_rejected():
 
 
 def test_horizon_exceeded():
-    hm = majorant_from_callables(lambda n: 1.0 / (1.0 + math.log1p(float(n))),
-                                 lambda n: 1.0 / (1.0 + float(mp.log(1 + n))),
-                                 horizon=10**4, label="slow")
+    hm = MajorantH(lambda n: 1.0 / (1.0 + math.log1p(float(n))),
+                   lambda n: 1.0 / (1.0 + float(mp.log(1 + n))),
+                   horizon=1e4, label="slow")
     with pytest.raises(HorizonExceededError):
         build_envelope(hm, K=12)
 
@@ -310,12 +309,11 @@ def test_values_at_bounds():
 
 
 def test_majorant_contract_probed():
-    bad = majorant_from_callables(lambda n: 1.0 / (n + 1.0), lambda n: 0.5 / (n + 1),
-                                  horizon=10**5, label="undershoot")
+    bad = MajorantH(lambda n: 1.0 / (n + 1.0), lambda n: 0.5 / (n + 1),
+                    horizon=1e5, label="undershoot")
     with pytest.raises(ValueError, match="not a majorant"):
         build_envelope(bad, K=4)
-    rising = majorant_from_callables(lambda n: 0.0, lambda n: float(n), horizon=10**5,
-                                     label="rising")
+    rising = MajorantH(lambda n: 0.0, lambda n: float(n), horizon=1e5, label="rising")
     with pytest.raises(ValueError, match="increases"):
         build_envelope(rising, K=4)
 
