@@ -49,6 +49,7 @@ from .transform import (
     l2_diff_vs_spectral,
     make_convergence_verdict,
     maximal_and_weak11,
+    orbit_traces,
     wiener_wintner_sweep,
 )
 from .envelope import (

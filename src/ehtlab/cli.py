@@ -55,6 +55,7 @@ from .transform import (
     eht_trace,
     make_convergence_verdict,
     maximal_and_weak11,
+    orbit_traces,
     wiener_wintner_sweep,
 )
 
@@ -260,19 +261,16 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
     results = {}
     for conv in conventions:
         seq = named_sequence("cycle_indicator", convention=conv)
-        per_cell = {}
-        for cell in range(3):
-            orbit = orbit_values(sys_, obs, CyclePoint(cell), N)
-            trace = eht_trace(seq, orbit, checkpoints)
-            verdict = make_convergence_verdict(checkpoints, trace.H_values)
-            per_cell[f"cell_{cell}"] = {
+        traces = orbit_traces([(seq, CyclePoint(cell)) for cell in range(3)], sys_, obs,
+                              checkpoints)
+        traces[0].to_csv(out / f"trace_{conv}.csv")
+        results[conv] = {
+            f"cell_{cell}": {
                 "H_final": complex(trace.H_values[-1]),
-                "verdict": asdict(verdict),
+                "verdict": asdict(make_convergence_verdict(checkpoints, trace.H_values)),
             }
-            if cell == 0:
-                trace.to_csv(out / f"trace_{conv}.csv")
-            del orbit, trace  # else they stay alive while the next cell builds its own
-        results[conv] = per_cell
+            for cell, trace in enumerate(traces)
+        }
     return {"N": N, "conventions": results}
 
 

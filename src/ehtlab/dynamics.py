@@ -346,6 +346,12 @@ def _check_orbit_request(sys: DynamicalSystem, f: Observable, N: int) -> None:
         raise ValueError(f"observable {f.label} does not belong to system {sys.kind}")
 
 
+def _check_anchor_range(sys: DynamicalSystem, x0, N: int) -> None:
+    """The exact-angle guard for the orbit of radius N around x0, raised before any allocation."""
+    if isinstance(sys, Rotation):
+        _check_index_range(N + abs(x0.shift))
+
+
 def orbit_values(sys: DynamicalSystem, f: Observable, x0, N: int) -> np.ndarray:
     """f(T^k x0) for -N <= k <= N as a length 2N+1 complex array.
 
@@ -353,11 +359,35 @@ def orbit_values(sys: DynamicalSystem, f: Observable, x0, N: int) -> np.ndarray:
     evaluated and repeated.
     """
     _check_orbit_request(sys, f, N)
+    _check_anchor_range(sys, x0, N)
     ks = np.arange(-N, N + 1, dtype=np.int64)
     if isinstance(sys, ThreeCycle):
         period = np.asarray(f.coord_fn(sys.orbit_coords(x0, ks[:3])), dtype=complex)
         return np.tile(period, -(-ks.size // 3))[: ks.size]
     return np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
+
+
+def orbit_pairs(sys: DynamicalSystem, f: Observable, x0,
+                N: int) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """A function (lo, hi) -> (f(T^k x0), f(T^-k x0)) for k = lo+1..hi, 0 <= lo < hi <= N.
+
+    Rotation and three-cycle values are computed on each call, elementwise
+    in k, so each is bitwise `orbit_values(sys, f, x0, N)` at N + k and
+    N - k while no array of length 2N+1 is built. A torus orbit is iterated
+    in floats from its anchor, so it is one `orbit_values` array, sliced.
+    The request is validated here, the exact-angle range included.
+    """
+    _check_orbit_request(sys, f, N)
+    _check_anchor_range(sys, x0, N)
+    if isinstance(sys, TorusAutomorphism):
+        orbit = orbit_values(sys, f, x0, N)
+        return lambda lo, hi: (orbit[N + 1 + lo : N + 1 + hi], orbit[N - 1 - lo :: -1][: hi - lo])
+
+    def pairs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        return (np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex),
+                np.asarray(f.coord_fn(sys.orbit_coords(x0, -ks)), dtype=complex))
+    return pairs
 
 
 def orbit_rows(sys: DynamicalSystem, f: Observable, points: Iterable,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,30 +50,71 @@ class NeumaierSum:
         return self._s + self._c
 
 
-def checkpoint_sums(terms: np.ndarray, ends: Sequence[int]) -> np.ndarray:
+class ComplexNeumaierSum:
+    """`NeumaierSum` on the real and the imaginary parts separately."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self):
+        self.re = NeumaierSum()
+        self.im = NeumaierSum()
+
+    def add(self, z: complex) -> None:
+        self.re.add(z.real)
+        self.im.add(z.imag)
+
+    @property
+    def value(self) -> complex:
+        return self.re.value + 1j * self.im.value
+
+
+# a block of the checkpoint plan holds whole segments and at least this many terms
+_BLOCK_TERMS = 1 << 15
+
+
+def checkpoint_blocks(ends: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
+    """The block plan of the nondecreasing ``ends``: tuples ``(i, j, lo, hi)``.
+
+    Segment ``s`` covers the terms ``[ends[s-1], ends[s])`` (``[0, ends[0])``
+    for the first). Block ``(i, j, lo, hi)`` holds the segments ``i..j-1``,
+    which cover ``[lo, hi)``; consecutive segments join a block until it has
+    `_BLOCK_TERMS` terms, so a longer segment ends a block on its own.
+    """
+    i = lo = 0
+    for j, end in enumerate(ends.tolist(), start=1):
+        if end - lo >= _BLOCK_TERMS or j == ends.size:
+            yield i, j, lo, end
+            i, lo = j, end
+
+
+def checkpoint_sums(terms: np.ndarray, ends: Sequence[int],
+                    acc: ComplexNeumaierSum | None = None) -> np.ndarray:
     """Prefix sums ``sum(terms[:e])`` for each ``e`` in the nondecreasing ``ends``.
 
-    The range up to the last end is cut into segments at the ends (pairwise
-    within a segment) and the segment totals are merged with a compensated
-    accumulator, so the error never accumulates linearly across the range.
+    The range up to the last end is cut into segments at the ends. Each
+    segment is summed by one pairwise `np.add.reduceat` pass over its block
+    (see `checkpoint_blocks`), so its sum depends on its own terms only, and
+    the segment totals are merged with a compensated accumulator, so the
+    error never accumulates linearly across the range. A stream summed a
+    block at a time passes its accumulator as `acc`; the sums then continue
+    from it and it is advanced.
     """
     ends = np.asarray(ends, dtype=np.int64)
     if ends.size and (np.any(np.diff(ends) < 0) or ends[0] < 0 or ends[-1] > terms.size):
         raise ValueError("checkpoint ends must be nondecreasing and within the term range")
-    starts = np.concatenate(([0], ends))[:-1]
-    nonempty = starts < ends
-    seg = np.zeros(ends.size, dtype=complex)
-    if nonempty.any():
-        # reduceat sums from each index up to the next one, and would read
-        # terms[start] for an empty segment, so only nonempty starts go in
-        seg[nonempty] = np.add.reduceat(terms[: ends[-1]], starts[nonempty])
+    acc = ComplexNeumaierSum() if acc is None else acc
     out = np.empty(ends.size, dtype=complex)
-    re = NeumaierSum()
-    im = NeumaierSum()
-    for i in range(ends.size):
-        re.add(seg[i].real)
-        im.add(seg[i].imag)
-        out[i] = re.value + 1j * im.value
+    for i, j, lo, hi in checkpoint_blocks(ends):
+        starts = np.concatenate(([lo], ends[i : j - 1])) - lo
+        nonempty = starts < ends[i:j] - lo
+        seg = np.zeros(j - i, dtype=complex)
+        if nonempty.any():
+            # reduceat sums from each index up to the next one, and would read
+            # terms[start] for an empty segment, so only nonempty starts go in
+            seg[nonempty] = np.add.reduceat(terms[lo:hi], starts[nonempty])
+        for s, z in enumerate(seg.tolist(), start=i):
+            acc.add(z)
+            out[s] = acc.value
     return out
 
 

@@ -211,9 +211,13 @@ def parseval_holder_check(a: ModulatingSequence, n: int, grid_order: int) -> dic
         raise ValueError("grid_order must be >= 4n+1 for exact Parseval quadrature")
     vals = a.range_values(n)
     lhs = float(np.sum(np.abs(vals)))
-    sq = float(np.sum(np.abs(vals) ** 2))
     grid_vals = exp_sum_grid(a, n, grid_order, "two_sided")
-    mid = float(np.mean(np.abs(grid_vals) ** 2))
+    # finite values can still square past the double range
+    with np.errstate(over="ignore"):
+        sq = float(np.sum(np.abs(vals) ** 2))
+        mid = float(np.mean(np.abs(grid_vals) ** 2))
+    if not (math.isfinite(sq) and math.isfinite(mid)):
+        raise OverflowError(f"{a.label}: squared values overflow at n = {n}")
     rhs = math.sqrt(2 * n + 1) * math.sqrt(sq)
     parseval_rel = abs(mid - sq) / max(sq, 1e-300) if sq > 0 else abs(mid)
     ok = lhs <= rhs * (1.0 + 1e-12) + 1e-300 and parseval_rel <= 1e-10

@@ -3,8 +3,11 @@
 A `ModulatingSequence` is a pure, total map k -> a_k on the integers carrying
 metadata flags (finite bound, symmetry a_{-k} = a_k, one-sidedness) that the
 rest of the package relies on. Evaluation is vectorized over numpy int64
-index arrays and memoized per symmetric range so that 1e7-term experiments
-stay affordable; memoization never changes values.
+index arrays. `range_values` memoizes the largest symmetric range asked for,
+so the several passes of one experiment over a_{-n}..a_n evaluate it once;
+`pair_values` evaluates a_{+-k} for one block of indices, which lets long
+orbit sums stream without holding a 2n+1 range. Both check the flags on
+what they evaluate, and neither changes values.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class ModulatingSequence:
             # overflow surfaces as the non-finite values _check_flags rejects
             with np.errstate(over="ignore", invalid="ignore"):
                 arr = self.values(np.arange(-n, n + 1, dtype=np.int64))
-            self._check_flags(arr, n)
+            self._check_flags(arr[n:], arr[n::-1], f"[-{n}, {n}]")
             arr.setflags(write=False)
             self._cache["range"] = (n, arr)
             cached_n, cached = n, arr
@@ -93,22 +96,37 @@ class ModulatingSequence:
         view.setflags(write=False)
         return view
 
-    def _check_flags(self, arr: np.ndarray, n: int) -> None:
+    def pair_values(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values a_k and a_{-k} for the nonnegative indices ks, flag-checked, not memoized.
+
+        The flags are checked on exactly the values evaluated here, so a
+        stream of blocks that together cover 0..n checks what
+        `range_values(n)` checks.
+        """
+        ks = np.asarray(ks, dtype=np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pos, neg = self.values(ks), self.values(-ks)
+        where = f"+-[{ks.min()}, {ks.max()}]" if ks.size else "no indices"
+        self._check_flags(pos, neg, where)
+        return pos, neg
+
+    def _check_flags(self, pos: np.ndarray, neg: np.ndarray, where: str) -> None:
+        """Check the flags on a_k (`pos`) and a_{-k} (`neg`) for the same k >= 0."""
         if self.bound is not None:
-            worst = float(np.max(np.abs(arr))) if arr.size else 0.0
+            # np.maximum keeps a NaN, as one np.max over the whole range does
+            worst = float(np.maximum(np.max(np.abs(pos), initial=0.0),
+                                     np.max(np.abs(neg), initial=0.0)))
             if worst > self.bound * (1.0 + _BOUND_RTOL) + 1e-300:
                 raise InvariantError(
                     f"{self.label}: |a_k| = {worst} exceeds declared bound {self.bound}"
                 )
-        elif not np.isfinite(arr).all():
+        elif not (np.isfinite(pos).all() and np.isfinite(neg).all()):
             # no declared bound catches overflow in a scaled or multiplied unbounded sequence
-            raise OverflowError(f"{self.label}: non-finite values on [-{n}, {n}]")
-        if self.symmetric and n > 0:
-            if not np.array_equal(arr[: n][::-1], arr[n + 1 :]):
-                raise InvariantError(f"{self.label}: symmetric flag violated on [-{n}, {n}]")
-        if self.one_sided:
-            if np.any(arr[: n + 1] != 0):
-                raise InvariantError(f"{self.label}: one_sided flag violated on [-{n}, 0]")
+            raise OverflowError(f"{self.label}: non-finite values on {where}")
+        if self.symmetric and not np.array_equal(pos, neg):
+            raise InvariantError(f"{self.label}: symmetric flag violated on {where}")
+        if self.one_sided and np.any(neg != 0):
+            raise InvariantError(f"{self.label}: one_sided flag violated on {where}")
 
 
 def from_values(values: Sequence[complex], label: str = "tabulated", **flags) -> ModulatingSequence:

@@ -115,7 +115,11 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
                 {"op": "scale", "c": float("inf"), "base": {"name": "hardy_littlewood"}},
                 {"name": "trig_poly", "terms": [[[1, float("nan")], 0.25]]},
                 {"op": "scale", "c": 1e200, "base": {"name": "constant", "value": 1e200}},
-                {"op": "product", "base": huge, "b": huge}):
+                {"op": "product", "base": huge, "b": huge},
+                # finite values (about 1.4e200) whose squares overflow in the Parseval check
+                {"op": "scale", "c": [1e200, 1e200], "base": {
+                    "op": "product", "base": {"name": "sparse_dyadic"},
+                    "b": {"name": "sparse_dyadic"}}}):
         bad.write_text(json.dumps({"kind": "rates", "params": {
             "sequence": seq, "schedule": [64]}}))
         assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2, seq

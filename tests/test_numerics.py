@@ -3,7 +3,14 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from ehtlab.numerics import checkpoint_sums, frac1
+from ehtlab.numerics import (
+    _BLOCK_TERMS,
+    ComplexNeumaierSum,
+    NeumaierSum,
+    checkpoint_blocks,
+    checkpoint_sums,
+    frac1,
+)
 
 
 def _fsum_prefix(terms: np.ndarray, e: int) -> complex:
@@ -26,6 +33,56 @@ def test_checkpoint_sums_match_fsum_prefixes(seed, n, raw_ends):
     for e, value in zip(ends, got):
         magnitude = math.fsum(np.abs(terms[:e]))
         assert abs(value - _fsum_prefix(terms, e)) <= 1e-13 * (1.0 + magnitude)
+
+
+def _whole_array_checkpoint_sums(terms: np.ndarray, ends) -> np.ndarray:
+    """Oracle: one reduceat over the whole range, then the Neumaier merge of
+    the segment totals (the algorithm before sums were planned in blocks)."""
+    ends = np.asarray(ends, dtype=np.int64)
+    starts = np.concatenate(([0], ends))[:-1]
+    nonempty = starts < ends
+    seg = np.zeros(ends.size, dtype=complex)
+    if nonempty.any():
+        seg[nonempty] = np.add.reduceat(terms[: ends[-1]], starts[nonempty])
+    out = np.empty(ends.size, dtype=complex)
+    re = NeumaierSum()
+    im = NeumaierSum()
+    for i in range(ends.size):
+        re.add(seg[i].real)
+        im.add(seg[i].imag)
+        out[i] = re.value + 1j * im.value
+    return out
+
+
+_SEGMENT = st.one_of(st.just(0), st.integers(1, 40), st.integers(500, 20_000),
+                     st.integers(_BLOCK_TERMS, _BLOCK_TERMS + 3_000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(_SEGMENT, min_size=1, max_size=24),
+       spare=st.integers(0, 50))
+@example(seed=4, lengths=[0, 0, 3, 0, _BLOCK_TERMS + 1, 0, 7], spare=0)  # empty and long segments
+@example(seed=5, lengths=[_BLOCK_TERMS - 1, 1, 2, _BLOCK_TERMS, 1], spare=9)  # blocks end exactly
+def test_block_plan_is_bitwise_the_whole_array_sum(seed, lengths, spare):
+    ends = np.cumsum(lengths)
+    ends = ends[ends <= 4 * _BLOCK_TERMS]
+    if ends.size == 0:
+        ends = np.zeros(1, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    n = int(ends[-1]) + spare
+    scale = 10.0 ** rng.uniform(-3, 3, n)
+    terms = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    want = _whole_array_checkpoint_sums(terms, ends).view(np.int64)
+    assert np.array_equal(checkpoint_sums(terms, ends).view(np.int64), want)
+    # the streamed form: each block alone, with the accumulator carried over
+    blocks = list(checkpoint_blocks(ends))
+    assert [(i, lo) for i, _, lo, _ in blocks] == [(0, 0)] + [(j, hi) for _, j, _, hi in blocks[:-1]]
+    assert blocks[-1][1] == ends.size and blocks[-1][3] == ends[-1]
+    assert all(hi - lo >= _BLOCK_TERMS for _, _, lo, hi in blocks[:-1])
+    acc = ComplexNeumaierSum()
+    streamed = np.concatenate([checkpoint_sums(terms[lo:hi], ends[i:j] - lo, acc)
+                               for i, j, lo, hi in blocks])
+    assert np.array_equal(streamed.view(np.int64), want)
 
 
 _FRAC1_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300, -1e-300,

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ehtlab import dynamics, numerics
 from ehtlab.dynamics import (
     CyclePoint,
+    LatticeTorusPoint,
     RotationPoint,
+    TorusPoint,
     cycle_step_observable,
     make_system,
     orbit_values,
@@ -15,7 +19,9 @@ from ehtlab.dynamics import (
     sample_points,
     torus_character,
 )
+from ehtlab.numerics import _BLOCK_TERMS, checkpoint_blocks
 from ehtlab.sequences import (
+    ModulatingSequence,
     from_values,
     named_sequence,
     transform_sequence,
@@ -30,6 +36,7 @@ from ehtlab.transform import (
     l2_diff_vs_spectral,
     make_convergence_verdict,
     maximal_and_weak11,
+    orbit_traces,
     wiener_wintner_sweep,
 )
 
@@ -440,3 +447,133 @@ def test_l2_zero_sequence():
                               sample_count=16, seed=0)
     for row in res["rows"]:
         assert row["mc_norm"] == 0.0 and row["spectral_value"] == 0.0
+
+
+# ------------------------------------------------------------ streamed traces
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.int64)
+
+
+def _three_block_checkpoints(block_terms=_BLOCK_TERMS):
+    # the last checkpoint spans at least three blocks of the plan
+    cps = default_checkpoints(4 * block_terms, n_min=4)
+    assert len(list(checkpoint_blocks(np.asarray(cps)))) >= 3
+    return cps
+
+
+def _assert_streams_like_eht_trace(pairs, sys_, f, cps):
+    traces = orbit_traces(pairs, sys_, f, cps)
+    assert len(traces) == len(pairs)
+    for (a, x0), trace in zip(pairs, traces):
+        want = eht_trace(a, orbit_values(sys_, f, x0, cps[-1]), cps)
+        assert trace.checkpoints == want.checkpoints and trace.abel_parts is None
+        assert np.array_equal(_bits(trace.H_values), _bits(want.H_values))
+
+
+@pytest.mark.parametrize("f", [rotation_character(1), rotation_raised_cosine()])
+def test_orbit_traces_match_eht_trace_on_rotations(f):
+    rot = make_system("rotation", angle_turns="sqrt2")
+    lam = complex(np.exp(2j * np.pi * 0.17))
+    modulated = transform_sequence(
+        transform_sequence(named_sequence("constant"), "modulate", lam=lam), "symmetrize")
+    seqs = [named_sequence("hardy_littlewood"), modulated]
+    anchors = [RotationPoint(0.1), RotationPoint(0.37, shift=-41)]
+    pairs = [(a, x0) for a in seqs for x0 in anchors] + [(seqs[0], anchors[0])]
+    _assert_streams_like_eht_trace(pairs, rot, f, _three_block_checkpoints())
+
+
+def test_orbit_traces_match_eht_trace_on_every_three_cycle_cell():
+    cyc = make_system("three_cycle")
+    pairs = [(named_sequence("cycle_indicator", convention=conv), CyclePoint(cell))
+             for conv in ("symmetric", "signed") for cell in range(3)]
+    _assert_streams_like_eht_trace(pairs, cyc, cycle_step_observable(),
+                                   _three_block_checkpoints())
+
+
+def test_orbit_traces_match_eht_trace_on_torus_points(monkeypatch):
+    # torus orbits are stepped in Python, so smaller blocks keep this quick
+    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 512)
+    torus = make_system("torus_automorphism")
+    # the float orbit is meaningless this far out, but it is a definite
+    # array, and the streamed sums must slice it exactly as eht_trace does
+    pairs = [(named_sequence("hardy_littlewood"), TorusPoint(0.2, 0.3)),
+             (named_sequence("hardy_littlewood"), LatticeTorusPoint(3, 7, 64))]
+    _assert_streams_like_eht_trace(pairs, torus, torus_character(1, 2),
+                                   _three_block_checkpoints(512))
+
+
+def _first_block_end(cps):
+    return next(checkpoint_blocks(np.asarray(cps)))[3]
+
+
+@pytest.mark.parametrize("broken", ["bound", "symmetric", "finite", "a0_one_sided"])
+def test_orbit_traces_check_the_flags_like_range_values(broken):
+    cps = _three_block_checkpoints()
+    past = _first_block_end(cps) + 1000  # flags break only past the first block
+
+    def fn(ks):
+        out = np.ones(ks.shape, dtype=complex)
+        far = np.abs(ks) > past
+        if broken == "bound":
+            out[far] = 2.0
+        elif broken == "symmetric":
+            out[far & (ks < 0)] = -1.0
+        elif broken == "finite":
+            out[far] = np.inf
+        else:
+            out[ks < 0] = 0.0
+        return out
+
+    flags = {"bound": dict(bound=1.0), "symmetric": dict(bound=1.0, symmetric=True),
+             "finite": dict(bound=None), "a0_one_sided": dict(bound=1.0, one_sided=True)}
+    a = ModulatingSequence(f"broken[{broken}]", fn, **flags[broken])
+    with pytest.raises(Exception) as ref:
+        a.range_values(cps[-1])
+    rot = make_system("rotation", angle_turns="sqrt2")
+    with pytest.raises(ref.type):
+        orbit_traces([(a, rot.default_point())], rot, rotation_character(1), cps)
+    if broken != "a0_one_sided":  # the flags hold on the first block
+        a.pair_values(np.arange(0, past + 1))
+
+
+def test_streamed_paths_keep_the_exact_angle_guard(monkeypatch):
+    rot = make_system("rotation", angle_turns="sqrt2")
+    f = rotation_character(1)
+    a = named_sequence("hardy_littlewood")
+    monkeypatch.setattr(dynamics, "_MAX_SHIFT", 64)
+
+    def reached(self, x0, ks):
+        raise AssertionError("orbit_coords reached before the exact-angle guard")
+    monkeypatch.setattr(dynamics.Rotation, "orbit_coords", reached)
+    cases = [
+        lambda: orbit_values(rot, f, RotationPoint(0.3), 64),
+        lambda: orbit_values(rot, f, RotationPoint(0.3, shift=60), 4),
+        lambda: wiener_wintner_sweep(rot, f, RotationPoint(0.3), [1j], (16, 64), True),
+        lambda: wiener_wintner_sweep(rot, f, RotationPoint(0.3, shift=-1), [1j], (63,), False),
+        lambda: orbit_traces([(a, RotationPoint(0.3)), (a, RotationPoint(0.3, shift=-60))],
+                             rot, f, (2, 4)),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError, match="exact-angle range"):
+            case()
+
+
+def test_long_orbit_sums_stay_small_in_memory():
+    # numpy reports its buffers to tracemalloc; holding the whole orbit,
+    # sequence range and term arrays took 107 MB for the cell below
+    budget = 24 * 2**20
+    cyc = make_system("three_cycle")
+    tracemalloc.start()
+    try:
+        orbit_traces([(named_sequence("cycle_indicator"), CyclePoint(0))], cyc,
+                      cycle_step_observable(), default_checkpoints(10**6, n_min=4))
+        assert tracemalloc.get_traced_memory()[1] < budget
+        tracemalloc.reset_peak()
+        rot = make_system("rotation", angle_turns="sqrt2")
+        lams = [np.conj(rot.phi)] + [complex(np.exp(2j * np.pi * t)) for t in (0.17, 0.35, 0.71)]
+        wiener_wintner_sweep(rot, rotation_character(1), rot.default_point(), lams,
+                             default_checkpoints(1 << 20, n_min=64), symmetric=True)
+        assert tracemalloc.get_traced_memory()[1] < budget
+    finally:
+        tracemalloc.stop()
