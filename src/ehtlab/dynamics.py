@@ -371,17 +371,22 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, x0,
                 N: int) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
     """A function (lo, hi) -> (f(T^k x0), f(T^-k x0)) for k = lo+1..hi, 0 <= lo < hi <= N.
 
-    Rotation and three-cycle values are computed on each call, elementwise
-    in k, so each is bitwise `orbit_values(sys, f, x0, N)` at N + k and
-    N - k while no array of length 2N+1 is built. A torus orbit is iterated
-    in floats from its anchor, so it is one `orbit_values` array, sliced.
-    The request is validated here, the exact-angle range included.
+    Each result is bitwise `orbit_values(sys, f, x0, N)` at N + k and N - k.
+    Rotation values are computed on each call, elementwise in k, so no array
+    of length 2N+1 is built; a three-cycle orbit indexes one period, as
+    `orbit_values` tiles one. A torus orbit is iterated in floats from its
+    anchor, so it is one `orbit_values` array, sliced. The request is
+    validated here, the exact-angle range included.
     """
     _check_orbit_request(sys, f, N)
     _check_anchor_range(sys, x0, N)
     if isinstance(sys, TorusAutomorphism):
         orbit = orbit_values(sys, f, x0, N)
         return lambda lo, hi: (orbit[N + 1 + lo : N + 1 + hi], orbit[N - 1 - lo :: -1][: hi - lo])
+    if isinstance(sys, ThreeCycle):
+        period = orbit_values(sys, f, x0, 1)  # k = -1, 0, 1, so f(T^k x0) = period[(k+1) % 3]
+        return lambda lo, hi: (period[np.arange(lo + 2, hi + 2) % 3],
+                               period[np.arange(-lo, -hi, -1) % 3])
 
     def pairs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64)

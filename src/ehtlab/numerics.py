@@ -91,30 +91,28 @@ def checkpoint_sums(terms: np.ndarray, ends: Sequence[int],
                     acc: ComplexNeumaierSum | None = None) -> np.ndarray:
     """Prefix sums ``sum(terms[:e])`` for each ``e`` in the nondecreasing ``ends``.
 
-    The range up to the last end is cut into segments at the ends. Each
-    segment is summed by one pairwise `np.add.reduceat` pass over its block
-    (see `checkpoint_blocks`), so its sum depends on its own terms only, and
-    the segment totals are merged with a compensated accumulator, so the
-    error never accumulates linearly across the range. A stream summed a
-    block at a time passes its accumulator as `acc`; the sums then continue
-    from it and it is advanced.
+    The range up to the last end is cut into segments at the ends (pairwise
+    within a segment) and the segment totals are merged with a compensated
+    accumulator, so the error never accumulates linearly across the range.
+    A segment's sum depends on its own terms only, so a stream summed one
+    block of `checkpoint_blocks` at a time, passing its accumulator as
+    `acc` (which continues the sums and is advanced), gets the same bits.
     """
     ends = np.asarray(ends, dtype=np.int64)
     if ends.size and (np.any(np.diff(ends) < 0) or ends[0] < 0 or ends[-1] > terms.size):
         raise ValueError("checkpoint ends must be nondecreasing and within the term range")
+    starts = np.concatenate(([0], ends))[:-1]
+    nonempty = starts < ends
+    seg = np.zeros(ends.size, dtype=complex)
+    if nonempty.any():
+        # reduceat sums from each index up to the next one, and would read
+        # terms[start] for an empty segment, so only nonempty starts go in
+        seg[nonempty] = np.add.reduceat(terms[: ends[-1]], starts[nonempty])
     acc = ComplexNeumaierSum() if acc is None else acc
     out = np.empty(ends.size, dtype=complex)
-    for i, j, lo, hi in checkpoint_blocks(ends):
-        starts = np.concatenate(([lo], ends[i : j - 1])) - lo
-        nonempty = starts < ends[i:j] - lo
-        seg = np.zeros(j - i, dtype=complex)
-        if nonempty.any():
-            # reduceat sums from each index up to the next one, and would read
-            # terms[start] for an empty segment, so only nonempty starts go in
-            seg[nonempty] = np.add.reduceat(terms[lo:hi], starts[nonempty])
-        for s, z in enumerate(seg.tolist(), start=i):
-            acc.add(z)
-            out[s] = acc.value
+    for i, z in enumerate(seg.tolist()):
+        acc.add(z)
+        out[i] = acc.value
     return out
 
 

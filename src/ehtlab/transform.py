@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -107,12 +107,13 @@ def as_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _PairWeights:
-    """The weights a_{+k}, a_{-k} and the divisors k for k = 1..N of one sequence.
+    """The weights a_{+k}, a_{-k} and the divisors k for a run of k >= 1 of one sequence.
 
-    Formed once per (sequence, N) and shared by every orbit of that radius.
-    `neg` is the reversed view of the memoized range. Terms are always
-    (a_k v_k - a_{-k} v_{-k}) / k in that order: dividing the weights by k
-    beforehand would round differently.
+    `of` forms them for k = 1..N once per (sequence, N), shared by every
+    orbit of that radius, with `neg` the reversed view of the memoized
+    range; `orbit_traces` forms them for one block of k at a time. Terms are
+    always (a_k v_k - a_{-k} v_{-k}) / k in that order: dividing the weights
+    by k beforehand would round differently.
     """
 
     pos: np.ndarray
@@ -126,8 +127,9 @@ class _PairWeights:
 
     def numerators(self, vpos: np.ndarray, vneg: np.ndarray, out: np.ndarray | None = None,
                    scratch: np.ndarray | None = None) -> np.ndarray:
-        """a_k u_k - a_{-k} w_k for k = 1..N; `out` and `scratch` are reused when given."""
-        return _numerators(self.pos, self.neg, vpos, vneg, out, scratch)
+        """a_k u_k - a_{-k} w_k for each k of the run; `out` and `scratch` are reused when given."""
+        out = np.multiply(self.pos, vpos, out=out)
+        return np.subtract(out, np.multiply(self.neg, vneg, out=scratch), out=out)
 
     def orbit_numerators(self, orbit: np.ndarray, out: np.ndarray | None = None,
                          scratch: np.ndarray | None = None) -> np.ndarray:
@@ -136,36 +138,13 @@ class _PairWeights:
         return self.numerators(orbit[N + 1 :], orbit[N - 1 :: -1], out, scratch)
 
 
-def _numerators(pos: np.ndarray, neg: np.ndarray, vpos: np.ndarray, vneg: np.ndarray,
-                out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """a_k u_k - a_{-k} w_k elementwise; `out` and `scratch` are reused when given."""
-    out = np.multiply(pos, vpos, out=out)
-    return np.subtract(out, np.multiply(neg, vneg, out=scratch), out=out)
-
-
-def _pair_terms(pos: np.ndarray, neg: np.ndarray, vpos: np.ndarray, vneg: np.ndarray,
-                ks: np.ndarray) -> np.ndarray:
-    """Terms (a_k v_k - a_{-k} v_{-k}) / k, with `ks` complex."""
-    terms = _numerators(pos, neg, vpos, vneg)
-    return np.divide(terms, ks, out=terms)
-
-
-def _stream_sums(checkpoints: tuple[int, ...], count: int,
-                 block_terms: Callable[[int, int], Iterable[np.ndarray]]) -> list[np.ndarray]:
-    """H at the checkpoints of `count` term streams, one block of whole segments at a time.
-
-    `block_terms(lo, hi)` returns the terms for k = lo+1..hi of every stream.
-    The blocks are those of `checkpoint_blocks`, and each stream carries its
-    accumulator from block to block, so every H_n is bitwise
-    `checkpoint_sums` over the whole term array.
-    """
-    ends = np.asarray(checkpoints, dtype=np.int64)
-    H = [np.empty(ends.size, dtype=complex) for _ in range(count)]
-    accs = [ComplexNeumaierSum() for _ in range(count)]
-    for i, j, lo, hi in checkpoint_blocks(ends):
-        for h, acc, terms in zip(H, accs, block_terms(lo, hi)):
-            h[i:j] = checkpoint_sums(terms, ends[i:j] - lo, acc)
-    return H
+def _pairwise_terms(a: ModulatingSequence, orbit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators d_k = a_k v_k - a_{-k} v_{-k} and terms d_k / k for k = 1..N."""
+    if orbit.ndim != 1 or orbit.size % 2 == 0:
+        raise ValueError("orbit must be a two-sided array of odd length")
+    w = _PairWeights.of(a, orbit.size // 2)
+    numerators = w.orbit_numerators(orbit)
+    return numerators, numerators / w.ks
 
 
 def eht_trace(a: ModulatingSequence, orbit: np.ndarray, checkpoints: Sequence[int],
@@ -173,9 +152,8 @@ def eht_trace(a: ModulatingSequence, orbit: np.ndarray, checkpoints: Sequence[in
     """Partial sums H_n at the given checkpoints (k = 0 is always excluded).
 
     `orbit` holds f(T^k x0) for -N <= k <= N; every checkpoint must satisfy
-    1 <= n <= N. The terms are formed and summed one block of whole
-    checkpoint segments at a time, as in `orbit_traces`. When `with_abel` is
-    set the trace carries the two halves of the summation-by-parts identity
+    1 <= n <= N. When `with_abel` is set the trace carries the two halves of
+    the summation-by-parts identity
         H_n = sum_{k<n} (S_k - S_{-k})/(k(k+1)) + (S_n - S_{-n})/n,
     whose sum must reproduce H_n up to pure rounding error.
     """
@@ -183,20 +161,13 @@ def eht_trace(a: ModulatingSequence, orbit: np.ndarray, checkpoints: Sequence[in
     N = orbit.size // 2
     if checkpoints[0] < 1 or checkpoints[-1] > N:
         raise ValueError(f"checkpoints must lie in [1, {N}] for this orbit")
-    if orbit.ndim != 1 or orbit.size % 2 == 0:
-        raise ValueError("orbit must be a two-sided array of odd length")
 
-    w = _PairWeights.of(a, N)
-
-    def block_terms(lo: int, hi: int) -> list[np.ndarray]:
-        vpos, vneg = orbit[N + 1 + lo : N + 1 + hi], orbit[N - 1 - lo :: -1][: hi - lo]
-        return [_pair_terms(w.pos[lo:hi], w.neg[lo:hi], vpos, vneg, w.ks[lo:hi])]
-
-    H, = _stream_sums(checkpoints, 1, block_terms)
+    numerators, terms = _pairwise_terms(a, orbit)
+    H = checkpoint_sums(terms, np.asarray(checkpoints))
 
     abel = None
     if with_abel:
-        D = np.cumsum(w.orbit_numerators(orbit))
+        D = np.cumsum(numerators)
         ks = np.arange(1, N + 1, dtype=float)
         main_terms = D / (ks * (ks + 1.0))
         mains = checkpoint_sums(main_terms, np.asarray(checkpoints) - 1)
@@ -217,32 +188,41 @@ def orbit_traces(pairs: Sequence[tuple[ModulatingSequence, object]], sys: Dynami
     """`eht_trace(a, orbit_values(sys, f, x0, N), checkpoints)` for each (a, x0) pair, bitwise.
 
     N is the last checkpoint. No array of length N is built: each block of
-    whole checkpoint segments evaluates a_{+-k} of every distinct sequence
-    (`pair_values`) and f(T^{+-k} x0) of every distinct anchor
-    (`orbit_pairs`) once, for k in the block only, and each pair's terms
-    are summed with its own carried accumulator. The flags of each sequence
-    are checked on the indices evaluated, a_0 among them, so on [-N, N] in
-    all; every anchor is validated before the first block.
+    whole checkpoint segments (`checkpoint_blocks`) evaluates a_{+-k} of
+    every distinct sequence (`pair_values`) and f(T^{+-k} x0) of every
+    distinct anchor (`orbit_pairs`) once, for k in the block only, and each
+    pair's terms are summed by `checkpoint_sums` with that pair's carried
+    accumulator. The flags of each sequence are checked on the indices
+    evaluated, a_0 among them, so on [-N, N] in all; every anchor is
+    validated before the first block.
     """
     checkpoints = as_checkpoints(checkpoints)
     if checkpoints[0] < 1:
         raise ValueError("checkpoints must be >= 1")
-    N = checkpoints[-1]
-    orbits = {x0: orbit_pairs(sys, f, x0, N) for _, x0 in pairs}
+    ends = np.asarray(checkpoints, dtype=np.int64)
+    orbits = {x0: orbit_pairs(sys, f, x0, checkpoints[-1]) for _, x0 in pairs}
     seqs = dict.fromkeys(a for a, _ in pairs)
     for a in seqs:
         a.pair_values(np.zeros(1, dtype=np.int64))  # a_0, which no term uses
 
     def block_terms(lo: int, hi: int) -> Iterator[np.ndarray]:
+        # each pair's terms for k = lo+1..hi in turn, in one buffer; the
+        # block's arrays go when the generator does, before the next block
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        weights = {a: a.pair_values(ks) for a in seqs}
-        values = {x0: orbit(lo, hi) for x0, orbit in orbits.items()}
         kc = ks.astype(complex)
-        # one pair's terms at a time: each is summed before the next is formed
-        return (_pair_terms(*weights[a], *values[x0], kc) for a, x0 in pairs)
+        weights = {a: _PairWeights(*a.pair_values(ks), kc) for a in seqs}
+        values = {x0: orbit(lo, hi) for x0, orbit in orbits.items()}
+        terms, scratch = np.empty_like(kc), np.empty_like(kc)
+        for a, x0 in pairs:
+            weights[a].numerators(*values[x0], out=terms, scratch=scratch)
+            yield np.divide(terms, kc, out=terms)
 
-    return [TransformTrace(checkpoints, H)
-            for H in _stream_sums(checkpoints, len(pairs), block_terms)]
+    H = [np.empty(ends.size, dtype=complex) for _ in pairs]
+    accs = [ComplexNeumaierSum() for _ in pairs]
+    for i, j, lo, hi in checkpoint_blocks(ends):
+        for h, acc, terms in zip(H, accs, block_terms(lo, hi)):
+            h[i:j] = checkpoint_sums(terms, ends[i:j] - lo, acc)
+    return [TransformTrace(checkpoints, h) for h in H]
 
 
 def abel_identity_residual(a: ModulatingSequence, orbit: np.ndarray, n: int) -> float:
@@ -256,11 +236,8 @@ def abel_identity_residual(a: ModulatingSequence, orbit: np.ndarray, n: int) -> 
     N = orbit.size // 2
     if n > N:
         raise ValueError("orbit radius too small for requested n")
-    if orbit.ndim != 1 or orbit.size % 2 == 0:
-        raise ValueError("orbit must be a two-sided array of odd length")
-    w = _PairWeights.of(a, N)
-    numerators = w.orbit_numerators(orbit)
-    direct = complex((numerators[:n] / w.ks[:n]).sum())
+    numerators, terms = _pairwise_terms(a, orbit)
+    direct = complex(terms[:n].sum())
     D = np.cumsum(numerators[:n])
     ks = np.arange(1, n, dtype=float)
     main = complex(np.sum(D[: n - 1] / (ks * (ks + 1.0))))

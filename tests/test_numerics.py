@@ -37,7 +37,7 @@ def test_checkpoint_sums_match_fsum_prefixes(seed, n, raw_ends):
 
 def _whole_array_checkpoint_sums(terms: np.ndarray, ends) -> np.ndarray:
     """Oracle: one reduceat over the whole range, then the Neumaier merge of
-    the segment totals (the algorithm before sums were planned in blocks)."""
+    the segment totals, kept here apart from `checkpoint_sums`."""
     ends = np.asarray(ends, dtype=np.int64)
     starts = np.concatenate(([0], ends))[:-1]
     nonempty = starts < ends
