@@ -35,7 +35,6 @@ from .dynamics import (
     Observable,
     make_system,
     invariance_check,
-    orbit_rows,
     orbit_values,
     sample_points,
 )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -367,62 +367,46 @@ def orbit_values(sys: DynamicalSystem, f: Observable, x0, N: int) -> np.ndarray:
     return np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
 
 
-def orbit_pairs(sys: DynamicalSystem, f: Observable, x0,
-                N: int) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
-    """A function (lo, hi) -> (f(T^k x0), f(T^-k x0)) for k = lo+1..hi, 0 <= lo < hi <= N.
+def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
+                N: int) -> Callable[[int, int], Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """A function (lo, hi) -> the pairs (f(T^k p), f(T^-k p)) for k = lo+1..hi, 0 <= lo < hi <= N.
 
-    Each result is bitwise `orbit_values(sys, f, x0, N)` at N + k and N - k.
-    Rotation values are computed on each call, elementwise in k, so no array
-    of length 2N+1 is built; a three-cycle orbit indexes one period, as
-    `orbit_values` tiles one. A torus orbit is iterated in floats from its
-    anchor, so it is one `orbit_values` array, sliced. The request is
-    validated here, the exact-angle range included.
+    The pairs come one per point, in order, each bitwise `orbit_values(sys,
+    f, p, N)` at N + k and N - k. On a rotation the turn table of +-k
+    (`frac(k*theta_hi)`, `k*theta_lo`) is built once per call and every
+    unshifted point only adds its anchor; a shifted point gets a table of
+    its own. A three-cycle orbit indexes one period, as `orbit_values` tiles
+    one. A torus orbit is iterated in floats from its anchor, so it is one
+    `orbit_values` array per point, sliced. Every point is validated here,
+    before the first block, the exact-angle range included.
     """
     _check_orbit_request(sys, f, N)
-    _check_anchor_range(sys, x0, N)
-    if isinstance(sys, TorusAutomorphism):
-        orbit = orbit_values(sys, f, x0, N)
-        return lambda lo, hi: (orbit[N + 1 + lo : N + 1 + hi], orbit[N - 1 - lo :: -1][: hi - lo])
-    if isinstance(sys, ThreeCycle):
-        period = orbit_values(sys, f, x0, 1)  # k = -1, 0, 1, so f(T^k x0) = period[(k+1) % 3]
-        return lambda lo, hi: (period[np.arange(lo + 2, hi + 2) % 3],
-                               period[np.arange(-lo, -hi, -1) % 3])
-
-    def pairs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        return (np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex),
-                np.asarray(f.coord_fn(sys.orbit_coords(x0, -ks)), dtype=complex))
-    return pairs
-
-
-def orbit_rows(sys: DynamicalSystem, f: Observable, points: Iterable,
-               N: int) -> Iterator[np.ndarray]:
-    """`orbit_values(sys, f, p, N)` for each of the points, in order, one row at a time.
-
-    On a rotation the anchor-independent turn table of k = -N..N is built
-    once and every unshifted point only adds its anchor, so the rows are
-    bitwise the per-point ones at a fraction of the cost; shifted points and
-    the other systems go through `orbit_values`. The request is validated
-    here, the exact-angle range included; the rows are computed as they are
-    consumed.
-    """
-    _check_orbit_request(sys, f, N)
-    if not isinstance(sys, Rotation):
-        return (orbit_values(sys, f, p, N) for p in points)
-    _check_index_range(N)
-    return _rotation_rows(sys, f, points, N)
-
-
-def _rotation_rows(rot: Rotation, f: Observable, points: Iterable, N: int) -> Iterator[np.ndarray]:
-    frac_hi, klo = _turn_table(np.arange(-N, N + 1, dtype=np.int64), rot._hi, rot._lo)
-    # reused for every anchor; rows never alias it, since they are complex
-    angles = np.empty(2 * N + 1)
     for p in points:
-        if p.shift:  # the table holds the unshifted indices only
-            yield orbit_values(rot, f, p, N)
-        else:
-            yield np.asarray(f.coord_fn(_add_anchor(frac_hi, klo, p.t0, out=angles)),
-                             dtype=complex)
+        _check_anchor_range(sys, p, N)
+    if isinstance(sys, TorusAutomorphism):
+        orbits = [orbit_values(sys, f, p, N) for p in points]
+        return lambda lo, hi: ((o[N + 1 + lo : N + 1 + hi], o[N - 1 - lo :: -1][: hi - lo])
+                               for o in orbits)
+    if isinstance(sys, ThreeCycle):
+        # k = -1, 0, 1, so f(T^k p) = period[(k+1) % 3]
+        periods = [orbit_values(sys, f, p, 1) for p in points]
+
+        def cycle_pairs(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            pos, neg = np.arange(lo + 2, hi + 2) % 3, np.arange(-lo, -hi, -1) % 3
+            return ((period[pos], period[neg]) for period in periods)
+        return cycle_pairs
+
+    def rotation_pairs(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        shared = [_turn_table(s, sys._hi, sys._lo) for s in (ks, -ks)]
+        # reused for every anchor; values never alias it, since they are complex
+        angles = np.empty(ks.size)
+        for p in points:
+            tables = shared if not p.shift else [
+                _turn_table(s + p.shift, sys._hi, sys._lo) for s in (ks, -ks)]
+            yield tuple(np.asarray(f.coord_fn(_add_anchor(*t, p.t0, out=angles)), dtype=complex)
+                        for t in tables)
+    return rotation_pairs
 
 
 def point_values(sys: DynamicalSystem, f: Observable, points: Sequence) -> np.ndarray:

@@ -68,8 +68,14 @@ class ComplexNeumaierSum:
         return self.re.value + 1j * self.im.value
 
 
-# a block of the checkpoint plan holds whole segments and at least this many terms
-_BLOCK_TERMS = 1 << 15
+# the block length of every streamed loop; a block of the checkpoint plan
+# holds whole segments and at least this many terms
+_BLOCK_TERMS = 1 << 13
+
+
+def term_blocks(n: int) -> Iterator[tuple[int, int]]:
+    """Blocks ``[lo, hi)`` of `_BLOCK_TERMS` terms covering ``[0, n)``, the last one partial."""
+    return ((lo, min(lo + _BLOCK_TERMS, n)) for lo in range(0, n, _BLOCK_TERMS))
 
 
 def checkpoint_blocks(ends: np.ndarray) -> Iterator[tuple[int, int, int, int]]:

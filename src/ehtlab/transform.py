@@ -16,6 +16,7 @@ and torus characters.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -29,12 +30,18 @@ from .dynamics import (
     Observable,
     lattice_orbit,
     orbit_pairs,
-    orbit_rows,
     orbit_values,
     sample_points,
 )
 from .errors import InvariantError
-from .numerics import ComplexNeumaierSum, checkpoint_blocks, checkpoint_sums, fit_line, frac1
+from .numerics import (
+    ComplexNeumaierSum,
+    checkpoint_blocks,
+    checkpoint_sums,
+    fit_line,
+    frac1,
+    term_blocks,
+)
 from .sequences import ModulatingSequence, named_sequence, transform_sequence
 
 
@@ -105,46 +112,27 @@ def as_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
     return checkpoints
 
 
-@dataclass(frozen=True)
-class _PairWeights:
-    """The weights a_{+k}, a_{-k} and the divisors k for a run of k >= 1 of one sequence.
+def _numerators(weights: tuple[np.ndarray, np.ndarray], vpos: np.ndarray, vneg: np.ndarray,
+                out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """d_k = a_k v_k - a_{-k} v_{-k} for the weights (a_{+k}, a_{-k}) of a run of k >= 1.
 
-    `of` forms them for k = 1..N once per (sequence, N), shared by every
-    orbit of that radius, with `neg` the reversed view of the memoized
-    range; `orbit_traces` forms them for one block of k at a time. Terms are
-    always (a_k v_k - a_{-k} v_{-k}) / k in that order: dividing the weights
-    by k beforehand would round differently.
+    `out` and `scratch` are reused when given. Terms are always d_k / k, in
+    that order: dividing the weights by k beforehand would round differently.
     """
-
-    pos: np.ndarray
-    neg: np.ndarray
-    ks: np.ndarray  # complex, so dividing complex numerators needs no cast
-
-    @classmethod
-    def of(cls, a: ModulatingSequence, N: int) -> "_PairWeights":
-        avals = a.range_values(N)
-        return cls(avals[N + 1 :], avals[N - 1 :: -1], np.arange(1, N + 1, dtype=complex))
-
-    def numerators(self, vpos: np.ndarray, vneg: np.ndarray, out: np.ndarray | None = None,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
-        """a_k u_k - a_{-k} w_k for each k of the run; `out` and `scratch` are reused when given."""
-        out = np.multiply(self.pos, vpos, out=out)
-        return np.subtract(out, np.multiply(self.neg, vneg, out=scratch), out=out)
-
-    def orbit_numerators(self, orbit: np.ndarray, out: np.ndarray | None = None,
-                         scratch: np.ndarray | None = None) -> np.ndarray:
-        """Numerators d_k = a_k v_k - a_{-k} v_{-k} of a two-sided orbit of radius N."""
-        N = self.pos.size
-        return self.numerators(orbit[N + 1 :], orbit[N - 1 :: -1], out, scratch)
+    pos, neg = weights
+    out = np.multiply(pos, vpos, out=out)
+    return np.subtract(out, np.multiply(neg, vneg, out=scratch), out=out)
 
 
 def _pairwise_terms(a: ModulatingSequence, orbit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numerators d_k = a_k v_k - a_{-k} v_{-k} and terms d_k / k for k = 1..N."""
     if orbit.ndim != 1 or orbit.size % 2 == 0:
         raise ValueError("orbit must be a two-sided array of odd length")
-    w = _PairWeights.of(a, orbit.size // 2)
-    numerators = w.orbit_numerators(orbit)
-    return numerators, numerators / w.ks
+    N = orbit.size // 2
+    avals = a.range_values(N)
+    numerators = _numerators((avals[N + 1 :], avals[N - 1 :: -1]), orbit[N + 1 :],
+                             orbit[N - 1 :: -1])
+    return numerators, numerators / np.arange(1, N + 1, dtype=complex)
 
 
 def eht_trace(a: ModulatingSequence, orbit: np.ndarray, checkpoints: Sequence[int],
@@ -200,7 +188,8 @@ def orbit_traces(pairs: Sequence[tuple[ModulatingSequence, object]], sys: Dynami
     if checkpoints[0] < 1:
         raise ValueError("checkpoints must be >= 1")
     ends = np.asarray(checkpoints, dtype=np.int64)
-    orbits = {x0: orbit_pairs(sys, f, x0, checkpoints[-1]) for _, x0 in pairs}
+    anchors = list(dict.fromkeys(x0 for _, x0 in pairs))
+    orbits = orbit_pairs(sys, f, anchors, checkpoints[-1])
     seqs = dict.fromkeys(a for a, _ in pairs)
     for a in seqs:
         a.pair_values(np.zeros(1, dtype=np.int64))  # a_0, which no term uses
@@ -210,11 +199,11 @@ def orbit_traces(pairs: Sequence[tuple[ModulatingSequence, object]], sys: Dynami
         # block's arrays go when the generator does, before the next block
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
         kc = ks.astype(complex)
-        weights = {a: _PairWeights(*a.pair_values(ks), kc) for a in seqs}
-        values = {x0: orbit(lo, hi) for x0, orbit in orbits.items()}
+        weights = {a: a.pair_values(ks) for a in seqs}
+        values = dict(zip(anchors, orbits(lo, hi)))
         terms, scratch = np.empty_like(kc), np.empty_like(kc)
         for a, x0 in pairs:
-            weights[a].numerators(*values[x0], out=terms, scratch=scratch)
+            _numerators(weights[a], *values[x0], out=terms, scratch=scratch)
             yield np.divide(terms, kc, out=terms)
 
     H = [np.empty(ends.size, dtype=complex) for _ in pairs]
@@ -347,6 +336,8 @@ def maximal_and_weak11(a: ModulatingSequence, sys: DynamicalSystem, f: Observabl
     {x : sup_n |H_n(x)| > lam} and `bound_ratio` is tail * lam / ||f||_1.
     The ratios are reported, never asserted against a theoretical constant.
     """
+    if N < 1:
+        raise ValueError(f"maximal radius N must be >= 1, got {N}")
     norm1 = f.norm("l1")
     sups = _maximal_sups(a, sys, f, sample_points(sys, sample_count, seed), N)
     rows = []
@@ -360,17 +351,29 @@ def maximal_and_weak11(a: ModulatingSequence, sys: DynamicalSystem, f: Observabl
 
 def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, points,
                   N: int) -> np.ndarray:
-    """max_{1<=n<=N} |H_n(p)| for each point p, one reused set of buffers for all."""
-    w = _PairWeights.of(a, N)
-    terms, scratch, mags = np.empty(N, dtype=complex), np.empty(N, dtype=complex), np.empty(N)
-    sups = np.empty(len(points))
-    rows = orbit_rows(sys, f, points, N)
-    for i in range(len(points)):
-        # the row is bound to no name, so it is freed before the next is built
-        w.orbit_numerators(next(rows), out=terms, scratch=scratch)
-        np.divide(terms, w.ks, out=terms)
-        np.abs(np.cumsum(terms, out=terms), out=mags)
-        sups[i] = mags.max()
+    """max_{1<=n<=N} |H_n(p)| for each point p, streamed in blocks of k.
+
+    Each point's carried prefix H_lo is added into its first term of the
+    block, so the sequential `np.cumsum` gives bitwise the whole-row prefix
+    sums; the running `np.maximum` keeps a NaN, as one whole-row max does.
+    """
+    orbits = orbit_pairs(sys, f, points, N)
+    a.pair_values(np.zeros(1, dtype=np.int64))  # a_0, which no term uses
+    prefix = np.zeros(len(points), dtype=complex)
+    sups, block_sups = np.full(len(points), -np.inf), np.empty(len(points))
+    for lo, hi in term_blocks(N):
+        ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        kc = ks.astype(complex)
+        weights = a.pair_values(ks)
+        terms, scratch, mags = np.empty_like(kc), np.empty_like(kc), np.empty(kc.size)
+        for i, values in enumerate(orbits(lo, hi)):
+            _numerators(weights, *values, out=terms, scratch=scratch)
+            np.divide(terms, kc, out=terms)
+            terms[0] += prefix[i]
+            np.cumsum(terms, out=terms)
+            prefix[i] = terms[-1]
+            block_sups[i] = np.abs(terms, out=mags).max()
+        np.maximum(sups, block_sups, out=sups)
     return sups
 
 
@@ -420,19 +423,26 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
 
     if isinstance(sys, Rotation) and "m" in f.meta:
         m = int(f.meta["m"])
-        ks = np.arange(1, jmax + 1, dtype=np.int64)
-        # eigenvalue powers by the same drift-free angle arithmetic as orbits
-        pows_pos = np.exp(2j * np.pi * frac1(ks * (m * sys.theta)))
-        w = _PairWeights.of(a, jmax)
-        P = checkpoint_sums(w.numerators(pows_pos, np.conj(pows_pos)), ends)
-        spectral = np.abs(P) * f.norm("l2")
+        orbits = orbit_pairs(sys, f, sample_points(sys, sample_count, seed), jmax)
+        # row 0 sums the eigenvalue's powers, row s >= 1 the orbit of sample s
+        P = np.empty((sample_count + 1, ends.size), dtype=complex)
+        accs = [ComplexNeumaierSum() for _ in range(sample_count + 1)]
+        a.pair_values(np.zeros(1, dtype=np.int64))  # a_0, as range_values(jmax) checks it
+        for i, j, lo, hi in checkpoint_blocks(ends):
+            ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+            weights = a.pair_values(ks)
+            # eigenvalue powers by the same drift-free angle arithmetic as orbits
+            pows = np.exp(2j * np.pi * frac1(ks * (m * sys.theta)))
+            numerators, scratch = np.empty(ks.size, dtype=complex), np.empty(ks.size, dtype=complex)
+            rows = itertools.chain([(pows, np.conj(pows))], orbits(lo, hi))
+            for row, acc, sums in zip(rows, accs, P):
+                _numerators(weights, *row, out=numerators, scratch=scratch)
+                sums[i:j] = checkpoint_sums(numerators, ends[i:j] - lo, acc)
+        spectral = np.abs(P[0]) * f.norm("l2")
 
-        numerators, scratch = np.empty(jmax, dtype=complex), np.empty(jmax, dtype=complex)
-        acc = np.zeros(len(j_schedule))
-        rows = orbit_rows(sys, f, sample_points(sys, sample_count, seed), jmax)
-        for _ in range(sample_count):
-            w.orbit_numerators(next(rows), out=numerators, scratch=scratch)
-            acc += np.abs(checkpoint_sums(numerators, ends)) ** 2
+        acc = np.zeros(ends.size)
+        for sums in P[1:]:  # in sample order, so the mean rounds as a per-sample loop's
+            acc += np.abs(sums) ** 2
         mc = np.sqrt(acc / sample_count)
         return {
             "kind": "rotation_eigenfunction",

@@ -90,7 +90,11 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     trig_short = {"sequence": {"name": "trig_poly", "terms": [[1]]}, "n": 64}
     typo_seq = {"sequence": {"name": "hardy_littlewood", "valu": 3}}
     typo_obs = {"observable": {"kind": "rotation_character", "n": 2}}
+    maximal_at = lambda N: {"kind": "transform", "seed": 1, "params": {
+        "checkpoints": [64], "maximal": {"N": N, "sample_count": 2}}}
     for raw in ({"kind": "transform", "seed": 1, "params": {"maximal": 5}},
+                maximal_at(0),
+                maximal_at(-1),
                 {"kind": "rates", "params": typo_seq},
                 {"kind": "rates", "params": {"class": "bogus"}},
                 {"kind": "transform", "seed": 1, "params": typo_obs},

@@ -19,7 +19,7 @@ from ehtlab.dynamics import (
     lattice_character_correlation,
     lattice_orbit,
     make_system,
-    orbit_rows,
+    orbit_pairs,
     orbit_values,
     point_values,
     rotation_character,
@@ -274,6 +274,7 @@ def test_rotation_angles_match_remainder_reference():
     ("torus_automorphism", torus_character(1, 2)),
 ])
 def test_orbit_rows_match_orbit_values_bitwise(system, observable):
+    # the rows of one orbit_pairs source, block by block, against orbit_values at N +- k
     sys_ = make_system(system)
     pts = sample_points(sys_, 24, seed=5)
     if system == "rotation":
@@ -284,28 +285,33 @@ def test_orbit_rows_match_orbit_values_bitwise(system, observable):
     else:
         pts.append(LatticeTorusPoint(3, 7, 64))
     N = 6 if system == "torus_automorphism" else 700  # float torus orbits decay fast
-    for N_ in (0, N):
-        rows = list(orbit_rows(sys_, observable, pts, N_))
-        assert len(rows) == len(pts)
-        for p, row in zip(pts, rows):
-            assert row.dtype == complex and row.shape == (2 * N_ + 1,)
-            assert np.array_equal(_bits(row), _bits(orbit_values(sys_, observable, p, N_)))
+    rows = [orbit_values(sys_, observable, p, N) for p in pts]
+    pairs = orbit_pairs(sys_, observable, pts, N)
+    for lo, hi in ((0, 1), (1, N // 2), (N // 2, N)):
+        ks = np.arange(lo + 1, hi + 1)
+        values = list(pairs(lo, hi))
+        assert len(values) == len(pts)
+        for row, (vpos, vneg) in zip(rows, values):
+            for v, want in ((vpos, row[N + ks]), (vneg, row[N - ks])):
+                assert v.dtype == complex and v.shape == (hi - lo,)
+                assert np.array_equal(_bits(v), _bits(want))
     at_points = np.array([orbit_values(sys_, observable, p, 0)[0] for p in pts])
     assert np.array_equal(_bits(point_values(sys_, observable, pts)), _bits(at_points))
 
 
 def test_orbit_rows_keep_the_exact_angle_guard(monkeypatch):
+    # orbit_pairs validates every point when the source is built
     rot = make_system("rotation", angle_turns="sqrt2")
     f = rotation_character(1)
     monkeypatch.setattr(dynamics, "_MAX_SHIFT", 64)
-    assert len(list(orbit_rows(rot, f, [RotationPoint(0.3)], 63))) == 1
+    assert len(list(orbit_pairs(rot, f, [RotationPoint(0.3)], 63)(0, 63))) == 1
     with pytest.raises(ValueError, match="exact-angle range"):
-        orbit_rows(rot, f, [RotationPoint(0.3)], 64)  # shared table, raised up front
+        orbit_pairs(rot, f, [RotationPoint(0.3)], 64)  # shared table
     with pytest.raises(ValueError, match="exact-angle range"):
-        list(orbit_rows(rot, f, [RotationPoint(0.3, shift=60)], 4))  # shifted point
+        orbit_pairs(rot, f, [RotationPoint(0.1), RotationPoint(0.3, shift=60)], 4)  # shifted
     with pytest.raises(ValueError, match="exact-angle range"):
         orbit_values(rot, f, RotationPoint(0.3), 64)
     with pytest.raises(ValueError, match="exact-angle range"):
         point_values(rot, f, [RotationPoint(0.3), RotationPoint(0.3, shift=-64)])
     with pytest.raises(ValueError, match="does not belong"):
-        orbit_rows(rot, cycle_step_observable(), [RotationPoint(0.3)], 4)
+        orbit_pairs(rot, cycle_step_observable(), [RotationPoint(0.3)], 4)

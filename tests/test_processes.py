@@ -7,7 +7,7 @@ from ehtlab.dynamics import (
     Observable,
     constant_observable,
     make_system,
-    orbit_rows,
+    orbit_values,
     rotation_raised_cosine,
     sample_points,
 )
@@ -57,7 +57,7 @@ def test_build_validation_rejects_bad_schedules(rotation):
 def test_validation_deltas_are_the_pointwise_ones(rotation):
     delta = rotation_raised_cosine()
     pts = sample_points(rotation, 300, seed=4)
-    batched = np.array([row[0] for row in orbit_rows(rotation, delta, pts, 0)])
+    batched = np.array([orbit_values(rotation, delta, p, 0)[0] for p in pts])
     k0 = np.array([0], dtype=np.int64)
     per_point = np.array([delta.coord_fn(rotation.orbit_coords(p, k0))[0] for p in pts])
     assert np.array_equal(batched.view(np.int64), per_point.view(np.int64))

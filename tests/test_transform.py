@@ -19,7 +19,7 @@ from ehtlab.dynamics import (
     sample_points,
     torus_character,
 )
-from ehtlab.numerics import _BLOCK_TERMS, checkpoint_blocks
+from ehtlab.numerics import _BLOCK_TERMS, checkpoint_blocks, checkpoint_sums
 from ehtlab.sequences import (
     ModulatingSequence,
     from_values,
@@ -332,19 +332,57 @@ def _reference_sups(a, sys_, f, pts, N):
     ("rotation", rotation_raised_cosine(), "hardy_littlewood"),
     ("rotation", rotation_character(2), "sparse_dyadic"),
     ("three_cycle", cycle_step_observable(), "cycle_indicator"),
+    ("torus_automorphism", torus_character(1, 2), "hardy_littlewood"),
 ])
-def test_maximal_sups_match_per_sample_loop_bitwise(system, observable, seq):
+def test_maximal_sups_match_per_sample_loop_bitwise(system, observable, seq, monkeypatch):
     sys_ = make_system(system)
     a = named_sequence(seq)
-    N, count, seed = 3000, 40, 8
+    # float torus orbits are stepped in Python, so that case keeps few points
+    N, count, seed = 3000, 3 if system == "torus_automorphism" else 40, 8
     pts = sample_points(sys_, count, seed)
+    if system == "rotation":
+        pts.append(RotationPoint(0.3, shift=-23))  # off the shared turn table
+    elif system == "torus_automorphism":
+        pts += [LatticeTorusPoint(3, 7, 64), LatticeTorusPoint(5, 1, 96)]
     ref = _reference_sups(a, sys_, observable, pts, N)
-    got = _maximal_sups(a, sys_, observable, pts, N)
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    for block_terms in (numerics._BLOCK_TERMS, 512):  # one block, then six, the last partial
+        monkeypatch.setattr(numerics, "_BLOCK_TERMS", block_terms)
+        got = _maximal_sups(a, sys_, observable, pts, N)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     out = maximal_and_weak11(a, sys_, observable, [0.5, 1.0, 2.0], N, count, seed)
+    ref = ref[:count]
     assert out["sup_quantiles"] == [float(q) for q in np.quantile(ref, [0.0, 0.5, 0.9, 1.0])]
     assert [row["empirical_tail"] for row in out["tails"]] == [
         float(np.mean(ref > lam)) for lam in (0.5, 1.0, 2.0)]
+
+
+def test_maximal_sups_keep_a_nan(monkeypatch):
+    # one point meets a NaN in its fourth block; its later prefixes are NaN too
+    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 512)
+    rot = make_system("rotation", angle_turns="sqrt2")
+    pts = [RotationPoint(0.3), RotationPoint(0.7)]
+    bad = rot.orbit_coords(pts[0], np.array([1800]))[0]
+    f = dynamics.Observable("nan_once", "rotation",
+                            lambda t: np.where(t == bad, np.nan, np.cos(2 * np.pi * t)) + 0j,
+                            {"l1": 1.0})
+    a = named_sequence("hardy_littlewood")
+    ref = _reference_sups(a, rot, f, pts, 3000)
+    assert np.isnan(ref[0]) and np.isfinite(ref[1])
+    got = _maximal_sups(a, rot, f, pts, 3000)
+    assert np.isnan(got[0]) and got[1] == ref[1]
+
+
+def test_maximal_sups_stay_small_in_memory():
+    # whole rows, the range memo and N-length buffers took 17.6 MB here
+    rot = make_system("rotation", angle_turns="sqrt2")
+    pts = sample_points(rot, 16, seed=3)
+    a = named_sequence("hardy_littlewood")
+    tracemalloc.start()
+    try:
+        _maximal_sups(a, rot, rotation_raised_cosine(), pts, 10**5)
+        assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_cesaro_average_decay(sparse_dyadic):
@@ -440,6 +478,30 @@ def test_l2_rejects_unsupported_observable():
                             [4], sample_count=8, seed=0)
 
 
+def test_l2_rotation_streams_like_whole_rows(monkeypatch):
+    # small blocks, so each sample's sums are carried across several of them
+    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 512)
+    rot = make_system("rotation", angle_turns="sqrt2")
+    f, m = rotation_character(2), 2
+    a = named_sequence("hardy_littlewood")
+    js, count, seed = default_checkpoints(2500, n_min=4), 24, 3
+    assert len(list(checkpoint_blocks(np.asarray(js)))) >= 3
+    res = l2_diff_vs_spectral(a, rot, f, js, sample_count=count, seed=seed)
+
+    J = js[-1]
+    avals = a.range_values(J)
+    pos, neg = avals[J + 1 :], avals[J - 1 :: -1]
+    acc = np.zeros(len(js))
+    for p in sample_points(rot, count, seed):
+        row = orbit_values(rot, f, p, J)
+        acc += np.abs(checkpoint_sums(pos * row[J + 1 :] - neg * row[J - 1 :: -1], js)) ** 2
+    mc = np.sqrt(acc / count)
+    pows = np.exp(2j * np.pi * numerics.frac1(np.arange(1, J + 1) * (m * rot.theta)))
+    spectral = np.abs(checkpoint_sums(pos * pows - neg * np.conj(pows), js)) * f.norm("l2")
+    got = np.array([[r["mc_norm"], r["spectral_value"]] for r in res["rows"]])
+    assert np.array_equal(got.view(np.int64), np.stack([mc, spectral], axis=1).view(np.int64))
+
+
 def test_l2_zero_sequence():
     rot = make_system("rotation", angle_turns="sqrt2")
     zero = named_sequence("constant", value=0.0)
@@ -531,8 +593,13 @@ def test_orbit_traces_check_the_flags_like_range_values(broken):
     with pytest.raises(Exception) as ref:
         a.range_values(cps[-1])
     rot = make_system("rotation", angle_turns="sqrt2")
+    f = rotation_character(1)
     with pytest.raises(ref.type):
-        orbit_traces([(a, rot.default_point())], rot, rotation_character(1), cps)
+        orbit_traces([(a, rot.default_point())], rot, f, cps)
+    with pytest.raises(ref.type):
+        _maximal_sups(a, rot, f, sample_points(rot, 2, seed=1), cps[-1])
+    with pytest.raises(ref.type):
+        l2_diff_vs_spectral(a, rot, f, cps, sample_count=2)
     if broken != "a0_one_sided":  # the flags hold on the first block
         a.pair_values(np.arange(0, past + 1))
 
