@@ -482,9 +482,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     """Run one experiment; returns (exit_code, report dict) and writes files.
 
     A spec the runner cannot turn into objects (a missing field, a value its
-    constructor rejects) raises ConfigError; exhausted budgets and horizons
-    return exit code 3 with the error in the report. An InvariantError marks
-    a fault of the program, not of the config, and propagates unchanged.
+    constructor rejects) raises ConfigError; exhausted budgets, horizons and
+    memory return exit code 3 with the error in the report. An InvariantError
+    marks a fault of the program, not of the config, and propagates unchanged.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -495,6 +495,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         report["results"] = _KINDS[cfg.kind].run(cfg, out)
     except (BudgetExceededError, HorizonExceededError) as exc:
         report["error"] = str(exc)
+        code = 3
+    except MemoryError as exc:
+        report["error"] = f"out of memory: {exc}"
         code = 3
     except InvariantError:
         raise

@@ -26,13 +26,14 @@ import numpy as np
 from mpmath import mp
 
 from .errors import BudgetExceededError, DomainError, HorizonExceededError
-from .numerics import NeumaierSum, checkpoint_sums
+from .numerics import NeumaierSum, checkpoint_sums, term_blocks
 from .sequences import ModulatingSequence
 
 _WORKPREC = 140
 _TWO_PI = 2.0 * math.pi
 _EDGE = 1e-9
 _MAX_H_SCAN = 1 << 20
+_MERGE_TERMS = 1 << 21  # divergent_modulator_demo's terms per compensated merge
 
 
 # ------------------------------------------------------------------ majorants
@@ -603,24 +604,26 @@ def divergent_modulator_demo(N: int) -> dict:
     sums_o, sums_e = [], []
     dominated = True
     ci = 0
-    chunk = 1 << 21
-    for lo in range(2, N + 1, chunk):
-        hi = min(lo + chunk - 1, N)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        h_vals = 1.0 / np.log(ns + 2.0)
-        a_vals = env.values_at(ns)
-        if not np.all(a_vals >= h_vals):
-            dominated = False
-        inv = 1.0 / ns
-        o_terms = h_vals * inv
-        e_terms = a_vals * inv
-        csum_o = np.cumsum(o_terms)
-        csum_e = np.cumsum(e_terms)
-        while ci < len(checkpoints) and checkpoints[ci] <= hi:
-            idx = checkpoints[ci] - lo
-            sums_o.append(acc_o.value + csum_o[idx])
-            sums_e.append(acc_e.value + csum_e[idx])
-            ci += 1
+    for lo in range(2, N + 1, _MERGE_TERMS):
+        # a span in blocks, each prefix carried into the next block's first term:
+        # np.cumsum is sequential, so every prefix is bitwise the span-wide one
+        for blo, bhi in term_blocks(min(_MERGE_TERMS, N + 1 - lo)):
+            ns = np.arange(lo + blo, lo + bhi, dtype=np.int64)
+            h_vals = 1.0 / np.log(ns + 2.0)
+            a_vals = env.values_at(ns)
+            dominated = dominated and bool(np.all(a_vals >= h_vals))
+            inv = 1.0 / ns
+            o_terms, e_terms = h_vals * inv, a_vals * inv
+            if blo:
+                o_terms[0] += csum_o[-1]
+                e_terms[0] += csum_e[-1]
+            csum_o = np.cumsum(o_terms)
+            csum_e = np.cumsum(e_terms)
+            while ci < len(checkpoints) and checkpoints[ci] < lo + bhi:
+                idx = checkpoints[ci] - lo - blo
+                sums_o.append(acc_o.value + csum_o[idx])
+                sums_e.append(acc_e.value + csum_e[idx])
+                ci += 1
         acc_o.add(float(csum_o[-1]))
         acc_e.add(float(csum_e[-1]))
 

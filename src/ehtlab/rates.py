@@ -133,27 +133,37 @@ def exp_sum_grid(a: ModulatingSequence, n: int, grid_order: int, side: str = "tw
     """Values of the exponential sum on all G-th roots of unity.
 
     Entry g holds sum_k a_k z^k at z = exp(2*pi*i*g/G), with k over [-n, n]
-    (two_sided) or [1, n] (one_sided). Computed with one FFT: O(G log G + n).
+    (two_sided) or [1, n] (one_sided). Computed with one in-place FFT: O(G log G + n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if grid_order < 2 * n + 1:
         raise ValueError("grid_order must be >= 2n+1")
+    if side not in ("two_sided", "one_sided"):
+        raise ValueError(f"unknown side {side!r}")
+    vals = a.range_values(n)
     coeffs = np.zeros(grid_order, dtype=complex)
     if side == "two_sided":
-        ks = np.arange(-n, n + 1, dtype=np.int64)
-        coeffs[np.mod(ks, grid_order)] = a.range_values(n)
-    elif side == "one_sided":
-        ks = np.arange(1, n + 1, dtype=np.int64)
-        coeffs[np.mod(ks, grid_order)] = a.range_values(n)[n + 1 :]
+        coeffs[: n + 1] = vals[n:]
+        coeffs[grid_order - n :] = vals[:n]
     else:
-        raise ValueError(f"unknown side {side!r}")
-    return np.fft.ifft(coeffs) * grid_order
+        coeffs[1 : n + 1] = vals[n + 1 :]
+    np.fft.ifft(coeffs, out=coeffs)
+    return np.multiply(coeffs, grid_order, out=coeffs)
 
 
 def exp_sum_sup(a: ModulatingSequence, n: int, grid_order: int, side: str = "two_sided") -> float:
     """max over the G-th roots of unity of |sum a_k z^k|."""
     return float(np.max(np.abs(exp_sum_grid(a, n, grid_order, side))))
+
+
+def _schedule_sups(a: ModulatingSequence, params: RateParams, side: str) -> tuple[np.ndarray, list[int]]:
+    """`exp_sum_sup` over the schedule, and its grid orders. The radii run largest
+    first, so the `range_values` memo is filled once (smaller radii read views)
+    and the largest FFT runs while no smaller grid is alive."""
+    grids = [params.grid_for(n) for n in params.schedule]
+    sups = [exp_sum_sup(a, n, g, side) for n, g in zip(params.schedule[::-1], grids[::-1])]
+    return np.array(sups[::-1]), grids
 
 
 def check_A_alpha(a: ModulatingSequence, params: RateParams, *, include_log: bool = True) -> RateReport:
@@ -164,8 +174,7 @@ def check_A_alpha(a: ModulatingSequence, params: RateParams, *, include_log: boo
     which is the variant under which unit-modulus oscillating sequences with
     O(sqrt n) sums register as bounded at alpha = 3/2.
     """
-    grids = [params.grid_for(n) for n in params.schedule]
-    sups = np.array([exp_sum_sup(a, n, g, "two_sided") for n, g in zip(params.schedule, grids)])
+    sups, grids = _schedule_sups(a, params, "two_sided")
     n = np.asarray(params.schedule, dtype=float)
     weight = 1.0 / n ** (params.alpha - 1.0)
     if include_log:
@@ -177,8 +186,7 @@ def check_A_alpha(a: ModulatingSequence, params: RateParams, *, include_log: boo
 
 def one_sided_sup_ratios(a: ModulatingSequence, params: RateParams) -> RateReport:
     """One-sided exponential-sum condition: sup_grid |sum_{k=1}^n a_k z^k| / n^(1-beta)."""
-    grids = [params.grid_for(n) for n in params.schedule]
-    sups = np.array([exp_sum_sup(a, n, g, "one_sided") for n, g in zip(params.schedule, grids)])
+    sups, grids = _schedule_sups(a, params, "one_sided")
     n = np.asarray(params.schedule, dtype=float)
     return _report("one_sided_sup", params.schedule, sups / n ** (1.0 - params.beta), grids,
                    beta=params.beta, sequence=a.label)

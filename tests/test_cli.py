@@ -147,6 +147,21 @@ def test_budget_exceeded_exit_3(tmp_path):
         assert set(report) == {"config", "config_sha256", "error", "kind", "version"}
 
 
+def test_memory_error_exits_3_without_a_traceback(tmp_path, monkeypatch, capsys):
+    # a stand-in for an allocation the machine refuses; never allocate one for real
+    from ehtlab import rates
+
+    def refused(*args, **kwargs):
+        raise MemoryError("Unable to allocate 128. GiB for an array")
+
+    monkeypatch.setattr(rates, "exp_sum_grid", refused)
+    out = tmp_path / "o"
+    assert run_cli(["run", "rates", "--class", "a_alpha", "--out-dir", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] == "out of memory: Unable to allocate 128. GiB for an array"
+
+
 def test_invariant_failure_is_not_a_config_error(tmp_path, monkeypatch):
     from ehtlab import cli
     from ehtlab.errors import InvariantError

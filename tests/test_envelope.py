@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+from ehtlab import envelope, numerics
 from ehtlab.envelope import (
     EnvelopeSpec,
     MajorantH,
@@ -19,6 +21,7 @@ from ehtlab.envelope import (
     verify_envelope_conditions,
 )
 from ehtlab.errors import BudgetExceededError, DomainError, HorizonExceededError
+from ehtlab.numerics import NeumaierSum
 
 
 # ---------------------------------------------------------------- kernels
@@ -298,6 +301,60 @@ def test_divergent_modulator_demo_small():
     assert demo["dominates_oracle"]
     assert demo["envelope_final"] >= demo["oracle_final"]
     assert demo["loglog_residual"] < 0.05
+
+
+def _whole_span_modulator_sums(env, N, span):
+    """The partial sums of `divergent_modulator_demo` from span-long arrays,
+    the loop the blocked one replaced, kept as its oracle."""
+    checkpoints = [n for n in (2**j for j in range(2, 64)) if n <= N]
+    if checkpoints[-1] != N:
+        checkpoints.append(N)
+    acc_o, acc_e = NeumaierSum(), NeumaierSum()
+    sums_o, sums_e = [], []
+    dominated = True
+    ci = 0
+    for lo in range(2, N + 1, span):
+        hi = min(lo + span - 1, N)
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        h_vals = 1.0 / np.log(ns + 2.0)
+        a_vals = env.values_at(ns)
+        dominated = dominated and bool(np.all(a_vals >= h_vals))
+        inv = 1.0 / ns
+        csum_o = np.cumsum(h_vals * inv)
+        csum_e = np.cumsum(a_vals * inv)
+        while ci < len(checkpoints) and checkpoints[ci] <= hi:
+            sums_o.append(acc_o.value + csum_o[checkpoints[ci] - lo])
+            sums_e.append(acc_e.value + csum_e[checkpoints[ci] - lo])
+            ci += 1
+        acc_o.add(float(csum_o[-1]))
+        acc_e.add(float(csum_e[-1]))
+    return checkpoints, sums_o, sums_e, dominated
+
+
+def test_divergent_modulator_blocks_are_bitwise_the_span_sums(monkeypatch):
+    # 64-term blocks in 256-term spans (terms start at n = 2): N = 1000 ends
+    # mid-block in the fourth span, 577 on a block end in the third, 513 on
+    # the second span's end, and 1024 on a power of two
+    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 64)
+    monkeypatch.setattr(envelope, "_MERGE_TERMS", 256)
+    env = build_envelope(inverse_log_majorant(shift=2), K=12)
+    for N in (1000, 577, 513, 1024):
+        demo = divergent_modulator_demo(N)
+        checkpoints, sums_o, sums_e, dominated = _whole_span_modulator_sums(env, N, 256)
+        assert demo["checkpoints"] == checkpoints
+        assert np.array(demo["oracle_partial_sums"]).tobytes() == np.array(sums_o).tobytes()
+        assert np.array(demo["envelope_partial_sums"]).tobytes() == np.array(sums_e).tobytes()
+        assert demo["dominates_oracle"] is dominated
+
+
+def test_divergent_modulator_stays_small_in_memory():
+    # the 2^21-term span arrays took 61 MB here
+    tracemalloc.start()
+    try:
+        divergent_modulator_demo(10**6)
+        assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_values_at_bounds():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ehtlab.rates import (
     one_sided_sup_ratios,
     parseval_holder_check,
     rate_crossover,
+    rate_report,
 )
 from ehtlab.sequences import (
     ModulatingSequence,
@@ -226,3 +228,75 @@ def test_witness_check():
     out = besicovitch_witness_check(a, w, "m_alpha", RateParams(alpha=1.7, schedule=SCHEDULE))
     assert out["report"].verdict == "bounded_on_schedule"
     assert out["cesaro_means"][-1] < out["cesaro_means"][0]
+
+
+# ------------------------------------------------- in-place grids, largest first
+
+def _scatter_grid(a, n, G, side):
+    """The index-scatter grid that `exp_sum_grid` replaced, kept as its oracle."""
+    coeffs = np.zeros(G, dtype=complex)
+    if side == "two_sided":
+        coeffs[np.mod(np.arange(-n, n + 1, dtype=np.int64), G)] = a.range_values(n)
+    else:
+        coeffs[np.mod(np.arange(1, n + 1, dtype=np.int64), G)] = a.range_values(n)[n + 1 :]
+    return np.fft.ifft(coeffs) * G
+
+
+@pytest.mark.parametrize("side", ["two_sided", "one_sided"])
+@pytest.mark.parametrize("n, G", [(1, 3), (1, 8), (37, 75), (100, 1001), (300, 4096)])
+def test_exp_sum_grid_is_bitwise_the_scatter_grid(side, n, G):
+    # n = 1, the minimal G = 2n+1, an odd G and powers of two
+    rng = np.random.default_rng(n)
+    a = from_values(rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1))
+    assert exp_sum_grid(a, n, G, side).tobytes() == _scatter_grid(a, n, G, side).tobytes()
+    hl = named_sequence("hardy_littlewood")
+    assert exp_sum_grid(hl, n, G, side).tobytes() == _scatter_grid(hl, n, G, side).tobytes()
+
+
+def test_exp_sum_grid_rejects_a_bad_side_before_evaluating():
+    calls = []
+    a = ModulatingSequence("counted", lambda ks: calls.append(ks.size) or np.ones(ks.size, complex),
+                           bound=1.0)
+    with pytest.raises(ValueError, match="unknown side"):
+        exp_sum_grid(a, 4, 9, "both")
+    assert calls == []
+
+
+@pytest.mark.parametrize("klass", ["a_alpha", "a_alpha_plain", "one_sided_sup"])
+@pytest.mark.parametrize("name, grid_order", [("hardy_littlewood", None), ("sparse_dyadic", 4099)])
+def test_schedule_is_bitwise_an_ascending_loop_on_fresh_sequences(klass, name, grid_order):
+    # each reference radius gets a fresh sequence, so the schedule's memo
+    # views must round like fresh evaluations
+    schedule = (64, 100, 256, 1024)
+    got = rate_report(named_sequence(name), klass, RateParams(schedule=schedule, grid_order=grid_order))
+    ref = [rate_report(named_sequence(name), klass, RateParams(schedule=(n,), grid_order=grid_order))
+           for n in schedule]
+    assert np.array(got.ratios).tobytes() == np.array([r.ratios[0] for r in ref]).tobytes()
+    assert got.grid_order == tuple(r.grid_order[0] for r in ref)
+
+
+def test_schedule_runs_largest_grid_first_on_one_evaluation(monkeypatch):
+    lengths, evaluated = [], []
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda c, *args, **kw: lengths.append(c.size) or ifft(c, *args, **kw))
+    hl = named_sequence("hardy_littlewood")
+    a = ModulatingSequence("counted", lambda ks: evaluated.append(ks.size) or hl.values(ks), bound=1.0)
+    params = RateParams(schedule=(256, 512, 1024))
+    check_A_alpha(a, params)
+    one_sided_sup_ratios(a, params)
+    assert lengths == [8192, 4096, 2048] * 2
+    assert evaluated == [2 * 1024 + 1]  # the memo is filled once, at the largest radius
+
+
+def test_exp_sum_sup_stays_near_one_grid_in_memory():
+    # the scatter grid peaked at 2.14 grids of 16 G bytes here: the
+    # coefficients, the ifft output, its scaled copy and the index arrays
+    n, G = 2**16, 2**19
+    a = named_sequence("hardy_littlewood")
+    a.range_values(n)
+    tracemalloc.start()
+    try:
+        exp_sum_sup(a, n, G)
+        assert tracemalloc.get_traced_memory()[1] < 1.6 * 16 * G
+    finally:
+        tracemalloc.stop()
