@@ -27,6 +27,7 @@ from .dynamics import (
     cycle_step_observable,
     constant_observable,
     make_system,
+    orbit_pairs,
     orbit_values,
     rotation_character,
     rotation_raised_cosine,
@@ -261,8 +262,8 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
     results = {}
     for conv in conventions:
         seq = named_sequence("cycle_indicator", convention=conv)
-        traces = orbit_traces([(seq, CyclePoint(cell)) for cell in range(3)], sys_, obs,
-                              checkpoints)
+        traces = orbit_traces([(seq, cell) for cell in range(3)], orbit_pairs(
+            sys_, obs, [CyclePoint(cell) for cell in range(3)], checkpoints[-1]), checkpoints)
         traces[0].to_csv(out / f"trace_{conv}.csv")
         results[conv] = {
             f"cell_{cell}": {

@@ -377,16 +377,14 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
     unshifted point only adds its anchor; a shifted point gets a table of
     its own. A three-cycle orbit indexes one period, as `orbit_values` tiles
     one. A torus orbit is iterated in floats from its anchor, so it is one
-    `orbit_values` array per point, sliced. Every point is validated here,
-    before the first block, the exact-angle range included.
+    `orbit_values` array per point (`array_pairs`). Every point is validated
+    here, before the first block, the exact-angle range included.
     """
     _check_orbit_request(sys, f, N)
     for p in points:
         _check_anchor_range(sys, p, N)
     if isinstance(sys, TorusAutomorphism):
-        orbits = [orbit_values(sys, f, p, N) for p in points]
-        return lambda lo, hi: ((o[N + 1 + lo : N + 1 + hi], o[N - 1 - lo :: -1][: hi - lo])
-                               for o in orbits)
+        return array_pairs([orbit_values(sys, f, p, N) for p in points])
     if isinstance(sys, ThreeCycle):
         # k = -1, 0, 1, so f(T^k p) = period[(k+1) % 3]
         periods = [orbit_values(sys, f, p, 1) for p in points]
@@ -407,6 +405,14 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
             yield tuple(np.asarray(f.coord_fn(_add_anchor(*t, p.t0, out=angles)), dtype=complex)
                         for t in tables)
     return rotation_pairs
+
+
+def array_pairs(arrays: Sequence[np.ndarray]
+                ) -> Callable[[int, int], Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """A function (lo, hi) -> the views (v[N + k], v[N - k]), k = lo+1..hi, of each
+    two-sided array v of length 2N+1, N >= hi, one pair per array in order."""
+    halves = [(v[v.size // 2 + 1 :], v[v.size // 2 - 1 :: -1]) for v in arrays]
+    return lambda lo, hi: ((pos[lo:hi], neg[lo:hi]) for pos, neg in halves)
 
 
 def point_values(sys: DynamicalSystem, f: Observable, points: Sequence) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -146,6 +147,13 @@ class EnvelopeSpec:
             out.append(int(b))
         return out
 
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each practical segment's start, value and float slope; the last one stays open."""
+        bps = self.practical_breakpoints()
+        return (np.asarray(bps, dtype=np.int64), np.asarray(self.values[: len(bps)]),
+                np.asarray([float(s) for s in self.slopes[: len(bps)]]))
+
     def values_at(self, ns: np.ndarray) -> np.ndarray:
         """a(n) for integer n (vectorized); n must not exceed the last breakpoint."""
         ns = np.asarray(ns, dtype=np.int64)
@@ -153,16 +161,9 @@ class EnvelopeSpec:
             raise ValueError("envelope indices must be nonnegative")
         if ns.size and mp.mpf(int(ns.max())) > self.breakpoints[-1]:
             raise ValueError("envelope too shallow for the requested index range")
-        bps = self.practical_breakpoints()
-        if ns.size and ns.max() > bps[-1]:
-            bps = bps + [int(ns.max()) + 1]  # open last practical segment
-        bp_arr = np.asarray(bps, dtype=np.int64)
-        seg = np.searchsorted(bp_arr, ns, side="left")
-        seg = np.maximum(seg, 1)  # n = 0 belongs to the first segment
-        lo = bp_arr[seg - 1]
-        v_lo = np.asarray([self.values[i] for i in range(len(bps))])[seg - 1]
-        s = np.asarray([float(self.slopes[i]) for i in range(min(len(self.slopes), len(bps)))])
-        return v_lo + s[seg - 1] * (ns - lo)
+        bp_arr, values, slopes = self._segments
+        seg = np.maximum(np.searchsorted(bp_arr, ns, side="left"), 1)  # n = 0 is in segment 1
+        return values[seg - 1] + slopes[seg - 1] * (ns - bp_arr[seg - 1])
 
     def to_dict(self) -> dict:
         return {

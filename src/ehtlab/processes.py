@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import DynamicalSystem, Observable, point_values, sample_points
+from .dynamics import DynamicalSystem, Observable, orbit_pairs, point_values, sample_points
 from .errors import InvariantError
 from .rates import RateParams, abs_prefix_ratios
 from .sequences import ModulatingSequence, transform_sequence
@@ -36,6 +36,7 @@ from .transform import (
     default_checkpoints,
     eht_trace,
     make_convergence_verdict,
+    orbit_traces,
 )
 
 
@@ -172,29 +173,29 @@ def process_eht_trace(a: ModulatingSequence, F: AdmissibleProcess, x0,
     """
     checkpoints = as_checkpoints(checkpoints)
     N = checkpoints[-1]
-    ks = np.arange(-N, N + 1, dtype=np.int64)
-    fvals = F.f_values(x0, ks).astype(complex)
-    base = eht_trace(a, fvals, checkpoints)
+    levels = sorted(int(r) for r in r_schedule)
+    if levels and levels[0] < 0:
+        raise ValueError("approximant level r must be >= 0")
+    delta = orbit_pairs(F.sys, F.delta, [x0], N)
+
+    def values(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        # f = g^inf, then g^r for each level, as g_values forms them, from one delta per block
+        ks, ((pos, neg),) = np.arange(lo + 1, hi + 1, dtype=float), delta(lo, hi)
+        for c in (F.schedule.factor(np.minimum(ks, r)) for r in (math.inf, *levels)):
+            yield (c * pos.real).astype(complex), (c * neg.real).astype(complex)
+
+    base, *traces = orbit_traces([(a, i) for i in range(len(levels) + 1)], values, checkpoints)
     verdict = make_convergence_verdict(checkpoints, base.H_values)
 
-    mags = np.abs(a.range_values(N))
-    inv_i = np.concatenate([1.0 / np.abs(np.arange(-N, 0)), [0.0], 1.0 / np.arange(1, N + 1)])
-    weighted = mags * inv_i
-
-    rows = []
-    for r in sorted(int(r) for r in r_schedule):
-        if r < 0:
-            raise ValueError("approximant level r must be >= 0")
-        gvals = F.g_values(x0, ks, r).astype(complex)
-        dev = float(np.max(np.abs(base.H_values - eht_trace(a, gvals, checkpoints).H_values)))
-        tail_weight = float(np.sum(weighted[np.abs(ks) > r]))
-        gap = F.schedule.gap(r)
-        rows.append({
-            "r": r,
-            "max_deviation": dev,
-            "deviation_bound": F.delta.norm("linf") * gap * tail_weight,
-            "l2_gap": F.delta.norm("l2") * gap,
-        })
+    # |a_i| / |i| over -N..N, whole, so the pairwise sum of each tail rounds as one sum does
+    radii = np.abs(np.arange(-N, N + 1, dtype=np.int64))
+    weighted = np.abs(a.range_values(N)) * np.concatenate(
+        [1.0 / np.abs(np.arange(-N, 0)), [0.0], 1.0 / np.arange(1, N + 1)])
+    rows = [{"r": r, "max_deviation": float(np.max(np.abs(base.H_values - trace.H_values))),
+             "deviation_bound": (F.delta.norm("linf") * F.schedule.gap(r)
+                                 * float(np.sum(weighted[radii > r]))),
+             "l2_gap": F.delta.norm("l2") * F.schedule.gap(r)}
+            for r, trace in zip(levels, traces)]
     return {"trace": base, "verdict": verdict, "approximants": rows}
 
 
@@ -215,9 +216,7 @@ def _seminorm_values(c: ModulatingSequence, alpha: float, schedule: Sequence[int
 
 def hilbert_partial_sums(c: ModulatingSequence, checkpoints: Sequence[int]) -> np.ndarray:
     """sum_{1<=|k|<=n} c_k / k at the checkpoints."""
-    N = max(checkpoints)
-    ones = np.ones(2 * N + 1, dtype=complex)
-    return eht_trace(c, ones, tuple(int(n) for n in checkpoints)).H_values
+    return eht_trace(c, np.ones(2 * max(checkpoints) + 1, dtype=complex), checkpoints).H_values
 
 
 def _hilbert_verdict(c: ModulatingSequence, n_max: int) -> ConvergenceVerdict:

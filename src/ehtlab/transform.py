@@ -19,7 +19,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,9 +28,9 @@ from .dynamics import (
     TorusAutomorphism,
     DynamicalSystem,
     Observable,
+    array_pairs,
     lattice_orbit,
     orbit_pairs,
-    orbit_values,
     sample_points,
 )
 from .errors import InvariantError
@@ -70,14 +70,10 @@ class TransformTrace:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["n", "re_H", "im_H", "abel_main", "abel_tail"])
-            for i, n in enumerate(self.checkpoints):
-                row = [n, repr(float(self.H_values[i].real)), repr(float(self.H_values[i].imag))]
-                if self.abel_parts is not None:
-                    main, tail = self.abel_parts[i]
-                    row += [repr(abs(main)), repr(abs(tail))]
-                else:
-                    row += ["", ""]
-                w.writerow(row)
+            abel = self.abel_parts or [()] * len(self.checkpoints)
+            for n, h, parts in zip(self.checkpoints, self.H_values.tolist(), abel):
+                w.writerow([n, repr(h.real), repr(h.imag)]
+                           + ([repr(abs(z)) for z in parts] if parts else ["", ""]))
 
 
 _GOLDEN_OFFSETS = tuple(sorted((0.6180339887498949 * i) % 1.0 for i in range(16)))
@@ -105,10 +101,10 @@ def default_checkpoints(n_max: int, n_min: int = 16) -> tuple[int, ...]:
 
 
 def as_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
-    """The checkpoints as a tuple of ints, which must be nonempty and strictly increasing."""
+    """The checkpoints as a tuple of ints, which must be nonempty, positive and increasing."""
     checkpoints = tuple(int(n) for n in checkpoints)
-    if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ValueError("checkpoints must be nonempty and strictly increasing")
+    if not checkpoints or any(b <= a for a, b in zip((0,) + checkpoints, checkpoints)):
+        raise ValueError("checkpoints must be nonempty, positive and strictly increasing")
     return checkpoints
 
 
@@ -124,94 +120,93 @@ def _numerators(weights: tuple[np.ndarray, np.ndarray], vpos: np.ndarray, vneg: 
     return np.subtract(out, np.multiply(neg, vneg, out=scratch), out=out)
 
 
-def _pairwise_terms(a: ModulatingSequence, orbit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Numerators d_k = a_k v_k - a_{-k} v_{-k} and terms d_k / k for k = 1..N."""
+def _pair_numerators(pairs: Sequence[tuple[ModulatingSequence, int]], rows: Callable
+                     ) -> Callable[[int, int], Iterator[tuple[int, np.ndarray]]]:
+    """A function (lo, hi) -> (p, d_k for k = lo+1..hi) for each (a, row) pair p, by row.
+
+    Per block a_{+-k} of each distinct sequence is evaluated once
+    (`pair_values`) and the rows of `rows(lo, hi)` are read one at a time;
+    each d_k is written into one buffer, to be used before the next comes.
+    a_0 is flag-checked here, so blocks covering 1..n check `range_values(n)`'s flags.
+    """
+    seqs = list(dict.fromkeys(a for a, _ in pairs))
+    for a in seqs:
+        a.pair_values(np.zeros(1, dtype=np.int64))
+    by_row: dict[int, list] = {}
+    for p, (a, row) in enumerate(pairs):
+        by_row.setdefault(row, []).append((p, a))
+
+    def block(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+        ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        weights = {a: a.pair_values(ks) for a in seqs}
+        d, scratch = np.empty(ks.size, dtype=complex), np.empty(ks.size, dtype=complex)
+        for row, values in enumerate(rows(lo, hi)):
+            for p, a in by_row.get(row, ()):
+                yield p, _numerators(weights[a], *values, out=d, scratch=scratch)
+    return block
+
+
+def _orbit_radius(orbit: np.ndarray) -> int:
     if orbit.ndim != 1 or orbit.size % 2 == 0:
         raise ValueError("orbit must be a two-sided array of odd length")
-    N = orbit.size // 2
-    avals = a.range_values(N)
-    numerators = _numerators((avals[N + 1 :], avals[N - 1 :: -1]), orbit[N + 1 :],
-                             orbit[N - 1 :: -1])
-    return numerators, numerators / np.arange(1, N + 1, dtype=complex)
+    return orbit.size // 2
 
 
 def eht_trace(a: ModulatingSequence, orbit: np.ndarray, checkpoints: Sequence[int],
               *, with_abel: bool = False) -> TransformTrace:
-    """Partial sums H_n at the given checkpoints (k = 0 is always excluded).
-
-    `orbit` holds f(T^k x0) for -N <= k <= N; every checkpoint must satisfy
-    1 <= n <= N. When `with_abel` is set the trace carries the two halves of
-    the summation-by-parts identity
-        H_n = sum_{k<n} (S_k - S_{-k})/(k(k+1)) + (S_n - S_{-n})/n,
-    whose sum must reproduce H_n up to pure rounding error.
-    """
+    """`orbit_traces` of a against `orbit`, f(T^k x0) for -N <= k <= N; 1 <= checkpoints <= N."""
     checkpoints = as_checkpoints(checkpoints)
-    N = orbit.size // 2
-    if checkpoints[0] < 1 or checkpoints[-1] > N:
+    N = _orbit_radius(orbit)
+    if checkpoints[-1] > N:
         raise ValueError(f"checkpoints must lie in [1, {N}] for this orbit")
-
-    numerators, terms = _pairwise_terms(a, orbit)
-    H = checkpoint_sums(terms, np.asarray(checkpoints))
-
-    abel = None
-    if with_abel:
-        D = np.cumsum(numerators)
-        ks = np.arange(1, N + 1, dtype=float)
-        main_terms = D / (ks * (ks + 1.0))
-        mains = checkpoint_sums(main_terms, np.asarray(checkpoints) - 1)
-        abel = tuple(
-            (complex(m), complex(D[n - 1] / n)) for m, n in zip(mains, checkpoints)
-        )
-        for Hn, (main, tail) in zip(H, abel):
-            if abs(Hn - (main + tail)) > 1e-10 * (1.0 + abs(Hn)):
-                raise InvariantError(
-                    "summation-by-parts split disagrees with the direct sum "
-                    "beyond rounding scale"
-                )
-    return TransformTrace(checkpoints, H, abel)
+    return orbit_traces([(a, 0)], array_pairs([orbit]), checkpoints, with_abel=with_abel)[0]
 
 
-def orbit_traces(pairs: Sequence[tuple[ModulatingSequence, object]], sys: DynamicalSystem,
-                 f: Observable, checkpoints: Sequence[int]) -> list[TransformTrace]:
-    """`eht_trace(a, orbit_values(sys, f, x0, N), checkpoints)` for each (a, x0) pair, bitwise.
+def orbit_traces(pairs: Sequence[tuple[ModulatingSequence, int]], rows: Callable,
+                 checkpoints: Sequence[int], *, with_abel: bool = False) -> list[TransformTrace]:
+    """H_n = sum_{1<=|k|<=n} a_k v_k / k at the checkpoints for each (a, row) pair.
 
-    N is the last checkpoint. No array of length N is built: each block of
-    whole checkpoint segments (`checkpoint_blocks`) evaluates a_{+-k} of
-    every distinct sequence (`pair_values`) and f(T^{+-k} x0) of every
-    distinct anchor (`orbit_pairs`) once, for k in the block only, and each
-    pair's terms are summed by `checkpoint_sums` with that pair's carried
-    accumulator. The flags of each sequence are checked on the indices
-    evaluated, a_0 among them, so on [-N, N] in all; every anchor is
-    validated before the first block.
+    `rows(lo, hi)` yields (v_k, v_{-k}) for k = lo+1..hi per row, in order
+    (`orbit_pairs`, `array_pairs`). No array of length N, the last
+    checkpoint, is built: each block of `checkpoint_blocks` sums every
+    pair's terms d_k / k (`_pair_numerators`) by `checkpoint_sums` with the
+    pair's carried accumulator. `with_abel` adds the two halves of the
+    summation-by-parts identity
+        H_n = sum_{k<n} (S_k - S_{-k})/(k(k+1)) + (S_n - S_{-n})/n,
+    whose sum must reproduce H_n up to pure rounding error; D_k = S_k - S_{-k}
+    is one sequential `np.cumsum` carried across the blocks.
     """
     checkpoints = as_checkpoints(checkpoints)
-    if checkpoints[0] < 1:
-        raise ValueError("checkpoints must be >= 1")
     ends = np.asarray(checkpoints, dtype=np.int64)
-    anchors = list(dict.fromkeys(x0 for _, x0 in pairs))
-    orbits = orbit_pairs(sys, f, anchors, checkpoints[-1])
-    seqs = dict.fromkeys(a for a, _ in pairs)
-    for a in seqs:
-        a.pair_values(np.zeros(1, dtype=np.int64))  # a_0, which no term uses
-
-    def block_terms(lo: int, hi: int) -> Iterator[np.ndarray]:
-        # each pair's terms for k = lo+1..hi in turn, in one buffer; the
-        # block's arrays go when the generator does, before the next block
-        ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        kc = ks.astype(complex)
-        weights = {a: a.pair_values(ks) for a in seqs}
-        values = dict(zip(anchors, orbits(lo, hi)))
-        terms, scratch = np.empty_like(kc), np.empty_like(kc)
-        for a, x0 in pairs:
-            _numerators(weights[a], *values[x0], out=terms, scratch=scratch)
-            yield np.divide(terms, kc, out=terms)
-
-    H = [np.empty(ends.size, dtype=complex) for _ in pairs]
+    numerators = _pair_numerators(pairs, rows)
+    H = np.empty((len(pairs), ends.size), dtype=complex)
     accs = [ComplexNeumaierSum() for _ in pairs]
+    if with_abel:
+        mains, tails = np.empty_like(H), np.empty_like(H)
+        main_accs = [ComplexNeumaierSum() for _ in pairs]
+        D_lo = np.full(len(pairs), complex(-0.0, -0.0))  # -0.0 + x is x, even for x = -0.0
     for i, j, lo, hi in checkpoint_blocks(ends):
-        for h, acc, terms in zip(H, accs, block_terms(lo, hi)):
-            h[i:j] = checkpoint_sums(terms, ends[i:j] - lo, acc)
-    return [TransformTrace(checkpoints, h) for h in H]
+        kc = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(complex)
+        if with_abel:
+            # D_lo..D_hi; the block's main terms D_k / (k(k+1)) run k = start..hi-1
+            start, D = max(lo, 1), np.empty(hi - lo + 1, dtype=complex)
+            kf = np.arange(start, hi, dtype=float)
+            denominators = kf * (kf + 1.0)
+        for p, d in numerators(lo, hi):
+            if with_abel:
+                D[0], D[1:] = D_lo[p], d
+                D_lo[p] = np.cumsum(D, out=D)[-1]
+                mains[p, i:j] = checkpoint_sums(D[start - lo : hi - lo] / denominators,
+                                                ends[i:j] - start, main_accs[p])
+                tails[p, i:j] = D[ends[i:j] - lo] / ends[i:j]
+            H[p, i:j] = checkpoint_sums(np.divide(d, kc, out=d), ends[i:j] - lo, accs[p])
+    if not with_abel:
+        return [TransformTrace(checkpoints, h) for h in H]
+    if np.any(np.abs(H - (mains + tails)) > 1e-10 * (1.0 + np.abs(H))):
+        raise InvariantError("summation-by-parts split disagrees with the direct sum beyond "
+                             "rounding scale")
+    return [TransformTrace(checkpoints, h, tuple(zip(m, t)))
+            for h, m, t in zip(H, mains.tolist(), tails.tolist())]
 
 
 def abel_identity_residual(a: ModulatingSequence, orbit: np.ndarray, n: int) -> float:
@@ -222,12 +217,13 @@ def abel_identity_residual(a: ModulatingSequence, orbit: np.ndarray, n: int) -> 
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    N = orbit.size // 2
+    N = _orbit_radius(orbit)
     if n > N:
         raise ValueError("orbit radius too small for requested n")
-    numerators, terms = _pairwise_terms(a, orbit)
-    direct = complex(terms[:n].sum())
-    D = np.cumsum(numerators[:n])
+    weights, values = array_pairs([a.range_values(N), orbit])(0, n)
+    numerators = _numerators(weights, *values)
+    direct = complex((numerators / np.arange(1, n + 1, dtype=complex)).sum())
+    D = np.cumsum(numerators)
     ks = np.arange(1, n, dtype=float)
     main = complex(np.sum(D[: n - 1] / (ks * (ks + 1.0))))
     tail = complex(D[n - 1] / n)
@@ -357,17 +353,13 @@ def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, po
     block, so the sequential `np.cumsum` gives bitwise the whole-row prefix
     sums; the running `np.maximum` keeps a NaN, as one whole-row max does.
     """
-    orbits = orbit_pairs(sys, f, points, N)
-    a.pair_values(np.zeros(1, dtype=np.int64))  # a_0, which no term uses
+    numerators = _pair_numerators([(a, i) for i in range(len(points))],
+                                  orbit_pairs(sys, f, points, N))
     prefix = np.zeros(len(points), dtype=complex)
     sups, block_sups = np.full(len(points), -np.inf), np.empty(len(points))
     for lo, hi in term_blocks(N):
-        ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        kc = ks.astype(complex)
-        weights = a.pair_values(ks)
-        terms, scratch, mags = np.empty_like(kc), np.empty_like(kc), np.empty(kc.size)
-        for i, values in enumerate(orbits(lo, hi)):
-            _numerators(weights, *values, out=terms, scratch=scratch)
+        kc, mags = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(complex), np.empty(hi - lo)
+        for i, terms in numerators(lo, hi):
             np.divide(terms, kc, out=terms)
             terms[0] += prefix[i]
             np.cumsum(terms, out=terms)
@@ -391,7 +383,8 @@ def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, lam_grid: Sequ
         thetas.append(math.atan2(lam.imag, lam.real) / (2 * math.pi))
         a = transform_sequence(named_sequence("constant"), "modulate", lam=lam)
         seqs.append(transform_sequence(a, "symmetrize") if symmetric else a)
-    traces = orbit_traces([(a, x0) for a in seqs], sys, f, checkpoints)
+    traces = orbit_traces([(a, 0) for a in seqs], orbit_pairs(sys, f, [x0], checkpoints[-1]),
+                          checkpoints)
     return [{"theta_turns": theta, "trace": trace,
              "verdict": make_convergence_verdict(checkpoints, trace.H_values)}
             for theta, trace in zip(thetas, traces)]
@@ -424,20 +417,19 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
     if isinstance(sys, Rotation) and "m" in f.meta:
         m = int(f.meta["m"])
         orbits = orbit_pairs(sys, f, sample_points(sys, sample_count, seed), jmax)
-        # row 0 sums the eigenvalue's powers, row s >= 1 the orbit of sample s
+
+        def rows(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            # row 0: the eigenvalue's powers, by the orbits' drift-free angle
+            # arithmetic; row s >= 1: the orbit of sample s
+            pows = np.exp(2j * np.pi * frac1(np.arange(lo + 1, hi + 1) * (m * sys.theta)))
+            return itertools.chain([(pows, np.conj(pows))], orbits(lo, hi))
+
+        numerators = _pair_numerators([(a, s) for s in range(sample_count + 1)], rows)
         P = np.empty((sample_count + 1, ends.size), dtype=complex)
         accs = [ComplexNeumaierSum() for _ in range(sample_count + 1)]
-        a.pair_values(np.zeros(1, dtype=np.int64))  # a_0, as range_values(jmax) checks it
         for i, j, lo, hi in checkpoint_blocks(ends):
-            ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
-            weights = a.pair_values(ks)
-            # eigenvalue powers by the same drift-free angle arithmetic as orbits
-            pows = np.exp(2j * np.pi * frac1(ks * (m * sys.theta)))
-            numerators, scratch = np.empty(ks.size, dtype=complex), np.empty(ks.size, dtype=complex)
-            rows = itertools.chain([(pows, np.conj(pows))], orbits(lo, hi))
-            for row, acc, sums in zip(rows, accs, P):
-                _numerators(weights, *row, out=numerators, scratch=scratch)
-                sums[i:j] = checkpoint_sums(numerators, ends[i:j] - lo, acc)
+            for s, d in numerators(lo, hi):
+                P[s, i:j] = checkpoint_sums(d, ends[i:j] - lo, accs[s])
         spectral = np.abs(P[0]) * f.norm("l2")
 
         acc = np.zeros(ends.size)

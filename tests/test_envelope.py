@@ -399,3 +399,32 @@ def test_kernel_series_l1_uniformly_bounded():
     assert all(v <= prof["uniform_bound_certificate"] * (1 + 1e-6)
                for v in prof["integrals"])
     assert prof["max_integral"] > 0
+
+
+def _values_at_per_call(env, ns):
+    """The envelope lookup with every table rebuilt per call, the last practical
+    segment opened explicitly past the last practical breakpoint."""
+    ns = np.asarray(ns, dtype=np.int64)
+    bps = env.practical_breakpoints()
+    if ns.size and ns.max() > bps[-1]:
+        bps = bps + [int(ns.max()) + 1]
+    bp_arr = np.asarray(bps, dtype=np.int64)
+    seg = np.maximum(np.searchsorted(bp_arr, ns, side="left"), 1)
+    v_lo = np.asarray([env.values[i] for i in range(len(bps))])[seg - 1]
+    s = np.asarray([float(env.slopes[i]) for i in range(min(len(env.slopes), len(bps)))])
+    return v_lo + s[seg - 1] * (ns - bp_arr[seg - 1])
+
+
+def test_values_at_matches_the_per_call_tables():
+    env = build_envelope(inverse_log_majorant(3), K=34)
+    bps = env.practical_breakpoints()
+    assert len(bps) < env.K + 1  # some breakpoints lie past the practical cap
+    # n = 0, every practical breakpoint and its neighbours, a point inside each
+    # segment, then indices past the last practical breakpoint (to 2**63 - 2: the
+    # reference appends max + 1, which overflows int64 at 2**63 - 1)
+    ns = sorted({0, 1} | {b + t for b in bps for t in (-1, 0, 1) if b + t >= 0}
+                | {(a + b) // 2 for a, b in zip(bps, bps[1:])}
+                | {bps[-1] + 2, 10**18, 2**62, 2**63 - 2})
+    for chunk in ([ns[0]], ns, ns[:5], ns[-3:], np.array(ns[::-1])):
+        got, want = env.values_at(chunk), _values_at_per_call(env, chunk)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -22,7 +22,9 @@ from ehtlab.processes import (
     structural_identity_check,
     truncated_approximant,
 )
-from ehtlab.sequences import named_sequence, transform_sequence
+from ehtlab import numerics
+from ehtlab.numerics import checkpoint_blocks, checkpoint_sums
+from ehtlab.sequences import ModulatingSequence, named_sequence, transform_sequence
 from ehtlab.transform import default_checkpoints
 
 
@@ -204,3 +206,51 @@ def test_additive_sparse_trace_settles(rotation, sparse_dyadic):
     assert res["verdict"].verdict == "cauchy_trend"
     # the equality schedule leaves nothing for the approximant to miss
     assert res["approximants"][0]["max_deviation"] == 0.0
+
+
+def _whole_array_process_rows(a, F, x0, cps, r_schedule):
+    """The process deviations as whole-range arrays form them: f and each g^r
+    over -N..N, one checkpoint_sums per trace, one pairwise tail-weight sum."""
+    N = cps[-1]
+    ks = np.arange(-N, N + 1, dtype=np.int64)
+    avals = a.range_values(N)
+
+    def trace(vals):
+        d = avals[N + 1 :] * vals[N + 1 :] - avals[N - 1 :: -1] * vals[N - 1 :: -1]
+        return checkpoint_sums(d / np.arange(1, N + 1, dtype=complex), cps)
+
+    base = trace(F.f_values(x0, ks).astype(complex))
+    weighted = np.abs(avals) * np.concatenate(
+        [1.0 / np.abs(np.arange(-N, 0)), [0.0], 1.0 / np.arange(1, N + 1)])
+    return [(float(np.max(np.abs(base - trace(F.g_values(x0, ks, r).astype(complex))))),
+             F.delta.norm("linf") * F.schedule.gap(r) * float(np.sum(weighted[np.abs(ks) > r])))
+            for r in r_schedule]
+
+
+@pytest.mark.parametrize("system", ["rotation", "three_cycle"])
+def test_process_sums_stream_one_sequence_evaluation_per_block(system, monkeypatch):
+    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 512)
+    sys_ = make_system(system)
+    delta = (rotation_raised_cosine() if system == "rotation"
+             else constant_observable("three_cycle", 1.0))
+    F = build_process(sys_, delta, validation_count=50, seed=3)
+    cps = [1, 2, 511, 512, 513, 1023, 1024, 1025, 1600, 2500]
+    blocks = len(list(checkpoint_blocks(np.asarray(cps))))
+    assert blocks >= 3
+    a = named_sequence("hardy_littlewood")
+    calls = []
+    counted = ModulatingSequence("counted", a.fn, bound=a.bound)
+    original = ModulatingSequence.pair_values
+
+    def pair_values(self, ks):
+        if self is counted:
+            calls.append(len(ks))
+        return original(self, ks)
+    monkeypatch.setattr(ModulatingSequence, "pair_values", pair_values)
+    r_schedule = [0, 4, 600, 10**4]
+    res = process_eht_trace(counted, F, sys_.default_point(), cps, r_schedule)
+    # a_0, then one evaluation per block shared by f and every level
+    assert len(calls) == 1 + blocks
+    got = [(row["max_deviation"], row["deviation_bound"]) for row in res["approximants"]]
+    want = _whole_array_process_rows(a, F, sys_.default_point(), cps, r_schedule)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))

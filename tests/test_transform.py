@@ -524,13 +524,37 @@ def _three_block_checkpoints(block_terms=_BLOCK_TERMS):
     return cps
 
 
+def _whole_array_numerators(a, orbit):
+    """d_k = a_k v_k - a_{-k} v_{-k}, k = 1..N, from the whole range and the whole orbit."""
+    N = orbit.size // 2
+    avals = a.range_values(N)
+    return avals[N + 1 :] * orbit[N + 1 :] - avals[N - 1 :: -1] * orbit[N - 1 :: -1]
+
+
+def _whole_array_abel(a, orbit, cps):
+    """The summation-by-parts halves as one whole-range pass forms them."""
+    D = np.cumsum(_whole_array_numerators(a, orbit))
+    ks = np.arange(1, D.size + 1, dtype=float)
+    mains = checkpoint_sums(D / (ks * (ks + 1.0)), np.asarray(cps) - 1)
+    return [(complex(m), complex(D[n - 1] / n)) for m, n in zip(mains, cps)]
+
+
+def _streamed(pairs, sys_, f, cps, **kw):
+    """`orbit_traces` for (a, x0) pairs, one row per distinct anchor."""
+    anchors = list(dict.fromkeys(x0 for _, x0 in pairs))
+    rows = dynamics.orbit_pairs(sys_, f, anchors, cps[-1])
+    return orbit_traces([(a, anchors.index(x0)) for a, x0 in pairs], rows, cps, **kw)
+
+
 def _assert_streams_like_eht_trace(pairs, sys_, f, cps):
-    traces = orbit_traces(pairs, sys_, f, cps)
+    traces = _streamed(pairs, sys_, f, cps)
     assert len(traces) == len(pairs)
     for (a, x0), trace in zip(pairs, traces):
-        want = eht_trace(a, orbit_values(sys_, f, x0, cps[-1]), cps)
-        assert trace.checkpoints == want.checkpoints and trace.abel_parts is None
-        assert np.array_equal(_bits(trace.H_values), _bits(want.H_values))
+        # the whole-array sums: whole range, whole orbit, one checkpoint_sums
+        d = _whole_array_numerators(a, orbit_values(sys_, f, x0, cps[-1]))
+        want = checkpoint_sums(d / np.arange(1, d.size + 1, dtype=complex), cps)
+        assert trace.checkpoints == tuple(cps) and trace.abel_parts is None
+        assert np.array_equal(_bits(trace.H_values), _bits(want))
 
 
 @pytest.mark.parametrize("f", [rotation_character(1), rotation_raised_cosine()])
@@ -595,7 +619,7 @@ def test_orbit_traces_check_the_flags_like_range_values(broken):
     rot = make_system("rotation", angle_turns="sqrt2")
     f = rotation_character(1)
     with pytest.raises(ref.type):
-        orbit_traces([(a, rot.default_point())], rot, f, cps)
+        _streamed([(a, rot.default_point())], rot, f, cps)
     with pytest.raises(ref.type):
         _maximal_sups(a, rot, f, sample_points(rot, 2, seed=1), cps[-1])
     with pytest.raises(ref.type):
@@ -618,8 +642,8 @@ def test_streamed_paths_keep_the_exact_angle_guard(monkeypatch):
         lambda: orbit_values(rot, f, RotationPoint(0.3, shift=60), 4),
         lambda: wiener_wintner_sweep(rot, f, RotationPoint(0.3), [1j], (16, 64), True),
         lambda: wiener_wintner_sweep(rot, f, RotationPoint(0.3, shift=-1), [1j], (63,), False),
-        lambda: orbit_traces([(a, RotationPoint(0.3)), (a, RotationPoint(0.3, shift=-60))],
-                             rot, f, (2, 4)),
+        lambda: _streamed([(a, RotationPoint(0.3)), (a, RotationPoint(0.3, shift=-60))],
+                          rot, f, (2, 4)),
     ]
     for case in cases:
         with pytest.raises(ValueError, match="exact-angle range"):
@@ -633,8 +657,13 @@ def test_long_orbit_sums_stay_small_in_memory():
     cyc = make_system("three_cycle")
     tracemalloc.start()
     try:
-        orbit_traces([(named_sequence("cycle_indicator"), CyclePoint(0))], cyc,
-                      cycle_step_observable(), default_checkpoints(10**6, n_min=4))
+        _streamed([(named_sequence("cycle_indicator"), CyclePoint(0))], cyc,
+                  cycle_step_observable(), default_checkpoints(10**6, n_min=4))
+        assert tracemalloc.get_traced_memory()[1] < budget
+        tracemalloc.reset_peak()
+        # the Abel split streams too: no whole-range D or main-term arrays
+        _streamed([(named_sequence("cycle_indicator"), CyclePoint(1))], cyc,
+                  cycle_step_observable(), default_checkpoints(10**6, n_min=4), with_abel=True)
         assert tracemalloc.get_traced_memory()[1] < budget
         tracemalloc.reset_peak()
         rot = make_system("rotation", angle_turns="sqrt2")
@@ -644,3 +673,45 @@ def test_long_orbit_sums_stay_small_in_memory():
         assert tracemalloc.get_traced_memory()[1] < budget
     finally:
         tracemalloc.stop()
+
+
+def _block_edge_checkpoints(block_terms):
+    # 1, 2 and each of the first three block ends -1/0/+1, then a partial block
+    edges = [e + t for e in (block_terms, 2 * block_terms, 3 * block_terms) for t in (-1, 0, 1)]
+    return [1, 2] + edges + [3 * block_terms + 400]
+
+
+@pytest.mark.parametrize("system", ["rotation", "three_cycle"])
+def test_streamed_abel_parts_match_the_whole_array_formula(system, monkeypatch):
+    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 512)
+    cps = _block_edge_checkpoints(512)
+    assert len(list(checkpoint_blocks(np.asarray(cps)))) >= 3
+    if system == "rotation":
+        sys_, f = make_system("rotation", angle_turns="sqrt2"), rotation_raised_cosine()
+        pairs = [(named_sequence("hardy_littlewood"), RotationPoint(0.1)),
+                 (named_sequence("sparse_dyadic"), RotationPoint(0.37, shift=-41))]
+    else:
+        # every cell and convention: some cells cancel exactly, so D_k is a
+        # run of signed zeros there, and the signs must survive the blocks too
+        sys_, f = make_system("three_cycle"), cycle_step_observable()
+        pairs = [(named_sequence("cycle_indicator", convention=conv), CyclePoint(cell))
+                 for conv in ("symmetric", "signed") for cell in range(3)]
+    streamed = _streamed(pairs, sys_, f, cps, with_abel=True)
+    for (a, x0), trace in zip(pairs, streamed):
+        orbit = orbit_values(sys_, f, x0, cps[-1])
+        want = _whole_array_abel(a, orbit, cps)
+        assert np.array_equal(_bits(trace.abel_parts), _bits(want))
+        via_array = eht_trace(a, orbit, cps, with_abel=True)
+        assert np.array_equal(_bits(via_array.abel_parts), _bits(want))
+        assert np.array_equal(_bits(via_array.H_values), _bits(trace.H_values))
+
+
+def test_streamed_abel_split_keeps_the_sign_of_a_zero():
+    # d_1 = 1j * -1 = (-0.0, -1.0): the whole-range cumsum keeps D_1's -0.0,
+    # and so does its tail D_1 / 1
+    a = from_values([0, 0, 0, 0, 1j, 0.5, 0.25])
+    orbit = np.array([0.5, 2.0, 0.0, 3.0, -1.0, 1.0j, 0.75])
+    tr = eht_trace(a, orbit, [1, 2, 3], with_abel=True)
+    want = _whole_array_abel(a, orbit, [1, 2, 3])
+    assert math.copysign(1.0, want[0][1].real) == -1.0
+    assert np.array_equal(_bits(tr.abel_parts), _bits(want))
