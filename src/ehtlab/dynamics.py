@@ -411,6 +411,8 @@ def array_pairs(arrays: Sequence[np.ndarray]
                 ) -> Callable[[int, int], Iterator[tuple[np.ndarray, np.ndarray]]]:
     """A function (lo, hi) -> the views (v[N + k], v[N - k]), k = lo+1..hi, of each
     two-sided array v of length 2N+1, N >= hi, one pair per array in order."""
+    if any(v.ndim != 1 or v.size % 2 == 0 for v in arrays):
+        raise ValueError("orbit must be a two-sided array of odd length")
     halves = [(v[v.size // 2 + 1 :], v[v.size // 2 - 1 :: -1]) for v in arrays]
     return lambda lo, hi: ((pos[lo:hi], neg[lo:hi]) for pos, neg in halves)
 

@@ -216,7 +216,9 @@ def _seminorm_values(c: ModulatingSequence, alpha: float, schedule: Sequence[int
 
 def hilbert_partial_sums(c: ModulatingSequence, checkpoints: Sequence[int]) -> np.ndarray:
     """sum_{1<=|k|<=n} c_k / k at the checkpoints."""
-    return eht_trace(c, np.ones(2 * max(checkpoints) + 1, dtype=complex), checkpoints).H_values
+    N = max(checkpoints)
+    ones = np.ones(2 * N + 1, dtype=complex)
+    return eht_trace(c, ones, tuple(int(n) for n in checkpoints)).H_values
 
 
 def _hilbert_verdict(c: ModulatingSequence, n_max: int) -> ConvergenceVerdict:

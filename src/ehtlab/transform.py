@@ -70,10 +70,14 @@ class TransformTrace:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["n", "re_H", "im_H", "abel_main", "abel_tail"])
-            abel = self.abel_parts or [()] * len(self.checkpoints)
-            for n, h, parts in zip(self.checkpoints, self.H_values.tolist(), abel):
-                w.writerow([n, repr(h.real), repr(h.imag)]
-                           + ([repr(abs(z)) for z in parts] if parts else ["", ""]))
+            for i, n in enumerate(self.checkpoints):
+                row = [n, repr(float(self.H_values[i].real)), repr(float(self.H_values[i].imag))]
+                if self.abel_parts is not None:
+                    main, tail = self.abel_parts[i]
+                    row += [repr(abs(main)), repr(abs(tail))]
+                else:
+                    row += ["", ""]
+                w.writerow(row)
 
 
 _GOLDEN_OFFSETS = tuple(sorted((0.6180339887498949 * i) % 1.0 for i in range(16)))
@@ -140,26 +144,28 @@ def _pair_numerators(pairs: Sequence[tuple[ModulatingSequence, int]], rows: Call
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
         weights = {a: a.pair_values(ks) for a in seqs}
         d, scratch = np.empty(ks.size, dtype=complex), np.empty(ks.size, dtype=complex)
-        for row, values in enumerate(rows(lo, hi)):
-            for p, a in by_row.get(row, ()):
+        n_rows = 0
+        for n_rows, values in enumerate(rows(lo, hi), start=1):
+            for p, a in by_row.get(n_rows - 1, ()):
                 yield p, _numerators(weights[a], *values, out=d, scratch=scratch)
+        if not by_row.keys() <= set(range(n_rows)):  # a pair left out would go unsummed
+            raise ValueError(f"pairs name rows {sorted(by_row)} of a source of {n_rows} rows")
     return block
-
-
-def _orbit_radius(orbit: np.ndarray) -> int:
-    if orbit.ndim != 1 or orbit.size % 2 == 0:
-        raise ValueError("orbit must be a two-sided array of odd length")
-    return orbit.size // 2
 
 
 def eht_trace(a: ModulatingSequence, orbit: np.ndarray, checkpoints: Sequence[int],
               *, with_abel: bool = False) -> TransformTrace:
-    """`orbit_traces` of a against `orbit`, f(T^k x0) for -N <= k <= N; 1 <= checkpoints <= N."""
-    checkpoints = as_checkpoints(checkpoints)
-    N = _orbit_radius(orbit)
+    """Partial sums H_n of a against one whole orbit array, at the given checkpoints.
+
+    `orbit` holds f(T^k x0) for -N <= k <= N; every checkpoint must satisfy
+    1 <= n <= N. This is `orbit_traces` on the array's slices, `with_abel`
+    included.
+    """
+    checkpoints, rows = as_checkpoints(checkpoints), array_pairs([orbit])
+    N = orbit.size // 2
     if checkpoints[-1] > N:
         raise ValueError(f"checkpoints must lie in [1, {N}] for this orbit")
-    return orbit_traces([(a, 0)], array_pairs([orbit]), checkpoints, with_abel=with_abel)[0]
+    return orbit_traces([(a, 0)], rows, checkpoints, with_abel=with_abel)[0]
 
 
 def orbit_traces(pairs: Sequence[tuple[ModulatingSequence, int]], rows: Callable,
@@ -217,7 +223,7 @@ def abel_identity_residual(a: ModulatingSequence, orbit: np.ndarray, n: int) -> 
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    N = _orbit_radius(orbit)
+    N = orbit.size // 2
     if n > N:
         raise ValueError("orbit radius too small for requested n")
     weights, values = array_pairs([a.range_values(N), orbit])(0, n)
@@ -358,7 +364,8 @@ def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, po
     prefix = np.zeros(len(points), dtype=complex)
     sups, block_sups = np.full(len(points), -np.inf), np.empty(len(points))
     for lo, hi in term_blocks(N):
-        kc, mags = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(complex), np.empty(hi - lo)
+        kc = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(complex)
+        mags = np.empty(kc.size)
         for i, terms in numerators(lo, hi):
             np.divide(terms, kc, out=terms)
             terms[0] += prefix[i]

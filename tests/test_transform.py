@@ -210,6 +210,11 @@ def test_trace_validation_and_abel_parts():
         eht_trace(a, orbit, [5, 20])  # checkpoint beyond orbit radius
     with pytest.raises(ValueError):
         eht_trace(a, orbit, [7, 7])
+    for bad in (np.ones(20, dtype=complex), np.ones((3, 7), dtype=complex)):
+        with pytest.raises(ValueError, match="odd length"):
+            eht_trace(a, bad, [2])
+        with pytest.raises(ValueError, match="odd length"):
+            abel_identity_residual(a, bad, 2)
     rng = np.random.default_rng(0)
     orbit = rng.standard_normal(21) + 1j * rng.standard_normal(21)
     tr = eht_trace(a, orbit, [2, 5, 10], with_abel=True)
@@ -626,6 +631,14 @@ def test_orbit_traces_check_the_flags_like_range_values(broken):
         l2_diff_vs_spectral(a, rot, f, cps, sample_count=2)
     if broken != "a0_one_sided":  # the flags hold on the first block
         a.pair_values(np.arange(0, past + 1))
+
+
+@pytest.mark.parametrize("row", [1, -1])
+def test_orbit_traces_reject_a_row_the_source_lacks(row):
+    orbit = np.ones(21, dtype=complex)
+    with pytest.raises(ValueError, match="rows"):
+        orbit_traces([(named_sequence("constant"), 0), (named_sequence("hardy_littlewood"), row)],
+                      dynamics.array_pairs([orbit]), [2, 10])
 
 
 def test_streamed_paths_keep_the_exact_angle_guard(monkeypatch):
