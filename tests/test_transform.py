@@ -704,8 +704,7 @@ def test_streamed_abel_parts_match_the_whole_array_formula(system, monkeypatch):
         pairs = [(named_sequence("hardy_littlewood"), RotationPoint(0.1)),
                  (named_sequence("sparse_dyadic"), RotationPoint(0.37, shift=-41))]
     else:
-        # every cell and convention: some cells cancel exactly, so D_k is a
-        # run of signed zeros there, and the signs must survive the blocks too
+        # every cell and convention, the cells whose terms cancel exactly included
         sys_, f = make_system("three_cycle"), cycle_step_observable()
         pairs = [(named_sequence("cycle_indicator", convention=conv), CyclePoint(cell))
                  for conv in ("symmetric", "signed") for cell in range(3)]
