@@ -259,11 +259,11 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
     sys_ = make_system("three_cycle")
     obs = cycle_step_observable()
     checkpoints = default_checkpoints(N, n_min=4)
+    cells = orbit_pairs(sys_, obs, [CyclePoint(cell) for cell in range(3)], checkpoints[-1])
     results = {}
     for conv in conventions:
         seq = named_sequence("cycle_indicator", convention=conv)
-        traces = orbit_traces([(seq, cell) for cell in range(3)], orbit_pairs(
-            sys_, obs, [CyclePoint(cell) for cell in range(3)], checkpoints[-1]), checkpoints)
+        traces = orbit_traces([seq], cells, checkpoints)
         traces[0].to_csv(out / f"trace_{conv}.csv")
         results[conv] = {
             f"cell_{cell}": {
@@ -555,7 +555,10 @@ def _config_from_args(args) -> ExperimentConfig:
     params = dict(_spec(raw, "params", {}))
     if args.N is not None:
         key = "N" if raw["kind"] == "counterexample" else "modulator_N"
-        params[key] = int(float(args.N))
+        try:
+            params[key] = int(float(args.N))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"--N must be a finite number, got {args.N!r}") from exc
     if args.convention is not None:
         params["convention"] = args.convention
     if args.seq is not None:

@@ -267,18 +267,10 @@ DynamicalSystem = Rotation | ThreeCycle | TorusAutomorphism
 
 
 def make_system(kind: str, **params) -> DynamicalSystem:
-    """Factory: rotation(angle_turns=... or phi=...), three_cycle, torus_automorphism."""
+    """Factory: rotation(angle_turns=...), three_cycle, torus_automorphism."""
     if kind == "rotation":
-        if "phi" in params:
-            phi = complex(params["phi"])
-            if abs(abs(phi) - 1.0) > 1e-12:
-                raise ValueError("rotation factor must have modulus 1")
-            angle = math.atan2(phi.imag, phi.real) / (2 * math.pi)
-        else:
-            angle = params.get("angle_turns", SQRT2_TURNS)
-            if angle == "sqrt2":
-                angle = SQRT2_TURNS
-        return Rotation(float(angle))
+        angle = params.get("angle_turns", SQRT2_TURNS)
+        return Rotation(float(SQRT2_TURNS if angle == "sqrt2" else angle))
     if kind == "three_cycle":
         return ThreeCycle()
     if kind == "torus_automorphism":

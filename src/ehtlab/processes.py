@@ -184,7 +184,7 @@ def process_eht_trace(a: ModulatingSequence, F: AdmissibleProcess, x0,
         for c in (F.schedule.factor(np.minimum(ks, r)) for r in (math.inf, *levels)):
             yield (c * pos.real).astype(complex), (c * neg.real).astype(complex)
 
-    base, *traces = orbit_traces([(a, i) for i in range(len(levels) + 1)], values, checkpoints)
+    base, *traces = orbit_traces([a], values, checkpoints)
     verdict = make_convergence_verdict(checkpoints, base.H_values)
 
     # |a_i| / |i| over -N..N, whole, so the pairwise sum of each tail rounds as one sum does
@@ -216,9 +216,8 @@ def _seminorm_values(c: ModulatingSequence, alpha: float, schedule: Sequence[int
 
 def hilbert_partial_sums(c: ModulatingSequence, checkpoints: Sequence[int]) -> np.ndarray:
     """sum_{1<=|k|<=n} c_k / k at the checkpoints."""
-    N = max(checkpoints)
-    ones = np.ones(2 * N + 1, dtype=complex)
-    return eht_trace(c, ones, tuple(int(n) for n in checkpoints)).H_values
+    ones = np.ones(2 * max(checkpoints) + 1, dtype=complex)
+    return eht_trace(c, ones, checkpoints).H_values
 
 
 def _hilbert_verdict(c: ModulatingSequence, n_max: int) -> ConvergenceVerdict:

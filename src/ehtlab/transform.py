@@ -18,7 +18,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -84,7 +86,7 @@ _GOLDEN_OFFSETS = tuple(sorted((0.6180339887498949 * i) % 1.0 for i in range(16)
 
 
 def default_checkpoints(n_max: int, n_min: int = 16) -> tuple[int, ...]:
-    """Eight low-discrepancy checkpoints per octave up to n_max.
+    """Up to sixteen low-discrepancy checkpoints per octave from n_min to n_max.
 
     The per-window oscillation statistic needs several samples per dyadic
     window, and uniformly spaced samples alias against modulations whose
@@ -92,6 +94,8 @@ def default_checkpoints(n_max: int, n_min: int = 16) -> tuple[int, ...]:
     a window then lands on the same phase). Golden-ratio placement inside
     each octave makes the pairwise gaps incommensurate.
     """
+    if n_max < n_min:
+        raise ValueError(f"no checkpoint lies in [{n_min}, {n_max}]: {n_max} is below {n_min}")
     pts = set()
     j = max(3, int(math.floor(math.log2(n_min))))
     while 2**j <= n_max:
@@ -124,32 +128,35 @@ def _numerators(weights: tuple[np.ndarray, np.ndarray], vpos: np.ndarray, vneg: 
     return np.subtract(out, np.multiply(neg, vneg, out=scratch), out=out)
 
 
-def _pair_numerators(pairs: Sequence[tuple[ModulatingSequence, int]], rows: Callable
-                     ) -> Callable[[int, int], Iterator[tuple[int, np.ndarray]]]:
-    """A function (lo, hi) -> (p, d_k for k = lo+1..hi) for each (a, row) pair p, by row.
+def _numerator_blocks(seqs: Sequence[ModulatingSequence], rows: Callable
+                      ) -> Callable[[int, int], Iterator[np.ndarray]]:
+    """A function (lo, hi) -> d_k for k = lo+1..hi of every sequence against every row, row-major.
 
-    Per block a_{+-k} of each distinct sequence is evaluated once
-    (`pair_values`) and the rows of `rows(lo, hi)` are read one at a time;
-    each d_k is written into one buffer, to be used before the next comes.
-    a_0 is flag-checked here, so blocks covering 1..n check `range_values(n)`'s flags.
+    Per block a_{+-k} of each sequence is evaluated once (`pair_values`) and
+    the rows of `rows(lo, hi)` are read one at a time; each d_k is written
+    into one buffer, to be used before the next comes. a_0 is flag-checked
+    here, so blocks covering 1..n check `range_values(n)`'s flags. Every
+    block must yield as many rows as the first.
     """
-    seqs = list(dict.fromkeys(a for a, _ in pairs))
     for a in seqs:
         a.pair_values(np.zeros(1, dtype=np.int64))
-    by_row: dict[int, list] = {}
-    for p, (a, row) in enumerate(pairs):
-        by_row.setdefault(row, []).append((p, a))
+    first_rows = math.inf
 
-    def block(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    def block(lo: int, hi: int) -> Iterator[np.ndarray]:
+        nonlocal first_rows
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        weights = {a: a.pair_values(ks) for a in seqs}
+        weights = [a.pair_values(ks) for a in seqs]
         d, scratch = np.empty(ks.size, dtype=complex), np.empty(ks.size, dtype=complex)
         n_rows = 0
-        for n_rows, values in enumerate(rows(lo, hi), start=1):
-            for p, a in by_row.get(n_rows - 1, ()):
-                yield p, _numerators(weights[a], *values, out=d, scratch=scratch)
-        if not by_row.keys() <= set(range(n_rows)):  # a pair left out would go unsummed
-            raise ValueError(f"pairs name rows {sorted(by_row)} of a source of {n_rows} rows")
+        for values in rows(lo, hi):
+            n_rows += 1
+            for w in weights:
+                yield _numerators(w, *values, out=d, scratch=scratch)
+            del values  # so that one row is alive at a time, not two
+        if first_rows not in (math.inf, n_rows):  # every trace must get every block's terms
+            raise ValueError(f"the block source yielded {first_rows} rows in its first block "
+                             f"and {n_rows} in ({lo}, {hi}]")
+        first_rows = n_rows
     return block
 
 
@@ -162,35 +169,35 @@ def eht_trace(a: ModulatingSequence, orbit: np.ndarray, checkpoints: Sequence[in
     included.
     """
     checkpoints, rows = as_checkpoints(checkpoints), array_pairs([orbit])
-    N = orbit.size // 2
-    if checkpoints[-1] > N:
-        raise ValueError(f"checkpoints must lie in [1, {N}] for this orbit")
-    return orbit_traces([(a, 0)], rows, checkpoints, with_abel=with_abel)[0]
+    if checkpoints[-1] > orbit.size // 2:
+        raise ValueError(f"checkpoints must lie in [1, {orbit.size // 2}] for this orbit")
+    return orbit_traces([a], rows, checkpoints, with_abel=with_abel)[0]
 
 
-def orbit_traces(pairs: Sequence[tuple[ModulatingSequence, int]], rows: Callable,
+def orbit_traces(seqs: Sequence[ModulatingSequence], rows: Callable,
                  checkpoints: Sequence[int], *, with_abel: bool = False) -> list[TransformTrace]:
-    """H_n = sum_{1<=|k|<=n} a_k v_k / k at the checkpoints for each (a, row) pair.
+    """H_n = sum_{1<=|k|<=n} a_k v_k / k at the checkpoints for every sequence a and row v.
 
     `rows(lo, hi)` yields (v_k, v_{-k}) for k = lo+1..hi per row, in order
-    (`orbit_pairs`, `array_pairs`). No array of length N, the last
+    (`orbit_pairs`, `array_pairs`). The traces are row-major: row r against
+    sequence s is trace `r * len(seqs) + s`. No array of length N, the last
     checkpoint, is built: each block of `checkpoint_blocks` sums every
-    pair's terms d_k / k (`_pair_numerators`) by `checkpoint_sums` with the
-    pair's carried accumulator. `with_abel` adds the two halves of the
-    summation-by-parts identity
+    trace's terms d_k / k (`_numerator_blocks`) by `checkpoint_sums` with the
+    trace's carried accumulator; each trace's state is allocated on the first
+    block. `with_abel` adds the two halves of the summation-by-parts identity
         H_n = sum_{k<n} (S_k - S_{-k})/(k(k+1)) + (S_n - S_{-n})/n,
     whose sum must reproduce H_n up to pure rounding error; D_k = S_k - S_{-k}
     is one sequential `np.cumsum` carried across the blocks.
     """
     checkpoints = as_checkpoints(checkpoints)
     ends = np.asarray(checkpoints, dtype=np.int64)
-    numerators = _pair_numerators(pairs, rows)
-    H = np.empty((len(pairs), ends.size), dtype=complex)
-    accs = [ComplexNeumaierSum() for _ in pairs]
+    numerators = _numerator_blocks(seqs, rows)
+    whole = partial(np.empty, ends.size, dtype=complex)
+    H, accs = defaultdict(whole), defaultdict(ComplexNeumaierSum)
     if with_abel:
-        mains, tails = np.empty_like(H), np.empty_like(H)
-        main_accs = [ComplexNeumaierSum() for _ in pairs]
-        D_lo = np.full(len(pairs), complex(-0.0, -0.0))  # -0.0 + x is x, even for x = -0.0
+        mains, tails = defaultdict(whole), defaultdict(whole)
+        main_accs = defaultdict(ComplexNeumaierSum)
+        D_lo = defaultdict(lambda: complex(-0.0, -0.0))  # -0.0 + x is x, even for x = -0.0
     for i, j, lo, hi in checkpoint_blocks(ends):
         kc = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(complex)
         if with_abel:
@@ -198,16 +205,17 @@ def orbit_traces(pairs: Sequence[tuple[ModulatingSequence, int]], rows: Callable
             start, D = max(lo, 1), np.empty(hi - lo + 1, dtype=complex)
             kf = np.arange(start, hi, dtype=float)
             denominators = kf * (kf + 1.0)
-        for p, d in numerators(lo, hi):
+        for p, d in enumerate(numerators(lo, hi)):
             if with_abel:
                 D[0], D[1:] = D_lo[p], d
                 D_lo[p] = np.cumsum(D, out=D)[-1]
-                mains[p, i:j] = checkpoint_sums(D[start - lo : hi - lo] / denominators,
+                mains[p][i:j] = checkpoint_sums(D[start - lo : hi - lo] / denominators,
                                                 ends[i:j] - start, main_accs[p])
-                tails[p, i:j] = D[ends[i:j] - lo] / ends[i:j]
-            H[p, i:j] = checkpoint_sums(np.divide(d, kc, out=d), ends[i:j] - lo, accs[p])
+                tails[p][i:j] = D[ends[i:j] - lo] / ends[i:j]
+            H[p][i:j] = checkpoint_sums(np.divide(d, kc, out=d), ends[i:j] - lo, accs[p])
     if not with_abel:
-        return [TransformTrace(checkpoints, h) for h in H]
+        return [TransformTrace(checkpoints, h) for h in H.values()]
+    H, mains, tails = (np.array(list(x.values())) for x in (H, mains, tails))
     if np.any(np.abs(H - (mains + tails)) > 1e-10 * (1.0 + np.abs(H))):
         raise InvariantError("summation-by-parts split disagrees with the direct sum beyond "
                              "rounding scale")
@@ -320,7 +328,7 @@ def cesaro_average_trace(a: ModulatingSequence, orbit: np.ndarray,
                          checkpoints: Sequence[int]) -> np.ndarray:
     """(1/n) sum_{k=0}^{n-1} a_k f(T^k x0) at each checkpoint."""
     N = orbit.size // 2
-    checkpoints = np.asarray(checkpoints, dtype=np.int64)
+    checkpoints = np.asarray(as_checkpoints(checkpoints), dtype=np.int64)
     if checkpoints[-1] > N + 1:
         raise ValueError("orbit too short for the requested averages")
     avals = a.range_values(N)
@@ -359,14 +367,13 @@ def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, po
     block, so the sequential `np.cumsum` gives bitwise the whole-row prefix
     sums; the running `np.maximum` keeps a NaN, as one whole-row max does.
     """
-    numerators = _pair_numerators([(a, i) for i in range(len(points))],
-                                  orbit_pairs(sys, f, points, N))
+    numerators = _numerator_blocks([a], orbit_pairs(sys, f, points, N))
     prefix = np.zeros(len(points), dtype=complex)
     sups, block_sups = np.full(len(points), -np.inf), np.empty(len(points))
     for lo, hi in term_blocks(N):
         kc = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(complex)
         mags = np.empty(kc.size)
-        for i, terms in numerators(lo, hi):
+        for i, terms in enumerate(numerators(lo, hi)):
             np.divide(terms, kc, out=terms)
             terms[0] += prefix[i]
             np.cumsum(terms, out=terms)
@@ -390,8 +397,7 @@ def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, lam_grid: Sequ
         thetas.append(math.atan2(lam.imag, lam.real) / (2 * math.pi))
         a = transform_sequence(named_sequence("constant"), "modulate", lam=lam)
         seqs.append(transform_sequence(a, "symmetrize") if symmetric else a)
-    traces = orbit_traces([(a, 0) for a in seqs], orbit_pairs(sys, f, [x0], checkpoints[-1]),
-                          checkpoints)
+    traces = orbit_traces(seqs, orbit_pairs(sys, f, [x0], checkpoints[-1]), checkpoints)
     return [{"theta_turns": theta, "trace": trace,
              "verdict": make_convergence_verdict(checkpoints, trace.H_values)}
             for theta, trace in zip(thetas, traces)]
@@ -415,9 +421,7 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
     |sum_i c_i e(u_i.x/L)|^2 is sum_u |sum_{i: u_i = u} c_i|^2.
     `sample_count` and `seed` drive the rotation route only.
     """
-    j_schedule = tuple(int(j) for j in j_schedule)
-    if any(j < 1 for j in j_schedule) or any(b <= a_ for a_, b in zip(j_schedule, j_schedule[1:])):
-        raise ValueError("j_schedule must be increasing positive integers")
+    j_schedule = as_checkpoints(j_schedule)
     jmax = j_schedule[-1]
     ends = np.asarray(j_schedule)
 
@@ -431,11 +435,11 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
             pows = np.exp(2j * np.pi * frac1(np.arange(lo + 1, hi + 1) * (m * sys.theta)))
             return itertools.chain([(pows, np.conj(pows))], orbits(lo, hi))
 
-        numerators = _pair_numerators([(a, s) for s in range(sample_count + 1)], rows)
+        numerators = _numerator_blocks([a], rows)
         P = np.empty((sample_count + 1, ends.size), dtype=complex)
         accs = [ComplexNeumaierSum() for _ in range(sample_count + 1)]
         for i, j, lo, hi in checkpoint_blocks(ends):
-            for s, d in numerators(lo, hi):
+            for s, d in enumerate(numerators(lo, hi)):
                 P[s, i:j] = checkpoint_sums(d, ends[i:j] - lo, accs[s])
         spectral = np.abs(P[0]) * f.norm("l2")
 

@@ -185,6 +185,23 @@ def test_run_via_flags(tmp_path):
     assert len(report["config_sha256"]) == 64
     assert report["results"]["conventions"]["symmetric"]["cell_0"]["verdict"]["verdict"] == "diverging"
     assert (out / "trace_symmetric.csv").exists()
+    # --N is stored as an int, so the config hash is the one of {"N": 1000}
+    assert report["config"]["params"] == {"N": 1000, "convention": "symmetric"}
+    assert type(report["config"]["params"]["N"]) is int
+
+
+def test_bad_sizes_exit_2_with_one_config_error_line(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    cfg = tmp_path / "small.json"
+    runs = [["run", "counterexample", "--N", n] for n in ("abc", "nan", "1e400", "2.5", "0")]
+    runs.append(["run", "prop27", "--N", "1e400"])
+    for N in (0, 1, 2, 3):  # a counterexample needs a checkpoint in [4, N]
+        cfg.write_text(json.dumps({"kind": "counterexample", "params": {"N": N}}))
+        runs.append(["run", "--config", str(cfg)])
+    for args in runs:
+        assert run_cli(args + ["--out-dir", out]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, (args, err)
 
 
 def test_rates_flags(tmp_path):
@@ -429,6 +446,7 @@ _CONFIGS = st.one_of(*(_config(kind) for kind in KINDS),
 @given(_CONFIGS)
 # shapes the fuzz found ending in tracebacks
 @example({"kind": "sweep", "params": {"n_max": 1}})
+@example({"kind": "counterexample", "params": {"N": 3}})
 @example({"kind": "transform", "seed": 1, "params": {"checkpoints": []}})
 @example({"kind": "spectral", "params": {"n": 57, "threshold": False}})
 @example({"kind": "process", "seed": 1, "params": {"checkpoints": [64], "r_schedule": [-1]}})
@@ -439,4 +457,53 @@ def test_fuzzed_configs_exit_0_2_or_3(raw):
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(raw))
         code = run_cli(["run", "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+
+
+# ----------------------------------------------------- fuzzed shortcut flags
+#
+# The flags of `run` are converted in `_config_from_args`, which the config
+# fuzz above never reaches. Each value is a small valid one or arbitrary text
+# without digits (digits could spell a size too large for a quick test).
+
+_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+
+
+def _flag(good):
+    return st.one_of(good, _TEXT)
+
+
+_REAL_TEXT = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+_SHORTCUTS = {
+    "--N": _flag(st.one_of(st.integers(-3, 2000).map(str),
+                           st.sampled_from(["2.5", "1e3", "nan", "inf", "-inf", "1e400", ""]))),
+    "--convention": _flag(st.sampled_from(["symmetric", "signed", "both"])),
+    "--seq": _flag(st.sampled_from(["hardy_littlewood", "sparse_dyadic", "constant",
+                                    "cycle_indicator"])),
+    "--class": _flag(st.sampled_from(["star", "m_alpha", "a_alpha", "a_alpha_plain",
+                                      "one_sided_sup", "two_sided_raw", "A", "M", "A-plain"])),
+    "--alpha": _flag(st.one_of(st.floats(1.01, 2).map(repr), _REAL_TEXT)),
+    "--beta": _flag(st.one_of(st.floats(0.01, 0.99).map(repr), _REAL_TEXT)),
+    "--h": _flag(st.sampled_from(["inverse-log", "inverse-log2", "inverse-linear"])),
+    "--K": _flag(st.integers(-3, 40).map(str)),
+}
+# one to three distinct flags, each as --flag=value so that a value starting
+# with "-" reaches the converter
+_FLAG_ARGS = st.lists(st.sampled_from(sorted(_SHORTCUTS)), min_size=1, max_size=3,
+                      unique=True).flatmap(
+    lambda flags: st.tuples(*(_SHORTCUTS[f].map(lambda v, f=f: f"{f}={v}") for f in flags)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(KINDS), _FLAG_ARGS)
+@example("counterexample", ("--N=3",))
+@example("counterexample", ("--N=abc",))
+@example("prop27", ("--N=1e400",))
+def test_fuzzed_shortcut_flags_exit_0_2_or_3(kind, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            code = run_cli(["run", kind, *flags, "--out-dir", str(Path(tmp) / "out")])
+        except SystemExit as exc:  # argparse rejects what its type= cannot convert
+            code = exc.code
     assert code in (0, 2, 3)

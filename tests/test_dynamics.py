@@ -37,14 +37,6 @@ def test_rotation_rejects_rationals():
     make_system("rotation", angle_turns="sqrt2")  # fine
 
 
-def test_rotation_from_complex_factor():
-    phi = complex(np.exp(2j * np.pi * SQRT2_TURNS))
-    rot = make_system("rotation", phi=phi)
-    assert rot.theta == pytest.approx(SQRT2_TURNS, abs=1e-12)
-    with pytest.raises(ValueError):
-        make_system("rotation", phi=2.0 + 0j)
-
-
 def test_rotation_triple_step():
     rot = make_system("rotation", angle_turns="sqrt2")
     f = rotation_character(1)

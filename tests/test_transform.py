@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +222,24 @@ def test_trace_validation_and_abel_parts():
     tr = eht_trace(a, orbit, [2, 5, 10], with_abel=True)
     for H, (main, tail) in zip(tr.H_values, tr.abel_parts):
         assert abs(H - (main + tail)) <= 1e-10 * (1 + abs(H))
+
+
+def test_every_schedule_is_validated_as_checkpoints():
+    # as_checkpoints is the one validator: empty, nonpositive or unsorted
+    # schedules are ValueErrors on every route, not IndexErrors
+    a = named_sequence("constant", value=1.0)
+    rot = make_system("rotation", angle_turns="sqrt2")
+    orbit = orbit_values(rot, rotation_character(1), rot.default_point(), 64)
+    for bad in ([], [0, 4], [8, 4]):
+        with pytest.raises(ValueError, match="checkpoints must be"):
+            l2_diff_vs_spectral(a, rot, rotation_character(1), bad, sample_count=2)
+        with pytest.raises(ValueError, match="checkpoints must be"):
+            cesaro_average_trace(a, orbit, bad)
+    # no default schedule is empty: a radius below n_min has no checkpoint
+    assert default_checkpoints(4, n_min=4) == (4,)
+    for n_max in (3, 0, -5):
+        with pytest.raises(ValueError, match="no checkpoint lies in"):
+            default_checkpoints(n_max, n_min=4)
 
 
 def test_convergence_verdict_shapes():
@@ -544,17 +564,16 @@ def _whole_array_abel(a, orbit, cps):
     return [(complex(m), complex(D[n - 1] / n)) for m, n in zip(mains, cps)]
 
 
-def _streamed(pairs, sys_, f, cps, **kw):
-    """`orbit_traces` for (a, x0) pairs, one row per distinct anchor."""
-    anchors = list(dict.fromkeys(x0 for _, x0 in pairs))
-    rows = dynamics.orbit_pairs(sys_, f, anchors, cps[-1])
-    return orbit_traces([(a, anchors.index(x0)) for a, x0 in pairs], rows, cps, **kw)
+def _streamed(seqs, sys_, f, anchors, cps, **kw):
+    """`orbit_traces` of the sequences against one orbit row per anchor."""
+    return orbit_traces(seqs, dynamics.orbit_pairs(sys_, f, anchors, cps[-1]), cps, **kw)
 
 
-def _assert_streams_like_eht_trace(pairs, sys_, f, cps):
-    traces = _streamed(pairs, sys_, f, cps)
-    assert len(traces) == len(pairs)
-    for (a, x0), trace in zip(pairs, traces):
+def _assert_streams_like_eht_trace(seqs, sys_, f, anchors, cps):
+    traces = _streamed(seqs, sys_, f, anchors, cps)
+    assert len(traces) == len(anchors) * len(seqs)
+    # row-major: anchor r against sequence s is trace r * len(seqs) + s
+    for (x0, a), trace in zip(itertools.product(anchors, seqs), traces):
         # the whole-array sums: whole range, whole orbit, one checkpoint_sums
         d = _whole_array_numerators(a, orbit_values(sys_, f, x0, cps[-1]))
         want = checkpoint_sums(d / np.arange(1, d.size + 1, dtype=complex), cps)
@@ -570,15 +589,14 @@ def test_orbit_traces_match_eht_trace_on_rotations(f):
         transform_sequence(named_sequence("constant"), "modulate", lam=lam), "symmetrize")
     seqs = [named_sequence("hardy_littlewood"), modulated]
     anchors = [RotationPoint(0.1), RotationPoint(0.37, shift=-41)]
-    pairs = [(a, x0) for a in seqs for x0 in anchors] + [(seqs[0], anchors[0])]
-    _assert_streams_like_eht_trace(pairs, rot, f, _three_block_checkpoints())
+    _assert_streams_like_eht_trace(seqs, rot, f, anchors, _three_block_checkpoints())
 
 
 def test_orbit_traces_match_eht_trace_on_every_three_cycle_cell():
     cyc = make_system("three_cycle")
-    pairs = [(named_sequence("cycle_indicator", convention=conv), CyclePoint(cell))
-             for conv in ("symmetric", "signed") for cell in range(3)]
-    _assert_streams_like_eht_trace(pairs, cyc, cycle_step_observable(),
+    seqs = [named_sequence("cycle_indicator", convention=conv) for conv in ("symmetric", "signed")]
+    _assert_streams_like_eht_trace(seqs, cyc, cycle_step_observable(),
+                                   [CyclePoint(cell) for cell in range(3)],
                                    _three_block_checkpoints())
 
 
@@ -588,9 +606,9 @@ def test_orbit_traces_match_eht_trace_on_torus_points(monkeypatch):
     torus = make_system("torus_automorphism")
     # the float orbit is meaningless this far out, but it is a definite
     # array, and the streamed sums must slice it exactly as eht_trace does
-    pairs = [(named_sequence("hardy_littlewood"), TorusPoint(0.2, 0.3)),
-             (named_sequence("hardy_littlewood"), LatticeTorusPoint(3, 7, 64))]
-    _assert_streams_like_eht_trace(pairs, torus, torus_character(1, 2),
+    _assert_streams_like_eht_trace([named_sequence("hardy_littlewood")], torus,
+                                   torus_character(1, 2),
+                                   [TorusPoint(0.2, 0.3), LatticeTorusPoint(3, 7, 64)],
                                    _three_block_checkpoints(512))
 
 
@@ -624,7 +642,7 @@ def test_orbit_traces_check_the_flags_like_range_values(broken):
     rot = make_system("rotation", angle_turns="sqrt2")
     f = rotation_character(1)
     with pytest.raises(ref.type):
-        _streamed([(a, rot.default_point())], rot, f, cps)
+        _streamed([a], rot, f, [rot.default_point()], cps)
     with pytest.raises(ref.type):
         _maximal_sups(a, rot, f, sample_points(rot, 2, seed=1), cps[-1])
     with pytest.raises(ref.type):
@@ -633,12 +651,36 @@ def test_orbit_traces_check_the_flags_like_range_values(broken):
         a.pair_values(np.arange(0, past + 1))
 
 
-@pytest.mark.parametrize("row", [1, -1])
-def test_orbit_traces_reject_a_row_the_source_lacks(row):
-    orbit = np.ones(21, dtype=complex)
+@pytest.mark.parametrize("later_rows", [0, 1, 3])
+def test_orbit_traces_reject_a_source_whose_row_count_changes(later_rows, monkeypatch):
+    # blocks (0, 5] and (5, 10]: the first yields two rows, the second later_rows
+    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 4)
+    pos, neg = np.ones(10, dtype=complex), np.ones(10, dtype=complex)
+
+    def rows(lo, hi):
+        return ((pos[lo:hi], neg[lo:hi]) for _ in range(2 if lo == 0 else later_rows))
+    seqs = [named_sequence("constant"), named_sequence("hardy_littlewood")]
     with pytest.raises(ValueError, match="rows"):
-        orbit_traces([(named_sequence("constant"), 0), (named_sequence("hardy_littlewood"), row)],
-                      dynamics.array_pairs([orbit]), [2, 10])
+        orbit_traces(seqs, rows, [5, 10])
+    with pytest.raises(ValueError, match="rows"):
+        orbit_traces(seqs, rows, [5, 10], with_abel=True)
+
+
+def test_orbit_traces_hold_one_row_at_a_time():
+    # a block's rows are never alive together: each is released before the
+    # source makes the next, so a block costs one row however many there are
+    made = []
+
+    def rows(lo, hi):
+        for _ in range(3):
+            assert all(ref() is None for ref in made), "the previous row is still alive"
+            row = (np.ones(hi - lo, dtype=complex), np.ones(hi - lo, dtype=complex))
+            made[:] = [weakref.ref(v) for v in row]
+            yield row
+            del row
+    traces = orbit_traces([named_sequence("constant"), named_sequence("hardy_littlewood")],
+                          rows, [5, 10], with_abel=True)
+    assert len(traces) == 6
 
 
 def test_streamed_paths_keep_the_exact_angle_guard(monkeypatch):
@@ -655,8 +697,8 @@ def test_streamed_paths_keep_the_exact_angle_guard(monkeypatch):
         lambda: orbit_values(rot, f, RotationPoint(0.3, shift=60), 4),
         lambda: wiener_wintner_sweep(rot, f, RotationPoint(0.3), [1j], (16, 64), True),
         lambda: wiener_wintner_sweep(rot, f, RotationPoint(0.3, shift=-1), [1j], (63,), False),
-        lambda: _streamed([(a, RotationPoint(0.3)), (a, RotationPoint(0.3, shift=-60))],
-                          rot, f, (2, 4)),
+        lambda: _streamed([a], rot, f, [RotationPoint(0.3), RotationPoint(0.3, shift=-60)],
+                          (2, 4)),
     ]
     for case in cases:
         with pytest.raises(ValueError, match="exact-angle range"):
@@ -670,13 +712,13 @@ def test_long_orbit_sums_stay_small_in_memory():
     cyc = make_system("three_cycle")
     tracemalloc.start()
     try:
-        _streamed([(named_sequence("cycle_indicator"), CyclePoint(0))], cyc,
-                  cycle_step_observable(), default_checkpoints(10**6, n_min=4))
+        _streamed([named_sequence("cycle_indicator")], cyc, cycle_step_observable(),
+                  [CyclePoint(0)], default_checkpoints(10**6, n_min=4))
         assert tracemalloc.get_traced_memory()[1] < budget
         tracemalloc.reset_peak()
         # the Abel split streams too: no whole-range D or main-term arrays
-        _streamed([(named_sequence("cycle_indicator"), CyclePoint(1))], cyc,
-                  cycle_step_observable(), default_checkpoints(10**6, n_min=4), with_abel=True)
+        _streamed([named_sequence("cycle_indicator")], cyc, cycle_step_observable(),
+                  [CyclePoint(1)], default_checkpoints(10**6, n_min=4), with_abel=True)
         assert tracemalloc.get_traced_memory()[1] < budget
         tracemalloc.reset_peak()
         rot = make_system("rotation", angle_turns="sqrt2")
@@ -701,15 +743,16 @@ def test_streamed_abel_parts_match_the_whole_array_formula(system, monkeypatch):
     assert len(list(checkpoint_blocks(np.asarray(cps)))) >= 3
     if system == "rotation":
         sys_, f = make_system("rotation", angle_turns="sqrt2"), rotation_raised_cosine()
-        pairs = [(named_sequence("hardy_littlewood"), RotationPoint(0.1)),
-                 (named_sequence("sparse_dyadic"), RotationPoint(0.37, shift=-41))]
+        seqs = [named_sequence("hardy_littlewood"), named_sequence("sparse_dyadic")]
+        anchors = [RotationPoint(0.1), RotationPoint(0.37, shift=-41)]
     else:
         # every cell and convention, the cells whose terms cancel exactly included
         sys_, f = make_system("three_cycle"), cycle_step_observable()
-        pairs = [(named_sequence("cycle_indicator", convention=conv), CyclePoint(cell))
-                 for conv in ("symmetric", "signed") for cell in range(3)]
-    streamed = _streamed(pairs, sys_, f, cps, with_abel=True)
-    for (a, x0), trace in zip(pairs, streamed):
+        seqs = [named_sequence("cycle_indicator", convention=conv)
+                for conv in ("symmetric", "signed")]
+        anchors = [CyclePoint(cell) for cell in range(3)]
+    streamed = _streamed(seqs, sys_, f, anchors, cps, with_abel=True)
+    for (x0, a), trace in zip(itertools.product(anchors, seqs), streamed):
         orbit = orbit_values(sys_, f, x0, cps[-1])
         want = _whole_array_abel(a, orbit, cps)
         assert np.array_equal(_bits(trace.abel_parts), _bits(want))
