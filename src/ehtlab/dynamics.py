@@ -4,12 +4,13 @@ Three concrete systems: an irrational circle rotation, the 3-cycle rotation
 realized as rotation by 1/3 with the cell partition [0,1/3), [1/3,2/3),
 [2/3,1), and the unit-determinant torus automorphism [[2,1],[1,1]].
 
-Points remember their orbit index lazily (anchor plus integer shift), so
-T^i followed by T^j is literally the same computation as T^(i+j); the
-structural identities used elsewhere then hold bitwise, not just within a
-tolerance. Rotation angles are realized through a split high/low
-representation of the angle so that 1e7 orbit steps carry no multiplicative
-drift.
+T^i followed by T^j is T^(i+j) bitwise, not just within a tolerance, so the
+structural identities used elsewhere hold exactly. Rotation and 3-cycle
+points remember their orbit index lazily (anchor plus integer shift), and
+rotation angles are realized through a split high/low representation of the
+angle so that 1e7 orbit steps carry no multiplicative drift. A torus point
+is an integer pair on the 2^53 lattice, which the matrix maps to itself, so
+its orbit is exact integer arithmetic at every k.
 """
 
 from __future__ import annotations
@@ -73,18 +74,14 @@ class CyclePoint:
     shift: int = 0
 
 
+_LATTICE_BITS = 53  # x = r / 2^53 is an exact double for every integer 0 <= r < 2^53
+
+
 @dataclass(frozen=True)
 class TorusPoint:
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class LatticeTorusPoint:
-    """Exact point (r/L, s/L); the integer matrix maps the lattice to itself."""
+    """The point (r, s) / 2^53 of the torus, 0 <= r, s < 2^53."""
     r: int
     s: int
-    L: int
 
 
 @dataclass(frozen=True)
@@ -92,10 +89,10 @@ class Observable:
     """Complex observable evaluated on system-specific orbit coordinates.
 
     `coord_fn` receives the coordinate array produced by the system's
-    `orbit_coords` (angles, cell indices, or an (x, y) pair of arrays)
-    and returns complex values. `norms` carries closed-form L1/L2/Linf
-    values when known; `meta` carries structure other modules exploit
-    (character frequency, eigenfunction index).
+    `orbit_coords` (angles, cell indices, or an (r, s) pair of uint64
+    lattice arrays) and returns complex values. `norms` carries closed-form
+    L1/L2/Linf values when known; `meta` carries structure other modules
+    exploit (character frequency, eigenfunction index).
     """
 
     label: str
@@ -181,6 +178,53 @@ TORUS_MATRIX = np.array([[2, 1], [1, 1]], dtype=np.int64)
 TORUS_MATRIX_INV = np.array([[1, -1], [-1, 2]], dtype=np.int64)  # det = 1
 
 
+def _fibonacci(n: int) -> np.ndarray:
+    """F_0..F_n mod 2^64 as uint64: from F_0..F_m, F_{m+i} = F_m F_{i+1} + F_{m-1} F_i, i < m."""
+    F = np.array([0, 1, 1], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        while F.size <= n:
+            m = F.size - 1
+            F = np.concatenate([F, F[m] * F[2 : m + 1] + F[m - 1] * F[1:m]])
+    return F[: n + 1]
+
+
+def torus_power(r: int, s: int, k: int, modulus: int = 1 << _LATTICE_BITS) -> tuple[int, int]:
+    """M^k (r, s) mod `modulus` for M = [[2,1],[1,1]] and any integer k, in Python ints.
+
+    M^k = [[F_{2k+1}, F_{2k}], [F_{2k}, F_{2k-1}]] and M^-k = [[F_{2k-1}, -F_{2k}],
+    [-F_{2k}, F_{2k+1}]] for k >= 0; (F_{2|k|}, F_{2|k|+1}) comes by fast doubling.
+    """
+    a, b = 0, 1  # (F_n, F_{n+1}) for n = the leading bits of 2|k| read so far
+    for bit in bin(2 * abs(k))[2:]:
+        a, b = a * (2 * b - a) % modulus, (a * a + b * b) % modulus
+        if bit == "1":
+            a, b = b, (a + b) % modulus
+    c = b - a  # F_{2|k|-1}
+    if k >= 0:
+        return (b * r + a * s) % modulus, (a * r + c * s) % modulus
+    return (c * r - a * s) % modulus, (b * s - a * r) % modulus
+
+
+def lattice_orbit(r: int, s: int, lo: int, hi: int, bits: int = _LATTICE_BITS,
+                  fib: np.ndarray | None = None) -> np.ndarray:
+    """M^k (r, s) mod 2^bits for k = lo..hi as an (hi - lo + 1, 2) uint64 array.
+
+    With the anchor (a, b) = M^(lo-1) (r, s), one scalar power, and G_n =
+    F_{n+1} a + F_n b, the rows are M^j (a, b) = (G_{2j}, G_{2j-1}) for
+    j = 1..hi-lo+1. `fib` is the table F_0..F_{2(hi-lo)+3} mod 2^64, built
+    here unless a caller shares one. uint64 arithmetic wraps mod 2^64, so G
+    is exact mod 2^64 and its low bits are exact mod 2^bits. M is symmetric,
+    so the rows are also the frequencies w M^k of the character e(w.x) with
+    w = (r, s).
+    """
+    a, b = torus_power(r, s, lo - 1, 1 << bits)
+    fib = _fibonacci(2 * (hi - lo) + 3) if fib is None else fib
+    with np.errstate(over="ignore"):
+        g = fib[2:] * np.uint64(a) + fib[1:-1] * np.uint64(b)
+    g &= np.uint64((1 << bits) - 1)
+    return g.reshape(-1, 2)[:, ::-1]
+
+
 class TorusAutomorphism:
     """Unit square with Lebesgue measure under [[2,1],[1,1]] mod 1.
 
@@ -188,79 +232,36 @@ class TorusAutomorphism:
     characters; it also serves as the weakly-mixing exemplar (no system
     separating the two classes is provided).
 
-    Hyperbolicity amplifies float rounding by ~2.6x per step, so orbits of
-    generic float points lose meaning past a few dozen iterates; quantities
-    needing long or exact orbits go through `LatticeTorusPoint` (the integer
-    lattice is invariant and its arithmetic is exact) or through the
-    frequency-space machinery in the transform module.
+    Hyperbolicity amplifies float rounding by ~2.6x per step, so points live
+    on the invariant 2^53 lattice (`TorusPoint`) and every orbit is computed
+    exactly in integers: `orbit_coords` returns the lattice coordinates
+    (r, s) as uint64 arrays, from one scalar power and one Fibonacci table.
     """
 
     kind = "torus_automorphism"
-    matrix = TORUS_MATRIX
 
-    def forward(self, p):
-        if isinstance(p, LatticeTorusPoint):
-            return LatticeTorusPoint((2 * p.r + p.s) % p.L, (p.r + p.s) % p.L, p.L)
-        return TorusPoint((2 * p.x + p.y) % 1.0, (p.x + p.y) % 1.0)
+    def forward(self, p: TorusPoint) -> TorusPoint:
+        return self.iterate(p, 1)
 
-    def backward(self, p):
-        if isinstance(p, LatticeTorusPoint):
-            return LatticeTorusPoint((p.r - p.s) % p.L, (-p.r + 2 * p.s) % p.L, p.L)
-        return TorusPoint((p.x - p.y) % 1.0, (-p.x + 2 * p.y) % 1.0)
+    def backward(self, p: TorusPoint) -> TorusPoint:
+        return self.iterate(p, -1)
 
-    def iterate(self, p, j: int):
-        step = self.forward if j >= 0 else self.backward
-        for _ in range(abs(int(j))):
-            p = step(p)
-        return p
+    def iterate(self, p: TorusPoint, j: int) -> TorusPoint:
+        return TorusPoint(*torus_power(p.r, p.s, int(j)))
 
-    def xy_of(self, p) -> tuple[float, float]:
-        if isinstance(p, LatticeTorusPoint):
-            return p.r / p.L, p.s / p.L
-        return p.x, p.y
-
-    def orbit_coords(self, x0, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def orbit_coords(self, x0: TorusPoint, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ks = np.asarray(ks, dtype=np.int64)
-        lo, hi = int(ks.min()), int(ks.max())
-        if isinstance(x0, LatticeTorusPoint):
-            xy = lattice_orbit(x0.r, x0.s, x0.L, lo, hi) / x0.L
-        else:
-            p = self.iterate(x0, lo)
-            pts = []
-            for _ in range(hi - lo + 1):
-                pts.append(self.xy_of(p))
-                p = self.forward(p)
-            xy = np.array(pts, dtype=float)
-        return xy[ks - lo, 0], xy[ks - lo, 1]
+        lo = int(ks.min())
+        rows = lattice_orbit(x0.r, x0.s, lo, int(ks.max()))[ks - lo]
+        return rows[:, 0], rows[:, 1]
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[TorusPoint]:
-        pts = rng.random((count, 2))
-        return [TorusPoint(float(x), float(y)) for x, y in pts]
+        # Generator.random draws are multiples of 2^-53, so every point is exact
+        pts = (rng.random((count, 2)) * 2.0**_LATTICE_BITS).astype(np.int64).tolist()
+        return [TorusPoint(r, s) for r, s in pts]
 
     def default_point(self) -> TorusPoint:
-        return TorusPoint(0.2, 0.3)
-
-
-def lattice_orbit(r: int, s: int, L: int, lo: int, hi: int) -> np.ndarray:
-    """M^k (r, s) mod L for k = lo..hi as an (hi - lo + 1, 2) int64 array.
-
-    Every step is reduced mod L, as in `TorusAutomorphism.forward` and
-    `backward`, so the integers stay small and the orbit is exact at any k;
-    row k = 0 is (r, s) as given. M = [[2,1],[1,1]] is symmetric, so the rows
-    are also the frequencies w M^k of the character e(w.x) with w = (r, s).
-    """
-    fwd, bwd = [(r, s)], []
-    x, y = r, s
-    for _ in range(max(hi, 0)):
-        x, y = (2 * x + y) % L, (x + y) % L
-        fwd.append((x, y))
-    x, y = r, s
-    for _ in range(max(-lo, 0)):
-        x, y = (x - y) % L, (-x + 2 * y) % L
-        bwd.append((x, y))
-    pts = np.array(bwd[::-1] + fwd, dtype=np.int64).reshape(-1, 2)
-    start = len(bwd) + lo
-    return pts[start : start + hi - lo + 1]
+        return TorusPoint(round(0.2 * 2.0**_LATTICE_BITS), round(0.3 * 2.0**_LATTICE_BITS))
 
 
 DynamicalSystem = Rotation | ThreeCycle | TorusAutomorphism
@@ -313,9 +314,14 @@ def cycle_indicator_observable() -> Observable:
 
 
 def torus_character(p: int, q: int) -> Observable:
+    """e(px + qy), with the phase taken exactly as the integer (p r + q s) mod 2^53."""
+    pu, qu = (np.uint64(c % (1 << _LATTICE_BITS)) for c in (p, q))
+
     def fn(coords) -> np.ndarray:
-        xs, ys = coords
-        return np.exp(2j * np.pi * frac1(p * xs + q * ys))
+        rs, ss = coords
+        with np.errstate(over="ignore"):
+            phase = (pu * rs + qu * ss) & np.uint64((1 << _LATTICE_BITS) - 1)
+        return np.exp(2j * np.pi * (phase * 2.0**-_LATTICE_BITS))
     return Observable(f"e(px+qy)[{p},{q}]", "torus_automorphism", fn,
                       {"l1": 1.0, "l2": 1.0, "linf": 1.0}, meta={"pq": (int(p), int(q))})
 
@@ -368,15 +374,23 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
     (`frac(k*theta_hi)`, `k*theta_lo`) is built once per call and every
     unshifted point only adds its anchor; a shifted point gets a table of
     its own. A three-cycle orbit indexes one period, as `orbit_values` tiles
-    one. A torus orbit is iterated in floats from its anchor, so it is one
-    `orbit_values` array per point (`array_pairs`). Every point is validated
-    here, before the first block, the exact-angle range included.
+    one. On the torus the Fibonacci table of the block is built once per
+    call and shared by every point (`lattice_orbit`); the rows are exact
+    integers, so they equal `orbit_coords`'s at every k. Every point is
+    validated here, before the first block, the exact-angle range included.
     """
     _check_orbit_request(sys, f, N)
     for p in points:
         _check_anchor_range(sys, p, N)
     if isinstance(sys, TorusAutomorphism):
-        return array_pairs([orbit_values(sys, f, p, N) for p in points])
+        def torus_pairs(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            fib = _fibonacci(2 * (hi - lo) + 1)
+            for p in points:
+                pos = lattice_orbit(p.r, p.s, lo + 1, hi, fib=fib)
+                neg = lattice_orbit(p.r, p.s, -hi, -lo - 1, fib=fib)[::-1]
+                yield tuple(np.asarray(f.coord_fn((rows[:, 0], rows[:, 1])), dtype=complex)
+                            for rows in (pos, neg))
+        return torus_pairs
     if isinstance(sys, ThreeCycle):
         # k = -1, 0, 1, so f(T^k p) = period[(k+1) % 3]
         periods = [orbit_values(sys, f, p, 1) for p in points]
@@ -424,8 +438,8 @@ def point_values(sys: DynamicalSystem, f: Observable, points: Sequence) -> np.nd
     elif isinstance(sys, ThreeCycle):
         coords = np.array([p.cell0 + p.shift for p in points], dtype=np.int64) % 3
     else:
-        xy = np.array([sys.xy_of(p) for p in points], dtype=float).reshape(-1, 2)
-        coords = (xy[:, 0], xy[:, 1])
+        rs = np.array([(p.r, p.s) for p in points], dtype=np.uint64).reshape(-1, 2)
+        coords = (rs[:, 0], rs[:, 1])
     return np.asarray(f.coord_fn(coords), dtype=complex)
 
 
@@ -449,15 +463,6 @@ def invariance_check(sys: DynamicalSystem, observables: Sequence[Observable],
     return worst
 
 
-def orbit_to_csv(sys: DynamicalSystem, f: Observable, x0, N: int, path) -> None:
-    """Dump f(T^k x0) for |k| <= N as CSV with columns k, re, im."""
-    vals = orbit_values(sys, f, x0, N)
-    with open(path, "w", newline="") as fh:
-        fh.write("k,re,im\n")
-        for k, v in zip(range(-N, N + 1), vals):
-            fh.write(f"{k},{float(v.real)!r},{float(v.imag)!r}\n")
-
-
 def lattice_character_correlation(p: int, q: int, k: int, L: int = 64) -> complex:
     """<T^k f, f> for the torus character f = e(px+qy), quadratured exactly.
 
@@ -466,5 +471,4 @@ def lattice_character_correlation(p: int, q: int, k: int, L: int = 64) -> comple
     frequency does not wrap to the original one mod L. That average of
     e((M^k w - w).x) is 1 when M^k w = w (mod L) and 0 otherwise.
     """
-    wk = lattice_orbit(p, q, L, k, k)[0]
-    return complex(bool(np.all((wk - (p, q)) % L == 0)))
+    return complex(torus_power(p % L, q % L, k, L) == (p % L, q % L))

@@ -418,7 +418,7 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
     (sum_{1<=|k|<=j} |a_k|^2)^(1/2), and the L2 value is the exact lattice
     quadrature: on an L x L lattice large enough that the shifted frequencies
     u_i = w M^i stay distinct mod L (verified at runtime), the lattice mean of
-    |sum_i c_i e(u_i.x/L)|^2 is sum_u |sum_{i: u_i = u} c_i|^2.
+    |sum_i c_i e(u_i.x/L)|^2 is sum_i |c_i|^2.
     `sample_count` and `seed` drive the rotation route only.
     """
     j_schedule = as_checkpoints(j_schedule)
@@ -474,29 +474,19 @@ def _torus_l2(a: ModulatingSequence, f: Observable, j_schedule) -> dict:
     jmax = j_schedule[-1]
     L = _pisano_lattice_order(jmax)
 
-    freqs = lattice_orbit(p % L, q % L, L, -jmax, jmax)  # index i + jmax
+    freqs = lattice_orbit(p % L, q % L, -jmax, jmax, bits=L.bit_length() - 1)  # index i + jmax
     used = np.concatenate([freqs[:jmax], freqs[jmax + 1 :]])
-    codes, group = np.unique(used[:, 0] * L + used[:, 1], return_inverse=True)
-    if codes.size != used.shape[0]:
+    if np.unique(used[:, 0] * np.uint64(L) + used[:, 1]).size != used.shape[0]:
         raise ValueError(f"lattice order {L} too small: shifted frequencies collide mod L")
 
+    # the lattice mean of |S_j - S_-j|^2 sums |a_i|^2 over one distinct frequency
+    # per 1 <= |i| <= j; the terms are added in increasing |i|, -i before +i
     avals = a.range_values(jmax)
-    signed = np.concatenate([-avals[:jmax], avals[jmax + 1 :]])  # index order -jmax..-1, 1..jmax
-    idx_i = np.concatenate([np.arange(-jmax, 0), np.arange(1, jmax + 1)])
-    order = np.argsort(np.abs(idx_i), kind="stable")  # add terms in increasing |i|
-    signed = signed[order]
-    group = group[order]
-
-    # lattice mean of |S|^2: the squared moduli of the per-frequency coefficient sums
-    mean = np.empty(len(j_schedule))
-    for jidx, j in enumerate(j_schedule):
-        re = np.bincount(group[: 2 * j], weights=signed[: 2 * j].real)
-        im = np.bincount(group[: 2 * j], weights=signed[: 2 * j].imag)
-        mean[jidx] = np.sum(re**2 + im**2)
+    sq = np.abs(np.stack([avals[jmax - 1 :: -1], avals[jmax + 1 :]], axis=1)) ** 2
+    mean = np.cumsum(sq.ravel())[2 * np.asarray(j_schedule) - 1]
     mc = np.sqrt(mean) * f.norm("l2")
 
-    sq = np.abs(avals) ** 2
-    cums = np.cumsum(sq[jmax + 1 :]) + np.cumsum(sq[jmax - 1 :: -1])
+    cums = np.cumsum(sq[:, 1]) + np.cumsum(sq[:, 0])
     spectral = np.sqrt(cums[np.asarray(j_schedule) - 1]) * f.norm("l2")
     return {
         "kind": "torus_character",

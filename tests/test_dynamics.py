@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehtlab import dynamics
 from ehtlab.dynamics import (
     CyclePoint,
-    LatticeTorusPoint,
     RotationPoint,
     TORUS_MATRIX,
     TORUS_MATRIX_INV,
@@ -26,7 +27,27 @@ from ehtlab.dynamics import (
     rotation_raised_cosine,
     sample_points,
     torus_character,
+    torus_power,
 )
+from ehtlab.numerics import term_blocks
+
+_LATTICE = 1 << 53
+
+
+def _stepped(r, s, K, L):
+    """M^k (r, s) mod L for k = -K..K, one Python step of [[2,1],[1,1]] or its inverse at a time."""
+    fwd, bwd = [(r, s)], [(r, s)]
+    for _ in range(K):
+        x, y = fwd[-1]
+        fwd.append(((2 * x + y) % L, (x + y) % L))
+        x, y = bwd[-1]
+        bwd.append(((x - y) % L, (2 * y - x) % L))
+    return bwd[:0:-1] + fwd
+
+
+def _on_lattice(r, s, L):
+    """The point (r, s) / L of the L-lattice, for L a power of two, as a 2^53-lattice point."""
+    return TorusPoint(r * (_LATTICE // L), s * (_LATTICE // L))
 
 
 def test_rotation_rejects_rationals():
@@ -85,9 +106,12 @@ def test_three_cycle_orbit_pattern():
 
 def test_torus_pointwise_map():
     tor = make_system("torus_automorphism")
-    p = TorusPoint(0.2, 0.3)
+    p = tor.default_point()  # (0.2, 0.3), rounded to the lattice
+    assert (p.r / _LATTICE, p.s / _LATTICE) == (
+        pytest.approx(0.2, abs=2**-53), pytest.approx(0.3, abs=2**-53))
     q = tor.forward(p)
-    assert (q.x, q.y) == (pytest.approx(0.7), pytest.approx(0.5))
+    assert q == TorusPoint((2 * p.r + p.s) % _LATTICE, (p.r + p.s) % _LATTICE)
+    assert (q.r / _LATTICE, q.s / _LATTICE) == (pytest.approx(0.7), pytest.approx(0.5))
     f = torus_character(1, 0)
     vals = orbit_values(tor, f, p, 1)
     assert vals[2] == pytest.approx(np.exp(2j * np.pi * 0.7))
@@ -101,21 +125,22 @@ def test_invertibility():
     tor = make_system("torus_automorphism")
     for sys_ in (rot, cyc, tor):
         for p in sys_.sample_points(1000, rng):
-            q = sys_.backward(sys_.forward(p))
-            if sys_ is tor:
-                assert abs(q.x - p.x) <= 1e-12 and abs(q.y - p.y) <= 1e-12
-            else:
-                assert q == p  # lazy shifts are exactly invertible
+            # lazy shifts and lattice arithmetic are exactly invertible
+            assert sys_.backward(sys_.forward(p)) == p
 
 
 def test_lattice_torus_points_exact():
     tor = make_system("torus_automorphism")
-    p = LatticeTorusPoint(3, 7, 64)
-    q = tor.backward(tor.forward(p))
-    assert (q.r, q.s, q.L) == (3, 7, 64)
+    p = _on_lattice(3, 7, 64)
+    assert tor.backward(tor.forward(p)) == p
     f = torus_character(2, 5)
-    vals = orbit_values(tor, f, p, 30)  # far beyond float-orbit reliability
+    vals = orbit_values(tor, f, p, 300)  # far beyond float-orbit reliability
     assert np.allclose(np.abs(vals), 1.0)
+    # the 64-lattice is invariant, and the orbit stays on it exactly
+    rs, ss = tor.orbit_coords(p, np.arange(-300, 301))
+    assert rs.dtype == ss.dtype == np.uint64
+    want = [_on_lattice(*t, 64) for t in _stepped(3, 7, 300, 64)]
+    assert list(zip(rs.tolist(), ss.tolist())) == [(q.r, q.s) for q in want]
 
 
 def test_sampling_determinism_and_measure():
@@ -132,8 +157,11 @@ def test_sampling_determinism_and_measure():
 
     tor = make_system("torus_automorphism")
     pts = sample_points(tor, 10_000, seed=2)
-    mean = np.mean([np.exp(2j * np.pi * p.x) for p in pts])
+    mean = np.mean([np.exp(2j * np.pi * p.r / _LATTICE) for p in pts])
     assert abs(mean) <= 0.05
+    # the draws are multiples of 2^-53, so every point is the draw itself
+    draws = np.random.default_rng(2).random((10_000, 2))
+    assert [(p.r / _LATTICE, p.s / _LATTICE) for p in pts] == [tuple(d) for d in draws.tolist()]
 
 
 def test_invariance_checks():
@@ -156,33 +184,34 @@ def test_torus_character_orthogonality_on_lattice():
     assert lattice_character_correlation(1, 0, 0, L=64) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("r, s, L", [(3, 7, 64), (5, 11, 1000), (0, 1, 60), (59, 58, 90)])
+@pytest.mark.parametrize("r, s, L", [
+    (3, 7, 64), (5, 11, 1000), (0, 1, 60), (59, 58, 90),
+    (5, 3, 1 << 3), (100, 27, 1 << 7), (123456, 654321, 1 << 20),
+    (0x1234567890ABCD, 0x0FEDCBA9876543, 1 << 53),
+])
 def test_lattice_orbit_matches_stepping_and_matrix_powers(r, s, L):
-    tor = make_system("torus_automorphism")
-    K = 150
-    pts = lattice_orbit(r, s, L, -K, K)
-    assert pts.dtype == np.int64 and pts.shape == (2 * K + 1, 2)
-    steps = [LatticeTorusPoint(r, s, L)]
-    for _ in range(K):
-        steps.append(tor.forward(steps[-1]))
-    back = [LatticeTorusPoint(r, s, L)]
-    for _ in range(K):
-        back.append(tor.backward(back[-1]))
-    ref = [(p.r, p.s) for p in back[:0:-1] + steps]
+    K = 3000
+    ref = _stepped(r, s, K, L)
+    # the scalar power, at every k
+    assert [torus_power(r, s, k, L) for k in range(-K, K + 1)] == ref
+    # small |k|, with the matrix powers' entries as Python ints
+    for k in range(-30, 31):
+        Mk = np.linalg.matrix_power(TORUS_MATRIX if k >= 0 else TORUS_MATRIX_INV, abs(k))
+        assert tuple((a * r + b * s) % L for a, b in Mk.tolist()) == ref[k + K]
+    if L & (L - 1):
+        return  # the table path works on dyadic lattices only
+    bits = L.bit_length() - 1
+    pts = lattice_orbit(r, s, -K, K, bits)
+    assert pts.dtype == np.uint64 and pts.shape == (2 * K + 1, 2)
     assert pts.tolist() == [list(t) for t in ref]
     # sub-ranges, on either side of k = 0 or across it, are slices of the same orbit
     for lo, hi in ((-K, -K), (-7, 3), (4, 9), (K, K)):
-        assert lattice_orbit(r, s, L, lo, hi).tolist() == pts[lo + K : hi + K + 1].tolist()
-    # small |k|, where the int64 matrix powers cannot overflow
-    for k in range(-30, 31):
-        Mk = np.linalg.matrix_power(TORUS_MATRIX if k >= 0 else TORUS_MATRIX_INV, abs(k))
-        assert ((Mk @ np.array([r, s])) % L).tolist() == pts[k + K].tolist()
-    # the float coordinates of a lattice orbit are the stepped points' r/L, s/L bitwise
+        assert lattice_orbit(r, s, lo, hi, bits).tolist() == pts[lo + K : hi + K + 1].tolist()
+    # the lattice coordinates of the orbit are the stepped points', scaled to 2^53
     ks = np.array([3, -K, 0, K, 17, 3])
-    xs, ys = tor.orbit_coords(LatticeTorusPoint(r, s, L), ks)
-    step_xy = np.array([[p.r / L, p.s / L] for p in back[:0:-1] + steps])
-    assert xs.tobytes() == step_xy[ks + K, 0].tobytes()
-    assert ys.tobytes() == step_xy[ks + K, 1].tobytes()
+    rs, ss = make_system("torus_automorphism").orbit_coords(_on_lattice(r, s, L), ks)
+    want = [_on_lattice(*ref[k + K], L) for k in ks]
+    assert rs.tolist() == [p.r for p in want] and ss.tolist() == [p.s for p in want]
 
 
 def test_lattice_correlation_beyond_int64_matrix_powers():
@@ -232,17 +261,6 @@ def test_unknown_system():
         make_system("horocycle")
 
 
-def test_orbit_csv_dump(tmp_path):
-    from ehtlab.dynamics import orbit_to_csv
-    rot = make_system("rotation", angle_turns="sqrt2")
-    path = tmp_path / "orbit.csv"
-    orbit_to_csv(rot, rotation_character(1), RotationPoint(0.2), 3, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "k,re,im"
-    assert len(rows) == 8
-    assert int(rows[1].split(",")[0]) == -3
-
-
 def _bits(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).view(np.int64)
 
@@ -275,8 +293,8 @@ def test_orbit_rows_match_orbit_values_bitwise(system, observable):
     elif system == "three_cycle":
         pts.append(CyclePoint(2, shift=-4))
     else:
-        pts.append(LatticeTorusPoint(3, 7, 64))
-    N = 6 if system == "torus_automorphism" else 700  # float torus orbits decay fast
+        pts.append(_on_lattice(3, 7, 64))
+    N = 700
     rows = [orbit_values(sys_, observable, p, N) for p in pts]
     pairs = orbit_pairs(sys_, observable, pts, N)
     for lo, hi in ((0, 1), (1, N // 2), (N // 2, N)):
@@ -307,3 +325,46 @@ def test_orbit_rows_keep_the_exact_angle_guard(monkeypatch):
         point_values(rot, f, [RotationPoint(0.3), RotationPoint(0.3, shift=-64)])
     with pytest.raises(ValueError, match="does not belong"):
         orbit_pairs(rot, cycle_step_observable(), [RotationPoint(0.3)], 4)
+
+
+_POINTS = {
+    "rotation": st.builds(RotationPoint, st.floats(0.0, 1.0, exclude_max=True),
+                          st.integers(-2**20, 2**20)),
+    "three_cycle": st.builds(CyclePoint, st.integers(0, 2), st.integers(-2**40, 2**40)),
+    "torus_automorphism": st.builds(TorusPoint, st.integers(0, _LATTICE - 1),
+                                    st.integers(0, _LATTICE - 1)),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_POINTS)), st.data())
+def test_iterates_compose_bitwise(kind, data):
+    # T^i then T^j is T^(i+j), and the orbit of T^i p is the orbit of p shifted by i,
+    # bitwise; rotations keep |k| inside the exact-angle range
+    sys_ = make_system(kind)
+    bound = 2**20 if kind == "rotation" else 2**40
+    p = data.draw(_POINTS[kind])
+    i, j = data.draw(st.integers(-bound, bound)), data.draw(st.integers(-bound, bound))
+    ks = np.array(data.draw(st.lists(st.integers(-1000, 1000), min_size=1, max_size=12)),
+                  dtype=np.int64)
+    assert sys_.iterate(sys_.iterate(p, i), j) == sys_.iterate(p, i + j)
+    shifted, moved = sys_.orbit_coords(sys_.iterate(p, i), ks), sys_.orbit_coords(p, ks + i)
+    assert np.asarray(shifted).tobytes() == np.asarray(moved).tobytes()
+    if kind == "torus_automorphism":
+        q = sys_.iterate(p, i)
+        assert [c.tolist() for c in sys_.orbit_coords(q, np.array([0]))] == [[q.r], [q.s]]
+
+
+def test_torus_orbit_rows_stream_in_small_memory():
+    # 32 whole orbits at N = 2e5 would hold 32 x 6.4 MB; the rows come a block at a time
+    tor = make_system("torus_automorphism")
+    N, pts = 200_000, sample_points(tor, 32, seed=4)
+    tracemalloc.start()
+    try:
+        pairs = orbit_pairs(tor, torus_character(1, 2), pts, N)
+        for lo, hi in term_blocks(N):
+            for row in pairs(lo, hi):
+                assert row[0].shape == row[1].shape == (hi - lo,)
+        assert tracemalloc.get_traced_memory()[1] < 8 * 10**6
+    finally:
+        tracemalloc.stop()

@@ -10,7 +10,6 @@ import pytest
 from ehtlab import dynamics, numerics
 from ehtlab.dynamics import (
     CyclePoint,
-    LatticeTorusPoint,
     RotationPoint,
     TorusPoint,
     cycle_step_observable,
@@ -362,13 +361,12 @@ def _reference_sups(a, sys_, f, pts, N):
 def test_maximal_sups_match_per_sample_loop_bitwise(system, observable, seq, monkeypatch):
     sys_ = make_system(system)
     a = named_sequence(seq)
-    # float torus orbits are stepped in Python, so that case keeps few points
-    N, count, seed = 3000, 3 if system == "torus_automorphism" else 40, 8
+    N, count, seed = 3000, 40, 8
     pts = sample_points(sys_, count, seed)
     if system == "rotation":
         pts.append(RotationPoint(0.3, shift=-23))  # off the shared turn table
     elif system == "torus_automorphism":
-        pts += [LatticeTorusPoint(3, 7, 64), LatticeTorusPoint(5, 1, 96)]
+        pts += [TorusPoint(3 << 47, 7 << 47), TorusPoint((1 << 53) - 1, 1)]
     ref = _reference_sups(a, sys_, observable, pts, N)
     for block_terms in (numerics._BLOCK_TERMS, 512):  # one block, then six, the last partial
         monkeypatch.setattr(numerics, "_BLOCK_TERMS", block_terms)
@@ -600,16 +598,12 @@ def test_orbit_traces_match_eht_trace_on_every_three_cycle_cell():
                                    _three_block_checkpoints())
 
 
-def test_orbit_traces_match_eht_trace_on_torus_points(monkeypatch):
-    # torus orbits are stepped in Python, so smaller blocks keep this quick
-    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 512)
+def test_orbit_traces_match_eht_trace_on_torus_points():
     torus = make_system("torus_automorphism")
-    # the float orbit is meaningless this far out, but it is a definite
-    # array, and the streamed sums must slice it exactly as eht_trace does
     _assert_streams_like_eht_trace([named_sequence("hardy_littlewood")], torus,
                                    torus_character(1, 2),
-                                   [TorusPoint(0.2, 0.3), LatticeTorusPoint(3, 7, 64)],
-                                   _three_block_checkpoints(512))
+                                   [torus.default_point(), TorusPoint(3 << 47, 7 << 47)],
+                                   _three_block_checkpoints())
 
 
 def _first_block_end(cps):
