@@ -180,11 +180,15 @@ TORUS_MATRIX_INV = np.array([[1, -1], [-1, 2]], dtype=np.int64)  # det = 1
 
 def _fibonacci(n: int) -> np.ndarray:
     """F_0..F_n mod 2^64 as uint64: from F_0..F_m, F_{m+i} = F_m F_{i+1} + F_{m-1} F_i, i < m."""
-    F = np.array([0, 1, 1], dtype=np.uint64)
+    F = np.empty(max(n, 2) + 1, dtype=np.uint64)
+    F[:3] = 0, 1, 1
+    m = 2  # F_0..F_m are set; the next ones are written in place, i = 1..min(m - 1, n - m)
     with np.errstate(over="ignore"):
-        while F.size <= n:
-            m = F.size - 1
-            F = np.concatenate([F, F[m] * F[2 : m + 1] + F[m - 1] * F[1:m]])
+        while m < n:
+            c = min(m - 1, n - m)
+            new = np.multiply(F[m], F[2 : c + 2], out=F[m + 1 : m + c + 1])
+            new += F[m - 1] * F[1 : c + 1]
+            m += c
     return F[: n + 1]
 
 
@@ -218,9 +222,12 @@ def lattice_orbit(r: int, s: int, lo: int, hi: int, bits: int = _LATTICE_BITS,
     w = (r, s).
     """
     a, b = torus_power(r, s, lo - 1, 1 << bits)
-    fib = _fibonacci(2 * (hi - lo) + 3) if fib is None else fib
+    own = fib is None
+    fib = _fibonacci(2 * (hi - lo) + 3) if own else fib
     with np.errstate(over="ignore"):
-        g = fib[2:] * np.uint64(a) + fib[1:-1] * np.uint64(b)
+        g = fib[2:] * np.uint64(a)
+        # a table built here is scaled in place: a whole orbit then holds two arrays, not three
+        g += np.multiply(fib[1:-1], np.uint64(b), out=fib[1:-1] if own else None)
     g &= np.uint64((1 << bits) - 1)
     return g.reshape(-1, 2)[:, ::-1]
 
@@ -251,8 +258,10 @@ class TorusAutomorphism:
 
     def orbit_coords(self, x0: TorusPoint, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ks = np.asarray(ks, dtype=np.int64)
-        lo = int(ks.min())
-        rows = lattice_orbit(x0.r, x0.s, lo, int(ks.max()))[ks - lo]
+        lo, hi = int(ks.min()), int(ks.max())
+        rows = lattice_orbit(x0.r, x0.s, lo, hi)
+        if ks.size != hi - lo + 1 or np.any(ks[1:] <= ks[:-1]):  # not the range lo..hi itself
+            rows = rows[ks - lo]
         return rows[:, 0], rows[:, 1]
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[TorusPoint]:

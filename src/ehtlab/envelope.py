@@ -13,7 +13,8 @@ h(n) = 1/log(n+3) they are exactly 3^(2^k) - 3), far beyond int64 and even
 beyond float64 exponents, so they are carried as integer-valued mpmath
 floats: arbitrary exponent, exact comparisons, and slope ratios that never
 underflow. Everything consumed at practical indices is converted back to
-floats.
+floats. mpmath is imported by the functions that use it, on first use, so a
+process that never builds an envelope or evaluates a kernel does not load it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from mpmath import mp
 
 from .errors import BudgetExceededError, DomainError, HorizonExceededError
 from .numerics import NeumaierSum, checkpoint_sums, term_blocks
@@ -82,6 +82,7 @@ class MajorantH:
 
 def inverse_log_majorant(shift: int = 3) -> MajorantH:
     """h(n) = 1/log(n + shift), its own majorant (needs shift >= 2)."""
+    from mpmath import mp
     if shift < 2:
         raise ValueError("shift must be >= 2 so that log(n + shift) > 0 at n = 0")
 
@@ -156,6 +157,7 @@ class EnvelopeSpec:
 
     def values_at(self, ns: np.ndarray) -> np.ndarray:
         """a(n) for integer n (vectorized); n must not exceed the last breakpoint."""
+        from mpmath import mp
         ns = np.asarray(ns, dtype=np.int64)
         if ns.size and (ns.min() < 0):
             raise ValueError("envelope indices must be nonnegative")
@@ -166,6 +168,7 @@ class EnvelopeSpec:
         return values[seg - 1] + slopes[seg - 1] * (ns - bp_arr[seg - 1])
 
     def to_dict(self) -> dict:
+        from mpmath import mp
         return {
             "M": self.M,
             "lambda": 2.0,  # the doubling factor, fixed by build_envelope (values M/2^k)
@@ -184,6 +187,7 @@ def _search_threshold_index(hm: MajorantH, threshold) -> "mp.mpf":
     that exponent is itself astronomical: double the exponent to bracket,
     bisect the exponent to a ratio-2^(1/4) bracket, then bisect the value.
     """
+    from mpmath import mp
     thr = mp.mpf(threshold)
     if mp.mpf(hm.hhat(0)) <= thr:
         return mp.mpf(0)
@@ -232,6 +236,7 @@ def _search_threshold_index(hm: MajorantH, threshold) -> "mp.mpf":
 
 def _probe_majorant(hm: MajorantH) -> None:
     """Spot-check the majorant contract: hhat >= h and hhat nonincreasing."""
+    from mpmath import mp
     cap = 4096 if hm.horizon is None else int(min(hm.horizon, 4096))
     probes = sorted({0, 1, 2, 3, 5, 17, 100, cap // 3, cap} - {-1})
     with mp.workprec(_WORKPREC):
@@ -258,6 +263,7 @@ def build_envelope(hm: MajorantH, K: int, M: float | None = None) -> EnvelopeSpe
     M defaults to twice the certified max of h; a degenerate h (max <= 0)
     is rejected so callers must supply an explicit positive M.
     """
+    from mpmath import mp
     if K < 2:
         raise ValueError("need K >= 2 segments")
     _probe_majorant(hm)
@@ -305,6 +311,7 @@ def envelope_modulator(env: EnvelopeSpec, radius: int) -> ModulatingSequence:
 def _kernel_coefficients(env: EnvelopeSpec, count: int) -> list[float]:
     """The kernel weights n_k (s_{k+1} - s_k) for k = 1..count, formed at the
     working precision."""
+    from mpmath import mp
     with mp.workprec(_WORKPREC):
         return [float(env.breakpoints[k] * (env.slopes[k] - env.slopes[k - 1]))
                 for k in range(1, count + 1)]
@@ -317,6 +324,7 @@ def verify_envelope_conditions(env: EnvelopeSpec, hm: MajorantH | None = None) -
     sum_k n_k |s_k - s_{k+1}| (the only nonzero second differences sit one
     step before each breakpoint) and a geometric-tail certificate.
     """
+    from mpmath import mp
     with mp.workprec(_WORKPREC):
         bps, vals, slopes = env.breakpoints, env.values, env.slopes
         K = env.K
@@ -382,6 +390,7 @@ def _sin_of_multiple(factor, xs: np.ndarray) -> np.ndarray:
     serves the whole array; beyond it each product is reduced mod 2 pi at a
     precision matched to the factor's magnitude.
     """
+    from mpmath import mp
     mag = mp.mag(factor)
     if mag < 45:
         return np.sin(float(factor) * xs)
@@ -410,6 +419,7 @@ def kernel_eval(kind: str, n, x):
     factor is formed at a fixed working precision and the rest is float64,
     so the result does not depend on the caller's mpmath precision.
     """
+    from mpmath import mp
     xs = np.asarray(x, dtype=float)
     inside = (xs > _EDGE) & (xs < _TWO_PI - _EDGE)
     if not inside.all():
@@ -473,6 +483,7 @@ def evaluate_g(env: EnvelopeSpec, xs: Sequence[float], tol: float,
     s_n = sum Delta a_k D_k + a_n D_n as an internal identity check. The
     direct-route coefficient table is built once and shared by every point.
     """
+    from mpmath import mp
     bps = env.practical_breakpoints(direct_cap)
     n_direct = bps[-1]
     if n_direct < 1:

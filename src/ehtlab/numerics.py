@@ -68,8 +68,7 @@ class ComplexNeumaierSum:
         return self.re.value + 1j * self.im.value
 
 
-# the block length of every streamed loop; a block of the checkpoint plan
-# holds whole segments and at least this many terms
+# the block length of every streamed loop; no block of the checkpoint plan is longer
 _BLOCK_TERMS = 1 << 13
 
 
@@ -82,15 +81,23 @@ def checkpoint_blocks(ends: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
     """The block plan of the nondecreasing ``ends``: tuples ``(i, j, lo, hi)``.
 
     Segment ``s`` covers the terms ``[ends[s-1], ends[s])`` (``[0, ends[0])``
-    for the first). Block ``(i, j, lo, hi)`` holds the segments ``i..j-1``,
-    which cover ``[lo, hi)``; consecutive segments join a block until it has
-    `_BLOCK_TERMS` terms, so a longer segment ends a block on its own.
+    for the first). Block ``(i, j, lo, hi)`` covers ``[lo, hi)`` and holds the
+    ends ``i..j-1``; no block is longer than `_BLOCK_TERMS` terms. Whole
+    segments join a block while it has room. A longer segment is cut from
+    its start into `_BLOCK_TERMS`-term pieces, each a block ``(i, i, lo, hi)``
+    that holds no end, and its remainder starts the next block.
     """
     i = lo = 0
-    for j, end in enumerate(ends.tolist(), start=1):
-        if end - lo >= _BLOCK_TERMS or j == ends.size:
-            yield i, j, lo, end
-            i, lo = j, end
+    ends = ends.tolist()
+    for j, end in enumerate(ends):
+        if end - lo > _BLOCK_TERMS and j > i:  # segment j does not fit: close the block before it
+            yield i, j, lo, ends[j - 1]
+            i, lo = j, ends[j - 1]
+        while end - lo > _BLOCK_TERMS:
+            yield i, i, lo, lo + _BLOCK_TERMS
+            lo += _BLOCK_TERMS
+    if ends:
+        yield i, len(ends), lo, ends[-1]
 
 
 def checkpoint_sums(terms: np.ndarray, ends: Sequence[int],
@@ -100,26 +107,32 @@ def checkpoint_sums(terms: np.ndarray, ends: Sequence[int],
     The range up to the last end is cut into segments at the ends (pairwise
     within a segment) and the segment totals are merged with a compensated
     accumulator, so the error never accumulates linearly across the range.
-    A segment's sum depends on its own terms only, so a stream summed one
-    block of `checkpoint_blocks` at a time, passing its accumulator as
-    `acc` (which continues the sums and is advanced), gets the same bits.
+    A given `acc` continues the sums and is advanced over every term, those
+    after the last end forming one more segment, so a stream is summed one
+    block of `checkpoint_blocks` at a time with its accumulator carried. A
+    segment's sum depends on its own terms only: the streamed sums are
+    bitwise the whole-array ones wherever no segment is longer than
+    `_BLOCK_TERMS`, and a longer one is the compensated merge of its pieces.
     """
     ends = np.asarray(ends, dtype=np.int64)
     if ends.size and (np.any(np.diff(ends) < 0) or ends[0] < 0 or ends[-1] > terms.size):
         raise ValueError("checkpoint ends must be nondecreasing and within the term range")
-    starts = np.concatenate(([0], ends))[:-1]
-    nonempty = starts < ends
-    seg = np.zeros(ends.size, dtype=complex)
+    bounds = ends
+    if acc is not None and terms.size > (ends[-1] if ends.size else 0):
+        bounds = np.append(ends, terms.size)
+    starts = np.concatenate(([0], bounds))[:-1]
+    nonempty = starts < bounds
+    seg = np.zeros(bounds.size, dtype=complex)
     if nonempty.any():
         # reduceat sums from each index up to the next one, and would read
         # terms[start] for an empty segment, so only nonempty starts go in
-        seg[nonempty] = np.add.reduceat(terms[: ends[-1]], starts[nonempty])
+        seg[nonempty] = np.add.reduceat(terms[: bounds[-1]], starts[nonempty])
     acc = ComplexNeumaierSum() if acc is None else acc
-    out = np.empty(ends.size, dtype=complex)
+    out = np.empty(bounds.size, dtype=complex)
     for i, z in enumerate(seg.tolist()):
         acc.add(z)
         out[i] = acc.value
-    return out
+    return out[: ends.size]
 
 
 @dataclass(frozen=True)

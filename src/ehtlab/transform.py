@@ -181,10 +181,11 @@ def orbit_traces(seqs: Sequence[ModulatingSequence], rows: Callable,
     `rows(lo, hi)` yields (v_k, v_{-k}) for k = lo+1..hi per row, in order
     (`orbit_pairs`, `array_pairs`). The traces are row-major: row r against
     sequence s is trace `r * len(seqs) + s`. No array of length N, the last
-    checkpoint, is built: each block of `checkpoint_blocks` sums every
-    trace's terms d_k / k (`_numerator_blocks`) by `checkpoint_sums` with the
-    trace's carried accumulator; each trace's state is allocated on the first
-    block. `with_abel` adds the two halves of the summation-by-parts identity
+    checkpoint, is built: each block of `checkpoint_blocks`, at most
+    `_BLOCK_TERMS` terms, sums every trace's terms d_k / k
+    (`_numerator_blocks`) by `checkpoint_sums` with the trace's carried
+    accumulator; each trace's state is allocated on the first block.
+    `with_abel` adds the two halves of the summation-by-parts identity
         H_n = sum_{k<n} (S_k - S_{-k})/(k(k+1)) + (S_n - S_{-n})/n,
     whose sum must reproduce H_n up to pure rounding error; D_k = S_k - S_{-k}
     is one sequential `np.cumsum` carried across the blocks.

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ehtlab import numerics
+from ehtlab.numerics import ComplexNeumaierSum
 from ehtlab.sequences import (
     TrigPolynomial,
     from_values,
@@ -44,3 +46,18 @@ def sequence_corpus():
 @pytest.fixture(scope="session")
 def sparse_dyadic():
     return named_sequence("sparse_dyadic")
+
+
+def piecewise_checkpoint_sums(terms: np.ndarray, ends) -> np.ndarray:
+    """Oracle of the streamed prefix sums: each segment between ends is cut
+    from its start into `_BLOCK_TERMS`-term pieces, every piece is summed
+    alone, and the pieces merge in order in one `ComplexNeumaierSum`."""
+    block, acc, out, start = numerics._BLOCK_TERMS, ComplexNeumaierSum(), [], 0
+    for e in ends:
+        if e == start:
+            acc.add(0j)
+        for lo in range(start, e, block):
+            acc.add(complex(np.add.reduceat(terms[lo : min(lo + block, e)], [0])[0]))
+        out.append(acc.value)
+        start = e
+    return np.array(out, dtype=complex)

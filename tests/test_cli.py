@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from ehtlab.cli import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(args):
@@ -35,6 +39,19 @@ def test_describe_all_kinds(capsys):
     prop = describe("prop27")
     for token in ("(i)", "(ii)", "(iii)", "(iv)", "(v)", "(vi)"):
         assert token in prop
+
+
+def test_orbit_runs_do_not_load_mpmath(tmp_path):
+    # only the envelope functions need mpmath, and they import it on first use;
+    # pytest has loaded it already, so this needs a fresh interpreter
+    code = ("import sys; from ehtlab.cli import main; loaded = 'mpmath' in sys.modules;"
+            "code = main(['run', 'counterexample', '--N', '5000', '--convention', 'both',"
+            f" '--out-dir', {str(tmp_path)!r}]);"
+            "print(loaded, code, 'mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.splitlines()[-1].split() == ["False", "0", "False"]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -368,3 +368,21 @@ def test_torus_orbit_rows_stream_in_small_memory():
         assert tracemalloc.get_traced_memory()[1] < 8 * 10**6
     finally:
         tracemalloc.stop()
+
+
+def test_whole_torus_orbit_peaks_below_three_results():
+    # the Fibonacci table is built to size and scaled in place, and the range
+    # -N..N reads the rows as they are, so no third orbit-sized array is alive
+    tor = make_system("torus_automorphism")
+    N, p = 200_000, tor.default_point()
+    tracemalloc.start()
+    try:
+        r, s = tor.orbit_coords(p, np.arange(-N, N + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (r.nbytes + s.nbytes)
+    # any other ks gathers the rows of its own range
+    ks = np.array([5, -3, 5, 0, 4])
+    got = tor.orbit_coords(p, ks)
+    assert [x.tolist() for x in got] == [r[ks + N].tolist(), s[ks + N].tolist()]

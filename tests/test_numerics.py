@@ -12,6 +12,8 @@ from ehtlab.numerics import (
     frac1,
 )
 
+from conftest import piecewise_checkpoint_sums
+
 
 def _fsum_prefix(terms: np.ndarray, e: int) -> complex:
     return complex(math.fsum(terms[:e].real), math.fsum(terms[:e].imag))
@@ -72,17 +74,25 @@ def test_block_plan_is_bitwise_the_whole_array_sum(seed, lengths, spare):
     n = int(ends[-1]) + spare
     scale = 10.0 ** rng.uniform(-3, 3, n)
     terms = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    want = _whole_array_checkpoint_sums(terms, ends).view(np.int64)
-    assert np.array_equal(checkpoint_sums(terms, ends).view(np.int64), want)
-    # the streamed form: each block alone, with the accumulator carried over
+    whole = _whole_array_checkpoint_sums(terms, ends)
+    assert np.array_equal(checkpoint_sums(terms, ends).view(np.int64), whole.view(np.int64))
+    # the block plan tiles [0, ends[-1]) in blocks of at most _BLOCK_TERMS terms;
+    # a block without ends is one full piece of a longer segment
     blocks = list(checkpoint_blocks(ends))
     assert [(i, lo) for i, _, lo, _ in blocks] == [(0, 0)] + [(j, hi) for _, j, _, hi in blocks[:-1]]
     assert blocks[-1][1] == ends.size and blocks[-1][3] == ends[-1]
-    assert all(hi - lo >= _BLOCK_TERMS for _, _, lo, hi in blocks[:-1])
+    assert all(hi - lo <= _BLOCK_TERMS for _, _, lo, hi in blocks)
+    assert all(hi == (ends[j - 1] if j > i else lo + _BLOCK_TERMS) for i, j, lo, hi in blocks)
+    # the streamed form: each block alone, with the accumulator carried over
     acc = ComplexNeumaierSum()
     streamed = np.concatenate([checkpoint_sums(terms[lo:hi], ends[i:j] - lo, acc)
                                for i, j, lo, hi in blocks])
-    assert np.array_equal(streamed.view(np.int64), want)
+    fits = np.diff(ends, prepend=0).max() <= _BLOCK_TERMS
+    want = whole if fits else piecewise_checkpoint_sums(terms, ends)
+    assert np.array_equal(streamed.view(np.int64), want.view(np.int64))
+    for e, value in zip(ends, streamed):
+        magnitude = math.fsum(np.abs(terms[:e]))
+        assert abs(value - _fsum_prefix(terms, e)) <= 1e-13 * (1.0 + magnitude)
 
 
 _FRAC1_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300, -1e-300,

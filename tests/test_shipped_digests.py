@@ -3,7 +3,9 @@
 Every `report.json` and CSV a shipped config writes must keep the sha256
 recorded in `shipped_digests.json`. So must the outputs of the inline
 `transform` configs below, which no shipped config covers: they pin the
-`trace.csv` Abel columns across several blocks of the streamed sums. A change that alters a shipped output on
+`trace.csv` Abel columns across several blocks of the streamed sums, and a
+`sweep` whose checkpoint gaps exceed `2^13` terms, so that its sums merge
+block-sized pieces of one segment. A change that alters a shipped output on
 purpose regenerates the file and lists the change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_shipped_digests.py --regenerate
@@ -45,6 +47,10 @@ INLINE = {
                    "sequence": {"name": "hardy_littlewood"},
                    "observable": {"kind": "torus_character", "p": 1, "q": 2},
                    "checkpoints": [1, 7, 8192, 8193, 20000]}},
+    # 21 checkpoint gaps exceed 2^13 terms; lambda_1 rounds apart from one sum per gap
+    "inline_sweep_long_gaps": {
+        "kind": "sweep",
+        "params": {"system": {"kind": "rotation", "angle_turns": "sqrt2"}, "n_max": 1 << 19}},
 }
 
 

@@ -41,6 +41,8 @@ from ehtlab.transform import (
     wiener_wintner_sweep,
 )
 
+from conftest import piecewise_checkpoint_sums
+
 
 # ------------------------------------------------- exact-rational Abel oracle
 
@@ -730,21 +732,24 @@ def _block_edge_checkpoints(block_terms):
     return [1, 2] + edges + [3 * block_terms + 400]
 
 
+def _abel_case(system):
+    """The system, observable, sequences and anchors of the streamed Abel checks."""
+    if system == "rotation":
+        return (make_system("rotation", angle_turns="sqrt2"), rotation_raised_cosine(),
+                [named_sequence("hardy_littlewood"), named_sequence("sparse_dyadic")],
+                [RotationPoint(0.1), RotationPoint(0.37, shift=-41)])
+    # every cell and convention, the cells whose terms cancel exactly included
+    return (make_system("three_cycle"), cycle_step_observable(),
+            [named_sequence("cycle_indicator", convention=conv) for conv in ("symmetric", "signed")],
+            [CyclePoint(cell) for cell in range(3)])
+
+
 @pytest.mark.parametrize("system", ["rotation", "three_cycle"])
 def test_streamed_abel_parts_match_the_whole_array_formula(system, monkeypatch):
     monkeypatch.setattr(numerics, "_BLOCK_TERMS", 512)
     cps = _block_edge_checkpoints(512)
     assert len(list(checkpoint_blocks(np.asarray(cps)))) >= 3
-    if system == "rotation":
-        sys_, f = make_system("rotation", angle_turns="sqrt2"), rotation_raised_cosine()
-        seqs = [named_sequence("hardy_littlewood"), named_sequence("sparse_dyadic")]
-        anchors = [RotationPoint(0.1), RotationPoint(0.37, shift=-41)]
-    else:
-        # every cell and convention, the cells whose terms cancel exactly included
-        sys_, f = make_system("three_cycle"), cycle_step_observable()
-        seqs = [named_sequence("cycle_indicator", convention=conv)
-                for conv in ("symmetric", "signed")]
-        anchors = [CyclePoint(cell) for cell in range(3)]
+    sys_, f, seqs, anchors = _abel_case(system)
     streamed = _streamed(seqs, sys_, f, anchors, cps, with_abel=True)
     for (x0, a), trace in zip(itertools.product(anchors, seqs), streamed):
         orbit = orbit_values(sys_, f, x0, cps[-1])
@@ -753,6 +758,47 @@ def test_streamed_abel_parts_match_the_whole_array_formula(system, monkeypatch):
         via_array = eht_trace(a, orbit, cps, with_abel=True)
         assert np.array_equal(_bits(via_array.abel_parts), _bits(want))
         assert np.array_equal(_bits(via_array.H_values), _bits(trace.H_values))
+
+
+@pytest.mark.parametrize("system", ["rotation", "three_cycle"])
+def test_streamed_sums_merge_the_pieces_of_a_long_gap(system, monkeypatch):
+    # gaps of 1500 and 2600 terms are cut into 512-term pieces, blocks without ends
+    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 512)
+    cps = [1, 2, 1502, 1503, 4103, 4200]
+    blocks = list(checkpoint_blocks(np.asarray(cps)))
+    assert max(hi - lo for _, _, lo, hi in blocks) == 512 and any(i == j for i, j, _, _ in blocks)
+    sys_, f, seqs, anchors = _abel_case(system)
+    streamed = _streamed(seqs, sys_, f, anchors, cps, with_abel=True)
+    for (x0, a), trace in zip(itertools.product(anchors, seqs), streamed):
+        orbit = orbit_values(sys_, f, x0, cps[-1])
+        d = _whole_array_numerators(a, orbit)
+        want = piecewise_checkpoint_sums(d / np.arange(1, d.size + 1, dtype=complex), cps)
+        assert np.array_equal(_bits(trace.H_values), _bits(want))
+        # D_k is one sequential cumsum whatever the plan, so the tails keep their bits
+        whole = _whole_array_abel(a, orbit, cps)
+        assert np.array_equal(_bits([t for _, t in trace.abel_parts]), _bits([t for _, t in whole]))
+        for (main, _), (whole_main, _) in zip(trace.abel_parts, whole):
+            assert main == pytest.approx(whole_main, rel=1e-13, abs=1e-15)
+
+
+def _cell_traces_peak(N, with_abel):
+    """The tracemalloc peak of the counterexample's three cells at checkpoints up to N."""
+    cps = default_checkpoints(N, n_min=4)
+    tracemalloc.start()
+    try:
+        _streamed([named_sequence("cycle_indicator")], make_system("three_cycle"),
+                  cycle_step_observable(), [CyclePoint(cell) for cell in range(3)], cps,
+                  with_abel=with_abel)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("with_abel", [False, True])
+def test_orbit_traces_working_set_is_flat_in_N(with_abel):
+    # the checkpoint gaps near 2^21 hold about 94550 terms; a block of a whole
+    # gap peaked at 16.8 MB there against 2.6 MB at 2^17
+    assert _cell_traces_peak(1 << 21, with_abel) <= 1.25 * _cell_traces_peak(1 << 17, with_abel)
 
 
 def test_streamed_abel_split_keeps_the_sign_of_a_zero():
