@@ -16,7 +16,6 @@ from .sequences import (
     TrigPolynomial,
     from_values,
     named_sequence,
-    sequence_to_csv,
     transform_sequence,
     trig_poly_sequence,
 )
@@ -29,12 +28,10 @@ from .rates import (
     exp_sum_sup,
     one_sided_sup_ratios,
     parseval_holder_check,
-    rate_crossover,
 )
 from .dynamics import (
     Observable,
     make_system,
-    invariance_check,
     orbit_values,
     sample_points,
 )
@@ -63,7 +60,6 @@ from .envelope import (
 )
 from .spectral import (
     SpectralEstimate,
-    correlation_estimate,
     gamma_and_spectrum,
     match_resonances,
     resonance_report,

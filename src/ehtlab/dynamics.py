@@ -125,12 +125,6 @@ class Rotation:
     def phi(self) -> complex:
         return complex(np.exp(2j * np.pi * self.theta))
 
-    def forward(self, p: RotationPoint) -> RotationPoint:
-        return RotationPoint(p.t0, p.shift + 1)
-
-    def backward(self, p: RotationPoint) -> RotationPoint:
-        return RotationPoint(p.t0, p.shift - 1)
-
     def iterate(self, p: RotationPoint, j: int) -> RotationPoint:
         return RotationPoint(p.t0, p.shift + int(j))
 
@@ -155,12 +149,6 @@ class ThreeCycle:
     # cell values of the balanced step observable: 0 on A, 1 on TA, -1 on T^2 A
     STEP_VALUES = (0.0, 1.0, -1.0)
 
-    def forward(self, p: CyclePoint) -> CyclePoint:
-        return CyclePoint(p.cell0, p.shift + 1)
-
-    def backward(self, p: CyclePoint) -> CyclePoint:
-        return CyclePoint(p.cell0, p.shift - 1)
-
     def iterate(self, p: CyclePoint, j: int) -> CyclePoint:
         return CyclePoint(p.cell0, p.shift + int(j))
 
@@ -172,10 +160,6 @@ class ThreeCycle:
 
     def default_point(self) -> CyclePoint:
         return CyclePoint(0)
-
-
-TORUS_MATRIX = np.array([[2, 1], [1, 1]], dtype=np.int64)
-TORUS_MATRIX_INV = np.array([[1, -1], [-1, 2]], dtype=np.int64)  # det = 1
 
 
 def _fibonacci(n: int) -> np.ndarray:
@@ -246,12 +230,6 @@ class TorusAutomorphism:
     """
 
     kind = "torus_automorphism"
-
-    def forward(self, p: TorusPoint) -> TorusPoint:
-        return self.iterate(p, 1)
-
-    def backward(self, p: TorusPoint) -> TorusPoint:
-        return self.iterate(p, -1)
 
     def iterate(self, p: TorusPoint, j: int) -> TorusPoint:
         return TorusPoint(*torus_power(p.r, p.s, int(j)))
@@ -458,26 +436,3 @@ def sample_points(sys: DynamicalSystem, count: int, seed: int) -> list:
         raise ValueError("need at least one sample point")
     rng = np.random.default_rng(seed)
     return sys.sample_points(count, rng)
-
-
-def invariance_check(sys: DynamicalSystem, observables: Sequence[Observable],
-                     count: int = 4096, seed: int = 0) -> float:
-    """Monte-Carlo discrepancy max_f |E[f o T] - E[f]| over the given observables."""
-    pts = sample_points(sys, count, seed)
-    moved = [sys.forward(p) for p in pts]
-    worst = 0.0
-    for f in observables:
-        here, there = point_values(sys, f, pts), point_values(sys, f, moved)
-        worst = max(worst, abs(complex(np.mean(there) - np.mean(here))))
-    return worst
-
-
-def lattice_character_correlation(p: int, q: int, k: int, L: int = 64) -> complex:
-    """<T^k f, f> for the torus character f = e(px+qy), quadratured exactly.
-
-    The L x L integer lattice is invariant under the matrix, so the average
-    over lattice points is the exact integral as long as the shifted
-    frequency does not wrap to the original one mod L. That average of
-    e((M^k w - w).x) is 1 when M^k w = w (mod L) and 0 otherwise.
-    """
-    return complex(torus_power(p % L, q % L, k, L) == (p % L, q % L))

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, HorizonExceededError
 from .numerics import NeumaierSum, checkpoint_sums, term_blocks
-from .sequences import ModulatingSequence
 
 _WORKPREC = 140
 _TWO_PI = 2.0 * math.pi
@@ -261,7 +260,7 @@ def build_envelope(hm: MajorantH, K: int, M: float | None = None) -> EnvelopeSpe
     the gap/doubling/slope conditions hold.
 
     M defaults to twice the certified max of h; a degenerate h (max <= 0)
-    is rejected so callers must supply an explicit positive M.
+    is rejected so callers must supply an explicit positive, finite M.
     """
     from mpmath import mp
     if K < 2:
@@ -276,8 +275,8 @@ def build_envelope(hm: MajorantH, K: int, M: float | None = None) -> EnvelopeSpe
                     "pass an explicit positive M to build anyway"
                 )
             M = 2.0 * peak
-        if M <= 0:
-            raise ValueError("M must be positive")
+        if not 0 < M < math.inf:  # NaN fails too
+            raise ValueError(f"M must be positive and finite, got {M!r}")
         bps = [mp.mpf(0)]
         values = [float(M)]
         slopes = []
@@ -291,21 +290,6 @@ def build_envelope(hm: MajorantH, K: int, M: float | None = None) -> EnvelopeSpe
         return EnvelopeSpec(M=float(M), breakpoints=tuple(bps),
                             values=tuple(values), slopes=tuple(slopes),
                             majorant_label=hm.label)
-
-
-def envelope_modulator(env: EnvelopeSpec, radius: int) -> ModulatingSequence:
-    """One-sided modulating sequence from the envelope: a_n for 1 <= n <= radius,
-    zero for n <= 0 and beyond the radius (the trace range must stay inside)."""
-    table = env.values_at(np.arange(0, radius + 1))
-
-    def fn(ks: np.ndarray) -> np.ndarray:
-        out = np.zeros(ks.shape, dtype=complex)
-        sel = (ks >= 1) & (ks <= radius)
-        out[sel] = table[ks[sel]]
-        return out
-
-    return ModulatingSequence(f"envelope[{env.majorant_label}]<= {radius}", fn,
-                              bound=float(env.M), one_sided=True)
 
 
 def _kernel_coefficients(env: EnvelopeSpec, count: int) -> list[float]:
@@ -484,6 +468,8 @@ def evaluate_g(env: EnvelopeSpec, xs: Sequence[float], tol: float,
     direct-route coefficient table is built once and shared by every point.
     """
     from mpmath import mp
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     bps = env.practical_breakpoints(direct_cap)
     n_direct = bps[-1]
     if n_direct < 1:

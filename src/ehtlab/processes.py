@@ -127,9 +127,9 @@ def structural_identity_check(F: AdmissibleProcess, points, i_list: Sequence[int
                 exact_structure = False
             if F.f_eval(-i, sys.iterate(x, 2 * i)) != fi:
                 exact_symmetry = False
-            if F.f_eval(abs(i), sys.forward(x)) > F.f_eval(abs(i) + 1, x):
+            if F.f_eval(abs(i), sys.iterate(x, 1)) > F.f_eval(abs(i) + 1, x):
                 admissible = False
-            if F.f_eval(-abs(i), sys.backward(x)) > F.f_eval(-abs(i) - 1, x):
+            if F.f_eval(-abs(i), sys.iterate(x, -1)) > F.f_eval(-abs(i) - 1, x):
                 admissible = False
     return {"structure_exact": exact_structure, "symmetry_exact": exact_symmetry,
             "admissible": admissible}

@@ -174,6 +174,8 @@ def check_A_alpha(a: ModulatingSequence, params: RateParams, *, include_log: boo
     which is the variant under which unit-modulus oscillating sequences with
     O(sqrt n) sums register as bounded at alpha = 3/2.
     """
+    if include_log and min(params.schedule) < 2:
+        raise ValueError("schedule entries must be >= 2 so that log n > 0")
     sups, grids = _schedule_sups(a, params, "two_sided")
     n = np.asarray(params.schedule, dtype=float)
     weight = 1.0 / n ** (params.alpha - 1.0)
@@ -240,51 +242,3 @@ def parseval_holder_check(a: ModulatingSequence, n: int, grid_order: int) -> dic
         "holder_factor": "(2n+1)^(1/2)",
         "pass": bool(ok),
     }
-
-
-def holder_transfer_bound(sup_constant: float, alpha_src: float, alpha_dst: float,
-                          n: int) -> float:
-    """Finite-n bound transferred from an exponential-sum constant.
-
-    If sup_grid |sum_{|k|<=n} a_k z^k| <= C * n^(alpha_src-1)/log^alpha_src(n)
-    at this n, then the Cauchy-Schwarz/Parseval chain gives
-    (log^alpha_dst n / n^(alpha_dst-1)) * sum |a_k|
-        <= sqrt(2) * C * (n+1)^(1/2) * n^(alpha_src-alpha_dst) * log^(alpha_dst-alpha_src)(n).
-    """
-    ln = math.log(n)
-    return math.sqrt(2.0) * sup_constant * math.sqrt(n + 1.0) * n ** (alpha_src - alpha_dst) \
-        * ln ** (alpha_dst - alpha_src)
-
-
-def rate_crossover(alpha: float, beta: float, n_max: int = 1 << 22) -> int | None:
-    """Smallest n0 with n^(alpha-1)/log^alpha(n) >= n^beta for every n in
-    [n0, n_max], or None when the comparison still fails at n_max.
-
-    Finite-n location of the threshold beyond which the power-over-log weight
-    dominates the plain power weight (relevant when alpha > 1 + beta; note the
-    comparison also holds spuriously at tiny n where log n < 1).
-    """
-    ns = np.arange(2, n_max + 1, dtype=float)
-    holds = ns ** (alpha - 1.0) / np.log(ns) ** alpha >= ns**beta
-    if not holds[-1]:
-        return None
-    failures = np.flatnonzero(~holds)
-    return 2 if failures.size == 0 else int(failures[-1] + 1 + 2)
-
-
-def besicovitch_witness_check(a: ModulatingSequence, w: ModulatingSequence, kind: str,
-                              params: RateParams) -> dict:
-    """Witness-based class membership: test a - w against a rate condition.
-
-    The membership definitions are existential in the witness w (a sequence
-    induced by a trigonometric polynomial); the caller supplies the witness
-    and this check reports the rate verdict of the difference plus the
-    Cesaro means (1/n) sum_{|k|<=n} |a_k - w_k|.
-    """
-    diff_fn = lambda ks: a.values(ks) - w.values(ks)
-    bound = None if (a.bound is None or w.bound is None) else a.bound + w.bound
-    diff = ModulatingSequence(f"({a.label})-({w.label})", diff_fn, bound=bound)
-    report = rate_report(diff, kind, params)
-    sums = abs_prefix_sums(diff, params.schedule)
-    cesaro = [float(s / n) for s, n in zip(sums, params.schedule)]
-    return {"witness": w.label, "report": report, "cesaro_means": cesaro}

@@ -12,7 +12,6 @@ what they evaluate, and neither changes values.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -297,13 +296,3 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
                                   one_sided=a.one_sided)
 
     raise ValueError(f"unknown sequence op {op!r}")
-
-
-def sequence_to_csv(a: ModulatingSequence, n: int, path) -> None:
-    """Dump a_k for |k| <= n as CSV with columns k, re, im."""
-    vals = a.range_values(n)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "re", "im"])
-        for k, v in zip(range(-n, n + 1), vals):
-            w.writerow([k, repr(float(v.real)), repr(float(v.imag))])

@@ -2,8 +2,8 @@
 
 The Cesaro autocorrelation gamma(k) = lim (1/n) sum a_{j+k} conj(a_j) is
 estimated at finite truncation, extended to negative lags by conjugation, and
-is positive definite in the limit (finite-n estimates can dip slightly below,
-which the Toeplitz eigenvalue proxy quantifies). The Fourier-Bohr mean
+is positive definite in the limit (finite-n estimates can dip slightly
+below). The Fourier-Bohr mean
 Gamma(z) = lim (1/n) sum_{j<=n} a_j conj(z)^j vanishes off a countable set;
 the nonvanishing points form the spectrum, detected here by thresholding
 |Gamma| on a roots-of-unity grid and sharpening each hit by golden-section
@@ -56,48 +56,22 @@ class SpectralEstimate:
         }
 
 
-def correlation_estimate(a: ModulatingSequence, k: int, n: int) -> complex:
-    """(1/n) sum_{j=1}^{n} a_{j+k} conj(a_j); negative lags by conjugation."""
-    if n < 1:
-        raise ValueError("truncation n must be >= 1")
-    if k < 0:
-        return complex(np.conj(correlation_estimate(a, -k, n)))
-    js = np.arange(1, n + 1, dtype=np.int64)
-    vals_j = a.values(js)
-    if k == 0:
-        # exactly real, so conjugation symmetry holds on the nose at lag 0
-        return complex(float(np.mean(np.abs(vals_j) ** 2)), 0.0)
-    vals_jk = a.values(js + k)
-    return complex(np.mean(vals_jk * np.conj(vals_j)))
-
-
 def correlation_table(a: ModulatingSequence, K: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Correlations for all lags -K..K, bitwise `correlation_estimate` at each lag."""
-    return _lag_table(a.range_values(n + K)[n + K :], K, n)
-
-
-def _lag_table(v: np.ndarray, K: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`correlation_table` from one evaluation v = a_0 .. a_{n+K}."""
+    """Correlations (1/n) sum_{j=1}^{n} a_{j+k} conj(a_j) for all lags -K..K,
+    negative lags by conjugation, from one evaluation of a_0 .. a_{n+K}."""
     if n < 1:
         raise ValueError("truncation n must be >= 1")
+    v = a.range_values(n + K)[n + K :]
     base = np.conj(v[1 : n + 1])
     out = np.empty(2 * K + 1, dtype=complex)
-    # lag 0 is exactly real, as in correlation_estimate; its slot holds the
-    # conjugate like the negative lags, so the imaginary part is -0.0
+    # lag 0 is exactly real; its slot holds the conjugate like the negative
+    # lags, so the imaginary part is -0.0
     out[K] = np.conj(complex(float(np.mean(np.abs(v[1 : n + 1]) ** 2)), 0.0))
     for k in range(1, K + 1):
         g = complex(np.mean(v[1 + k : n + 1 + k] * base))
         out[K + k] = g
         out[K - k] = np.conj(g)
     return np.arange(-K, K + 1), out
-
-
-def toeplitz_min_eigenvalue(gamma: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian Toeplitz matrix of a correlation
-    table (lags -K..K); the limit object is positive semidefinite."""
-    K = gamma.size // 2
-    r = np.arange(K + 1)
-    return float(np.linalg.eigvalsh(gamma[K + r[:, None] - r[None, :]]).min())
 
 
 def _gamma_at(a_vals: np.ndarray, n: int, theta: float) -> complex:
@@ -136,9 +110,9 @@ def gamma_and_spectrum(a: ModulatingSequence, grid_order: int, n: int,
         raise ValueError("grid_order must be >= 2n+1")
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    # one flag-checked evaluation serves the grid and every correlation lag
-    v = a.range_values(n + corr_lags)[n + corr_lags :]
-    a_vals = v[: n + 1]
+    # one flag-checked evaluation serves the grid and, through the
+    # `range_values` memo, every correlation lag
+    a_vals = a.range_values(n + corr_lags)[n + corr_lags :][: n + 1]
     coeffs = np.zeros(grid_order, dtype=complex)
     coeffs[: n + 1] = a_vals
     # sum a_j conj(z)^j at z = e(g/G) is a plain forward DFT
@@ -175,7 +149,7 @@ def gamma_and_spectrum(a: ModulatingSequence, grid_order: int, n: int,
             atoms.append(cand)
     atoms.sort(key=lambda at: at.theta_turns)
 
-    lags, gam_table = _lag_table(v, corr_lags, n)
+    lags, gam_table = correlation_table(a, corr_lags, n)
     return SpectralEstimate(
         truncation=n, grid_order=grid_order, threshold=threshold,
         gamma_hat=gam_table, lags=lags, Gamma_grid=Gamma, atoms=tuple(atoms),

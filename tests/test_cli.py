@@ -150,6 +150,24 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
         "observable": {"kind": "constant", "value": float("nan")}, "checkpoints": [64]}}))
     assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2
     assert capsys.readouterr().err == "config error: complex value nan is not finite\n"
+    # the log weight vanishes at n = 1, so a_alpha rejects that radius as m_alpha does
+    bad.write_text(json.dumps({"kind": "rates", "params": {
+        "sequence": {"name": "hardy_littlewood"}, "class": "a_alpha", "schedule": [1, 2, 4, 8]}}))
+    assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2
+    assert capsys.readouterr().err == (
+        "config error: schedule entries must be >= 2 so that log n > 0\n")
+    # the envelope scale and the tail tolerance must be positive and finite
+    envelope = {"h": "inverse-linear", "K": 10}
+    for params in ({**envelope, "M": float("inf")},
+                   {**envelope, "M": float("nan")},
+                   {**envelope, "evaluate": {"x_count": 1, "tol": float("nan")}},
+                   {**envelope, "evaluate": {"x_count": 1, "tol": -1}},
+                   {**envelope, "evaluate": {"x_count": 1, "tol": 0}}):
+        bad.write_text(json.dumps({"kind": "prop27", "params": params}))
+        assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2, params
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "must be positive and finite" in err, params
+        assert err.count("\n") == 1, (params, err)
 
 
 def test_budget_exceeded_exit_3(tmp_path):

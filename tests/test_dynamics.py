@@ -9,15 +9,11 @@ from ehtlab import dynamics
 from ehtlab.dynamics import (
     CyclePoint,
     RotationPoint,
-    TORUS_MATRIX,
-    TORUS_MATRIX_INV,
     SQRT2_TURNS,
     TorusPoint,
     constant_observable,
     cycle_indicator_observable,
     cycle_step_observable,
-    invariance_check,
-    lattice_character_correlation,
     lattice_orbit,
     make_system,
     orbit_pairs,
@@ -109,7 +105,7 @@ def test_torus_pointwise_map():
     p = tor.default_point()  # (0.2, 0.3), rounded to the lattice
     assert (p.r / _LATTICE, p.s / _LATTICE) == (
         pytest.approx(0.2, abs=2**-53), pytest.approx(0.3, abs=2**-53))
-    q = tor.forward(p)
+    q = tor.iterate(p, 1)
     assert q == TorusPoint((2 * p.r + p.s) % _LATTICE, (p.r + p.s) % _LATTICE)
     assert (q.r / _LATTICE, q.s / _LATTICE) == (pytest.approx(0.7), pytest.approx(0.5))
     f = torus_character(1, 0)
@@ -126,13 +122,13 @@ def test_invertibility():
     for sys_ in (rot, cyc, tor):
         for p in sys_.sample_points(1000, rng):
             # lazy shifts and lattice arithmetic are exactly invertible
-            assert sys_.backward(sys_.forward(p)) == p
+            assert sys_.iterate(sys_.iterate(p, 1), -1) == p
 
 
 def test_lattice_torus_points_exact():
     tor = make_system("torus_automorphism")
     p = _on_lattice(3, 7, 64)
-    assert tor.backward(tor.forward(p)) == p
+    assert tor.iterate(tor.iterate(p, 1), -1) == p
     f = torus_character(2, 5)
     vals = orbit_values(tor, f, p, 300)  # far beyond float-orbit reliability
     assert np.allclose(np.abs(vals), 1.0)
@@ -165,23 +161,25 @@ def test_sampling_determinism_and_measure():
 
 
 def test_invariance_checks():
+    # Monte-Carlo discrepancy |E[f o T] - E[f]| on points drawn from the invariant measure
     count = 4096
     tol = 3.0 / math.sqrt(count)
-    rot = make_system("rotation", angle_turns="sqrt2")
-    assert invariance_check(rot, [rotation_character(1)], count, seed=0) <= tol
-    cyc = make_system("three_cycle")
-    assert invariance_check(cyc, [cycle_indicator_observable()], count, seed=0) <= tol
-    tor = make_system("torus_automorphism")
-    assert invariance_check(tor, [torus_character(1, 1)], count, seed=0) <= tol
+    for sys_, f in ((make_system("rotation", angle_turns="sqrt2"), rotation_character(1)),
+                    (make_system("three_cycle"), cycle_indicator_observable()),
+                    (make_system("torus_automorphism"), torus_character(1, 1))):
+        pts = sample_points(sys_, count, seed=0)
+        here = point_values(sys_, f, pts)
+        there = point_values(sys_, f, [sys_.iterate(p, 1) for p in pts])
+        assert abs(complex(np.mean(there) - np.mean(here))) <= tol, sys_.kind
 
 
 def test_torus_character_orthogonality_on_lattice():
-    # the integer lattice is invariant, so these averages are exact integrals
+    # the 64-lattice is invariant, so the lattice mean of e((M^k w - w).x), w = (p, q),
+    # is the exact integral <T^k f, f>: 1 when M^k w = w (mod 64), else 0
     for (p, q) in ((1, 0), (0, 1), (2, 3)):
         for k in list(range(-20, 0)) + list(range(1, 21)):
-            val = lattice_character_correlation(p, q, k, L=64)
-            assert abs(val) <= 1e-12, (p, q, k)
-    assert lattice_character_correlation(1, 0, 0, L=64) == pytest.approx(1.0)
+            assert torus_power(p, q, k, 64) != (p, q), (p, q, k)
+    assert torus_power(1, 0, 0, 64) == (1, 0)
 
 
 @pytest.mark.parametrize("r, s, L", [
@@ -196,7 +194,8 @@ def test_lattice_orbit_matches_stepping_and_matrix_powers(r, s, L):
     assert [torus_power(r, s, k, L) for k in range(-K, K + 1)] == ref
     # small |k|, with the matrix powers' entries as Python ints
     for k in range(-30, 31):
-        Mk = np.linalg.matrix_power(TORUS_MATRIX if k >= 0 else TORUS_MATRIX_INV, abs(k))
+        M = [[2, 1], [1, 1]] if k >= 0 else [[1, -1], [-1, 2]]  # the matrix and its inverse
+        Mk = np.linalg.matrix_power(np.array(M, dtype=np.int64), abs(k))
         assert tuple((a * r + b * s) % L for a, b in Mk.tolist()) == ref[k + K]
     if L & (L - 1):
         return  # the table path works on dyadic lattices only
@@ -212,27 +211,6 @@ def test_lattice_orbit_matches_stepping_and_matrix_powers(r, s, L):
     rs, ss = make_system("torus_automorphism").orbit_coords(_on_lattice(r, s, L), ks)
     want = [_on_lattice(*ref[k + K], L) for k in ks]
     assert rs.tolist() == [p.r for p in want] and ss.tolist() == [p.s for p in want]
-
-
-def test_lattice_correlation_beyond_int64_matrix_powers():
-    # M^k overflows int64 near |k| = 46; the orbit mod L must stay exact
-    def exact(p, q, k, L):
-        x, y = p, q
-        for _ in range(abs(k)):
-            x, y = ((2 * x + y) % L, (x + y) % L) if k > 0 else ((x - y) % L, (2 * y - x) % L)
-        return 1.0 if (x, y) == (p % L, q % L) else 0.0
-    for L in (60, 90):
-        for k in (60, -60, 120, -120, 47, -50, 99):
-            val = lattice_character_correlation(1, 0, k, L=L)
-            assert abs(val - exact(1, 0, k, L)) <= 1e-12, (L, k)
-
-
-def test_lattice_correlation_is_exact():
-    # the lattice mean of a character is exactly 1 or 0, never rounding noise
-    vals = [lattice_character_correlation(p, q, k, L=L)
-            for (p, q) in ((1, 0), (0, 1), (2, 3)) for k in range(-20, 21) for L in (60, 64)]
-    assert set(vals) == {0j, 1 + 0j}
-    assert lattice_character_correlation(1, 0, 60, L=60) == 1.0
 
 
 def test_three_cycle_orbits_repeat_one_period_bitwise():

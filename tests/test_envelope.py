@@ -11,7 +11,6 @@ from ehtlab.envelope import (
     MajorantH,
     build_envelope,
     divergent_modulator_demo,
-    envelope_modulator,
     evaluate_g,
     fejer_integral,
     fejer_variant_discrepancy,
@@ -284,14 +283,6 @@ def test_evaluate_g_slow_envelope():
     assert 3 <= out["terms_used"] <= 8
     # the direct sum is far from the limit at practical depth: the envelope
     # is still ~0.2 there, so only the identity route is sharp
-
-
-def test_envelope_modulator_sequence():
-    env = build_envelope(inverse_log_majorant(2), K=8)
-    a = envelope_modulator(env, radius=4096)
-    assert a.one_sided
-    assert a.eval(0) == 0 and a.eval(-5) == 0
-    assert a.eval(1).real == pytest.approx(float(env.values_at(np.array([1]))[0]))
 
 
 def test_divergent_modulator_demo_small():

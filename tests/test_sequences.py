@@ -7,7 +7,6 @@ from ehtlab.sequences import (
     TrigPolynomial,
     from_values,
     named_sequence,
-    sequence_to_csv,
     transform_sequence,
     trig_poly_sequence,
 )
@@ -160,17 +159,6 @@ def test_symmetrize_idempotent(n):
     s1 = transform_sequence(a, "symmetrize")
     s2 = transform_sequence(s1, "symmetrize")
     assert np.array_equal(s1.range_values(n), s2.range_values(n))
-
-
-def test_csv_round_trip(tmp_path):
-    a = named_sequence("cycle_indicator")
-    path = tmp_path / "seq.csv"
-    sequence_to_csv(a, 5, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "k,re,im"
-    assert len(rows) == 12
-    k, re, im = rows[1].split(",")
-    assert int(k) == -5 and float(re) == a.eval(-5).real and float(im) == 0.0
 
 
 def test_corpus_bounds_hold_at_ten_thousand(sequence_corpus):
