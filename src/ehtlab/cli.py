@@ -28,7 +28,6 @@ from .dynamics import (
     constant_observable,
     make_system,
     orbit_pairs,
-    orbit_values,
     rotation_character,
     rotation_raised_cosine,
     torus_character,
@@ -53,7 +52,7 @@ from .transform import (
     as_checkpoints,
     cesaro_average_trace,
     default_checkpoints,
-    eht_trace,
+    eht_trace,  # unused here; perfbench/test_perfbench.py looks it up in this module
     make_convergence_verdict,
     maximal_and_weak11,
     orbit_traces,
@@ -235,11 +234,12 @@ def _run_transform(cfg: ExperimentConfig, out: Path) -> dict:
     seq = _sequence_from_spec(_spec(p, "sequence", {"name": "sparse_dyadic"}))
     obs = _observable_from_spec(_spec(p, "observable", {"kind": "rotation_character"}), sys_.kind)
     checkpoints = as_checkpoints(p.get("checkpoints", default_checkpoints(1 << 14)))
-    orbit = orbit_values(sys_, obs, sys_.default_point(), checkpoints[-1])
-    trace = eht_trace(seq, orbit, checkpoints, with_abel=bool(p.get("with_abel", True)))
+    x0 = sys_.default_point()
+    [trace] = orbit_traces([seq], orbit_pairs(sys_, obs, [x0], checkpoints[-1]), checkpoints,
+                           with_abel=bool(p.get("with_abel", True)))
     trace.to_csv(out / "trace.csv")
     verdict = make_convergence_verdict(checkpoints, trace.H_values)
-    averages = cesaro_average_trace(seq, orbit, checkpoints)
+    averages = cesaro_average_trace(seq, sys_, obs, x0, checkpoints)
     result = {"verdict": asdict(verdict), "checkpoints": list(checkpoints),
               "H_final": complex(trace.H_values[-1]),
               "cesaro_average_final_abs": float(abs(averages[-1]))}

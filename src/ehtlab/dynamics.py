@@ -338,17 +338,10 @@ def _check_anchor_range(sys: DynamicalSystem, x0, N: int) -> None:
 
 
 def orbit_values(sys: DynamicalSystem, f: Observable, x0, N: int) -> np.ndarray:
-    """f(T^k x0) for -N <= k <= N as a length 2N+1 complex array.
-
-    Three-cycle orbits have period 3, so one period k = -N, -N+1, -N+2 is
-    evaluated and repeated.
-    """
+    """f(T^k x0) for -N <= k <= N as a length 2N+1 complex array."""
     _check_orbit_request(sys, f, N)
     _check_anchor_range(sys, x0, N)
     ks = np.arange(-N, N + 1, dtype=np.int64)
-    if isinstance(sys, ThreeCycle):
-        period = np.asarray(f.coord_fn(sys.orbit_coords(x0, ks[:3])), dtype=complex)
-        return np.tile(period, -(-ks.size // 3))[: ks.size]
     return np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
 
 
@@ -360,8 +353,8 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
     f, p, N)` at N + k and N - k. On a rotation the turn table of +-k
     (`frac(k*theta_hi)`, `k*theta_lo`) is built once per call and every
     unshifted point only adds its anchor; a shifted point gets a table of
-    its own. A three-cycle orbit indexes one period, as `orbit_values` tiles
-    one. On the torus the Fibonacci table of the block is built once per
+    its own. A three-cycle orbit indexes its one period, `orbit_values(sys,
+    f, p, 1)`. On the torus the Fibonacci table of the block is built once per
     call and shared by every point (`lattice_orbit`); the rows are exact
     integers, so they equal `orbit_coords`'s at every k. Every point is
     validated here, before the first block, the exact-angle range included.

@@ -27,13 +27,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, HorizonExceededError
-from .numerics import NeumaierSum, checkpoint_sums, term_blocks
+from .numerics import ComplexNeumaierSum, NeumaierSum, checkpoint_blocks, checkpoint_sums
 
 _WORKPREC = 140
 _TWO_PI = 2.0 * math.pi
 _EDGE = 1e-9
 _MAX_H_SCAN = 1 << 20
-_MERGE_TERMS = 1 << 21  # divergent_modulator_demo's terms per compensated merge
 
 
 # ------------------------------------------------------------------ majorants
@@ -44,25 +43,22 @@ class MajorantH:
 
     `h` is evaluated at integers; `hhat` must dominate h, never increase, and
     tend to zero. It is evaluated at integer-valued mpmath floats during
-    breakpoint search, so it must tolerate huge arguments unless `horizon`
-    caps the search. `horizon=None` means unbounded search (capped only by an
-    internal exponent guard).
+    breakpoint search, so it must tolerate huge arguments; the search is
+    capped only by an internal exponent guard.
     """
 
     h: Callable
     hhat: Callable
-    horizon: float | None
     label: str
 
     def max_h(self) -> float:
         """Certified max of h: scan a prefix of at most 2^20 indices until hhat
         drops below the max seen."""
-        cap = _MAX_H_SCAN if self.horizon is None else int(min(self.horizon, _MAX_H_SCAN))
         scan = 1024
         best = -math.inf
         scanned = 0
         while True:
-            hi = min(scan, cap)
+            hi = min(scan, _MAX_H_SCAN)
             for n in range(scanned, hi + 1):
                 v = float(self.h(n))
                 if v > best:
@@ -70,7 +66,7 @@ class MajorantH:
             scanned = hi + 1
             if best >= float(self.hhat(hi)):
                 return best
-            if hi >= cap:
+            if hi >= _MAX_H_SCAN:
                 if best <= 0.0:
                     return best
                 raise HorizonExceededError(
@@ -92,7 +88,7 @@ def inverse_log_majorant(shift: int = 3) -> MajorantH:
         # accepts mpmath arguments of arbitrary magnitude
         return 1.0 / mp.log(n + shift)
 
-    return MajorantH(h, hhat, horizon=None, label=f"1/log(n+{shift})")
+    return MajorantH(h, hhat, label=f"1/log(n+{shift})")
 
 
 def inverse_linear_majorant() -> MajorantH:
@@ -102,7 +98,7 @@ def inverse_linear_majorant() -> MajorantH:
     def hhat(n):
         return 1.0 / (n + 1)
 
-    return MajorantH(h, hhat, horizon=None, label="1/(n+1)")
+    return MajorantH(h, hhat, label="1/(n+1)")
 
 
 # ------------------------------------------------------------------- envelope
@@ -190,23 +186,17 @@ def _search_threshold_index(hm: MajorantH, threshold) -> "mp.mpf":
     thr = mp.mpf(threshold)
     if mp.mpf(hm.hhat(0)) <= thr:
         return mp.mpf(0)
-    cap_exp = 2.0**40 if hm.horizon is None else math.log2(hm.horizon) + 1
 
     def passes(n) -> bool:
         return mp.mpf(hm.hhat(n)) <= thr
 
     e_lo, e_hi = 0.0, None
     e = 1.0
-    while e <= cap_exp:
-        cand = mp.power(2, e)
-        if hm.horizon is not None and cand > hm.horizon:
-            cand = mp.mpf(hm.horizon)
-        if passes(mp.floor(cand)):
-            e_hi = float(mp.log(cand, 2))  # cand may be horizon-clamped, so recover its exponent
+    while e <= 2.0**40:  # the exponent guard: no n beyond 2^(2^40) is searched
+        if passes(mp.floor(mp.power(2, e))):
+            e_hi = e
             break
-        e_lo = float(mp.log(cand, 2))
-        if hm.horizon is not None and cand >= hm.horizon:
-            break
+        e_lo = e
         e *= 2
     if e_hi is None:
         raise HorizonExceededError(
@@ -236,8 +226,7 @@ def _search_threshold_index(hm: MajorantH, threshold) -> "mp.mpf":
 def _probe_majorant(hm: MajorantH) -> None:
     """Spot-check the majorant contract: hhat >= h and hhat nonincreasing."""
     from mpmath import mp
-    cap = 4096 if hm.horizon is None else int(min(hm.horizon, 4096))
-    probes = sorted({0, 1, 2, 3, 5, 17, 100, cap // 3, cap} - {-1})
+    probes = (0, 1, 2, 3, 5, 17, 100, 1365, 4096)
     with mp.workprec(_WORKPREC):
         prev = None
         for n in probes:
@@ -597,39 +586,25 @@ def divergent_modulator_demo(N: int) -> dict:
     hm = inverse_log_majorant(shift=2)
     env = build_envelope(hm, K=12)
 
-    acc_o = NeumaierSum()
-    acc_e = NeumaierSum()
-    sums_o, sums_e = [], []
+    # term t is n = t + 2, so the sum up to n = c ends after term c - 1
+    ends = np.asarray(checkpoints, dtype=np.int64) - 1
+    sums, accs = np.empty((2, ends.size), dtype=complex), [ComplexNeumaierSum() for _ in range(2)]
     dominated = True
-    ci = 0
-    for lo in range(2, N + 1, _MERGE_TERMS):
-        # a span in blocks, each prefix carried into the next block's first term:
-        # np.cumsum is sequential, so every prefix is bitwise the span-wide one
-        for blo, bhi in term_blocks(min(_MERGE_TERMS, N + 1 - lo)):
-            ns = np.arange(lo + blo, lo + bhi, dtype=np.int64)
-            h_vals = 1.0 / np.log(ns + 2.0)
-            a_vals = env.values_at(ns)
-            dominated = dominated and bool(np.all(a_vals >= h_vals))
-            inv = 1.0 / ns
-            o_terms, e_terms = h_vals * inv, a_vals * inv
-            if blo:
-                o_terms[0] += csum_o[-1]
-                e_terms[0] += csum_e[-1]
-            csum_o = np.cumsum(o_terms)
-            csum_e = np.cumsum(e_terms)
-            while ci < len(checkpoints) and checkpoints[ci] < lo + bhi:
-                idx = checkpoints[ci] - lo - blo
-                sums_o.append(acc_o.value + csum_o[idx])
-                sums_e.append(acc_e.value + csum_e[idx])
-                ci += 1
-        acc_o.add(float(csum_o[-1]))
-        acc_e.add(float(csum_e[-1]))
+    for i, j, lo, hi in checkpoint_blocks(ends):
+        ns = np.arange(lo + 2, hi + 2, dtype=np.int64)
+        h_vals = 1.0 / np.log(ns + 2.0)
+        a_vals = env.values_at(ns)
+        dominated = dominated and bool(np.all(a_vals >= h_vals))
+        inv = 1.0 / ns
+        for s, numerators in enumerate((h_vals, a_vals)):
+            sums[s, i:j] = checkpoint_sums(numerators * inv, ends[i:j] - lo, accs[s])
+    sums_o, sums_e = sums.real
 
     cks = np.asarray(checkpoints, dtype=float)
     fit_from = cks >= 1000
     window = cks[fit_from] if fit_from.sum() >= 3 else cks
     target = np.log(np.log(window))
-    vals = np.asarray(sums_o)[fit_from] if fit_from.sum() >= 3 else np.asarray(sums_o)
+    vals = sums_o[fit_from] if fit_from.sum() >= 3 else sums_o
     c_hat = float(np.mean(vals - target))
     residual = float(np.sqrt(np.mean((vals - target - c_hat) ** 2)))
 

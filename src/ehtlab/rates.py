@@ -27,7 +27,7 @@ class RateParams:
     """Parameters shared by the rate checks.
 
     alpha in (1, 2], beta in (0, 1); `schedule` is the strictly increasing
-    list of radii n; `grid_order`, when given, fixes the root-of-unity grid
+    list of radii n >= 1; `grid_order`, when given, fixes the root-of-unity grid
     for every n (must be >= 4*max(schedule) + 1 for Parseval-exact use),
     otherwise each n uses the default G = 8n grid.
     """
@@ -43,8 +43,8 @@ class RateParams:
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must lie in (0, 1)")
         sched = tuple(int(n) for n in self.schedule)
-        if len(sched) == 0 or any(b <= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("schedule must be nonempty and strictly increasing")
+        if len(sched) == 0 or sched[0] < 1 or any(b <= a for a, b in zip(sched, sched[1:])):
+            raise ValueError("schedule must be nonempty, positive and strictly increasing")
         object.__setattr__(self, "schedule", sched)
         if self.grid_order is not None and self.grid_order < 4 * sched[-1] + 1:
             raise ValueError("fixed grid_order must be >= 4*max(schedule) + 1")
@@ -111,7 +111,7 @@ def abs_prefix_ratios(a: ModulatingSequence, kind: str, params: RateParams) -> R
     kind = "star" divides by n^beta, "m_alpha" by n^(alpha-1)/log^alpha(n),
     "two_sided_raw" leaves the sums unnormalized.
     """
-    if min(params.schedule) < 2:
+    if kind == "m_alpha" and min(params.schedule) < 2:
         raise ValueError("schedule entries must be >= 2 so that log n > 0")
     sums = abs_prefix_sums(a, params.schedule)
     n = np.asarray(params.schedule, dtype=float)

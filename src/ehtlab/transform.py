@@ -30,6 +30,8 @@ from .dynamics import (
     TorusAutomorphism,
     DynamicalSystem,
     Observable,
+    _check_anchor_range,
+    _check_orbit_request,
     array_pairs,
     lattice_orbit,
     orbit_pairs,
@@ -325,16 +327,22 @@ def _is_diverging(fit: GrowthFit, checkpoints: np.ndarray) -> bool:
     return fit.residual <= 0.3 * max(rise, 0.1)
 
 
-def cesaro_average_trace(a: ModulatingSequence, orbit: np.ndarray,
+def cesaro_average_trace(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, x0,
                          checkpoints: Sequence[int]) -> np.ndarray:
-    """(1/n) sum_{k=0}^{n-1} a_k f(T^k x0) at each checkpoint."""
-    N = orbit.size // 2
+    """(1/n) sum_{k=0}^{n-1} a_k f(T^k x0) at each checkpoint.
+
+    The terms stream through the blocks of `checkpoint_blocks`, summed by
+    `checkpoint_sums` with one carried accumulator, so no array of length n
+    is built. The orbit request is validated before the first block.
+    """
     checkpoints = np.asarray(as_checkpoints(checkpoints), dtype=np.int64)
-    if checkpoints[-1] > N + 1:
-        raise ValueError("orbit too short for the requested averages")
-    avals = a.range_values(N)
-    terms = avals[N:] * orbit[N:]
-    sums = checkpoint_sums(terms, checkpoints)
+    _check_orbit_request(sys, f, checkpoints[-1] - 1)
+    _check_anchor_range(sys, x0, checkpoints[-1] - 1)
+    sums, acc = np.empty(checkpoints.size, dtype=complex), ComplexNeumaierSum()
+    for i, j, lo, hi in checkpoint_blocks(checkpoints):
+        ks = np.arange(lo, hi, dtype=np.int64)
+        terms = a.values(ks) * np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
+        sums[i:j] = checkpoint_sums(terms, checkpoints[i:j] - lo, acc)
     return sums / checkpoints
 
 
@@ -392,6 +400,8 @@ def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, lam_grid: Sequ
     otherwise by lambda^k.
     """
     checkpoints = as_checkpoints(checkpoints)
+    if len(lam_grid) == 0:
+        raise ValueError("the lambda grid must be nonempty")
     thetas, seqs = [], []
     for lam in lam_grid:
         lam = complex(lam)  # the modulate op checks |lam| = 1

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,8 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
                     "op": "scale", "c": 1e308, "base": {"name": "sparse_dyadic"}}}},
                 '{"kind": "counterexample", "params": {"N": 1e400}}',
                 {"kind": "rates", "params": [1]},
+                {"kind": "rates", "params": {"class": "star", "schedule": [0, 4]}},
+                {"kind": "sweep", "params": {"lambdas_turns": []}},
                 b"\xff\xfe"):
         if isinstance(raw, bytes):
             bad.write_bytes(raw)
@@ -150,12 +153,14 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
         "observable": {"kind": "constant", "value": float("nan")}, "checkpoints": [64]}}))
     assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2
     assert capsys.readouterr().err == "config error: complex value nan is not finite\n"
-    # the log weight vanishes at n = 1, so a_alpha rejects that radius as m_alpha does
-    bad.write_text(json.dumps({"kind": "rates", "params": {
-        "sequence": {"name": "hardy_littlewood"}, "class": "a_alpha", "schedule": [1, 2, 4, 8]}}))
-    assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2
-    assert capsys.readouterr().err == (
-        "config error: schedule entries must be >= 2 so that log n > 0\n")
+    # the log weight vanishes at n = 1, so the log-weighted classes reject that
+    # radius; the classes that take no log accept it
+    for klass, code in (("a_alpha", 2), ("m_alpha", 2), ("star", 0), ("two_sided_raw", 0)):
+        bad.write_text(json.dumps({"kind": "rates", "params": {
+            "sequence": {"name": "hardy_littlewood"}, "class": klass, "schedule": [1, 2, 4, 8]}}))
+        assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == code, klass
+        assert capsys.readouterr().err == ("config error: schedule entries must be >= 2 so "
+                                           "that log n > 0\n" if code else ""), klass
     # the envelope scale and the tail tolerance must be positive and finite
     envelope = {"h": "inverse-linear", "K": 10}
     for params in ({**envelope, "M": float("inf")},
@@ -279,6 +284,27 @@ def test_readme_default_transform(tmp_path):
     assert rows[0] == "n,re_H,im_H,abel_main,abel_tail"
     assert len(rows) > 65
     assert all(len(r.split(",")) == 5 and "" not in r.split(",") for r in rows[1:])
+
+
+@pytest.mark.parametrize("system", ["rotation", "three_cycle", "torus_automorphism"])
+def test_transform_runner_working_set_is_flat_in_N(tmp_path, system):
+    # a whole orbit and its Cesaro range peaked at 164 MiB at N = 2^20, against 10 MiB at 2^16
+    observable = {"rotation": "rotation_character", "three_cycle": "cycle_step",
+                  "torus_automorphism": "torus_character"}[system]
+
+    def peak(e):
+        cfg = parse_config({"kind": "transform", "seed": 1, "out_dir": str(tmp_path), "params": {
+            "system": {"kind": system}, "observable": {"kind": observable},
+            "checkpoints": [2**j for j in range(4, e + 1)]}})
+        tracemalloc.start()
+        try:
+            assert run_experiment(cfg)[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-use allocations stay out of the measured runs
+    assert peak(20) <= 1.25 * peak(16)
 
 
 def test_identity_hash_ignores_out_dir(tmp_path):

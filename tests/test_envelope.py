@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from ehtlab import envelope, numerics
+from ehtlab import numerics
 from ehtlab.envelope import (
     EnvelopeSpec,
     MajorantH,
@@ -20,7 +20,6 @@ from ehtlab.envelope import (
     verify_envelope_conditions,
 )
 from ehtlab.errors import BudgetExceededError, DomainError, HorizonExceededError
-from ehtlab.numerics import NeumaierSum
 
 
 # ---------------------------------------------------------------- kernels
@@ -188,7 +187,7 @@ def test_envelope_stays_above_h():
 
 
 def test_degenerate_h_rejected():
-    zero = MajorantH(lambda n: 0.0, lambda n: mp.mpf(2) ** (-n), horizon=1e6, label="zero")
+    zero = MajorantH(lambda n: 0.0, lambda n: mp.mpf(2) ** (-n), label="zero")
     with pytest.raises(ValueError, match="explicit positive M"):
         build_envelope(zero, K=4)
     env = build_envelope(zero, K=4, M=1.0)  # explicit scale builds fine
@@ -196,11 +195,9 @@ def test_degenerate_h_rejected():
 
 
 def test_horizon_exceeded():
-    hm = MajorantH(lambda n: 1.0 / (1.0 + math.log1p(float(n))),
-                   lambda n: 1.0 / (1.0 + float(mp.log(1 + n))),
-                   horizon=1e4, label="slow")
-    with pytest.raises(HorizonExceededError):
-        build_envelope(hm, K=12)
+    # the breakpoints are 3^(2^k) - 3, whose exponents pass the 2^40 search cap before k = 45
+    with pytest.raises(HorizonExceededError, match="within its horizon"):
+        build_envelope(inverse_log_majorant(), K=45)
 
 
 def test_hand_built_violations_detected():
@@ -294,48 +291,25 @@ def test_divergent_modulator_demo_small():
     assert demo["loglog_residual"] < 0.05
 
 
-def _whole_span_modulator_sums(env, N, span):
-    """The partial sums of `divergent_modulator_demo` from span-long arrays,
-    the loop the blocked one replaced, kept as its oracle."""
-    checkpoints = [n for n in (2**j for j in range(2, 64)) if n <= N]
-    if checkpoints[-1] != N:
-        checkpoints.append(N)
-    acc_o, acc_e = NeumaierSum(), NeumaierSum()
-    sums_o, sums_e = [], []
-    dominated = True
-    ci = 0
-    for lo in range(2, N + 1, span):
-        hi = min(lo + span - 1, N)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        h_vals = 1.0 / np.log(ns + 2.0)
-        a_vals = env.values_at(ns)
-        dominated = dominated and bool(np.all(a_vals >= h_vals))
-        inv = 1.0 / ns
-        csum_o = np.cumsum(h_vals * inv)
-        csum_e = np.cumsum(a_vals * inv)
-        while ci < len(checkpoints) and checkpoints[ci] <= hi:
-            sums_o.append(acc_o.value + csum_o[checkpoints[ci] - lo])
-            sums_e.append(acc_e.value + csum_e[checkpoints[ci] - lo])
-            ci += 1
-        acc_o.add(float(csum_o[-1]))
-        acc_e.add(float(csum_e[-1]))
-    return checkpoints, sums_o, sums_e, dominated
-
-
-def test_divergent_modulator_blocks_are_bitwise_the_span_sums(monkeypatch):
-    # 64-term blocks in 256-term spans (terms start at n = 2): N = 1000 ends
-    # mid-block in the fourth span, 577 on a block end in the third, 513 on
-    # the second span's end, and 1024 on a power of two
-    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 64)
-    monkeypatch.setattr(envelope, "_MERGE_TERMS", 256)
+def test_divergent_modulator_sums_match_fsum_prefixes(monkeypatch):
+    # both series, against correctly rounded sums of the demo's own terms; with
+    # 64-term blocks (terms start at n = 2) N = 1000 ends mid-block, 577 on a
+    # block end, 513 after one and 1024 on a power of two
     env = build_envelope(inverse_log_majorant(shift=2), K=12)
-    for N in (1000, 577, 513, 1024):
+    for N, block in ((10**5, numerics._BLOCK_TERMS), (1000, 64), (577, 64), (513, 64), (1024, 64)):
+        monkeypatch.setattr(numerics, "_BLOCK_TERMS", block)
         demo = divergent_modulator_demo(N)
-        checkpoints, sums_o, sums_e, dominated = _whole_span_modulator_sums(env, N, 256)
-        assert demo["checkpoints"] == checkpoints
-        assert np.array(demo["oracle_partial_sums"]).tobytes() == np.array(sums_o).tobytes()
-        assert np.array(demo["envelope_partial_sums"]).tobytes() == np.array(sums_e).tobytes()
-        assert demo["dominates_oracle"] is dominated
+        powers = [2**j for j in range(2, N.bit_length())]
+        assert demo["checkpoints"] == (powers if powers[-1] == N else powers + [N])
+        assert demo["dominates_oracle"]
+        ns = np.arange(2, N + 1, dtype=np.int64)
+        inv = 1.0 / ns
+        for key, numerators in (("oracle_partial_sums", 1.0 / np.log(ns + 2.0)),
+                                ("envelope_partial_sums", env.values_at(ns))):
+            terms = (numerators * inv).tolist()
+            for c, got in zip(demo["checkpoints"], demo[key]):
+                bound = 1e-13 * (1.0 + math.fsum(map(abs, terms[: c - 1])))
+                assert abs(got - math.fsum(terms[: c - 1])) <= bound, (N, key, c)
 
 
 def test_divergent_modulator_stays_small_in_memory():
@@ -357,11 +331,10 @@ def test_values_at_bounds():
 
 
 def test_majorant_contract_probed():
-    bad = MajorantH(lambda n: 1.0 / (n + 1.0), lambda n: 0.5 / (n + 1),
-                    horizon=1e5, label="undershoot")
+    bad = MajorantH(lambda n: 1.0 / (n + 1.0), lambda n: 0.5 / (n + 1), label="undershoot")
     with pytest.raises(ValueError, match="not a majorant"):
         build_envelope(bad, K=4)
-    rising = MajorantH(lambda n: 0.0, lambda n: float(n), horizon=1e5, label="rising")
+    rising = MajorantH(lambda n: 0.0, lambda n: float(n), label="rising")
     with pytest.raises(ValueError, match="increases"):
         build_envelope(rising, K=4)
 

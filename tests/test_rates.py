@@ -62,9 +62,14 @@ def test_star_closed_form_ratio():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         RateParams(schedule=(4, 4, 8))
-    with pytest.raises(ValueError):
-        abs_prefix_ratios(named_sequence("constant"), "star",
-                          RateParams(schedule=(1, 4)))
+    with pytest.raises(ValueError, match="positive"):
+        RateParams(schedule=(0, 4))
+    # only the log-weighted prefix class needs n >= 2
+    with pytest.raises(ValueError, match="log n > 0"):
+        abs_prefix_ratios(named_sequence("constant"), "m_alpha", RateParams(schedule=(1, 4)))
+    for kind in ("star", "two_sided_raw"):
+        rep = abs_prefix_ratios(named_sequence("constant"), kind, RateParams(schedule=(1, 4)))
+        assert rep.ratios[0] == 3.0  # |a_k| = 1 for |k| <= 1
 
 
 def test_exp_sum_matches_brute_force():

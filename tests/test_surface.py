@@ -1,5 +1,5 @@
-"""The public surface of `ehtlab`: every name is reached, and every name the
-span tracer wraps exists.
+"""The public surface of `ehtlab`: every name is reached, every name the
+span tracer wraps exists, and no module imports a name it never uses.
 
 A public top-level function or class of `src/ehtlab` must be referenced from
 the rest of the package, used by the acceptance gate, or wrapped by
@@ -74,3 +74,24 @@ def test_every_public_name_is_reached():
             if not (used or acceptance[node.name] or (f"ehtlab.{stem}", node.name) in targets):
                 unreached.append(f"{stem}.{node.name}")
     assert unreached == []
+
+
+# imports kept for their binding alone: perfbench/test_perfbench.py looks eht_trace up there
+UNUSED_IMPORTS_ALLOWED = {("cli", "eht_trace"), ("processes", "eht_trace")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":  # the package namespace re-exports what it imports
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        for node in imports:
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name not in used and (path.stem, name) not in UNUSED_IMPORTS_ALLOWED:
+                    unused.append(f"{path.stem}: {name}")
+    assert unused == []

@@ -230,12 +230,11 @@ def test_every_schedule_is_validated_as_checkpoints():
     # schedules are ValueErrors on every route, not IndexErrors
     a = named_sequence("constant", value=1.0)
     rot = make_system("rotation", angle_turns="sqrt2")
-    orbit = orbit_values(rot, rotation_character(1), rot.default_point(), 64)
     for bad in ([], [0, 4], [8, 4]):
         with pytest.raises(ValueError, match="checkpoints must be"):
             l2_diff_vs_spectral(a, rot, rotation_character(1), bad, sample_count=2)
         with pytest.raises(ValueError, match="checkpoints must be"):
-            cesaro_average_trace(a, orbit, bad)
+            cesaro_average_trace(a, rot, rotation_character(1), rot.default_point(), bad)
     # no default schedule is empty: a radius below n_min has no checkpoint
     assert default_checkpoints(4, n_min=4) == (4,)
     for n_max in (3, 0, -5):
@@ -413,9 +412,8 @@ def test_maximal_sups_stay_small_in_memory():
 def test_cesaro_average_decay(sparse_dyadic):
     rot = make_system("rotation", angle_turns="sqrt2")
     f = rotation_character(1)
-    orbit = orbit_values(rot, f, rot.default_point(), 1 << 14)
     cps = [2**j for j in range(6, 15)]
-    avg = cesaro_average_trace(sparse_dyadic, orbit, cps)
+    avg = cesaro_average_trace(sparse_dyadic, rot, f, rot.default_point(), cps)
     mags = np.abs(avg)
     assert mags[-1] < 0.02 and mags[-1] < mags[0]
 
@@ -779,6 +777,26 @@ def test_streamed_sums_merge_the_pieces_of_a_long_gap(system, monkeypatch):
         assert np.array_equal(_bits([t for _, t in trace.abel_parts]), _bits([t for _, t in whole]))
         for (main, _), (whole_main, _) in zip(trace.abel_parts, whole):
             assert main == pytest.approx(whole_main, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("system", ["rotation", "three_cycle", "torus_automorphism"])
+def test_streamed_cesaro_average_matches_the_whole_array_one(system, monkeypatch):
+    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 512)
+    if system == "torus_automorphism":
+        sys_, f = make_system(system), torus_character(1, 2)
+        seqs, anchors = [named_sequence("hardy_littlewood")], [
+            sys_.default_point(), *sample_points(sys_, 2, seed=5)]
+    else:
+        sys_, f, seqs, anchors = _abel_case(system)
+    # every gap fits in a block; then gaps of 1500 and 2600 terms are cut into pieces
+    for cps, fits in ((_block_edge_checkpoints(512), True),
+                      ([1, 2, 1502, 1503, 4103, 4200], False)):
+        N = cps[-1]
+        for x0, a in itertools.product(anchors, seqs):
+            terms = a.range_values(N)[N:] * orbit_values(sys_, f, x0, N)[N:]
+            sums = checkpoint_sums(terms, cps) if fits else piecewise_checkpoint_sums(terms, cps)
+            got = cesaro_average_trace(a, sys_, f, x0, cps)
+            assert np.array_equal(_bits(got), _bits(sums / np.asarray(cps)))
 
 
 def _cell_traces_peak(N, with_abel):
