@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -206,6 +205,7 @@ def canonical_json(payload: dict) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
+    import hashlib  # here, not at the top: `ehtlab describe` never hashes
     return hashlib.sha256(canonical_json(cfg.identity_dict()).encode()).hexdigest()
 
 
@@ -374,12 +374,8 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     n_max = int(float(p.get("n_max", 1e5)))
     checkpoints = default_checkpoints(n_max, n_min=64)
     lambdas = p.get("lambdas_turns", ["resonant", 0.17, 0.35, 0.71])
-    lam_grid = []
-    for item in lambdas:
-        if item == "resonant":
-            lam_grid.append(complex(np.exp(-2j * np.pi * sys_.theta)))
-        else:
-            lam_grid.append(complex(np.exp(2j * np.pi * float(item))))
+    lam_grid = [complex(np.exp(-2j * np.pi * sys_.theta if item == "resonant"
+                               else 2j * np.pi * float(item))) for item in lambdas]
     rows = wiener_wintner_sweep(sys_, obs, sys_.default_point(), lam_grid, checkpoints,
                                 symmetric=bool(p.get("symmetric", True)))
     payload = []
@@ -559,26 +555,16 @@ def _config_from_args(args) -> ExperimentConfig:
             params[key] = int(float(args.N))
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"--N must be a finite number, got {args.N!r}") from exc
-    if args.convention is not None:
-        params["convention"] = args.convention
     if args.seq is not None:
         params["sequence"] = {"name": args.seq}
-    if args.klass is not None:
-        params["class"] = args.klass
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.beta is not None:
-        params["beta"] = args.beta
-    if args.h is not None:
-        params["h"] = args.h
-    if args.K is not None:
-        params["K"] = args.K
+    shortcuts = {"convention": "convention", "klass": "class", "alpha": "alpha", "beta": "beta",
+                 "h": "h", "K": "K"}
+    params.update({key: getattr(args, attr) for attr, key in shortcuts.items()
+                   if getattr(args, attr) is not None})
     if params:
         raw["params"] = params
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out_dir is not None:
-        raw["out_dir"] = args.out_dir
+    raw.update({key: getattr(args, key) for key in ("seed", "out_dir")
+                if getattr(args, key) is not None})
     return parse_config(raw)
 
 

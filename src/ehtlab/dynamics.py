@@ -6,9 +6,11 @@ realized as rotation by 1/3 with the cell partition [0,1/3), [1/3,2/3),
 
 T^i followed by T^j is T^(i+j) bitwise, not just within a tolerance, so the
 structural identities used elsewhere hold exactly. Rotation and 3-cycle
-points remember their orbit index lazily (anchor plus integer shift), and
-rotation angles are realized through a split high/low representation of the
-angle so that 1e7 orbit steps carry no multiplicative drift. A torus point
+points remember their orbit index lazily (anchor plus integer shift). A
+rotation orbit's coordinate is the unit complex z = e(t0) e(k theta), e(x) =
+exp(2 pi i x): e(t0) by one array evaluation on every path, e(k theta) by
+the rotation's `numerics.UnitPhases`, a function of k alone within 24 ulps
+of exact for every |k| < 2^27 (a larger index raises). A torus point
 is an integer pair on the 2^53 lattice, which the matrix maps to itself, so
 its orbit is exact integer arithmetic at every k.
 """
@@ -22,44 +24,20 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .numerics import frac1
+from .numerics import MAX_PHASE_INDEX, UnitPhases
 
 SQRT2_TURNS = math.sqrt(2.0) - 1.0  # sqrt(2) mod 1
-_MAX_SHIFT = 1 << 27  # exactness limit of the split-angle product
-
-
-def _split_angle(theta: float) -> tuple[float, float]:
-    hi = math.floor(theta * 2.0**26 + 0.5) / 2.0**26
-    return hi, theta - hi  # difference is exact (Sterbenz)
-
-
-def _turn_table(ks: np.ndarray, theta_hi: float,
-                theta_lo: float) -> tuple[np.ndarray, np.ndarray]:
-    """The anchor-independent part of (t0 + k*theta) mod 1: frac(k*theta_hi), k*theta_lo.
-
-    k*theta_hi is exact for |k| < 2^27 (26-bit mantissa times 27-bit integer),
-    so its fractional part is exact too and the only rounding happens in the
-    small correction term.
-    """
-    return frac1(ks * theta_hi), ks * theta_lo
-
-
-def _add_anchor(frac_hi: np.ndarray, klo: np.ndarray, t0: float,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """(frac_hi + (klo + t0)) mod 1, the anchor step of `angle_mod1`; `out` is reused."""
-    out = np.add(klo, t0, out=out)
-    np.add(frac_hi, out, out=out)
-    return frac1(out, out=out)
-
-
-def angle_mod1(t0: float, ks: np.ndarray, theta_hi: float, theta_lo: float) -> np.ndarray:
-    """(t0 + k*theta) mod 1 with the k*theta product split for exactness."""
-    return _add_anchor(*_turn_table(ks, theta_hi, theta_lo), t0)
+_MAX_SHIFT = MAX_PHASE_INDEX  # the orbit index |k + shift| must stay below it
 
 
 def _check_index_range(max_abs_k: int) -> None:
     if max_abs_k >= _MAX_SHIFT:
         raise ValueError(f"orbit index beyond the exact-angle range (|k| < {_MAX_SHIFT})")
+
+
+def _anchor_phases(points: Sequence) -> np.ndarray:
+    """e(t0) of each rotation point, one array evaluation on every path."""
+    return np.exp(2j * np.pi * np.array([p.t0 for p in points], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -89,7 +67,7 @@ class Observable:
     """Complex observable evaluated on system-specific orbit coordinates.
 
     `coord_fn` receives the coordinate array produced by the system's
-    `orbit_coords` (angles, cell indices, or an (r, s) pair of uint64
+    `orbit_coords` (unit complex z, cell indices, or an (r, s) pair of uint64
     lattice arrays) and returns complex values. `norms` carries closed-form
     L1/L2/Linf values when known; `meta` carries structure other modules
     exploit (character frequency, eigenfunction index).
@@ -119,7 +97,7 @@ class Rotation:
                 f"{frac}; pick an irrational angle"
             )
         self.theta = theta
-        self._hi, self._lo = _split_angle(theta)
+        self.phases = UnitPhases(theta)
 
     @property
     def phi(self) -> complex:
@@ -129,9 +107,9 @@ class Rotation:
         return RotationPoint(p.t0, p.shift + int(j))
 
     def orbit_coords(self, x0: RotationPoint, ks: np.ndarray) -> np.ndarray:
-        idx = ks + x0.shift
-        _check_index_range(int(np.max(np.abs(idx), initial=0)))
-        return angle_mod1(x0.t0, idx, self._hi, self._lo)
+        """The unit complex coordinates z = e(t0) e((k + shift) theta) of T^k x0."""
+        idx = np.asarray(ks, dtype=np.int64) + x0.shift  # the kernel keeps |idx| < 2^27
+        return np.multiply(self.phases(idx), _anchor_phases([x0]))
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[RotationPoint]:
         return [RotationPoint(float(t)) for t in rng.random(count)]
@@ -269,16 +247,19 @@ def make_system(kind: str, **params) -> DynamicalSystem:
 # ---------------------------------------------------------------- observables
 
 def rotation_character(m: int = 1) -> Observable:
-    def fn(angles: np.ndarray) -> np.ndarray:
-        return np.exp(2j * np.pi * frac1(m * angles))
+    """The eigenfunction z^m, e(m t) at the angle t; eigenvalue e(m theta)."""
+    def fn(z: np.ndarray) -> np.ndarray:
+        return z**m
     return Observable(f"z^{m}", "rotation", fn, {"l1": 1.0, "l2": 1.0, "linf": 1.0},
                       meta={"m": int(m)})
 
 
 def rotation_raised_cosine() -> Observable:
-    """Nonnegative observable 1 + cos(2 pi t); mean 1, sup 2."""
-    def fn(angles: np.ndarray) -> np.ndarray:
-        return (1.0 + np.cos(2 * np.pi * angles)).astype(complex)
+    """Nonnegative observable 1 + cos(2 pi t) = 1 + Re z; mean 1, sup 2."""
+    def fn(z: np.ndarray) -> np.ndarray:
+        f = np.add(z.real, 1.0)
+        np.maximum(f, 0.0, out=f)  # |z| is 1 only to rounding: keep 0 <= f <= 2
+        return np.minimum(f, 2.0, out=f).astype(complex)
     return Observable("1+cos", "rotation", fn,
                       {"l1": 1.0, "l2": math.sqrt(1.5), "linf": 2.0})
 
@@ -350,10 +331,11 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
     """A function (lo, hi) -> the pairs (f(T^k p), f(T^-k p)) for k = lo+1..hi, 0 <= lo < hi <= N.
 
     The pairs come one per point, in order, each bitwise `orbit_values(sys,
-    f, p, N)` at N + k and N - k. On a rotation the turn table of +-k
-    (`frac(k*theta_hi)`, `k*theta_lo`) is built once per call and every
-    unshifted point only adds its anchor; a shifted point gets a table of
-    its own. A three-cycle orbit indexes its one period, `orbit_values(sys,
+    f, p, N)` at N + k and N - k. On a rotation the phase rows e(+-k theta)
+    come from the rotation's `UnitPhases` table once per call and are shared
+    by every unshifted point, which only multiplies them by its anchor phase
+    e(t0) to get its coordinates z; a shifted point gets rows of its own. A
+    three-cycle orbit indexes its one period, `orbit_values(sys,
     f, p, 1)`. On the torus the Fibonacci table of the block is built once per
     call and shared by every point (`lattice_orbit`); the rows are exact
     integers, so they equal `orbit_coords`'s at every k. Every point is
@@ -380,16 +362,15 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
             return ((period[pos], period[neg]) for period in periods)
         return cycle_pairs
 
+    anchors = _anchor_phases(points)
+
     def rotation_pairs(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        shared = [_turn_table(s, sys._hi, sys._lo) for s in (ks, -ks)]
-        # reused for every anchor; values never alias it, since they are complex
-        angles = np.empty(ks.size)
-        for p in points:
-            tables = shared if not p.shift else [
-                _turn_table(s + p.shift, sys._hi, sys._lo) for s in (ks, -ks)]
-            yield tuple(np.asarray(f.coord_fn(_add_anchor(*t, p.t0, out=angles)), dtype=complex)
-                        for t in tables)
+        shared = [sys.phases(s) for s in (ks, -ks)]
+        for i, p in enumerate(points):
+            rows = shared if not p.shift else [sys.phases(s + p.shift) for s in (ks, -ks)]
+            yield tuple(np.asarray(f.coord_fn(np.multiply(row, anchors[i : i + 1])), dtype=complex)
+                        for row in rows)
     return rotation_pairs
 
 
@@ -413,8 +394,7 @@ def point_values(sys: DynamicalSystem, f: Observable, points: Sequence) -> np.nd
     if isinstance(sys, Rotation):
         shifts = np.array([p.shift for p in points], dtype=np.int64)
         _check_index_range(int(np.max(np.abs(shifts), initial=0)))
-        coords = angle_mod1(np.array([p.t0 for p in points], dtype=float), shifts,
-                            sys._hi, sys._lo)
+        coords = np.multiply(sys.phases(shifts), _anchor_phases(points))
     elif isinstance(sys, ThreeCycle):
         coords = np.array([p.cell0 + p.shift for p in points], dtype=np.int64) % 3
     else:

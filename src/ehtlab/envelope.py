@@ -54,9 +54,7 @@ class MajorantH:
     def max_h(self) -> float:
         """Certified max of h: scan a prefix of at most 2^20 indices until hhat
         drops below the max seen."""
-        scan = 1024
-        best = -math.inf
-        scanned = 0
+        scan, best, scanned = 1024, -math.inf, 0
         while True:
             hi = min(scan, _MAX_H_SCAN)
             for n in range(scanned, hi + 1):
@@ -80,25 +78,13 @@ def inverse_log_majorant(shift: int = 3) -> MajorantH:
     from mpmath import mp
     if shift < 2:
         raise ValueError("shift must be >= 2 so that log(n + shift) > 0 at n = 0")
-
-    def h(n):
-        return 1.0 / math.log(n + shift)
-
-    def hhat(n):
-        # accepts mpmath arguments of arbitrary magnitude
-        return 1.0 / mp.log(n + shift)
-
-    return MajorantH(h, hhat, label=f"1/log(n+{shift})")
+    # hhat accepts mpmath arguments of arbitrary magnitude
+    return MajorantH(lambda n: 1.0 / math.log(n + shift), lambda n: 1.0 / mp.log(n + shift),
+                     label=f"1/log(n+{shift})")
 
 
 def inverse_linear_majorant() -> MajorantH:
-    def h(n):
-        return 1.0 / (n + 1.0)
-
-    def hhat(n):
-        return 1.0 / (n + 1)
-
-    return MajorantH(h, hhat, label="1/(n+1)")
+    return MajorantH(lambda n: 1.0 / (n + 1.0), lambda n: 1.0 / (n + 1), label="1/(n+1)")
 
 
 # ------------------------------------------------------------------- envelope
@@ -190,8 +176,7 @@ def _search_threshold_index(hm: MajorantH, threshold) -> "mp.mpf":
     def passes(n) -> bool:
         return mp.mpf(hm.hhat(n)) <= thr
 
-    e_lo, e_hi = 0.0, None
-    e = 1.0
+    e_lo, e_hi, e = 0.0, None, 1.0
     while e <= 2.0**40:  # the exponent guard: no n beyond 2^(2^40) is searched
         if passes(mp.floor(mp.power(2, e))):
             e_hi = e
@@ -209,8 +194,7 @@ def _search_threshold_index(hm: MajorantH, threshold) -> "mp.mpf":
         else:
             e_lo = e_mid
 
-    lo = mp.floor(mp.power(2, e_lo))
-    hi = mp.floor(mp.power(2, e_hi))
+    lo, hi = mp.floor(mp.power(2, e_lo)), mp.floor(mp.power(2, e_hi))
     if passes(lo):  # exponent bracket can collapse at small scales
         return lo if lo >= 1 else mp.mpf(1)
     while True:
@@ -266,9 +250,7 @@ def build_envelope(hm: MajorantH, K: int, M: float | None = None) -> EnvelopeSpe
             M = 2.0 * peak
         if not 0 < M < math.inf:  # NaN fails too
             raise ValueError(f"M must be positive and finite, got {M!r}")
-        bps = [mp.mpf(0)]
-        values = [float(M)]
-        slopes = []
+        bps, values, slopes = [mp.mpf(0)], [float(M)], []
         for k in range(1, K + 1):
             m_k = _search_threshold_index(hm, mp.mpf(M) / mp.power(2, k + 1))
             n_k = max(m_k, 2 * bps[-1] + 3)
@@ -299,8 +281,7 @@ def verify_envelope_conditions(env: EnvelopeSpec, hm: MajorantH | None = None) -
     """
     from mpmath import mp
     with mp.workprec(_WORKPREC):
-        bps, vals, slopes = env.breakpoints, env.values, env.slopes
-        K = env.K
+        bps, vals, slopes, K = env.breakpoints, env.values, env.slopes, env.K
         report: dict = {}
 
         if hm is None:
@@ -342,14 +323,9 @@ def verify_envelope_conditions(env: EnvelopeSpec, hm: MajorantH | None = None) -
         report["star1_terms"] = terms
         report["star1_partial_sums"] = partial
         report["star1_max_tail_ratio"] = tail_ratio
-        report["all_pass"] = bool(
-            (report["i_above_h"] in (True, None))
-            and report["ii_strictly_decreasing"]
-            and report["iii_starts_at_M"]
-            and report["iv_integer_gaps"]
-            and report["v_doubling"]
-            and report["vi_slope_wedge"]
-        )
+        report["all_pass"] = report["i_above_h"] in (True, None) and all(report[k] for k in (
+            "ii_strictly_decreasing", "iii_starts_at_M", "iv_integer_gaps", "v_doubling",
+            "vi_slope_wedge"))
         return report
 
 
@@ -464,8 +440,7 @@ def evaluate_g(env: EnvelopeSpec, xs: Sequence[float], tol: float,
     if n_direct < 1:
         raise ValueError("no usable breakpoint below direct_cap")
     avals = env.values_at(np.arange(0, n_direct + 1))
-    chunk = 1 << 20
-    K = env.K
+    chunk, K = 1 << 20, env.K
     coefs = _kernel_coefficients(env, K - 1)
     rows = []
     with mp.workprec(_WORKPREC):
@@ -480,9 +455,7 @@ def evaluate_g(env: EnvelopeSpec, xs: Sequence[float], tol: float,
             for i in range(K - 2, -1, -1):
                 suffix[i] = suffix[i + 1] + 2.0 * q * dslopes[i]
 
-            acc = NeumaierSum()
-            used = 0
-            tail_bound = suffix[0]  # K >= 2 for every EnvelopeSpec
+            acc, used, tail_bound = NeumaierSum(), 0, suffix[0]  # K >= 2 for every EnvelopeSpec
             for k in range(1, K):
                 if suffix[k - 1] <= tol:
                     tail_bound = suffix[k - 1]
@@ -546,11 +519,8 @@ def kernel_series_l1_profile(env: EnvelopeSpec, max_terms: int | None = None) ->
     eps = 1e-3
     G = min(4 * (top_order + 1), 1 << 18)
     xs = 2.0 * math.pi * (np.arange(G) + 0.5) / G
-    keep = (xs > eps) & (xs < 2.0 * math.pi - eps)
-    xs = xs[keep]
-    partial = np.zeros(xs.size)
-    integrals = []
-    cum = 0.0
+    xs = xs[(xs > eps) & (xs < 2.0 * math.pi - eps)]
+    partial, integrals, cum = np.zeros(xs.size), [], 0.0
     for k, coef in enumerate(_kernel_coefficients(env, terms_avail), start=1):
         partial += coef * kernel_eval("fejer", bps[k] - 1, xs)
         cum += abs(coef)

@@ -187,13 +187,13 @@ def process_eht_trace(a: ModulatingSequence, F: AdmissibleProcess, x0,
     base, *traces = orbit_traces([a], values, checkpoints)
     verdict = make_convergence_verdict(checkpoints, base.H_values)
 
-    # |a_i| / |i| over -N..N, whole, so the pairwise sum of each tail rounds as one sum does
-    radii = np.abs(np.arange(-N, N + 1, dtype=np.int64))
+    # |a_i| / |i| over -N..N, whole, so the pairwise sum of each tail r < |i| <= N,
+    # the two ends of the array joined, rounds as one sum does
     weighted = np.abs(a.range_values(N)) * np.concatenate(
         [1.0 / np.abs(np.arange(-N, 0)), [0.0], 1.0 / np.arange(1, N + 1)])
     rows = [{"r": r, "max_deviation": float(np.max(np.abs(base.H_values - trace.H_values))),
-             "deviation_bound": (F.delta.norm("linf") * F.schedule.gap(r)
-                                 * float(np.sum(weighted[radii > r]))),
+             "deviation_bound": (F.delta.norm("linf") * F.schedule.gap(r) * float(np.sum(
+                 np.concatenate((weighted[: max(N - r, 0)], weighted[N + r + 1 :]))))),
              "l2_gap": F.delta.norm("l2") * F.schedule.gap(r)}
             for r, trace in zip(levels, traces)]
     return {"trace": base, "verdict": verdict, "approximants": rows}

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvariantError
-from .numerics import frac1
+from .numerics import UnitPhases
 
 _BOUND_RTOL = 1e-9
 
@@ -149,19 +149,25 @@ def from_values(values: Sequence[complex], label: str = "tabulated", **flags) ->
 
 
 def trig_poly_sequence(p: TrigPolynomial) -> ModulatingSequence:
-    """Sequence induced by a trigonometric polynomial: a_k = sum_j c_j lambda_j^k."""
-    coeffs = np.array([c for c, _ in p.terms], dtype=complex)
-    angles = np.array([math.atan2(l.imag, l.real) / (2 * math.pi) for _, l in p.terms])
-    all_real = all(abs(l.imag) <= 1e-12 for _, l in p.terms)
+    """Sequence induced by a trigonometric polynomial: a_k = sum_j c_j lambda_j^k.
+
+    lambda_j^k is e(k theta_j) for the angle theta_j of lambda_j (`UnitPhases`).
+    It is flagged symmetric when every angle is exactly 0 or +-1/2 turn.
+    """
+    coeffs = [c for c, _ in p.terms]
+    angles = [math.atan2(l.imag, l.real) / (2 * math.pi) for _, l in p.terms]
+    phases = [UnitPhases(theta) for theta in angles]
 
     def fn(ks: np.ndarray) -> np.ndarray:
-        # lambda^k by angle arithmetic; exact modulus 1 for every k
-        phases = np.exp(2j * np.pi * frac1(ks[:, None] * angles[None, :]))
-        return phases @ coeffs
+        out = np.multiply(phases[0](ks), coeffs[0])
+        for c, e in zip(coeffs[1:], phases[1:]):
+            out += np.multiply(e(ks), c)
+        return out
 
     label = "trig_poly(" + ",".join(f"{c:.3g}@{th:.4f}" for c, th in zip(coeffs, angles)) + ")"
     return ModulatingSequence(
-        label=label, fn=fn, bound=p.coefficient_bound, symmetric=all_real,
+        label=label, fn=fn, bound=p.coefficient_bound,
+        symmetric=all(theta in (0.0, 0.5, -0.5) for theta in angles),
     )
 
 
@@ -238,7 +244,8 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
 
     symmetrize reflects the positive side onto the negative one; truncate
     zeroes outside [-r, r]; modulate maps a_k -> lam^k a_k and requires
-    |lam| = 1. Metadata flags propagate conservatively.
+    |lam| = 1, with lam^k = e(k theta) for the angle theta of lam in turns
+    (`UnitPhases`; |k| < 2^27). Metadata flags propagate conservatively.
     """
     if op == "symmetrize":
         def fn(ks: np.ndarray) -> np.ndarray:
@@ -289,8 +296,10 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
             def fn(ks: np.ndarray) -> np.ndarray:
                 return a.values(ks) * (1.0 - 2.0 * (ks % 2))
         else:
+            phases = UnitPhases(theta)
+
             def fn(ks: np.ndarray) -> np.ndarray:
-                return a.values(ks) * np.exp(2j * np.pi * frac1(ks * theta))
+                return a.values(ks) * phases(ks)
         return ModulatingSequence(f"modulate({a.label},{theta:.6f})", fn, bound=a.bound,
                                   symmetric=a.symmetric and lam in (1.0, -1.0),
                                   one_sided=a.one_sided)

@@ -81,10 +81,8 @@ def _gamma_at(a_vals: np.ndarray, n: int, theta: float) -> complex:
 
 def _refine_atom(a_vals: np.ndarray, n: int, lo: float, hi: float) -> float:
     # golden-section maximization of |Gamma| on the arc [lo, hi] (turns), 60 steps
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = abs(_gamma_at(a_vals, n, x1))
-    f2 = abs(_gamma_at(a_vals, n, x2))
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = abs(_gamma_at(a_vals, n, x1)), abs(_gamma_at(a_vals, n, x2))
     for _ in range(60):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
@@ -127,9 +125,7 @@ def gamma_and_spectrum(a: ModulatingSequence, grid_order: int, n: int,
     )
     candidates = []
     for g in hits:
-        lo = (g - 1) / grid_order
-        hi = (g + 1) / grid_order
-        theta = _refine_atom(a_vals, n, lo, hi) % 1.0
+        theta = _refine_atom(a_vals, n, (g - 1) / grid_order, (g + 1) / grid_order) % 1.0
         gam = _gamma_at(a_vals, n, theta)
         candidates.append(SpectrumAtom(theta, gam, abs(gam) ** 2))
     # a genuine atom of weight |c| drags kernel sidelobes of height ~|c|/(pi n d)

@@ -43,7 +43,6 @@ from .numerics import (
     checkpoint_blocks,
     checkpoint_sums,
     fit_line,
-    frac1,
     term_blocks,
 )
 from .sequences import ModulatingSequence, named_sequence, transform_sequence
@@ -309,12 +308,9 @@ def _growth_fit(checkpoints: np.ndarray, H: np.ndarray) -> GrowthFit | None:
     y = np.abs(H[usable])
     start = n.size // 3  # drop the head transient; at least 3 of the >= 4 points remain
     n, y = n[start:], y[start:]
-    fits = []
-    for model, x in (("log n", np.log(n)), ("log log n", np.log(np.log(n)))):
-        f = fit_line(x, y)
-        fits.append((f.residual, model, f))
-    fits.sort(key=lambda t: t[0])
-    _, model, f = fits[0]
+    # the first of the two models with the smaller residual
+    f, model = min(((fit_line(x, y), model) for model, x in (
+        ("log n", np.log(n)), ("log log n", np.log(np.log(n))))), key=lambda t: t[0].residual)
     return GrowthFit(model, f.slope, f.intercept, f.residual)
 
 
@@ -375,15 +371,17 @@ def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, po
     Each point's carried prefix H_lo is added into its first term of the
     block, so the sequential `np.cumsum` gives bitwise the whole-row prefix
     sums; the running `np.maximum` keeps a NaN, as one whole-row max does.
+    numpy divides by k + 0i as a product with fl(1/k) (Smith's algorithm), so the
+    block's reciprocals give d_k / k up to the sign of a zero, which |H_n| drops.
     """
     numerators = _numerator_blocks([a], orbit_pairs(sys, f, points, N))
     prefix = np.zeros(len(points), dtype=complex)
     sups, block_sups = np.full(len(points), -np.inf), np.empty(len(points))
     for lo, hi in term_blocks(N):
-        kc = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(complex)
-        mags = np.empty(kc.size)
+        inv = 1.0 / np.arange(lo + 1, hi + 1, dtype=np.int64).astype(complex)
+        mags = np.empty(inv.size)
         for i, terms in enumerate(numerators(lo, hi)):
-            np.divide(terms, kc, out=terms)
+            np.multiply(terms, inv, out=terms)
             terms[0] += prefix[i]
             np.cumsum(terms, out=terms)
             prefix[i] = terms[-1]
@@ -441,9 +439,9 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
         orbits = orbit_pairs(sys, f, sample_points(sys, sample_count, seed), jmax)
 
         def rows(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-            # row 0: the eigenvalue's powers, by the orbits' drift-free angle
-            # arithmetic; row s >= 1: the orbit of sample s
-            pows = np.exp(2j * np.pi * frac1(np.arange(lo + 1, hi + 1) * (m * sys.theta)))
+            # row 0: the eigenvalue's powers e(m k theta), by the rotation's phase
+            # kernel at the exact index m k; row s >= 1: the orbit of sample s
+            pows = sys.phases(m * np.arange(lo + 1, hi + 1, dtype=np.int64))
             return itertools.chain([(pows, np.conj(pows))], orbits(lo, hi))
 
         numerators = _numerator_blocks([a], rows)

@@ -55,6 +55,16 @@ def test_orbit_runs_do_not_load_mpmath(tmp_path):
     assert done.stdout.splitlines()[-1].split() == ["False", "0", "False"]
 
 
+def test_describe_does_not_load_hashlib():
+    # only a run hashes its config; `describe` skips the module
+    code = ("import sys; from ehtlab.cli import main; code = main(['describe', 'rates']);"
+            "print(code, 'hashlib' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.splitlines()[-1].split() == ["0", "False"]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_describe_lists_every_param_key(kind):
     params = describe(kind).split("Params:")[1].split("Output:")[0]
@@ -274,6 +284,45 @@ def test_transform_config(tmp_path):
     assert rows[0] == "n,re_H,im_H,abel_main,abel_tail"
     assert len(rows) == 13
     assert all("bound_ratio" in r for r in report["results"]["maximal"]["tails"])
+
+
+def _run_config(tmp_path, raw: dict, name: str) -> int:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    return run_cli(["run", "--config", str(path), "--out-dir", str(tmp_path / name)])
+
+
+def test_near_real_trig_poly_frequencies_run(tmp_path):
+    # an angle of 1e-13 turn is not exactly 0, so the sequence is not flagged symmetric,
+    # which its values at +-k would violate
+    near = {"name": "trig_poly", "terms": [[1.0, 1e-13]]}
+    assert _run_config(tmp_path, {"kind": "transform", "seed": 1, "params": {
+        "sequence": near, "checkpoints": [16, 64, 256]}}, "transform") == 0
+    assert _run_config(tmp_path, {"kind": "spectral", "params": {
+        "sequence": near, "n": 256}}, "spectral") == 0
+    # angles of exactly 0 and 1/2 turn stay symmetric through the phase kernel
+    from ehtlab.cli import _sequence_from_spec
+    sym = _sequence_from_spec({"name": "trig_poly", "terms": [[1, 0], [2, 0.5]]})
+    assert sym.symmetric
+    sym.range_values(2**14)
+    assert _run_config(tmp_path, {"kind": "spectral", "params": {
+        "sequence": {"name": "trig_poly", "terms": [[1, 0], [2, 0.5]]}, "n": 256}},
+        "symmetric") == 0
+
+
+def test_phase_indices_beyond_the_exact_angle_range_exit_2(tmp_path, monkeypatch, capsys):
+    # the rotation's guard fires when the orbit source is built
+    rotation = {"kind": "transform", "seed": 1, "params": {"checkpoints": [2**27]}}
+    assert _run_config(tmp_path, rotation, "rotation") == 2
+    # a modulated weight on the 3-cycle reaches the kernel's own guard, here lowered
+    from ehtlab import numerics
+    monkeypatch.setattr(numerics, "MAX_PHASE_INDEX", 64)
+    modulated = {"kind": "transform", "seed": 1, "params": {
+        "system": {"kind": "three_cycle"}, "observable": {"kind": "cycle_step"},
+        "sequence": {"op": "modulate", "angle_turns": 0.3, "base": {"name": "constant"}},
+        "checkpoints": [16, 100]}}
+    assert _run_config(tmp_path, modulated, "modulated") == 2
+    assert "exact-angle range" in capsys.readouterr().err
 
 
 def test_readme_default_transform(tmp_path):

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 
+import mpmath as mp
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from ehtlab.dynamics import (
     torus_character,
     torus_power,
 )
-from ehtlab.numerics import term_blocks
+from ehtlab.numerics import UnitPhases, term_blocks
 
 _LATTICE = 1 << 53
 
@@ -243,16 +245,22 @@ def _bits(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).view(np.int64)
 
 
-def test_rotation_angles_match_remainder_reference():
-    # the split-angle arithmetic with numpy's remainder, as a reference
+def test_rotation_coords_are_the_anchor_phase_times_the_kernel():
+    # z = e(t0) e(k theta), with e(k theta) from the kernel at each k alone, bitwise; and
+    # within 38 u of the exact e(t0 + k theta) of the doubles: the kernel's 24 u, 11.3 u
+    # for the anchor's e(t0) (t0 < 1 turn) and 2.3 u for their product
     rot = make_system("rotation", angle_turns="sqrt2")
-    hi = math.floor(SQRT2_TURNS * 2**26 + 0.5) / 2**26
-    lo = SQRT2_TURNS - hi
     ks = np.arange(-3000, 3001, dtype=np.int64)
     for p in (RotationPoint(0.1), RotationPoint(0.999999), RotationPoint(0.25, shift=-41)):
-        idx = ks + p.shift
-        ref = ((idx * hi) % 1.0 + (idx * lo + p.t0)) % 1.0
-        assert np.array_equal(_bits(rot.orbit_coords(p, ks)), _bits(ref))
+        anchor = np.exp(2j * np.pi * np.array([p.t0]))
+        got = rot.orbit_coords(p, ks)
+        ref = np.array([UnitPhases(SQRT2_TURNS)(np.array([k + p.shift]))[0] for k in ks])
+        assert np.array_equal(_bits(got), _bits(ref * anchor))
+        with mp.workdps(40):
+            theta, t0 = mp.mpf(SQRT2_TURNS), mp.mpf(p.t0)
+            for k in ks[::97].tolist():
+                exact = mp.expjpi(2 * (t0 + (k + p.shift) * theta))
+                assert abs(complex(exact) - got[k + 3000]) <= 38 * 2.0**-53
 
 
 @pytest.mark.parametrize("system, observable", [

@@ -1,12 +1,17 @@
 import math
 
+import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ehtlab.numerics import (
     _BLOCK_TERMS,
+    _PHASE_BITS,
+    MAX_PHASE_INDEX,
     ComplexNeumaierSum,
     NeumaierSum,
+    UnitPhases,
     checkpoint_blocks,
     checkpoint_sums,
     frac1,
@@ -111,3 +116,56 @@ def test_frac1_is_bitwise_mod_one(xs):
     assert np.array_equal(frac1(x).view(np.int64), want)
     frac1(x, out=x)  # in place, as the orbit kernels use it
     assert np.array_equal(x.view(np.int64), want)
+
+
+# ------------------------------------------------------------------ phase kernel
+
+_U = 2.0**-53
+_T = 1 << _PHASE_BITS  # the phase table's length
+_ANGLES = (math.sqrt(2.0) - 1.0, 1.0 - math.sqrt(2.0), 0.123, 1.0 / math.sqrt(2.0))
+
+
+def _exact_phase(theta: float, k: int) -> complex:
+    """e(k theta) for the double theta, at 200 bits."""
+    with mp.workprec(200):
+        return complex(mp.expjpi(2 * k * mp.mpf(theta)))
+
+
+@pytest.mark.parametrize("theta", _ANGLES)
+def test_unit_phases_stay_within_24_ulps_at_every_index(theta):
+    # the documented bound of UnitPhases, the same for every |k| < 2^27, against 200 bits
+    rng = np.random.default_rng(17)
+    edges = [0, 1, -1, _T - 1, _T, -_T, -_T - 1, MAX_PHASE_INDEX - 1, 1 - MAX_PHASE_INDEX]
+    ks = np.concatenate([edges, rng.integers(1 - MAX_PHASE_INDEX, MAX_PHASE_INDEX, 300)])
+    got = UnitPhases(theta)(ks)
+    err = max(abs(z - _exact_phase(theta, k)) for z, k in zip(got.tolist(), ks.tolist()))
+    assert err <= 24 * _U
+
+
+def test_unit_phases_are_one_function_of_k_on_every_path():
+    # runs either way, at every alignment to the table and across several of its
+    # periods, and single indices give the bits the gathered path gives for the same k
+    e = UnitPhases(0.123)
+    for k0 in (-3 * _T - 7, -_T - 1, -_T, -1, 0, 5, _T - 1, MAX_PHASE_INDEX - 5 * _T):
+        for n in (1, 2, _T - 1, _T, _T + 1, 4 * _T + 3, _BLOCK_TERMS):
+            run = np.arange(k0, k0 + n, dtype=np.int64)
+            for ks in (run, run[::-1]):
+                gathered = e(np.append(ks, ks[0]))[:-1]  # not a run, so the gathered path
+                got = np.ascontiguousarray(e(ks))
+                assert np.array_equal(got.view(np.int64), gathered.view(np.int64))
+    ks = np.array([5, -3, 40000, 5, 0, -7 * _T - 1])
+    single = [e(np.array([k]))[0] for k in ks]
+    assert np.array_equal(e(ks).view(np.int64), np.array(single).view(np.int64))
+    assert e(ks.reshape(2, 3)).shape == (2, 3) and e(np.array([], dtype=np.int64)).size == 0
+
+
+def test_unit_phases_keep_the_exact_angle_guard():
+    e = UnitPhases(math.sqrt(2.0) - 1.0)
+    e(np.array([MAX_PHASE_INDEX - 1, 1 - MAX_PHASE_INDEX]))
+    for ks in ([MAX_PHASE_INDEX], [-MAX_PHASE_INDEX], [0, MAX_PHASE_INDEX],
+               np.arange(MAX_PHASE_INDEX - 5, MAX_PHASE_INDEX + 1)):
+        with pytest.raises(ValueError, match="exact-angle range"):
+            e(np.asarray(ks))
+    for theta in (1.5, -2.0, math.nan):
+        with pytest.raises(ValueError, match="phase angle"):
+            UnitPhases(theta)

@@ -68,9 +68,9 @@ def test_validation_deltas_are_the_pointwise_ones(rotation):
     assert np.array_equal(batched.real.copy().view(np.int64), evaluated.view(np.int64))
 
     # one negative sample among the 300 is enough to reject delta
-    bad_t0 = pts[123].t0
+    bad_z = rotation.orbit_coords(pts[123], k0)[0]
     spiky = Observable("spiky", "rotation",
-                       lambda ang: np.where(ang == bad_t0, -1.0, 1.0).astype(complex),
+                       lambda z: np.where(z == bad_z, -1.0, 1.0).astype(complex),
                        {"l1": 1.0, "l2": 1.0, "linf": 1.0})
     with pytest.raises(InvariantError, match="negative"):
         build_process(rotation, spiky, validation_count=300, seed=4)

@@ -1,7 +1,11 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ehtlab.dynamics import SQRT2_TURNS, RotationPoint, make_system
 from ehtlab.errors import InvariantError
 from ehtlab.sequences import (
     TrigPolynomial,
@@ -115,6 +119,32 @@ def test_modulate_preserves_modulus():
     n = 2048
     assert np.allclose(np.abs(mod.range_values(n)), np.abs(base.range_values(n)),
                        rtol=1e-13, atol=0)
+
+
+def test_modulate_phase_at_eight_million_matches_200_bits():
+    # the resonant modulation of the sqrt2 sweep: its lambda^k is e(k theta) for the
+    # angle theta of lambda, within the phase kernel's 24 u; a single rounded product
+    # k * theta would drift like k 2^-53 turns, 9.3e-11 turns at k = 8e6
+    lam = complex(np.exp(-2j * np.pi * SQRT2_TURNS))
+    theta = math.atan2(lam.imag, lam.real) / (2 * math.pi)
+    mod = transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=lam)
+    ks = np.array([8_000_000, -8_000_000, 100_000, 1_000_000])
+    with mp.workprec(200):
+        want = [complex(mp.expjpi(2 * k * mp.mpf(theta))) for k in ks.tolist()]
+    assert max(abs(z - w) for z, w in zip(mod.values(ks).tolist(), want)) <= 24 * 2.0**-53
+
+
+def test_phases_beyond_the_exact_angle_range_raise():
+    lam = complex(np.exp(2j * np.pi * 0.3))
+    modulated = transform_sequence(named_sequence("constant"), "modulate", lam=lam)
+    poly = trig_poly_sequence(TrigPolynomial(((1.0, lam), (2.0, 1j))))
+    rotation = make_system("rotation", angle_turns="sqrt2")
+    for k in (2**27, -(2**27)):
+        for evaluate in (modulated.values, poly.values,
+                         lambda ks: rotation.orbit_coords(RotationPoint(0.1), ks)):
+            with pytest.raises(ValueError, match="exact-angle range"):
+                evaluate(np.array([k]))
+    assert np.isfinite(poly.values(np.array([2**27 - 1, 1 - 2**27]))).all()
 
 
 def test_product_bound_propagation():

@@ -519,7 +519,7 @@ def test_l2_rotation_streams_like_whole_rows(monkeypatch):
         row = orbit_values(rot, f, p, J)
         acc += np.abs(checkpoint_sums(pos * row[J + 1 :] - neg * row[J - 1 :: -1], js)) ** 2
     mc = np.sqrt(acc / count)
-    pows = np.exp(2j * np.pi * numerics.frac1(np.arange(1, J + 1) * (m * rot.theta)))
+    pows = rot.phases(m * np.arange(1, J + 1))  # e(m k theta) at the exact index m k
     spectral = np.abs(checkpoint_sums(pos * pows - neg * np.conj(pows), js)) * f.norm("l2")
     got = np.array([[r["mc_norm"], r["spectral_value"]] for r in res["rows"]])
     assert np.array_equal(got.view(np.int64), np.stack([mc, spectral], axis=1).view(np.int64))
