@@ -260,17 +260,17 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
     obs = cycle_step_observable()
     checkpoints = default_checkpoints(N, n_min=4)
     cells = orbit_pairs(sys_, obs, [CyclePoint(cell) for cell in range(3)], checkpoints[-1])
+    traces = orbit_traces([named_sequence("cycle_indicator", convention=conv)
+                           for conv in conventions], cells, checkpoints)
     results = {}
-    for conv in conventions:
-        seq = named_sequence("cycle_indicator", convention=conv)
-        traces = orbit_traces([seq], cells, checkpoints)
-        traces[0].to_csv(out / f"trace_{conv}.csv")
+    for s, conv in enumerate(conventions):
+        traces[s].to_csv(out / f"trace_{conv}.csv")
         results[conv] = {
             f"cell_{cell}": {
                 "H_final": complex(trace.H_values[-1]),
                 "verdict": asdict(make_convergence_verdict(checkpoints, trace.H_values)),
             }
-            for cell, trace in enumerate(traces)
+            for cell, trace in enumerate(traces[s :: len(conventions)])  # cell-major
         }
     return {"N": N, "conventions": results}
 

@@ -249,7 +249,7 @@ def make_system(kind: str, **params) -> DynamicalSystem:
 def rotation_character(m: int = 1) -> Observable:
     """The eigenfunction z^m, e(m t) at the angle t; eigenvalue e(m theta)."""
     def fn(z: np.ndarray) -> np.ndarray:
-        return z**m
+        return z if m == 1 else z**m  # z**1 takes no fast path; npy_cpow returns z for it
     return Observable(f"z^{m}", "rotation", fn, {"l1": 1.0, "l2": 1.0, "linf": 1.0},
                       meta={"m": int(m)})
 
@@ -334,11 +334,12 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
     f, p, N)` at N + k and N - k. On a rotation the phase rows e(+-k theta)
     come from the rotation's `UnitPhases` table once per call and are shared
     by every unshifted point, which only multiplies them by its anchor phase
-    e(t0) to get its coordinates z; a shifted point gets rows of its own. A
-    three-cycle orbit indexes its one period, `orbit_values(sys,
-    f, p, 1)`. On the torus the Fibonacci table of the block is built once per
-    call and shared by every point (`lattice_orbit`); the rows are exact
-    integers, so they equal `orbit_coords`'s at every k. Every point is
+    e(t0) to get its coordinates z; a shifted point gets rows of its own.
+    Three-cycle rows are views: slices of the cell values tiled forward and
+    reversed, shared by every point and grown on demand. On the torus the
+    Fibonacci table of the block is built once per call and shared by every
+    point (`lattice_orbit`); the rows are exact integers, so they equal
+    `orbit_coords`'s at every k. Every point is
     validated here, before the first block, the exact-angle range included.
     """
     _check_orbit_request(sys, f, N)
@@ -354,12 +355,18 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
                             for rows in (pos, neg))
         return torus_pairs
     if isinstance(sys, ThreeCycle):
-        # k = -1, 0, 1, so f(T^k p) = period[(k+1) % 3]
-        periods = [orbit_values(sys, f, p, 1) for p in points]
+        # f(T^+-k p) = f(cell (c +- k) % 3) for c = cell0 + shift: the rows of every point are
+        # slices of the cell values tiled forward, f(t % 3), and reversed, f(-t % 3)
+        cells, tiles = point_values(sys, f, [CyclePoint(c) for c in range(3)]), ()
 
         def cycle_pairs(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-            pos, neg = np.arange(lo + 2, hi + 2) % 3, np.arange(-lo, -hi, -1) % 3
-            return ((period[pos], period[neg]) for period in periods)
+            nonlocal tiles
+            if not tiles or tiles[0].size < hi - lo + 2:  # grown on demand
+                reps = (hi - lo) // 3 + 2
+                tiles = np.tile(cells, reps), np.tile(cells[[0, 2, 1]], reps)
+            for p in points:
+                fwd, rev = (lo + 1 + p.cell0 + p.shift) % 3, (lo + 1 - p.cell0 - p.shift) % 3
+                yield tiles[0][fwd : fwd + hi - lo], tiles[1][rev : rev + hi - lo]
         return cycle_pairs
 
     anchors = _anchor_phases(points)

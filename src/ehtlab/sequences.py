@@ -86,7 +86,7 @@ class ModulatingSequence:
             # overflow surfaces as the non-finite values _check_flags rejects
             with np.errstate(over="ignore", invalid="ignore"):
                 arr = self.values(np.arange(-n, n + 1, dtype=np.int64))
-            self._check_flags(arr[n:], arr[n::-1], f"[-{n}, {n}]")
+            self._check_flags(arr[n:], arr[n::-1], lambda: f"[-{n}, {n}]")
             arr.setflags(write=False)
             self._cache["range"] = (n, arr)
             cached_n, cached = n, arr
@@ -105,12 +105,11 @@ class ModulatingSequence:
         ks = np.asarray(ks, dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore"):
             pos, neg = self.values(ks), self.values(-ks)
-        where = f"+-[{ks.min()}, {ks.max()}]" if ks.size else "no indices"
-        self._check_flags(pos, neg, where)
+        self._check_flags(pos, neg, lambda: f"+-[{ks.min()}, {ks.max()}]")  # no empty ks fails
         return pos, neg
 
-    def _check_flags(self, pos: np.ndarray, neg: np.ndarray, where: str) -> None:
-        """Check the flags on a_k (`pos`) and a_{-k} (`neg`) for the same k >= 0."""
+    def _check_flags(self, pos: np.ndarray, neg: np.ndarray, where: Callable[[], str]) -> None:
+        """Check the flags on a_k (`pos`) and a_{-k} (`neg`), k >= 0; a failure calls `where()`."""
         if self.bound is not None:
             # np.maximum keeps a NaN, as one np.max over the whole range does
             worst = float(np.maximum(np.max(np.abs(pos), initial=0.0),
@@ -121,11 +120,11 @@ class ModulatingSequence:
                 )
         elif not (np.isfinite(pos).all() and np.isfinite(neg).all()):
             # no declared bound catches overflow in a scaled or multiplied unbounded sequence
-            raise OverflowError(f"{self.label}: non-finite values on {where}")
+            raise OverflowError(f"{self.label}: non-finite values on {where()}")
         if self.symmetric and not np.array_equal(pos, neg):
-            raise InvariantError(f"{self.label}: symmetric flag violated on {where}")
+            raise InvariantError(f"{self.label}: symmetric flag violated on {where()}")
         if self.one_sided and np.any(neg != 0):
-            raise InvariantError(f"{self.label}: one_sided flag violated on {where}")
+            raise InvariantError(f"{self.label}: one_sided flag violated on {where()}")
 
 
 def from_values(values: Sequence[complex], label: str = "tabulated", **flags) -> ModulatingSequence:
@@ -195,12 +194,9 @@ def _sparse_dyadic(ks: np.ndarray) -> np.ndarray:
 def _cycle_indicator(ks: np.ndarray, signed_negative: bool) -> np.ndarray:
     # positive side: 1 exactly when the 3-cycle shift of state 1 lands in {2},
     # i.e. k = 1 mod 3; negative side (-k = 1 mod 3, i.e. k = 2 mod 3) per the
-    # chosen convention
-    out = np.zeros(ks.shape, dtype=complex)
-    res = ks % 3
-    out[(ks > 0) & (res == 1)] = 1.0
-    out[(ks < 0) & (res == 2)] = -1.0 if signed_negative else 1.0
-    return out
+    # chosen convention; the table is indexed by k mod 3, plus 3 for k < 0
+    table = np.array([0, 1, 0, 0, 0, -1 if signed_negative else 1], dtype=complex)
+    return table[ks % 3 + 3 * (ks < 0)]
 
 
 def named_sequence(name: str, value: complex = 1.0, convention: str = "symmetric") -> ModulatingSequence:
@@ -249,7 +245,7 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
     """
     if op == "symmetrize":
         def fn(ks: np.ndarray) -> np.ndarray:
-            return a.values(np.abs(ks).astype(np.int64))
+            return a.values(np.abs(ks).astype(np.int64, copy=False))
         return ModulatingSequence(f"symmetrize({a.label})", fn, bound=a.bound, symmetric=True)
 
     if op == "truncate":

@@ -117,12 +117,30 @@ def as_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
     return checkpoints
 
 
+class _Buffers(dict):
+    """A stream's block arrays by name, zeroed when made and grown when a block needs more."""
+
+    def __call__(self, name: str, n: int, dtype=complex) -> np.ndarray:
+        if name not in self or self[name].size < n:
+            self[name] = np.zeros(n, dtype=dtype)
+        return self[name][:n]
+
+
+def _reciprocals(buffers: _Buffers, lo: int, hi: int) -> np.ndarray:
+    """fl(1/k) + 0i, k = lo+1..hi. numpy divides a + bi by k + 0i as (a + b 0, b - a 0) fl(1/k),
+    so for finite d the product d fl(1/k) is d / k up to the sign of a zero, which no
+    sum tells apart: a `ComplexNeumaierSum` never returns -0.0, and |H_n| drops the sign."""
+    inv = buffers("inv", hi - lo)  # the imaginary parts stay the zeros made
+    np.divide(1.0, np.arange(lo + 1, hi + 1, dtype=float), out=inv.real)
+    return inv
+
+
 def _numerators(weights: tuple[np.ndarray, np.ndarray], vpos: np.ndarray, vneg: np.ndarray,
                 out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """d_k = a_k v_k - a_{-k} v_{-k} for the weights (a_{+k}, a_{-k}) of a run of k >= 1.
 
-    `out` and `scratch` are reused when given. Terms are always d_k / k, in
-    that order: dividing the weights by k beforehand would round differently.
+    `out` and `scratch` are reused when given. Terms are always d_k fl(1/k),
+    formed after d_k: scaling the weights by 1/k beforehand would round differently.
     """
     pos, neg = weights
     out = np.multiply(pos, vpos, out=out)
@@ -135,22 +153,23 @@ def _numerator_blocks(seqs: Sequence[ModulatingSequence], rows: Callable
 
     Per block a_{+-k} of each sequence is evaluated once (`pair_values`) and
     the rows of `rows(lo, hi)` are read one at a time; each d_k is written
-    into one buffer, to be used before the next comes. a_0 is flag-checked
-    here, so blocks covering 1..n check `range_values(n)`'s flags. Every
-    block must yield as many rows as the first.
+    into one buffer of the stream, to be used before the next comes. a_0 is
+    flag-checked here, so blocks covering 1..n check `range_values(n)`'s
+    flags. Every block must yield as many rows as the first.
     """
     for a in seqs:
         a.pair_values(np.zeros(1, dtype=np.int64))
-    first_rows = math.inf
+    first_rows, buffers = math.inf, _Buffers()
 
     def block(lo: int, hi: int) -> Iterator[np.ndarray]:
         nonlocal first_rows
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
         weights = [a.pair_values(ks) for a in seqs]
-        d, scratch = np.empty(ks.size, dtype=complex), np.empty(ks.size, dtype=complex)
         n_rows = 0
         for values in rows(lo, hi):
             n_rows += 1
+            # taken after the first row: above the block's temporaries, whose heap is then reused
+            d, scratch = buffers("d", ks.size), buffers("scratch", ks.size)
             for w in weights:
                 yield _numerators(w, *values, out=d, scratch=scratch)
             del values  # so that one row is alive at a time, not two
@@ -183,9 +202,9 @@ def orbit_traces(seqs: Sequence[ModulatingSequence], rows: Callable,
     (`orbit_pairs`, `array_pairs`). The traces are row-major: row r against
     sequence s is trace `r * len(seqs) + s`. No array of length N, the last
     checkpoint, is built: each block of `checkpoint_blocks`, at most
-    `_BLOCK_TERMS` terms, sums every trace's terms d_k / k
-    (`_numerator_blocks`) by `checkpoint_sums` with the trace's carried
-    accumulator; each trace's state is allocated on the first block.
+    `_BLOCK_TERMS` terms, sums every trace's terms d_k fl(1/k) (`_reciprocals`)
+    by `checkpoint_sums` with the trace's carried accumulator. Each trace's
+    state is allocated on the first block, the block arrays once per stream.
     `with_abel` adds the two halves of the summation-by-parts identity
         H_n = sum_{k<n} (S_k - S_{-k})/(k(k+1)) + (S_n - S_{-n})/n,
     whose sum must reproduce H_n up to pure rounding error; D_k = S_k - S_{-k}
@@ -193,7 +212,7 @@ def orbit_traces(seqs: Sequence[ModulatingSequence], rows: Callable,
     """
     checkpoints = as_checkpoints(checkpoints)
     ends = np.asarray(checkpoints, dtype=np.int64)
-    numerators = _numerator_blocks(seqs, rows)
+    numerators, buffers = _numerator_blocks(seqs, rows), _Buffers()
     whole = partial(np.empty, ends.size, dtype=complex)
     H, accs = defaultdict(whole), defaultdict(ComplexNeumaierSum)
     if with_abel:
@@ -201,20 +220,20 @@ def orbit_traces(seqs: Sequence[ModulatingSequence], rows: Callable,
         main_accs = defaultdict(ComplexNeumaierSum)
         D_lo = defaultdict(lambda: complex(-0.0, -0.0))  # -0.0 + x is x, even for x = -0.0
     for i, j, lo, hi in checkpoint_blocks(ends):
-        kc = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(complex)
+        inv = _reciprocals(buffers, lo, hi)
         if with_abel:
             # D_lo..D_hi; the block's main terms D_k / (k(k+1)) run k = start..hi-1
-            start, D = max(lo, 1), np.empty(hi - lo + 1, dtype=complex)
+            start, D = max(lo, 1), buffers("D", hi - lo + 1)
             kf = np.arange(start, hi, dtype=float)
-            denominators = kf * (kf + 1.0)
+            denominators = np.multiply(kf, kf + 1.0, out=buffers("den", kf.size, float))
         for p, d in enumerate(numerators(lo, hi)):
             if with_abel:
                 D[0], D[1:] = D_lo[p], d
                 D_lo[p] = np.cumsum(D, out=D)[-1]
-                mains[p][i:j] = checkpoint_sums(D[start - lo : hi - lo] / denominators,
-                                                ends[i:j] - start, main_accs[p])
-                tails[p][i:j] = D[ends[i:j] - lo] / ends[i:j]
-            H[p][i:j] = checkpoint_sums(np.divide(d, kc, out=d), ends[i:j] - lo, accs[p])
+                tails[p][i:j] = D[ends[i:j] - lo] / ends[i:j]  # before D becomes the main terms
+                terms = np.divide(D[start - lo : -1], denominators, out=D[start - lo : -1])
+                mains[p][i:j] = checkpoint_sums(terms, ends[i:j] - start, main_accs[p])
+            H[p][i:j] = checkpoint_sums(np.multiply(d, inv, out=d), ends[i:j] - lo, accs[p])
     if not with_abel:
         return [TransformTrace(checkpoints, h) for h in H.values()]
     H, mains, tails = (np.array(list(x.values())) for x in (H, mains, tails))
@@ -371,15 +390,13 @@ def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, po
     Each point's carried prefix H_lo is added into its first term of the
     block, so the sequential `np.cumsum` gives bitwise the whole-row prefix
     sums; the running `np.maximum` keeps a NaN, as one whole-row max does.
-    numpy divides by k + 0i as a product with fl(1/k) (Smith's algorithm), so the
-    block's reciprocals give d_k / k up to the sign of a zero, which |H_n| drops.
+    The terms are d_k fl(1/k) (`_reciprocals`), as in `orbit_traces`.
     """
     numerators = _numerator_blocks([a], orbit_pairs(sys, f, points, N))
-    prefix = np.zeros(len(points), dtype=complex)
+    buffers, prefix = _Buffers(), np.zeros(len(points), dtype=complex)
     sups, block_sups = np.full(len(points), -np.inf), np.empty(len(points))
     for lo, hi in term_blocks(N):
-        inv = 1.0 / np.arange(lo + 1, hi + 1, dtype=np.int64).astype(complex)
-        mags = np.empty(inv.size)
+        inv, mags = _reciprocals(buffers, lo, hi), buffers("mags", hi - lo, float)
         for i, terms in enumerate(numerators(lo, hi)):
             np.multiply(terms, inv, out=terms)
             terms[0] += prefix[i]

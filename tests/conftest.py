@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ehtlab import numerics
-from ehtlab.numerics import ComplexNeumaierSum
+from ehtlab.dynamics import orbit_values
+from ehtlab.numerics import ComplexNeumaierSum, checkpoint_blocks, checkpoint_sums
 from ehtlab.sequences import (
     TrigPolynomial,
     from_values,
@@ -61,3 +62,29 @@ def piecewise_checkpoint_sums(terms: np.ndarray, ends) -> np.ndarray:
         out.append(acc.value)
         start = e
     return np.array(out, dtype=complex)
+
+
+def reference_traces(seqs, sys_, f, points, checkpoints, with_abel=False):
+    """Oracle of `orbit_traces` on the `orbit_pairs` rows of the points: (H, Abel parts)
+    per trace, row-major. Each trace streams the block plan alone, from its point's whole
+    `orbit_values` row, with its terms formed by the complex division d_k / k."""
+    ends = np.asarray(checkpoints, dtype=np.int64)
+    N, out = int(ends[-1]), []
+    for p in points:
+        v = orbit_values(sys_, f, p, N)
+        for a in seqs:
+            H, acc, abel, main_acc = [], ComplexNeumaierSum(), [], ComplexNeumaierSum()
+            D_lo = complex(-0.0, -0.0)
+            for i, j, lo, hi in checkpoint_blocks(ends):
+                ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+                pos, neg = a.pair_values(ks)
+                d = pos * v[N + ks] - neg * v[N - ks]
+                if with_abel:
+                    start, D = max(lo, 1), np.cumsum(np.concatenate(([D_lo], d)))
+                    D_lo, kf = D[-1], np.arange(start, hi, dtype=float)
+                    mains = checkpoint_sums(D[start - lo : hi - lo] / (kf * (kf + 1.0)),
+                                            ends[i:j] - start, main_acc)
+                    abel += zip(mains.tolist(), (D[ends[i:j] - lo] / ends[i:j]).tolist())
+                H += checkpoint_sums(d / ks.astype(complex), ends[i:j] - lo, acc).tolist()
+            out.append((np.array(H), abel if with_abel else None))
+    return out

@@ -27,7 +27,7 @@ from ehtlab.dynamics import (
     torus_character,
     torus_power,
 )
-from ehtlab.numerics import UnitPhases, term_blocks
+from ehtlab.numerics import _BLOCK_TERMS, UnitPhases, term_blocks
 
 _LATTICE = 1 << 53
 
@@ -293,6 +293,37 @@ def test_orbit_rows_match_orbit_values_bitwise(system, observable):
                 assert np.array_equal(_bits(v), _bits(want))
     at_points = np.array([orbit_values(sys_, observable, p, 0)[0] for p in pts])
     assert np.array_equal(_bits(point_values(sys_, observable, pts)), _bits(at_points))
+
+
+@pytest.mark.parametrize("observable", [cycle_step_observable(), cycle_indicator_observable()])
+def test_three_cycle_rows_are_slices_of_the_tiled_cells(observable):
+    # every lo mod 3 and lo = 0, spans that grow the tiles past _BLOCK_TERMS, then shorter ones
+    cyc = make_system("three_cycle")
+    pts = [CyclePoint(cell) for cell in range(3)] + [CyclePoint(1, shift=-4), CyclePoint(2, 7)]
+    N = 3 * _BLOCK_TERMS
+    rows = [orbit_values(cyc, observable, p, N) for p in pts]
+    pairs = orbit_pairs(cyc, observable, pts, N)
+    spans = [(0, 1), (0, 7), (1, 3), (2, 9)] + [(lo, lo + _BLOCK_TERMS + 5) for lo in (0, 4, 5, 6)]
+    for lo, hi in spans + [(N - 10, N), (11, 13), (3, 4)]:
+        ks = np.arange(lo + 1, hi + 1)
+        values = list(pairs(lo, hi))
+        assert len(values) == len(pts)
+        for row, (vpos, vneg) in zip(rows, values):
+            assert np.array_equal(_bits(vpos), _bits(row[N + ks]))
+            assert np.array_equal(_bits(vneg), _bits(row[N - ks]))
+
+
+def test_rotation_character_one_returns_its_argument():
+    # z**1 takes no fast path in numpy; the coordinate itself has the same bits
+    rot = make_system("rotation", angle_turns="sqrt2")
+    f = rotation_character(1)
+    for p in (RotationPoint(0.1), RotationPoint(0.83, shift=-40)):
+        z = rot.orbit_coords(p, np.arange(-5000, 5001))
+        assert f.coord_fn(z) is z
+        assert np.array_equal(_bits(f.coord_fn(z)), _bits(z**1))
+    for vpos, vneg in orbit_pairs(rot, f, [RotationPoint(0.3)], 4000)(0, 4000):
+        for v in (vpos, vneg):
+            assert np.array_equal(_bits(v), _bits(v**1))
 
 
 def test_orbit_rows_keep_the_exact_angle_guard(monkeypatch):

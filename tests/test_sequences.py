@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from ehtlab.dynamics import SQRT2_TURNS, RotationPoint, make_system
 from ehtlab.errors import InvariantError
 from ehtlab.sequences import (
     TrigPolynomial,
+    _cycle_indicator,
     from_values,
     named_sequence,
     transform_sequence,
@@ -167,6 +169,31 @@ def test_symmetric_flag_enforced():
     bad = from_values(vals, label="asym", symmetric=True)
     with pytest.raises(InvariantError):
         bad.range_values(1)
+
+
+def test_flag_failures_name_the_range():
+    # a_{-2} = 1 and a_2 = 2; the message names the block of pair_values, or the range
+    bad = from_values([1.0, 0.0, 0.0, 0.0, 2.0], label="asym", symmetric=True)
+    with pytest.raises(InvariantError, match=re.escape("asym: symmetric flag violated on +-[1, 2]")):
+        bad.pair_values(np.arange(1, 3))
+    with pytest.raises(InvariantError, match=re.escape("asym: symmetric flag violated on [-2, 2]")):
+        bad.range_values(2)
+    bad.pair_values(np.arange(0, 0))  # no empty block fails
+
+
+def _masked_cycle_indicator(ks, signed_negative):
+    out = np.zeros(ks.shape, dtype=complex)
+    res = ks % 3
+    out[(ks > 0) & (res == 1)] = 1.0
+    out[(ks < 0) & (res == 2)] = -1.0 if signed_negative else 1.0
+    return out
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_cycle_indicator_table_matches_the_mask_form(signed):
+    ks = np.arange(-10**5, 10**5 + 1, dtype=np.int64)
+    want = _masked_cycle_indicator(ks, signed).view(np.int64)
+    assert np.array_equal(_cycle_indicator(ks, signed).view(np.int64), want)
 
 
 @settings(derandomize=True, max_examples=40)

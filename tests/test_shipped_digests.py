@@ -2,10 +2,11 @@
 
 Every `report.json` and CSV a shipped config writes must keep the sha256
 recorded in `shipped_digests.json`. So must the outputs of the inline
-`transform` configs below, which no shipped config covers: they pin the
+configs below, which no shipped config covers: `transform` runs that pin the
 `trace.csv` Abel columns across several blocks of the streamed sums, and a
-`sweep` whose checkpoint gaps exceed `2^13` terms, so that its sums merge
-block-sized pieces of one segment. A change that alters a shipped output on
+`sweep` and two `counterexample` runs (both conventions in one stream, and
+`signed` alone) whose checkpoint gaps exceed `2^13` terms, so that their sums
+merge block-sized pieces of one segment. A change that alters a shipped output on
 purpose regenerates the file and lists the change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_shipped_digests.py --regenerate
@@ -51,6 +52,11 @@ INLINE = {
     "inline_sweep_long_gaps": {
         "kind": "sweep",
         "params": {"system": {"kind": "rotation", "angle_turns": "sqrt2"}, "n_max": 1 << 19}},
+    # checkpoint gaps above 2^13 terms, both conventions in one stream and one alone
+    "inline_counterexample_both": {
+        "kind": "counterexample", "params": {"N": 1 << 19, "convention": "both"}},
+    "inline_counterexample_signed": {
+        "kind": "counterexample", "params": {"N": 1 << 19, "convention": "signed"}},
 }
 
 

@@ -41,7 +41,7 @@ from ehtlab.transform import (
     wiener_wintner_sweep,
 )
 
-from conftest import piecewise_checkpoint_sums
+from conftest import piecewise_checkpoint_sums, reference_traces
 
 
 # ------------------------------------------------- exact-rational Abel oracle
@@ -817,6 +817,53 @@ def test_orbit_traces_working_set_is_flat_in_N(with_abel):
     # the checkpoint gaps near 2^21 hold about 94550 terms; a block of a whole
     # gap peaked at 16.8 MB there against 2.6 MB at 2^17
     assert _cell_traces_peak(1 << 21, with_abel) <= 1.25 * _cell_traces_peak(1 << 17, with_abel)
+
+
+@pytest.mark.parametrize("with_abel", [False, True])
+@pytest.mark.parametrize("system", ["rotation", "three_cycle", "torus_automorphism"])
+def test_orbit_traces_match_the_division_reference(system, with_abel):
+    # terms d_k fl(1/k) against the reference's d_k / k; the gaps of 21808 and 16999
+    # terms exceed 2^13, so their sums merge block-sized pieces
+    cps = [1, 2, 3, 8191, 8192, 8193, 30001, 47000]
+    if system == "torus_automorphism":
+        sys_, f = make_system(system), torus_character(1, 2)
+        seqs = [named_sequence("hardy_littlewood")]
+        anchors = [sys_.default_point(), TorusPoint(3 << 47, 7 << 47)]
+    else:
+        sys_, f, seqs, anchors = _abel_case(system)  # the 3-cycle: every cell and convention
+    traces = _streamed(seqs, sys_, f, anchors, cps, with_abel=with_abel)
+    want = reference_traces(seqs, sys_, f, anchors, cps, with_abel=with_abel)
+    assert len(traces) == len(want) == len(anchors) * len(seqs)
+    for trace, (H, abel) in zip(traces, want):
+        assert np.array_equal(_bits(trace.H_values), _bits(H))
+        assert (trace.abel_parts is None) == (abel is None)
+        parts = [z for pair in trace.abel_parts or () for z in pair]
+        if with_abel:
+            assert np.array_equal(_bits(trace.abel_parts), _bits(abel))
+        # no component is -0.0, though terms such as the signed cell 0's include it
+        assert not any(x == 0.0 and math.copysign(1.0, x) < 0.0
+                       for z in [*trace.H_values.tolist(), *parts] for x in (z.real, z.imag))
+
+
+def test_signed_cell_zero_terms_include_a_negative_zero():
+    # so the check above sees a -0.0 term that its sums must not return
+    a, cyc = named_sequence("cycle_indicator", convention="signed"), make_system("three_cycle")
+    ks = np.arange(1, 10)
+    (pos, neg), = dynamics.orbit_pairs(cyc, cycle_step_observable(), [CyclePoint(0)], 9)(0, 9)
+    d = transform._numerators(a.pair_values(ks), pos, neg)
+    assert any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in d.real.tolist())
+
+
+def test_numerator_blocks_reuse_one_buffer_across_blocks():
+    cyc = make_system("three_cycle")
+    seqs = [named_sequence("cycle_indicator", convention=conv) for conv in ("symmetric", "signed")]
+    N = 3 * _BLOCK_TERMS - 5
+    block = transform._numerator_blocks(seqs, dynamics.orbit_pairs(
+        cyc, cycle_step_observable(), [CyclePoint(cell) for cell in range(3)], N))
+    ds = [d for lo, hi in ((0, _BLOCK_TERMS), (_BLOCK_TERMS, 2 * _BLOCK_TERMS),
+                           (2 * _BLOCK_TERMS, N)) for d in block(lo, hi)]
+    assert len(ds) == 3 * 3 * 2
+    assert all(np.shares_memory(ds[0], d) for d in ds)
 
 
 def test_streamed_abel_split_keeps_the_sign_of_a_zero():
