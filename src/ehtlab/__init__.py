@@ -13,7 +13,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .sequences import (
     ModulatingSequence,
-    TrigPolynomial,
     from_values,
     named_sequence,
     transform_sequence,

@@ -45,7 +45,7 @@ from .envelope import (
 from .errors import BudgetExceededError, HorizonExceededError, InvariantError
 from .processes import build_process, process_eht_trace, seminorm_and_hilbert
 from .rates import RateParams, parseval_holder_check, rate_report
-from .sequences import ModulatingSequence, TrigPolynomial, named_sequence, trig_poly_sequence, transform_sequence
+from .sequences import ModulatingSequence, named_sequence, trig_poly_sequence, transform_sequence
 from .spectral import gamma_and_spectrum, match_resonances
 from .transform import (
     as_checkpoints,
@@ -93,8 +93,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     seed = raw.get("seed")
     if seed is None and _KINDS[kind].needs_seed:
         raise ConfigError(f"experiment kind {kind!r} samples points and requires a seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     return ExperimentConfig(kind=kind, seed=seed, out_dir=str(raw.get("out_dir", ".")),
                             params=params)
 
@@ -135,15 +135,13 @@ def _sequence_from_spec(sp: dict) -> ModulatingSequence:
         elif op == "scale":
             kwargs["c"] = _complex_of(sp["c"])
         elif op == "modulate":
-            kwargs["lam"] = complex(np.exp(2j * np.pi * float(sp["angle_turns"])))
+            kwargs["turns"] = sp["angle_turns"]
         elif op == "product":
             kwargs["b"] = _sequence_from_spec(_spec(sp, "b"))
         return transform_sequence(base, op, **kwargs)
     name = sp["name"]
     if name == "trig_poly":
-        terms = tuple((_complex_of(coeff), complex(np.exp(2j * np.pi * float(turns))))
-                      for coeff, turns in sp["terms"])
-        return trig_poly_sequence(TrigPolynomial(terms))
+        return trig_poly_sequence([(_complex_of(coeff), turns) for coeff, turns in sp["terms"]])
     if name == "constant":
         return named_sequence("constant", value=_complex_of(sp.get("value", 1.0)))
     if name == "cycle_indicator":
@@ -159,6 +157,12 @@ def _complex_of(v) -> complex:
     if not cmath.isfinite(z):
         raise ConfigError(f"complex value {v!r} is not finite")
     return z
+
+
+def _flag(p: dict, key: str, default: bool) -> bool:
+    if not isinstance(value := p.get(key, default), bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _system_from_spec(sp: dict):
@@ -201,7 +205,7 @@ def _jsonable(obj):
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=1, ensure_ascii=True)
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=1, allow_nan=False)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -236,7 +240,7 @@ def _run_transform(cfg: ExperimentConfig, out: Path) -> dict:
     checkpoints = as_checkpoints(p.get("checkpoints", default_checkpoints(1 << 14)))
     x0 = sys_.default_point()
     [trace] = orbit_traces([seq], orbit_pairs(sys_, obs, [x0], checkpoints[-1]), checkpoints,
-                           with_abel=bool(p.get("with_abel", True)))
+                           with_abel=_flag(p, "with_abel", True))
     trace.to_csv(out / "trace.csv")
     verdict = make_convergence_verdict(checkpoints, trace.H_values)
     averages = cesaro_average_trace(seq, sys_, obs, x0, checkpoints)
@@ -314,7 +318,7 @@ def _run_prop27(cfg: ExperimentConfig, out: Path) -> dict:
             "max_first_form_residual": max(r["first_form_residual"] for r in rows),
             "n_direct": rows[0]["n_direct"],
         }
-    if p.get("l1_profile"):
+    if _flag(p, "l1_profile", False):
         # keep kernel orders resolvable: only breakpoints below 2^16
         usable = sum(1 for b in env.practical_breakpoints(1 << 16) if b >= 1) - 1
         result["l1_profile"] = kernel_series_l1_profile(env, max_terms=max(1, usable))
@@ -326,13 +330,15 @@ def _run_prop27(cfg: ExperimentConfig, out: Path) -> dict:
 def _run_spectral(cfg: ExperimentConfig, out: Path) -> dict:
     p = cfg.params
     seq = _sequence_from_spec(_spec(p, "sequence", {"name": "hardy_littlewood"}))
+    rsys = _system_from_spec(_spec(p, "resonance_system")) if "resonance_system" in p else None
+    if rsys is not None and rsys.kind == "three_cycle":
+        raise ConfigError("resonance_system must be a rotation or the torus_automorphism")
     n = int(p.get("n", 1 << 12))
     grid_order = int(p.get("grid_order", 4 * n))
     est = gamma_and_spectrum(seq, grid_order, n, float(p.get("threshold", 0.1)))
     result = {"spectrum": est.to_dict()}
-    if "resonance_system" in p:
-        result["resonance"] = match_resonances(
-            est, _system_from_spec(_spec(p, "resonance_system")))
+    if rsys is not None:
+        result["resonance"] = match_resonances(est, rsys)
     return result
 
 
@@ -373,11 +379,10 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     obs = rotation_character(int(p.get("m", 1)))
     n_max = int(float(p.get("n_max", 1e5)))
     checkpoints = default_checkpoints(n_max, n_min=64)
-    lambdas = p.get("lambdas_turns", ["resonant", 0.17, 0.35, 0.71])
-    lam_grid = [complex(np.exp(-2j * np.pi * sys_.theta if item == "resonant"
-                               else 2j * np.pi * float(item))) for item in lambdas]
-    rows = wiener_wintner_sweep(sys_, obs, sys_.default_point(), lam_grid, checkpoints,
-                                symmetric=bool(p.get("symmetric", True)))
+    thetas = [-sys_.theta if item == "resonant" else float(item)
+              for item in p.get("lambdas_turns", ["resonant", 0.17, 0.35, 0.71])]
+    rows = wiener_wintner_sweep(sys_, obs, sys_.default_point(), thetas, checkpoints,
+                                symmetric=_flag(p, "symmetric", True))
     payload = []
     for i, row in enumerate(rows):
         row["trace"].to_csv(out / f"sweep_lambda_{i}.csv")
@@ -465,10 +470,10 @@ Output: process_trace.csv, report.json (r_schedule, deviations, seminorm,
 verdict).""", needs_seed=True),
     "sweep": _Kind(
         _run_sweep, {"system", "m", "lambdas_turns", "n_max", "symmetric"},
-        """sweep: unit-circle modulation sweep on a rotation; 'resonant' in
-lambdas_turns selects the conjugate of the rotation factor, where the
-symmetric modulation grows like log n; off-resonance entries settle into a
-Cauchy trend.
+        """sweep: unit-circle modulation sweep on a rotation over the angles
+lambdas_turns, in turns; 'resonant' selects the negated rotation angle, where
+the symmetric modulation grows like log n; off-resonance entries settle into a
+Cauchy trend. Each row's theta_turns is the angle as configured.
 Params: system, m, lambdas_turns, n_max, symmetric.
 Output: sweep_lambda_<i>.csv per lambda, report.json."""),
 }
@@ -479,30 +484,34 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     """Run one experiment; returns (exit_code, report dict) and writes files.
 
     A spec the runner cannot turn into objects (a missing field, a value its
-    constructor rejects) raises ConfigError; exhausted budgets, horizons and
+    constructor rejects) or a report with a NaN or an infinity, which JSON
+    cannot carry, raises ConfigError; exhausted budgets, horizons and
     memory return exit code 3 with the error in the report. An InvariantError
     marks a fault of the program, not of the config, and propagates unchanged.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = {"version": __version__, "kind": cfg.kind, "config": cfg.identity_dict(),
-              "config_sha256": config_hash(cfg)}
+    report = {"version": __version__, "kind": cfg.kind, "config": cfg.identity_dict()}
     code = 0
     try:
-        report["results"] = _KINDS[cfg.kind].run(cfg, out)
-    except (BudgetExceededError, HorizonExceededError) as exc:
-        report["error"] = str(exc)
-        code = 3
-    except MemoryError as exc:
-        report["error"] = f"out of memory: {exc}"
-        code = 3
+        try:
+            report["results"] = _KINDS[cfg.kind].run(cfg, out)
+        except (BudgetExceededError, HorizonExceededError) as exc:
+            report["error"] = str(exc)
+            code = 3
+        except MemoryError as exc:
+            report["error"] = f"out of memory: {exc}"
+            code = 3
+        # the backstop, after the runner's own checks: a NaN or an infinity anywhere raises
+        report["config_sha256"] = config_hash(cfg)
+        text = canonical_json(report)
     except InvariantError:
         raise
     except KeyError as exc:
         raise ConfigError(f"missing field {exc.args[0]!r} in the {cfg.kind} params") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    (out / "report.json").write_text(canonical_json(report) + "\n")
+    (out / "report.json").write_text(text + "\n")
     return code, report
 
 

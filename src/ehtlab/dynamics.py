@@ -99,10 +99,6 @@ class Rotation:
         self.theta = theta
         self.phases = UnitPhases(theta)
 
-    @property
-    def phi(self) -> complex:
-        return complex(np.exp(2j * np.pi * self.theta))
-
     def iterate(self, p: RotationPoint, j: int) -> RotationPoint:
         return RotationPoint(p.t0, p.shift + int(j))
 

@@ -25,29 +25,6 @@ _BOUND_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class TrigPolynomial:
-    """Finite linear combination of geometric sequences k -> lambda^k.
-
-    `terms` is a list of (coefficient, frequency) pairs; every frequency must
-    lie on the unit circle (within 1e-12). The induced sequence
-    w(k) = sum_j c_j lambda_j^k is bounded by sum |c_j|.
-    """
-
-    terms: tuple[tuple[complex, complex], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("trig polynomial needs at least one term")
-        for _, lam in self.terms:
-            if not abs(abs(lam) - 1.0) <= 1e-12:  # NaN fails too
-                raise ValueError(f"frequency {lam!r} is not on the unit circle")
-
-    @property
-    def coefficient_bound(self) -> float:
-        return float(sum(abs(c) for c, _ in self.terms))
-
-
-@dataclass(frozen=True)
 class ModulatingSequence:
     """Evaluator of a_k for k in Z plus metadata flags.
 
@@ -147,14 +124,25 @@ def from_values(values: Sequence[complex], label: str = "tabulated", **flags) ->
     return ModulatingSequence(label=label, fn=fn, bound=bound, **flags)
 
 
-def trig_poly_sequence(p: TrigPolynomial) -> ModulatingSequence:
-    """Sequence induced by a trigonometric polynomial: a_k = sum_j c_j lambda_j^k.
+def _reduced_turns(turns: float) -> float:
+    """The angle theta - round(theta) in [-1/2, 1/2] turn of theta = float(turns), exactly
+    (Sterbenz); a NaN or an infinite angle raises ValueError."""
+    theta = float(turns)
+    if not math.isfinite(theta):
+        raise ValueError(f"angle {theta!r} turns is not finite")
+    return theta - round(theta)
 
-    lambda_j^k is e(k theta_j) for the angle theta_j of lambda_j (`UnitPhases`).
-    It is flagged symmetric when every angle is exactly 0 or +-1/2 turn.
+
+def trig_poly_sequence(terms: Sequence[tuple[complex, float]]) -> ModulatingSequence:
+    """a_k = sum_j c_j e(k theta_j) for the (c_j, theta_j) `terms`, theta_j in turns.
+
+    e(k theta_j) is `UnitPhases` at the reduced angle (`_reduced_turns`); |a_k| <= sum |c_j|,
+    and the sequence is symmetric when every reduced angle is exactly 0 or +-1/2 turn.
     """
-    coeffs = [c for c, _ in p.terms]
-    angles = [math.atan2(l.imag, l.real) / (2 * math.pi) for _, l in p.terms]
+    if not terms:
+        raise ValueError("trig polynomial needs at least one term")
+    coeffs = [complex(c) for c, _ in terms]
+    angles = [_reduced_turns(theta) for _, theta in terms]
     phases = [UnitPhases(theta) for theta in angles]
 
     def fn(ks: np.ndarray) -> np.ndarray:
@@ -165,8 +153,8 @@ def trig_poly_sequence(p: TrigPolynomial) -> ModulatingSequence:
 
     label = "trig_poly(" + ",".join(f"{c:.3g}@{th:.4f}" for c, th in zip(coeffs, angles)) + ")"
     return ModulatingSequence(
-        label=label, fn=fn, bound=p.coefficient_bound,
-        symmetric=all(theta in (0.0, 0.5, -0.5) for theta in angles),
+        label=label, fn=fn, bound=float(sum(abs(c) for c in coeffs)),
+        symmetric=all(abs(theta) in (0.0, 0.5) for theta in angles),
     )
 
 
@@ -235,13 +223,13 @@ def named_sequence(name: str, value: complex = 1.0, convention: str = "symmetric
 
 def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
                        c: complex | None = None, b: ModulatingSequence | None = None,
-                       lam: complex | None = None) -> ModulatingSequence:
-    """Combinators: symmetrize | truncate(r) | scale(c) | product(b) | modulate(lam).
+                       turns: float | None = None) -> ModulatingSequence:
+    """Combinators: symmetrize | truncate(r) | scale(c) | product(b) | modulate(turns).
 
     symmetrize reflects the positive side onto the negative one; truncate
-    zeroes outside [-r, r]; modulate maps a_k -> lam^k a_k and requires
-    |lam| = 1, with lam^k = e(k theta) for the angle theta of lam in turns
-    (`UnitPhases`; |k| < 2^27). Metadata flags propagate conservatively.
+    zeroes outside [-r, r]; modulate maps a_k -> e(k theta) a_k, theta = `_reduced_turns(turns)`,
+    exactly at theta = 0 and +-1/2 (a_k and (-1)^k a_k), else by `UnitPhases` (|k| < 2^27).
+    Metadata flags propagate conservatively.
     """
     if op == "symmetrize":
         def fn(ks: np.ndarray) -> np.ndarray:
@@ -279,15 +267,12 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
                                   one_sided=a.one_sided or b.one_sided)
 
     if op == "modulate":
-        if lam is None:
-            raise ValueError("modulate needs a unit-modulus factor lam")
-        lam = complex(lam)
-        if not abs(abs(lam) - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError(f"modulation factor must have |lam| = 1, got |{lam!r}|")
-        theta = math.atan2(lam.imag, lam.real) / (2 * math.pi)
-        if lam == 1.0:
+        if turns is None:
+            raise ValueError("modulate needs an angle in turns")
+        theta = _reduced_turns(turns)
+        if theta == 0.0:
             fn = a.values
-        elif lam == -1.0:
+        elif abs(theta) == 0.5:
             # exact alternating signs keep symmetry flags honest
             def fn(ks: np.ndarray) -> np.ndarray:
                 return a.values(ks) * (1.0 - 2.0 * (ks % 2))
@@ -297,7 +282,7 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
             def fn(ks: np.ndarray) -> np.ndarray:
                 return a.values(ks) * phases(ks)
         return ModulatingSequence(f"modulate({a.label},{theta:.6f})", fn, bound=a.bound,
-                                  symmetric=a.symmetric and lam in (1.0, -1.0),
+                                  symmetric=a.symmetric and abs(theta) in (0.0, 0.5),
                                   one_sided=a.one_sided)
 
     raise ValueError(f"unknown sequence op {op!r}")

@@ -178,7 +178,7 @@ def match_resonances(est: SpectralEstimate | None, sys: DynamicalSystem) -> dict
         return {"system": sys.kind, "collisions": [], "atoms": [],
                 "note": "continuous spectrum on nonconstant functions"}
     if not isinstance(sys, Rotation):
-        raise ValueError("resonance_report supports rotations and the torus automorphism")
+        raise ValueError("match_resonances supports rotations and the torus automorphism")
     n = est.truncation
     tol = max(8.0 / n, 1e-9)
     collisions = []

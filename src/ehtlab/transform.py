@@ -208,7 +208,7 @@ def orbit_traces(seqs: Sequence[ModulatingSequence], rows: Callable,
     `with_abel` adds the two halves of the summation-by-parts identity
         H_n = sum_{k<n} (S_k - S_{-k})/(k(k+1)) + (S_n - S_{-n})/n,
     whose sum must reproduce H_n up to pure rounding error; D_k = S_k - S_{-k}
-    is one sequential `np.cumsum` carried across the blocks.
+    is one sequential `np.cumsum` carried across the blocks. Non-finite sums raise OverflowError.
     """
     checkpoints = as_checkpoints(checkpoints)
     ends = np.asarray(checkpoints, dtype=np.int64)
@@ -219,25 +219,29 @@ def orbit_traces(seqs: Sequence[ModulatingSequence], rows: Callable,
         mains, tails = defaultdict(whole), defaultdict(whole)
         main_accs = defaultdict(ComplexNeumaierSum)
         D_lo = defaultdict(lambda: complex(-0.0, -0.0))  # -0.0 + x is x, even for x = -0.0
-    for i, j, lo, hi in checkpoint_blocks(ends):
-        inv = _reciprocals(buffers, lo, hi)
-        if with_abel:
-            # D_lo..D_hi; the block's main terms D_k / (k(k+1)) run k = start..hi-1
-            start, D = max(lo, 1), buffers("D", hi - lo + 1)
-            kf = np.arange(start, hi, dtype=float)
-            denominators = np.multiply(kf, kf + 1.0, out=buffers("den", kf.size, float))
-        for p, d in enumerate(numerators(lo, hi)):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        for i, j, lo, hi in checkpoint_blocks(ends):
+            inv = _reciprocals(buffers, lo, hi)
             if with_abel:
-                D[0], D[1:] = D_lo[p], d
-                D_lo[p] = np.cumsum(D, out=D)[-1]
-                tails[p][i:j] = D[ends[i:j] - lo] / ends[i:j]  # before D becomes the main terms
-                terms = np.divide(D[start - lo : -1], denominators, out=D[start - lo : -1])
-                mains[p][i:j] = checkpoint_sums(terms, ends[i:j] - start, main_accs[p])
-            H[p][i:j] = checkpoint_sums(np.multiply(d, inv, out=d), ends[i:j] - lo, accs[p])
+                # D_lo..D_hi; the block's main terms D_k / (k(k+1)) run k = start..hi-1
+                start, D = max(lo, 1), buffers("D", hi - lo + 1)
+                kf = np.arange(start, hi, dtype=float)
+                denominators = np.multiply(kf, kf + 1.0, out=buffers("den", kf.size, float))
+            for p, d in enumerate(numerators(lo, hi)):
+                if with_abel:
+                    D[0], D[1:] = D_lo[p], d
+                    D_lo[p] = np.cumsum(D, out=D)[-1]
+                    tails[p][i:j] = D[ends[i:j] - lo] / ends[i:j]  # before D holds the main terms
+                    terms = np.divide(D[start - lo : -1], denominators, out=D[start - lo : -1])
+                    mains[p][i:j] = checkpoint_sums(terms, ends[i:j] - start, main_accs[p])
+                H[p][i:j] = checkpoint_sums(np.multiply(d, inv, out=d), ends[i:j] - lo, accs[p])
+    sums = [np.array(list(x.values())) for x in ((H, mains, tails) if with_abel else (H,))]
+    if not all(np.isfinite(x).all() for x in sums):
+        raise OverflowError("the partial sums H_n overflow to non-finite values")
     if not with_abel:
-        return [TransformTrace(checkpoints, h) for h in H.values()]
-    H, mains, tails = (np.array(list(x.values())) for x in (H, mains, tails))
-    if np.any(np.abs(H - (mains + tails)) > 1e-10 * (1.0 + np.abs(H))):
+        return [TransformTrace(checkpoints, h) for h in sums[0]]
+    H, mains, tails = sums
+    if not np.all(np.abs(H - (mains + tails)) <= 1e-10 * (1.0 + np.abs(H))):  # NaN fails too
         raise InvariantError("summation-by-parts split disagrees with the direct sum beyond "
                              "rounding scale")
     return [TransformTrace(checkpoints, h, tuple(zip(m, t)))
@@ -347,17 +351,20 @@ def cesaro_average_trace(a: ModulatingSequence, sys: DynamicalSystem, f: Observa
     """(1/n) sum_{k=0}^{n-1} a_k f(T^k x0) at each checkpoint.
 
     The terms stream through the blocks of `checkpoint_blocks`, summed by
-    `checkpoint_sums` with one carried accumulator, so no array of length n
-    is built. The orbit request is validated before the first block.
+    `checkpoint_sums` with one carried accumulator, so no array of length n is
+    built. The orbit request is validated first; a non-finite sum raises OverflowError.
     """
     checkpoints = np.asarray(as_checkpoints(checkpoints), dtype=np.int64)
     _check_orbit_request(sys, f, checkpoints[-1] - 1)
     _check_anchor_range(sys, x0, checkpoints[-1] - 1)
     sums, acc = np.empty(checkpoints.size, dtype=complex), ComplexNeumaierSum()
-    for i, j, lo, hi in checkpoint_blocks(checkpoints):
-        ks = np.arange(lo, hi, dtype=np.int64)
-        terms = a.values(ks) * np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
-        sums[i:j] = checkpoint_sums(terms, checkpoints[i:j] - lo, acc)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        for i, j, lo, hi in checkpoint_blocks(checkpoints):
+            ks = np.arange(lo, hi, dtype=np.int64)
+            terms = a.values(ks) * np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
+            sums[i:j] = checkpoint_sums(terms, checkpoints[i:j] - lo, acc)
+    if not np.isfinite(sums).all():
+        raise OverflowError("the Cesaro sums overflow to non-finite values")
     return sums / checkpoints
 
 
@@ -372,8 +379,12 @@ def maximal_and_weak11(a: ModulatingSequence, sys: DynamicalSystem, f: Observabl
     """
     if N < 1:
         raise ValueError(f"maximal radius N must be >= 1, got {N}")
+    if not all(math.isfinite(lam) for lam in lambdas):
+        raise ValueError(f"maximal thresholds must be finite, got {list(lambdas)}")
     norm1 = f.norm("l1")
     sups = _maximal_sups(a, sys, f, sample_points(sys, sample_count, seed), N)
+    if not np.isfinite(sups).all():
+        raise OverflowError("the partial sums H_n overflow to non-finite values")
     rows = []
     for lam in lambdas:
         tail = float(np.mean(sups > lam))
@@ -395,36 +406,35 @@ def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, po
     numerators = _numerator_blocks([a], orbit_pairs(sys, f, points, N))
     buffers, prefix = _Buffers(), np.zeros(len(points), dtype=complex)
     sups, block_sups = np.full(len(points), -np.inf), np.empty(len(points))
-    for lo, hi in term_blocks(N):
-        inv, mags = _reciprocals(buffers, lo, hi), buffers("mags", hi - lo, float)
-        for i, terms in enumerate(numerators(lo, hi)):
-            np.multiply(terms, inv, out=terms)
-            terms[0] += prefix[i]
-            np.cumsum(terms, out=terms)
-            prefix[i] = terms[-1]
-            block_sups[i] = np.abs(terms, out=mags).max()
-        np.maximum(sups, block_sups, out=sups)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects a non-finite sup
+        for lo, hi in term_blocks(N):
+            inv, mags = _reciprocals(buffers, lo, hi), buffers("mags", hi - lo, float)
+            for i, terms in enumerate(numerators(lo, hi)):
+                np.multiply(terms, inv, out=terms)
+                terms[0] += prefix[i]
+                np.cumsum(terms, out=terms)
+                prefix[i] = terms[-1]
+                block_sups[i] = np.abs(terms, out=mags).max()
+            np.maximum(sups, block_sups, out=sups)
     return sups
 
 
-def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, lam_grid: Sequence[complex],
+def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, thetas: Sequence[float],
                          checkpoints: Sequence[int], symmetric: bool) -> list[dict]:
-    """Unit-circle modulation sweep: one trace and verdict per lambda.
+    """Unit-circle modulation sweep: one trace and verdict per angle theta in turns.
 
-    symmetric=True modulates by lambda^|k| (the resonance-prone variant),
-    otherwise by lambda^k.
+    symmetric=True modulates by e(|k| theta) (the resonance-prone variant),
+    otherwise by e(k theta); each row reports its `theta_turns` as given.
     """
     checkpoints = as_checkpoints(checkpoints)
-    if len(lam_grid) == 0:
-        raise ValueError("the lambda grid must be nonempty")
-    thetas, seqs = [], []
-    for lam in lam_grid:
-        lam = complex(lam)  # the modulate op checks |lam| = 1
-        thetas.append(math.atan2(lam.imag, lam.real) / (2 * math.pi))
-        a = transform_sequence(named_sequence("constant"), "modulate", lam=lam)
+    if len(thetas) == 0:
+        raise ValueError("the angle grid must be nonempty")
+    seqs = []
+    for theta in thetas:
+        a = transform_sequence(named_sequence("constant"), "modulate", turns=theta)
         seqs.append(transform_sequence(a, "symmetrize") if symmetric else a)
     traces = orbit_traces(seqs, orbit_pairs(sys, f, [x0], checkpoints[-1]), checkpoints)
-    return [{"theta_turns": theta, "trace": trace,
+    return [{"theta_turns": float(theta), "trace": trace,
              "verdict": make_convergence_verdict(checkpoints, trace.H_values)}
             for theta, trace in zip(thetas, traces)]
 

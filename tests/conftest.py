@@ -5,7 +5,6 @@ from ehtlab import numerics
 from ehtlab.dynamics import orbit_values
 from ehtlab.numerics import ComplexNeumaierSum, checkpoint_blocks, checkpoint_sums
 from ehtlab.sequences import (
-    TrigPolynomial,
     from_values,
     named_sequence,
     transform_sequence,
@@ -21,10 +20,7 @@ def _random_tabulated(seed: int, n: int = 4200):
 
 def corpus():
     """Bounded sequences exercised by the grid-identity and spectrum tests."""
-    tp = trig_poly_sequence(TrigPolynomial((
-        (1.0, complex(np.exp(2j * np.pi * 0.3))),
-        (2.0, -1.0 + 0j),
-    )))
+    tp = trig_poly_sequence([(1.0, 0.3), (2.0, 0.5)])
     return [
         named_sequence("hardy_littlewood"),
         named_sequence("cycle_indicator"),
@@ -32,9 +28,8 @@ def corpus():
         named_sequence("constant", value=1.0),
         named_sequence("constant", value=0.7 - 0.3j),
         tp,
-        transform_sequence(named_sequence("hardy_littlewood"), "modulate",
-                           lam=complex(np.exp(2j * np.pi * 0.123))),
-        transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=-1.0),
+        transform_sequence(named_sequence("hardy_littlewood"), "modulate", turns=0.123),
+        transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=0.5),
         _random_tabulated(42),
     ]
 

@@ -166,15 +166,14 @@ def test_criterion_4_resonance_growth():
     f = rotation_character(1)
     x0 = rot.default_point()
 
-    res = wiener_wintner_sweep(rot, f, x0, [np.conj(rot.phi)],
+    res = wiener_wintner_sweep(rot, f, x0, [-rot.theta],
                                default_checkpoints(10**6, n_min=64), symmetric=True)[0]
     fit = res["verdict"].growth_fit
     assert res["verdict"].verdict == "diverging"
     assert fit.model == "log n"
     assert abs(fit.coefficient - 1.0) <= 0.1
 
-    off = [complex(np.exp(2j * np.pi * t)) for t in (0.17, 0.35, 0.71)]
-    rows = wiener_wintner_sweep(rot, f, x0, off,
+    rows = wiener_wintner_sweep(rot, f, x0, [0.17, 0.35, 0.71],
                                 default_checkpoints(10**5, n_min=64), symmetric=True)
     for row in rows:
         assert row["verdict"].verdict == "cauchy_trend"

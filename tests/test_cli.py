@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ehtlab import __version__
+from ehtlab.dynamics import SQRT2_TURNS
 from ehtlab.cli import (
     _KINDS,
     ConfigError,
@@ -163,6 +164,49 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
         "observable": {"kind": "constant", "value": float("nan")}, "checkpoints": [64]}}))
     assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2
     assert capsys.readouterr().err == "config error: complex value nan is not finite\n"
+    # report.json carries no NaN or Infinity: a NaN or an infinite angle or threshold,
+    # as a JSON number or as a string, and sums that overflow, with the Abel split on
+    # and off, are config errors
+    maximal = lambda lam: {"checkpoints": [64], "maximal": {"lambdas": [1, lam], "N": 64,
+                                                             "sample_count": 2}}
+    modulate = lambda turns: {"op": "modulate", "angle_turns": turns, "base": {"name": "constant"}}
+    huge = {"sequence": {"name": "constant", "value": 1e308}, "checkpoints": [16, 64],
+            "observable": {"kind": "raised_cosine"}}
+    for x in (float("nan"), float("inf"), "nan", "-inf"):
+        for raw in ({"kind": "spectral", "params": {"n": 64, "sequence": modulate(x)}},
+                    {"kind": "spectral", "params": {"n": 64, "sequence": {
+                        "name": "trig_poly", "terms": [[1, 0.25], [1, x]]}}},
+                    {"kind": "sweep", "params": {"n_max": 256, "lambdas_turns": [0.25, x]}},
+                    {"kind": "transform", "seed": 1, "params": maximal(x)}):
+            bad.write_text(json.dumps(raw))
+            assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2, raw
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, (raw, err)
+    for with_abel in (True, False):
+        bad.write_text(json.dumps({"kind": "transform", "seed": 1,
+                                   "params": {**huge, "with_abel": with_abel}}))
+        assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2, with_abel
+        assert capsys.readouterr().err == ("config error: the partial sums H_n overflow to "
+                                           "non-finite values\n")
+    # the config's booleans take JSON true and false only, and its seed an integer only
+    for raw, key in (({"kind": "transform", "seed": 1,
+                       "params": {"checkpoints": [64], "with_abel": "false"}}, "with_abel"),
+                     ({"kind": "sweep", "params": {"n_max": 256, "symmetric": "false"}},
+                      "symmetric"),
+                     ({"kind": "prop27", "params": {"h": "inverse-linear", "K": 10,
+                                                    "l1_profile": 1}}, "l1_profile"),
+                     ({"kind": "transform", "seed": True, "params": {"checkpoints": [64]}},
+                      "seed")):
+        bad.write_text(json.dumps(raw))
+        assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2, raw
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be ") and err.count("\n") == 1, err
+    # resonances are matched on the systems that have them
+    bad.write_text(json.dumps({"kind": "spectral", "params": {
+        "n": 64, "resonance_system": {"kind": "three_cycle"}}}))
+    assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2
+    assert capsys.readouterr().err == ("config error: resonance_system must be a rotation "
+                                       "or the torus_automorphism\n")
     # the log weight vanishes at n = 1, so the log-weighted classes reject that
     # radius; the classes that take no log accept it
     for klass, code in (("a_alpha", 2), ("m_alpha", 2), ("star", 0), ("two_sided_raw", 0)):
@@ -308,6 +352,19 @@ def test_near_real_trig_poly_frequencies_run(tmp_path):
     assert _run_config(tmp_path, {"kind": "spectral", "params": {
         "sequence": {"name": "trig_poly", "terms": [[1, 0], [2, 0.5]]}, "n": 256}},
         "symmetric") == 0
+
+
+def test_sweep_reports_the_configured_angles(tmp_path):
+    # each theta_turns is the angle as configured, "resonant" the negated rotation angle;
+    # an angle outside [-1/2, 1/2] runs on its exact reduction, so 3.7 sweeps as 3.7 - 4
+    angles = ["resonant", 0.17, 0.71, 3.7, 3.7 - 4]
+    assert _run_config(tmp_path, {"kind": "sweep", "params": {
+        "n_max": 4096, "lambdas_turns": angles}}, "sweep") == 0
+    out = tmp_path / "sweep"
+    rows = json.loads((out / "report.json").read_text())["results"]["per_lambda"]
+    assert [row["theta_turns"] for row in rows] == [-SQRT2_TURNS, 0.17, 0.71, 3.7, 3.7 - 4]
+    assert (out / "sweep_lambda_3.csv").read_bytes() == (out / "sweep_lambda_4.csv").read_bytes()
+    assert rows[3] == {**rows[4], "theta_turns": 3.7}
 
 
 def test_phase_indices_beyond_the_exact_angle_range_exit_2(tmp_path, monkeypatch, capsys):

@@ -62,7 +62,7 @@ def test_rotation_triple_step():
     x = RotationPoint(0.0)
     p3 = rot.iterate(x, 3)
     val = f.coord_fn(rot.orbit_coords(p3, np.array([0])))[0]
-    assert val == pytest.approx(rot.phi**3, abs=1e-13)
+    assert val == pytest.approx(np.exp(2j * np.pi * 3 * rot.theta), abs=1e-13)
 
 
 def test_rotation_orbit_matches_eigenfunction_law():

@@ -131,7 +131,7 @@ def test_process_trace_constant_cancels(rotation):
 
 def test_hilbert_partial_sums_routes():
     lam = complex(np.exp(2j * np.pi * 0.29))
-    geo = transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=lam)
+    geo = transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=0.29)
     cps = default_checkpoints(1 << 14, n_min=32)
     sums = hilbert_partial_sums(geo, cps)
     ks = np.arange(1, cps[-1] + 1)
@@ -158,8 +158,7 @@ def test_seminorm_axioms(sparse_dyadic):
 
 def test_hilbert_verdicts():
     schedule = [2**j for j in range(6, 15)]
-    lam = complex(np.exp(2j * np.pi * 0.29))
-    geo = transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=lam)
+    geo = transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=0.29)
     assert seminorm_and_hilbert(geo, 1.5, schedule)["verdict"].verdict == "cauchy_trend"
 
     # one-sided all-ones: the sums are harmonic numbers

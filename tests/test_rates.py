@@ -90,7 +90,7 @@ def test_exp_sum_matches_brute_force():
 def test_exp_sum_aligned_geometric():
     G = 1024
     lam0 = complex(np.exp(2j * np.pi * 5 / G))
-    a = transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=lam0)
+    a = transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=5 / G)
     grid = exp_sum_grid(a, 100, G)
     g_star = int(np.argmax(np.abs(grid)))
     assert np.abs(grid[g_star]) == pytest.approx(201.0)
@@ -99,7 +99,7 @@ def test_exp_sum_aligned_geometric():
 
 
 def test_exp_sum_alternating():
-    a = transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=-1.0)
+    a = transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=0.5)
     assert exp_sum_sup(a, 10, 80) == pytest.approx(21.0)
 
 
@@ -159,8 +159,7 @@ def test_one_sided_sup_report(sparse_dyadic):
     assert rep.verdict == "bounded_on_schedule"
     # a one-sided geometric sum peaks at height ~ n near its conjugate
     # frequency, so the n^(1-beta) weight cannot tame it
-    lam = complex(np.exp(2j * np.pi * 0.31))
-    a = transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=lam)
+    a = transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=0.31)
     rep2 = one_sided_sup_ratios(a, RateParams(beta=0.5, schedule=SCHEDULE))
     assert rep2.verdict == "growing"
 
@@ -197,9 +196,8 @@ def test_parseval_exact_over_corpus(sequence_corpus):
 def test_sup_invariant_under_grid_modulation(sequence_corpus):
     # rotating by a grid frequency permutes the grid, so the sup is unchanged
     n, G = 256, 2048
-    lam = complex(np.exp(2j * np.pi * 37 / G))
     for a in sequence_corpus:
-        moded = transform_sequence(a, "modulate", lam=lam)
+        moded = transform_sequence(a, "modulate", turns=37 / G)
         s0 = exp_sum_sup(a, n, G)
         s1 = exp_sum_sup(moded, n, G)
         assert abs(s0 - s1) <= 1e-10 * (1 + s0)

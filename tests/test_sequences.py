@@ -1,4 +1,3 @@
-import math
 import re
 
 import mpmath as mp
@@ -6,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ehtlab.cli import _sequence_from_spec
 from ehtlab.dynamics import SQRT2_TURNS, RotationPoint, make_system
 from ehtlab.errors import InvariantError
 from ehtlab.sequences import (
-    TrigPolynomial,
     _cycle_indicator,
     from_values,
     named_sequence,
@@ -19,29 +18,31 @@ from ehtlab.sequences import (
 
 
 def test_trig_poly_constant():
-    a = trig_poly_sequence(TrigPolynomial(((1.0, 1.0),)))
+    a = trig_poly_sequence([(1.0, 0.0)])
     assert all(a.eval(k) == 1.0 for k in (-3, 0, 5))
+    assert a.symmetric
 
 
 def test_trig_poly_quarter_turn():
-    a = trig_poly_sequence(TrigPolynomial(((1.0, 1j),)))
+    a = trig_poly_sequence([(1.0, 0.25)])
     assert a.eval(4) == pytest.approx(1.0)
     assert a.eval(2) == pytest.approx(-1.0)
 
 
 def test_trig_poly_bound_over_range():
-    lam = complex(np.exp(2j * np.pi * 0.3))
-    a = trig_poly_sequence(TrigPolynomial(((1.0, lam), (2.0, -1.0 + 0j))))
+    a = trig_poly_sequence([(1.0, 0.3), (2.0, 0.5)])
+    assert a.bound == 3.0
     assert a.eval(0) == pytest.approx(3.0)
     vals = a.range_values(10**4)
     assert np.max(np.abs(vals)) <= 3.0 + 1e-12
 
 
-def test_trig_poly_rejects_off_circle_frequency():
-    with pytest.raises(ValueError):
-        TrigPolynomial(((1.0, 0.5 + 0j),))
-    with pytest.raises(ValueError):
-        TrigPolynomial(((1.0, complex("nan+nanj")),))
+def test_trig_poly_rejects_no_terms_and_non_finite_angles():
+    with pytest.raises(ValueError, match="at least one term"):
+        trig_poly_sequence([])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            trig_poly_sequence([(1.0, 0.25), (1.0, bad)])
 
 
 def test_hardy_littlewood_values():
@@ -105,41 +106,62 @@ def test_symmetrize_and_scale():
 
 
 def test_modulate_alternating_and_flags():
-    alt = transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=-1.0)
+    alt = transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=0.5)
     assert [alt.eval(k) for k in (-2, -1, 0, 1, 2)] == [1, -1, 1, -1, 1]
     assert alt.symmetric
-    with pytest.raises(ValueError):
-        transform_sequence(named_sequence("constant"), "modulate", lam=2.0)
-    with pytest.raises(ValueError):
-        transform_sequence(named_sequence("constant"), "modulate", lam=complex("nan+nanj"))
+    for turns in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            transform_sequence(named_sequence("constant"), "modulate", turns=turns)
+    with pytest.raises(ValueError, match="needs an angle"):
+        transform_sequence(named_sequence("constant"), "modulate")
 
 
 def test_modulate_preserves_modulus():
-    lam = complex(np.exp(2j * np.pi * 0.2371))
     base = named_sequence("hardy_littlewood")
-    mod = transform_sequence(base, "modulate", lam=lam)
+    mod = transform_sequence(base, "modulate", turns=0.2371)
     n = 2048
     assert np.allclose(np.abs(mod.range_values(n)), np.abs(base.range_values(n)),
                        rtol=1e-13, atol=0)
 
 
 def test_modulate_phase_at_eight_million_matches_200_bits():
-    # the resonant modulation of the sqrt2 sweep: its lambda^k is e(k theta) for the
-    # angle theta of lambda, within the phase kernel's 24 u; a single rounded product
-    # k * theta would drift like k 2^-53 turns, 9.3e-11 turns at k = 8e6
-    lam = complex(np.exp(-2j * np.pi * SQRT2_TURNS))
-    theta = math.atan2(lam.imag, lam.real) / (2 * math.pi)
-    mod = transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=lam)
+    # the sweep's resonant angle and two configured ones: e(k theta) of the double theta,
+    # within the phase kernel's 24 u; a single rounded product k * theta would drift like
+    # k 2^-53 turns, and recovering theta from e(theta) (0.71 came back as -0.2900000000000001)
+    # missed by 4.4e-10 turns at k = 8e6
     ks = np.array([8_000_000, -8_000_000, 100_000, 1_000_000])
-    with mp.workprec(200):
-        want = [complex(mp.expjpi(2 * k * mp.mpf(theta))) for k in ks.tolist()]
-    assert max(abs(z - w) for z, w in zip(mod.values(ks).tolist(), want)) <= 24 * 2.0**-53
+    for theta in (-SQRT2_TURNS, 0.17, 0.71):
+        mod = _sequence_from_spec({"op": "modulate", "angle_turns": theta,
+                                   "base": {"name": "constant"}})
+        with mp.workprec(200):
+            want = [complex(mp.expjpi(2 * k * mp.mpf(theta))) for k in ks.tolist()]
+        err = max(abs(z - w) for z, w in zip(mod.values(ks).tolist(), want))
+        assert err <= 24 * 2.0**-53, theta
+
+
+def test_half_turn_modulation_is_exact_signs():
+    for base in ({"name": "constant"}, {"name": "cycle_indicator"}):
+        half = _sequence_from_spec({"op": "modulate", "angle_turns": 0.5, "base": base})
+        assert half.symmetric
+        ks = np.arange(-9, 10)
+        want = _sequence_from_spec(base).values(ks) * (-1.0) ** ks
+        got = half.values(ks)
+        assert np.array_equal(got.real, want.real) and np.all(got.imag == 0)
+    assert np.array_equal(half.range_values(2**14), half.range_values(2**14)[::-1])
+
+
+def test_angles_are_reduced_exactly():
+    # 3.7 - 4 is exact, and it is the angle the sequence runs on
+    spec = lambda t: {"op": "modulate", "angle_turns": t, "base": {"name": "hardy_littlewood"}}
+    far, near = _sequence_from_spec(spec(3.7)), _sequence_from_spec(spec(3.7 - 4))
+    assert far.range_values(5000).tobytes() == near.range_values(5000).tobytes()
+    poly = lambda t: trig_poly_sequence([(1.0, t), (0.5j, 0.125)])
+    assert poly(3.7).range_values(5000).tobytes() == poly(3.7 - 4).range_values(5000).tobytes()
 
 
 def test_phases_beyond_the_exact_angle_range_raise():
-    lam = complex(np.exp(2j * np.pi * 0.3))
-    modulated = transform_sequence(named_sequence("constant"), "modulate", lam=lam)
-    poly = trig_poly_sequence(TrigPolynomial(((1.0, lam), (2.0, 1j))))
+    modulated = transform_sequence(named_sequence("constant"), "modulate", turns=0.3)
+    poly = trig_poly_sequence([(1.0, 0.3), (2.0, 0.25)])
     rotation = make_system("rotation", angle_turns="sqrt2")
     for k in (2**27, -(2**27)):
         for evaluate in (modulated.values, poly.values,

@@ -5,7 +5,6 @@ import pytest
 
 from ehtlab.dynamics import make_system
 from ehtlab.sequences import (
-    TrigPolynomial,
     named_sequence,
     transform_sequence,
     trig_poly_sequence,
@@ -32,7 +31,7 @@ def correlation_estimate(a, k, n):
 
 def geometric(theta):
     lam = complex(np.exp(2j * np.pi * theta))
-    return transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=lam), lam
+    return transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=theta), lam
 
 
 def test_correlation_examples():
@@ -86,9 +85,7 @@ def test_spectrum_single_atom():
 
 def test_spectrum_trig_poly_atoms_and_masses():
     G = 1024
-    l1 = complex(np.exp(2j * np.pi * 100 / G))
-    l2 = complex(np.exp(2j * np.pi * 300 / G))
-    tp = trig_poly_sequence(TrigPolynomial(((1.0, l1), (2.0, l2))))
+    tp = trig_poly_sequence([(1.0, 100 / G), (2.0, 300 / G)])
     n = 4000
     est = gamma_and_spectrum(tp, 8 * G, n, threshold=0.2)
     assert len(est.atoms) == 2
@@ -135,8 +132,7 @@ def test_toeplitz_psd_proxy(sequence_corpus):
 
 def test_resonance_collision_with_rotation():
     rot = make_system("rotation", angle_turns="sqrt2")
-    phibar = np.conj(rot.phi)
-    geo = transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=phibar)
+    geo = transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=-rot.theta)
     rep = resonance_report(geo, rot, n=4096)
     assert any(c["m"] == -1 for c in rep["collisions"])
     pred = rep["collisions"][0]["prediction"]
@@ -146,14 +142,14 @@ def test_resonance_collision_with_rotation():
     from ehtlab.dynamics import rotation_character
     from ehtlab.transform import default_checkpoints, wiener_wintner_sweep
     rows = wiener_wintner_sweep(rot, rotation_character(1), rot.default_point(),
-                                [phibar], default_checkpoints(1 << 16, n_min=64),
+                                [-rot.theta], default_checkpoints(1 << 16, n_min=64),
                                 symmetric=True)
     assert rows[0]["verdict"].verdict == "diverging"
 
 
 def test_resonance_avoided():
     rot = make_system("rotation", angle_turns="sqrt2")
-    tp = trig_poly_sequence(TrigPolynomial(((1.0, complex(np.exp(2j * np.pi * 0.05))),)))
+    tp = trig_poly_sequence([(1.0, 0.05)])
     rep = resonance_report(tp, rot, n=4096)
     assert rep["collisions"] == []
     assert len(rep["atoms"]) == 1
@@ -161,7 +157,7 @@ def test_resonance_avoided():
     from ehtlab.dynamics import rotation_character
     from ehtlab.transform import default_checkpoints, wiener_wintner_sweep
     rows = wiener_wintner_sweep(rot, rotation_character(1), rot.default_point(),
-                                [complex(np.exp(2j * np.pi * 0.05))],
+                                [0.05],
                                 default_checkpoints(1 << 16, n_min=64), symmetric=True)
     assert rows[0]["verdict"].verdict == "cauchy_trend"
 

@@ -182,10 +182,10 @@ def test_rotation_symmetric_modulation_closed_form():
     n = 1000
     orbit = orbit_values(rot, f, x0, n)
     seq = transform_sequence(
-        transform_sequence(named_sequence("constant", value=1.0), "modulate", lam=lam),
+        transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=0.31),
         "symmetrize")
     tr = eht_trace(seq, orbit, [n])
-    phi = rot.phi
+    phi = np.exp(2j * np.pi * rot.theta)
     ks = np.arange(1, n + 1)
     series = np.sum(((phi * lam) ** ks - (np.conj(phi) * lam) ** ks) / ks)
     expected = orbit[n] * series
@@ -276,9 +276,8 @@ def test_wiener_wintner_sweep_verdicts():
     rot = make_system("rotation", angle_turns="sqrt2")
     f = rotation_character(1)
     cps = default_checkpoints(10**5, n_min=64)
-    lam_res = np.conj(rot.phi)
-    lams = [lam_res, complex(np.exp(2j * np.pi * 0.17)), 1.0 + 0j]
-    rows = wiener_wintner_sweep(rot, f, rot.default_point(), lams, cps, symmetric=True)
+    rows = wiener_wintner_sweep(rot, f, rot.default_point(), [-rot.theta, 0.17, 0.0], cps,
+                                symmetric=True)
     assert rows[0]["verdict"].verdict == "diverging"
     fit = rows[0]["verdict"].growth_fit
     assert fit.model == "log n" and abs(fit.coefficient - 1.0) <= 0.1
@@ -290,7 +289,7 @@ def test_wiener_wintner_sweep_verdicts():
     # ...and with f constant every term vanishes identically
     from ehtlab.dynamics import constant_observable
     ones = constant_observable("rotation", 1.0)
-    rows_const = wiener_wintner_sweep(rot, ones, rot.default_point(), [1.0 + 0j],
+    rows_const = wiener_wintner_sweep(rot, ones, rot.default_point(), [0.0],
                                       default_checkpoints(1 << 10), symmetric=True)
     assert np.all(rows_const[0]["trace"].H_values == 0)
 
@@ -301,8 +300,8 @@ def test_two_sided_sweep_always_settles():
     rot = make_system("rotation", angle_turns="sqrt2")
     f = rotation_character(1)
     cps = default_checkpoints(10**5, n_min=64)
-    lams = [np.conj(rot.phi), complex(np.exp(2j * np.pi * 0.41))]
-    rows = wiener_wintner_sweep(rot, f, rot.default_point(), lams, cps, symmetric=False)
+    rows = wiener_wintner_sweep(rot, f, rot.default_point(), [-rot.theta, 0.41], cps,
+                                symmetric=False)
     assert all(r["verdict"].verdict == "cauchy_trend" for r in rows)
 
 
@@ -424,7 +423,7 @@ def test_l2_rotation_signed_closed_form():
     f = rotation_character(1)
     one = named_sequence("constant", value=1.0)
     res = l2_diff_vs_spectral(one, rot, f, [5, 20, 80], sample_count=64, seed=2)
-    phi = rot.phi
+    phi = np.exp(2j * np.pi * rot.theta)
     for row in res["rows"]:
         j = row["j"]
         ks = np.arange(1, j + 1)
@@ -567,6 +566,22 @@ def _streamed(seqs, sys_, f, anchors, cps, **kw):
     return orbit_traces(seqs, dynamics.orbit_pairs(sys_, f, anchors, cps[-1]), cps, **kw)
 
 
+def test_overflowing_sums_raise_without_warnings():
+    # pytest turns a RuntimeWarning into an error, so an overflow must stay silent
+    # until the non-finite sums raise OverflowError
+    rot, f = make_system("rotation", angle_turns="sqrt2"), rotation_raised_cosine()
+    huge, x0 = named_sequence("constant", value=1e308), rot.default_point()
+    for with_abel in (True, False):
+        with pytest.raises(OverflowError, match="non-finite"):
+            _streamed([huge], rot, f, [x0], (16, 64), with_abel=with_abel)
+    with pytest.raises(OverflowError, match="non-finite"):
+        maximal_and_weak11(huge, rot, f, [1.0], 64, 4, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        maximal_and_weak11(named_sequence("constant"), rot, f, [1.0, math.nan], 64, 4, seed=0)
+    with pytest.raises(OverflowError, match="non-finite"):
+        cesaro_average_trace(named_sequence("constant", value=1e306), rot, f, x0, (1 << 12,))
+
+
 def _assert_streams_like_eht_trace(seqs, sys_, f, anchors, cps):
     traces = _streamed(seqs, sys_, f, anchors, cps)
     assert len(traces) == len(anchors) * len(seqs)
@@ -582,9 +597,8 @@ def _assert_streams_like_eht_trace(seqs, sys_, f, anchors, cps):
 @pytest.mark.parametrize("f", [rotation_character(1), rotation_raised_cosine()])
 def test_orbit_traces_match_eht_trace_on_rotations(f):
     rot = make_system("rotation", angle_turns="sqrt2")
-    lam = complex(np.exp(2j * np.pi * 0.17))
     modulated = transform_sequence(
-        transform_sequence(named_sequence("constant"), "modulate", lam=lam), "symmetrize")
+        transform_sequence(named_sequence("constant"), "modulate", turns=0.17), "symmetrize")
     seqs = [named_sequence("hardy_littlewood"), modulated]
     anchors = [RotationPoint(0.1), RotationPoint(0.37, shift=-41)]
     _assert_streams_like_eht_trace(seqs, rot, f, anchors, _three_block_checkpoints())
@@ -689,8 +703,8 @@ def test_streamed_paths_keep_the_exact_angle_guard(monkeypatch):
     cases = [
         lambda: orbit_values(rot, f, RotationPoint(0.3), 64),
         lambda: orbit_values(rot, f, RotationPoint(0.3, shift=60), 4),
-        lambda: wiener_wintner_sweep(rot, f, RotationPoint(0.3), [1j], (16, 64), True),
-        lambda: wiener_wintner_sweep(rot, f, RotationPoint(0.3, shift=-1), [1j], (63,), False),
+        lambda: wiener_wintner_sweep(rot, f, RotationPoint(0.3), [0.25], (16, 64), True),
+        lambda: wiener_wintner_sweep(rot, f, RotationPoint(0.3, shift=-1), [0.25], (63,), False),
         lambda: _streamed([a], rot, f, [RotationPoint(0.3), RotationPoint(0.3, shift=-60)],
                           (2, 4)),
     ]
@@ -716,8 +730,8 @@ def test_long_orbit_sums_stay_small_in_memory():
         assert tracemalloc.get_traced_memory()[1] < budget
         tracemalloc.reset_peak()
         rot = make_system("rotation", angle_turns="sqrt2")
-        lams = [np.conj(rot.phi)] + [complex(np.exp(2j * np.pi * t)) for t in (0.17, 0.35, 0.71)]
-        wiener_wintner_sweep(rot, rotation_character(1), rot.default_point(), lams,
+        wiener_wintner_sweep(rot, rotation_character(1), rot.default_point(),
+                             [-rot.theta, 0.17, 0.35, 0.71],
                              default_checkpoints(1 << 20, n_min=64), symmetric=True)
         assert tracemalloc.get_traced_memory()[1] < budget
     finally:
