@@ -131,17 +131,18 @@ def _sequence_from_spec(sp: dict) -> ModulatingSequence:
         op = sp["op"]
         kwargs = {}
         if op == "truncate":
-            kwargs["r"] = int(sp["r"])
+            kwargs["r"] = _integer(sp["r"], "r")
         elif op == "scale":
             kwargs["c"] = _complex_of(sp["c"])
         elif op == "modulate":
-            kwargs["turns"] = sp["angle_turns"]
+            kwargs["turns"] = _number(sp["angle_turns"], "angle_turns")
         elif op == "product":
             kwargs["b"] = _sequence_from_spec(_spec(sp, "b"))
         return transform_sequence(base, op, **kwargs)
     name = sp["name"]
     if name == "trig_poly":
-        return trig_poly_sequence([(_complex_of(coeff), turns) for coeff, turns in sp["terms"]])
+        return trig_poly_sequence([(_complex_of(coeff), _number(turns, "terms"))
+                                   for coeff, turns in sp["terms"]])
     if name == "constant":
         return named_sequence("constant", value=_complex_of(sp.get("value", 1.0)))
     if name == "cycle_indicator":
@@ -150,10 +151,8 @@ def _sequence_from_spec(sp: dict) -> ModulatingSequence:
 
 
 def _complex_of(v) -> complex:
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        z = complex(float(v[0]), float(v[1]))
-    else:
-        z = complex(float(v), 0.0)
+    re, im = v if isinstance(v, list) and len(v) == 2 else (v, 0.0)
+    z = complex(_number(re, "complex value"), _number(im, "complex value"))
     if not cmath.isfinite(z):
         raise ConfigError(f"complex value {v!r} is not finite")
     return z
@@ -165,14 +164,38 @@ def _flag(p: dict, key: str, default: bool) -> bool:
     return value
 
 
+def _number(value, key: str) -> float:
+    """The config value of `key` as a float: a JSON number, not a boolean or a string.
+    The callers check its range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str) -> int:
+    """`_number`, and a whole one (1e5 is 100000)."""
+    if not _number(value, key).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(values, key: str, each=_number) -> list:
+    """`each` of every item of the list `values`."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return [each(v, key) for v in values]
+
+
 def _system_from_spec(sp: dict):
-    return make_system(sp["kind"], angle_turns=sp.get("angle_turns", "sqrt2"))
+    angle = sp.get("angle_turns", "sqrt2")
+    return make_system(sp["kind"],
+                       angle_turns=angle if angle == "sqrt2" else _number(angle, "angle_turns"))
 
 
 def _observable_from_spec(sp: dict, sys_kind: str):
     kind = sp.get("kind")
     if kind == "rotation_character":
-        return rotation_character(int(sp.get("m", 1)))
+        return rotation_character(_integer(sp.get("m", 1), "m"))
     if kind == "raised_cosine":
         return rotation_raised_cosine()
     if kind == "cycle_step":
@@ -180,7 +203,8 @@ def _observable_from_spec(sp: dict, sys_kind: str):
     if kind == "indicator_A":
         return cycle_indicator_observable()
     if kind == "torus_character":
-        return torus_character(int(sp.get("p", 1)), int(sp.get("q", 0)))
+        return torus_character(_integer(sp.get("p", 1), "p"),
+                               _integer(sp.get("q", 0), "q"))
     if kind == "constant":
         return constant_observable(sys_kind, _complex_of(sp.get("value", 1.0)))
     raise ConfigError(f"unknown observable kind {kind!r}")
@@ -220,9 +244,12 @@ def _run_rates(cfg: ExperimentConfig, out: Path) -> dict:
     seq = _sequence_from_spec(_spec(p, "sequence", {"name": "hardy_littlewood"}))
     klass = p.get("class", "a_alpha")
     klass = {"A": "a_alpha", "A-plain": "a_alpha_plain", "M": "m_alpha"}.get(klass, klass)
-    schedule = tuple(int(n) for n in p.get("schedule", [2**j for j in range(8, 16)]))
-    rp = RateParams(alpha=float(p.get("alpha", 1.5)), beta=float(p.get("beta", 0.5)),
-                    schedule=schedule, grid_order=p.get("grid_order"))
+    schedule = tuple(_numbers(p.get("schedule", [2**j for j in range(8, 16)]), "schedule",
+                              _integer))
+    grid_order = p.get("grid_order")
+    rp = RateParams(alpha=_number(p.get("alpha", 1.5), "alpha"),
+                    beta=_number(p.get("beta", 0.5), "beta"), schedule=schedule,
+                    grid_order=None if grid_order is None else _integer(grid_order, "grid_order"))
     report = rate_report(seq, klass, rp)
     parseval = parseval_holder_check(seq, schedule[0], 4 * schedule[0] + 1)
     with open(out / "ratios.csv", "w") as fh:
@@ -237,7 +264,8 @@ def _run_transform(cfg: ExperimentConfig, out: Path) -> dict:
     sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
     seq = _sequence_from_spec(_spec(p, "sequence", {"name": "sparse_dyadic"}))
     obs = _observable_from_spec(_spec(p, "observable", {"kind": "rotation_character"}), sys_.kind)
-    checkpoints = as_checkpoints(p.get("checkpoints", default_checkpoints(1 << 14)))
+    checkpoints = as_checkpoints(_numbers(p.get("checkpoints", default_checkpoints(1 << 14)),
+                                          "checkpoints", _integer))
     x0 = sys_.default_point()
     [trace] = orbit_traces([seq], orbit_pairs(sys_, obs, [x0], checkpoints[-1]), checkpoints,
                            with_abel=_flag(p, "with_abel", True))
@@ -250,14 +278,15 @@ def _run_transform(cfg: ExperimentConfig, out: Path) -> dict:
     if "maximal" in p:
         m = _spec(p, "maximal")
         result["maximal"] = maximal_and_weak11(
-            seq, sys_, obs, [float(x) for x in m.get("lambdas", [0.5, 1, 2, 4])],
-            int(m.get("N", 1 << 14)), int(m.get("sample_count", 512)), cfg.seed)
+            seq, sys_, obs, _numbers(m.get("lambdas", [0.5, 1, 2, 4]), "lambdas"),
+            _integer(m.get("N", 1 << 14), "N"),
+            _integer(m.get("sample_count", 512), "sample_count"), cfg.seed)
     return result
 
 
 def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
     p = cfg.params
-    N = int(float(p.get("N", 1e5)))
+    N = _integer(p.get("N", 100_000), "N")
     convention = p.get("convention", "symmetric")
     conventions = ("symmetric", "signed") if convention == "both" else (convention,)
     sys_ = make_system("three_cycle")
@@ -290,8 +319,8 @@ def _run_prop27(cfg: ExperimentConfig, out: Path) -> dict:
         hm = inverse_linear_majorant()
     else:
         raise ConfigError(f"unknown majorant {h_name!r}")
-    K = int(p.get("K", 20))
-    env = build_envelope(hm, K, M=p.get("M"))
+    K, M = _integer(p.get("K", 20), "K"), p.get("M")
+    env = build_envelope(hm, K, M=None if M is None else _number(M, "M"))
     conditions = verify_envelope_conditions(env, hm)
     result = {
         "envelope": env.to_dict(),
@@ -305,9 +334,10 @@ def _run_prop27(cfg: ExperimentConfig, out: Path) -> dict:
     }
     if "evaluate" in p:
         ev = _spec(p, "evaluate")
-        xs = np.linspace(float(ev.get("x_lo", 0.5)), float(ev.get("x_hi", 5.78)),
-                         int(ev.get("x_count", 20)))
-        tol = float(ev.get("tol", 1e-6))
+        xs = np.linspace(_number(ev.get("x_lo", 0.5), "x_lo"),
+                         _number(ev.get("x_hi", 5.78), "x_hi"),
+                         _integer(ev.get("x_count", 20), "x_count"))
+        tol = _number(ev.get("tol", 1e-6), "tol")
         rows = evaluate_g(env, xs, tol)
         with open(out / "g_eval.csv", "w") as fh:
             fh.write("x,g,tail_bound,s_n_direct\n")
@@ -323,7 +353,8 @@ def _run_prop27(cfg: ExperimentConfig, out: Path) -> dict:
         usable = sum(1 for b in env.practical_breakpoints(1 << 16) if b >= 1) - 1
         result["l1_profile"] = kernel_series_l1_profile(env, max_terms=max(1, usable))
     if "modulator_N" in p:
-        result["divergent_modulator"] = divergent_modulator_demo(int(float(p["modulator_N"])))
+        result["divergent_modulator"] = divergent_modulator_demo(
+            _integer(p["modulator_N"], "modulator_N"))
     return result
 
 
@@ -333,9 +364,9 @@ def _run_spectral(cfg: ExperimentConfig, out: Path) -> dict:
     rsys = _system_from_spec(_spec(p, "resonance_system")) if "resonance_system" in p else None
     if rsys is not None and rsys.kind == "three_cycle":
         raise ConfigError("resonance_system must be a rotation or the torus_automorphism")
-    n = int(p.get("n", 1 << 12))
-    grid_order = int(p.get("grid_order", 4 * n))
-    est = gamma_and_spectrum(seq, grid_order, n, float(p.get("threshold", 0.1)))
+    n = _integer(p.get("n", 1 << 12), "n")
+    grid_order = _integer(p.get("grid_order", 4 * n), "grid_order")
+    est = gamma_and_spectrum(seq, grid_order, n, _number(p.get("threshold", 0.1), "threshold"))
     result = {"spectrum": est.to_dict()}
     if rsys is not None:
         result["resonance"] = match_resonances(est, rsys)
@@ -347,11 +378,12 @@ def _run_process(cfg: ExperimentConfig, out: Path) -> dict:
     sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
     seq = _sequence_from_spec(_spec(p, "sequence", {"name": "sparse_dyadic"}))
     delta = rotation_raised_cosine() if sys_.kind == "rotation" else constant_observable(sys_.kind, 1.0)
-    F = build_process(sys_, delta, validation_count=int(p.get("validation_count", 1000)),
-                      seed=cfg.seed)
-    r_schedule = [int(r) for r in p.get("r_schedule", [4, 16, 64, 256])]
-    res = process_eht_trace(seq, F, sys_.default_point(),
-                            p.get("checkpoints", default_checkpoints(1 << 13)), r_schedule)
+    F = build_process(sys_, delta, seed=cfg.seed, validation_count=_integer(
+        p.get("validation_count", 1000), "validation_count"))
+    r_schedule = _numbers(p.get("r_schedule", [4, 16, 64, 256]), "r_schedule", _integer)
+    checkpoints = _numbers(p.get("checkpoints", default_checkpoints(1 << 13)), "checkpoints",
+                           _integer)
+    res = process_eht_trace(seq, F, sys_.default_point(), checkpoints, r_schedule)
     res["trace"].to_csv(out / "process_trace.csv")
     payload = {
         "r_schedule": r_schedule,
@@ -359,11 +391,12 @@ def _run_process(cfg: ExperimentConfig, out: Path) -> dict:
                         "bound": row["deviation_bound"]} for row in res["approximants"]],
         "verdict": asdict(res["verdict"]),
     }
-    alpha = float(p.get("seminorm_alpha", 1.5))
-    schedule = tuple(int(n) for n in p.get("seminorm_schedule", [2**j for j in range(8, 14)]))
+    alpha = _number(p.get("seminorm_alpha", 1.5), "seminorm_alpha")
+    schedule = tuple(_numbers(p.get("seminorm_schedule", [2**j for j in range(8, 14)]),
+                              "seminorm_schedule", _integer))
     radii = p.get("truncation_radii")
-    sh = seminorm_and_hilbert(seq, alpha, schedule,
-                              None if radii is None else [int(r) for r in radii])
+    sh = seminorm_and_hilbert(seq, alpha, schedule, None if radii is None else _numbers(
+        radii, "truncation_radii", _integer))
     payload["seminorm"] = asdict(sh["seminorm"])
     payload["hilbert_verdict"] = sh["verdict"].verdict
     if "truncation_experiment" in sh:
@@ -376,10 +409,10 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
     if sys_.kind != "rotation":
         raise ConfigError("sweep experiments run on rotations")
-    obs = rotation_character(int(p.get("m", 1)))
-    n_max = int(float(p.get("n_max", 1e5)))
+    obs = rotation_character(_integer(p.get("m", 1), "m"))
+    n_max = _integer(p.get("n_max", 100_000), "n_max")
     checkpoints = default_checkpoints(n_max, n_min=64)
-    thetas = [-sys_.theta if item == "resonant" else float(item)
+    thetas = [-sys_.theta if item == "resonant" else _number(item, "lambdas_turns")
               for item in p.get("lambdas_turns", ["resonant", 0.17, 0.35, 0.71])]
     rows = wiener_wintner_sweep(sys_, obs, sys_.default_point(), thetas, checkpoints,
                                 symmetric=_flag(p, "symmetric", True))

@@ -70,7 +70,8 @@ class Observable:
     `orbit_coords` (unit complex z, cell indices, or an (r, s) pair of uint64
     lattice arrays) and returns complex values. `norms` carries closed-form
     L1/L2/Linf values when known; `meta` carries structure other modules
-    exploit (character frequency, eigenfunction index).
+    exploit: a rotation observable's finite Fourier series f = sum_m c_m z^m
+    as `"series"` {m: c_m}, a torus character's frequency as `"pq"`.
     """
 
     label: str
@@ -242,22 +243,28 @@ def make_system(kind: str, **params) -> DynamicalSystem:
 
 # ---------------------------------------------------------------- observables
 
+def _power(z, m: int):
+    """z**m for m >= 1, as the character z^m computes it."""
+    return z if m == 1 else z**m  # z**1 takes no fast path; npy_cpow returns z for it
+
+
 def rotation_character(m: int = 1) -> Observable:
     """The eigenfunction z^m, e(m t) at the angle t; eigenvalue e(m theta)."""
     def fn(z: np.ndarray) -> np.ndarray:
-        return z if m == 1 else z**m  # z**1 takes no fast path; npy_cpow returns z for it
+        return _power(z, m)
     return Observable(f"z^{m}", "rotation", fn, {"l1": 1.0, "l2": 1.0, "linf": 1.0},
-                      meta={"m": int(m)})
+                      meta={"series": {int(m): 1}})
 
 
 def rotation_raised_cosine() -> Observable:
-    """Nonnegative observable 1 + cos(2 pi t) = 1 + Re z; mean 1, sup 2."""
+    """Nonnegative observable 1 + cos(2 pi t) = 1 + (z + 1/z)/2; mean 1, sup 2."""
     def fn(z: np.ndarray) -> np.ndarray:
         f = np.add(z.real, 1.0)
         np.maximum(f, 0.0, out=f)  # |z| is 1 only to rounding: keep 0 <= f <= 2
         return np.minimum(f, 2.0, out=f).astype(complex)
     return Observable("1+cos", "rotation", fn,
-                      {"l1": 1.0, "l2": math.sqrt(1.5), "linf": 2.0})
+                      {"l1": 1.0, "l2": math.sqrt(1.5), "linf": 2.0},
+                      meta={"series": {0: 1, 1: 0.5, -1: 0.5}})
 
 
 def cycle_step_observable() -> Observable:
@@ -296,7 +303,8 @@ def constant_observable(sys_kind: str, c: complex = 1.0) -> Observable:
         base = coords[0] if isinstance(coords, tuple) else coords
         return np.full(np.shape(base), cc, dtype=complex)
     return Observable(f"const({cc:.3g})", sys_kind, fn,
-                      {"l1": abs(cc), "l2": abs(cc), "linf": abs(cc)})
+                      {"l1": abs(cc), "l2": abs(cc), "linf": abs(cc)},
+                      meta={"series": {0: cc}} if sys_kind == "rotation" else {})
 
 
 # ----------------------------------------------------------------- operations
@@ -312,6 +320,12 @@ def _check_anchor_range(sys: DynamicalSystem, x0, N: int) -> None:
     """The exact-angle guard for the orbit of radius N around x0, raised before any allocation."""
     if isinstance(sys, Rotation):
         _check_index_range(N + abs(x0.shift))
+
+
+def _check_points(sys: DynamicalSystem, f: Observable, points: Sequence, N: int) -> None:
+    _check_orbit_request(sys, f, N)
+    for p in points:
+        _check_anchor_range(sys, p, N)
 
 
 def orbit_values(sys: DynamicalSystem, f: Observable, x0, N: int) -> np.ndarray:
@@ -338,9 +352,7 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
     `orbit_coords`'s at every k. Every point is
     validated here, before the first block, the exact-angle range included.
     """
-    _check_orbit_request(sys, f, N)
-    for p in points:
-        _check_anchor_range(sys, p, N)
+    _check_points(sys, f, points, N)
     if isinstance(sys, TorusAutomorphism):
         def torus_pairs(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             fib = _fibonacci(2 * (hi - lo) + 1)
@@ -375,6 +387,51 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
             yield tuple(np.asarray(f.coord_fn(np.multiply(row, anchors[i : i + 1])), dtype=complex)
                         for row in rows)
     return rotation_pairs
+
+
+def _orbit_basis(sys: DynamicalSystem, f: Observable, points: Sequence, N: int
+                 ) -> tuple[Callable[[int, int], Iterator[tuple[np.ndarray, np.ndarray]]], list]:
+    """The basis traces of the points' orbits: (rows, combos), f(T^k p_i) = sum w v_k
+    over the terms (b, w) of combos[i], v_k the values of trace b.
+
+    `rows(lo, hi)` yields one pair (v_k, v_{-k}), k = lo+1..hi, per trace, as
+    `orbit_pairs` does. On a rotation, an observable that declares its series
+    f(z) = sum_m c_m z^m has one trace per frequency m with c_m != 0, shared
+    by every point: the shared rows e(+-k theta) to the power |m| (`_power`;
+    the two rows trade places for m < 0, and are the scalar 1.0 for m = 0),
+    with the weight c_m z0^m for the point's coordinate z0 = e(t0) e(shift
+    theta), conj(z0) standing for 1/z0 on the unit circle. No index m k is
+    formed, so only |k + shift| meets the exact-angle range. Otherwise (no
+    declared series, or no term c_m != 0) each distinct orbit is its own
+    trace, with weight None (taken as is): one per point, or one per cell
+    (cell0 + shift) % 3 on the 3-cycle. Every point is validated here,
+    before the first block.
+    """
+    series = f.meta.get("series", {}) if isinstance(sys, Rotation) else {}
+    terms = [(m, c) for m, c in series.items() if c != 0]  # no weight 0 meets a NaN or inf
+    if not terms:
+        keys = [CyclePoint((p.cell0 + p.shift) % 3) if isinstance(sys, ThreeCycle) else p
+                for p in points]
+        trace = {key: b for b, key in enumerate(dict.fromkeys(keys))}
+        return orbit_pairs(sys, f, list(trace), N), [((trace[key], None),) for key in keys]
+    _check_points(sys, f, points, N)
+    combos = []
+    for p, z in zip(points, _anchor_phases(points).tolist()):
+        if p.shift:  # e(0 theta) is 1 exactly
+            z *= complex(sys.phases(np.array([p.shift]))[0])
+        combos.append(tuple(
+            (b, c * (1 if m == 0 else _power(z if m > 0 else z.conjugate(), abs(m))))
+            for b, (m, c) in enumerate(terms)))
+
+    def series_pairs(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        pos, neg = sys.phases(ks), sys.phases(-ks)
+        for m, _ in terms:
+            if m == 0:
+                yield 1.0, 1.0  # z^0: a_k 1.0 is a_k exactly, with no row of ones
+            else:
+                yield tuple(_power(row, abs(m)) for row in ((pos, neg) if m > 0 else (neg, pos)))
+    return series_pairs, combos
 
 
 def array_pairs(arrays: Sequence[np.ndarray]

@@ -19,7 +19,7 @@ import csv
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
@@ -32,6 +32,7 @@ from .dynamics import (
     Observable,
     _check_anchor_range,
     _check_orbit_request,
+    _orbit_basis,
     array_pairs,
     lattice_orbit,
     orbit_pairs,
@@ -147,19 +148,21 @@ def _numerators(weights: tuple[np.ndarray, np.ndarray], vpos: np.ndarray, vneg: 
     return np.subtract(out, np.multiply(neg, vneg, out=scratch), out=out)
 
 
-def _numerator_blocks(seqs: Sequence[ModulatingSequence], rows: Callable
+def _numerator_blocks(seqs: Sequence[ModulatingSequence], rows: Callable,
+                      buffers: _Buffers | None = None
                       ) -> Callable[[int, int], Iterator[np.ndarray]]:
     """A function (lo, hi) -> d_k for k = lo+1..hi of every sequence against every row, row-major.
 
     Per block a_{+-k} of each sequence is evaluated once (`pair_values`) and
     the rows of `rows(lo, hi)` are read one at a time; each d_k is written
-    into one buffer of the stream, to be used before the next comes. a_0 is
+    into the buffer "d" of the stream's `buffers` (the caller's when given),
+    with "scratch" beside it, to be used before the next comes. a_0 is
     flag-checked here, so blocks covering 1..n check `range_values(n)`'s
     flags. Every block must yield as many rows as the first.
     """
     for a in seqs:
         a.pair_values(np.zeros(1, dtype=np.int64))
-    first_rows, buffers = math.inf, _Buffers()
+    first_rows, buffers = math.inf, _Buffers() if buffers is None else buffers
 
     def block(lo: int, hi: int) -> Iterator[np.ndarray]:
         nonlocal first_rows
@@ -376,13 +379,20 @@ def maximal_and_weak11(a: ModulatingSequence, sys: DynamicalSystem, f: Observabl
     For each threshold lam, `empirical_tail` is the sampled measure of
     {x : sup_n |H_n(x)| > lam} and `bound_ratio` is tail * lam / ||f||_1.
     The ratios are reported, never asserted against a theoretical constant.
+    The sups come from `_maximal_sups`; `basis_traces` counts the traces
+    they were formed from (`_orbit_basis`). A shared trace can overflow
+    where no point's own sums do, so then the points' own traces decide.
     """
     if N < 1:
         raise ValueError(f"maximal radius N must be >= 1, got {N}")
     if not all(math.isfinite(lam) for lam in lambdas):
         raise ValueError(f"maximal thresholds must be finite, got {list(lambdas)}")
     norm1 = f.norm("l1")
-    sups = _maximal_sups(a, sys, f, sample_points(sys, sample_count, seed), N)
+    points = sample_points(sys, sample_count, seed)
+    sups = _maximal_sups(a, sys, f, points, N)
+    if not np.isfinite(sups).all() and "series" in f.meta:
+        f = replace(f, meta={})
+        sups = _maximal_sups(a, sys, f, points, N)
     if not np.isfinite(sups).all():
         raise OverflowError("the partial sums H_n overflow to non-finite values")
     rows = []
@@ -390,31 +400,52 @@ def maximal_and_weak11(a: ModulatingSequence, sys: DynamicalSystem, f: Observabl
         tail = float(np.mean(sups > lam))
         rows.append({"lambda": float(lam), "empirical_tail": tail,
                      "bound_ratio": tail * float(lam) / norm1 if norm1 > 0 else 0.0})
+    traces = {b for combo in _orbit_basis(sys, f, points, N)[1] for b, _ in combo}
     return {"N": N, "sample_count": sample_count, "f_l1": norm1, "tails": rows,
+            "basis_traces": len(traces),
             "sup_quantiles": [float(q) for q in np.quantile(sups, [0.0, 0.5, 0.9, 1.0])]}
 
 
 def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, points,
                   N: int) -> np.ndarray:
-    """max_{1<=n<=N} |H_n(p)| for each point p, streamed in blocks of k.
+    """max_{1<=n<=N} |H_n(p)| for each point p, from the basis traces of `_orbit_basis`
+    streamed in blocks of k.
 
-    Each point's carried prefix H_lo is added into its first term of the
-    block, so the sequential `np.cumsum` gives bitwise the whole-row prefix
-    sums; the running `np.maximum` keeps a NaN, as one whole-row max does.
-    The terms are d_k fl(1/k) (`_reciprocals`), as in `orbit_traces`.
+    A trace's terms are d_k fl(1/k) (`_reciprocals`), as in `orbit_traces`;
+    its carried prefix is added into its first term of the block, so the
+    sequential `np.cumsum` gives bitwise its whole-row prefix sums. A point
+    that is its own trace takes that trace's sups, bitwise a per-point
+    loop's. A point on shared traces forms H_n = sum w P_n over its terms
+    (w, P) in one reused buffer, so no orbit row, numerator or cumsum is
+    made per point; H_n and w P_n take the numerators' two buffers, which
+    are free once the block's traces are formed. The running `np.maximum`
+    keeps a NaN, as one whole-row max does.
     """
-    numerators = _numerator_blocks([a], orbit_pairs(sys, f, points, N))
-    buffers, prefix = _Buffers(), np.zeros(len(points), dtype=complex)
+    rows, combos = _orbit_basis(sys, f, points, N)
+    buffers, prefix = _Buffers(), defaultdict(complex)
+    numerators = _numerator_blocks([a], rows, buffers)
+    shared = {b for combo in combos for b, w in combo if w is not None}
     sups, block_sups = np.full(len(points), -np.inf), np.empty(len(points))
     with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects a non-finite sup
         for lo, hi in term_blocks(N):
             inv, mags = _reciprocals(buffers, lo, hi), buffers("mags", hi - lo, float)
-            for i, terms in enumerate(numerators(lo, hi)):
-                np.multiply(terms, inv, out=terms)
-                terms[0] += prefix[i]
-                np.cumsum(terms, out=terms)
-                prefix[i] = terms[-1]
-                block_sups[i] = np.abs(terms, out=mags).max()
+            traces = []  # a shared trace's prefix sums, or the block sup of an own one
+            for b, terms in enumerate(numerators(lo, hi)):
+                # a shared trace's sums are a new array: made after the block's evaluations,
+                # so that these reuse the memory of the last block's sums
+                P = np.multiply(terms, inv, out=None if b in shared else terms)
+                P[0] += prefix[b]
+                np.cumsum(P, out=P)
+                prefix[b] = P[-1]
+                traces.append(P if b in shared else np.abs(P, out=mags).max())
+            for i, ((b, w), *rest) in enumerate(combos):
+                if w is None:
+                    block_sups[i] = traces[b]
+                    continue
+                H = np.multiply(traces[b], w, out=buffers("d", hi - lo))
+                for b, w in rest:
+                    H += np.multiply(traces[b], w, out=buffers("scratch", hi - lo))
+                block_sups[i] = np.abs(H, out=mags).max()
             np.maximum(sups, block_sups, out=sups)
     return sups
 
@@ -447,9 +478,10 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
     """||S_j - S_{-j}||_2 estimated from orbits versus its spectral closed form.
 
     S_{+-j} = sum_{i=1}^j a_{+-i} f o T^{+-i}. For a rotation eigenfunction
-    with eigenvalue phi the difference has constant pointwise modulus and the
-    closed form is |sum_{i<=j} (a_i phi^i - a_{-i} phi^-i)| * ||f||_2 (the
-    one-sided case reduces to |sum_{1<=|k|<=j} a_k phi^k|). For a torus
+    z^m (its declared series is the one term {m: 1}) with eigenvalue phi the
+    difference has constant pointwise modulus and the closed form is
+    |sum_{i<=j} (a_i phi^i - a_{-i} phi^-i)| * ||f||_2 (the one-sided case
+    reduces to |sum_{1<=|k|<=j} a_k phi^k|). For a torus
     character the spectral measure is Lebesgue and the closed form is
     (sum_{1<=|k|<=j} |a_k|^2)^(1/2), and the L2 value is the exact lattice
     quadrature: on an L x L lattice large enough that the shifted frequencies
@@ -461,8 +493,9 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
     jmax = j_schedule[-1]
     ends = np.asarray(j_schedule)
 
-    if isinstance(sys, Rotation) and "m" in f.meta:
-        m = int(f.meta["m"])
+    series = f.meta.get("series", {})
+    if isinstance(sys, Rotation) and len(series) == 1 and list(series.values()) == [1]:
+        [m] = series  # f = z^m: the eigenfunction's frequency, from its declared series
         orbits = orbit_pairs(sys, f, sample_points(sys, sample_count, seed), jmax)
 
         def rows(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

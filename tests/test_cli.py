@@ -89,6 +89,38 @@ def test_config_schema_validation():
     assert cfg.seed is None
 
 
+def _not_numbers():
+    """(config, key) pairs whose value for key is a boolean, a string or a fraction where
+    the config wants a number or a size."""
+    maximal = lambda **kw: {"kind": "transform", "seed": 1, "params": {
+        "checkpoints": [64], "maximal": {"N": 64, "sample_count": 2, **kw}}}
+    sweep = lambda **kw: {"kind": "sweep", "params": {"n_max": 256, **kw}}
+    prop27 = lambda **kw: {"kind": "prop27", "params": {"h": "inverse-linear", "K": 10, **kw}}
+    modulate = lambda turns: {"op": "modulate", "angle_turns": turns, "base": {"name": "constant"}}
+    return ((maximal(N=True), "N"), (maximal(sample_count=True), "sample_count"),
+            (maximal(lambdas=[True]), "lambdas"), (maximal(N=64.5), "N"),
+            (maximal(lambdas="1"), "lambdas"),
+            (sweep(lambdas_turns=[True, 0.25]), "lambdas_turns"),
+            (sweep(lambdas_turns=["0.25"]), "lambdas_turns"), (sweep(n_max=True), "n_max"),
+            (sweep(system={"kind": "rotation", "angle_turns": True}), "angle_turns"),
+            (sweep(m=True), "m"),
+            ({"kind": "counterexample", "params": {"N": True}}, "N"),
+            ({"kind": "counterexample", "params": {"N": "1e5"}}, "N"),
+            (prop27(K=True), "K"), (prop27(M=True), "M"),
+            (prop27(modulator_N=True), "modulator_N"),
+            (prop27(evaluate={"x_count": True}), "x_count"),
+            (prop27(evaluate={"tol": True}), "tol"), (prop27(evaluate={"x_lo": "0.5"}), "x_lo"),
+            ({"kind": "rates", "params": {"schedule": [True, 64]}}, "schedule"),
+            ({"kind": "rates", "params": {"alpha": True}}, "alpha"),
+            ({"kind": "rates", "params": {"beta": True}}, "beta"),
+            ({"kind": "spectral", "params": {"n": 64, "sequence": modulate(True)}}, "angle_turns"),
+            ({"kind": "spectral", "params": {"n": 64, "sequence": {
+                "name": "trig_poly", "terms": [[1, True]]}}}, "terms"),
+            ({"kind": "spectral", "params": {"n": 64, "threshold": True}}, "threshold"),
+            ({"kind": "spectral", "params": {"n": 64, "sequence": {
+                "name": "constant", "value": True}}}, "complex value"))
+
+
 def test_cli_bad_config_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "rates", "mystery": True}))
@@ -188,7 +220,8 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
         assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2, with_abel
         assert capsys.readouterr().err == ("config error: the partial sums H_n overflow to "
                                            "non-finite values\n")
-    # the config's booleans take JSON true and false only, and its seed an integer only
+    # the config's booleans take JSON true and false only, its seed an integer only, and
+    # its numbers JSON numbers only (sizes whole ones)
     for raw, key in (({"kind": "transform", "seed": 1,
                        "params": {"checkpoints": [64], "with_abel": "false"}}, "with_abel"),
                      ({"kind": "sweep", "params": {"n_max": 256, "symmetric": "false"}},
@@ -196,7 +229,7 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
                      ({"kind": "prop27", "params": {"h": "inverse-linear", "K": 10,
                                                     "l1_profile": 1}}, "l1_profile"),
                      ({"kind": "transform", "seed": True, "params": {"checkpoints": [64]}},
-                      "seed")):
+                      "seed")) + _not_numbers():
         bad.write_text(json.dumps(raw))
         assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2, raw
         err = capsys.readouterr().err

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -341,15 +342,72 @@ def test_maximal_sparse_on_rotation_recorded():
     assert all(np.isfinite(r) for r in ratios)  # recorded, not asserted
 
 
+def _reference_terms(a, sys_, f, p, N):
+    """The per-sample loop's terms d_k / k, k = 1..N: one fresh orbit and fresh weight slices."""
+    orbit = orbit_values(sys_, f, p, N)
+    avals = a.range_values(N)
+    d = avals[N + 1 :] * orbit[N + 1 :] - avals[N - 1 :: -1] * orbit[N - 1 :: -1]
+    return d / np.arange(1, N + 1, dtype=float)
+
+
 def _reference_sups(a, sys_, f, pts, N):
-    """The per-sample loop: one fresh orbit and fresh weight slices per point."""
+    """The per-sample loop: max |np.cumsum| of each point's own terms."""
+    return np.array([float(np.max(np.abs(np.cumsum(_reference_terms(a, sys_, f, p, N)))))
+                     for p in pts])
+
+
+def _fsum_prefixes(xs):
+    """math.fsum(xs[:n]) for n = 1..len(xs), from Shewchuk's exact partials grown term by term."""
+    partials, out = [], []
+    for x in xs:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        out.append(math.fsum(partials))
+    return np.array(out)
+
+
+def _fsum_sups(a, sys_, f, pts, N):
+    """max_n |H_n| of each point, with its terms' prefix sums correctly rounded (`math.fsum`)."""
     sups = []
     for p in pts:
-        orbit = orbit_values(sys_, f, p, N)
-        avals = a.range_values(N)
-        d = avals[N + 1 :] * orbit[N + 1 :] - avals[N - 1 :: -1] * orbit[N - 1 :: -1]
-        sups.append(float(np.max(np.abs(np.cumsum(d / np.arange(1, N + 1, dtype=float))))))
+        t = _reference_terms(a, sys_, f, p, N)
+        sups.append(float(np.max(np.abs(_fsum_prefixes(t.real) + 1j * _fsum_prefixes(t.imag)))))
     return np.array(sups)
+
+
+def _series_sup_bound(a, f, N):
+    """A bound on |sup_n |H_n| - the fsum reference's| for the shared-trace route on a rotation.
+
+    With u = 2^-53, S = sum |c_m| >= ||f||_inf over the declared series, M = max(1, |m|)
+    and W = sum_{k<=N} (|a_k| + |a_{-k}|) / k, every term of each frequency trace is
+    at most (|a_k| + |a_{-k}|) / k (1 + O(M u)):
+    - each trace's prefix is one sequential cumsum, within gamma_{N-1} = (N - 1) u /
+      (1 - (N - 1) u) <= N u of its terms' sum times the sum of their moduli (per component,
+      then Minkowski), so the weighted traces carry at most N u S W;
+    - a term of either side is within 64 M u S (|a_k| + |a_{-k}|) / k of the exact term:
+      24 u of the phase kernel per factor e(k theta) and e(shift theta) of z^m, sqrt(5) u per
+      complex product (anchor, powers, weights, a_k v_k), u per sum or difference, fl(1/k);
+    - the combination sum_m w_m P_m (a product and a sum per term), |.| and the reference's
+      correctly rounded fsum add at most 8 u S W.
+    So the sups differ by at most u S W (N + 8 + 128 M) <= u S W (N + 136 M), of which N is
+    the worst case of the sequential sums; it is derived from the arithmetic above, not
+    fitted to the data.
+    """
+    series = f.meta["series"]
+    S = sum(abs(c) for c in series.values())
+    M = max(1, *(abs(m) for m in series))
+    avals = np.abs(a.range_values(N))
+    W = math.fsum((avals[N + 1 :] + avals[N - 1 :: -1]) / np.arange(1, N + 1))
+    return 2.0**-53 * S * W * (N + 136 * M)
 
 
 @pytest.mark.parametrize("system, observable, seq", [
@@ -359,24 +417,37 @@ def _reference_sups(a, sys_, f, pts, N):
     ("torus_automorphism", torus_character(1, 2), "hardy_littlewood"),
 ])
 def test_maximal_sups_match_per_sample_loop_bitwise(system, observable, seq, monkeypatch):
+    # the 3-cycle and the torus are bitwise the per-sample loop; a rotation's declared
+    # series sums shared frequency traces instead, within a derived bound of math.fsum
     sys_ = make_system(system)
     a = named_sequence(seq)
     N, count, seed = 3000, 40, 8
     pts = sample_points(sys_, count, seed)
     if system == "rotation":
         pts.append(RotationPoint(0.3, shift=-23))  # off the shared turn table
-    elif system == "torus_automorphism":
-        pts += [TorusPoint(3 << 47, 7 << 47), TorusPoint((1 << 53) - 1, 1)]
-    ref = _reference_sups(a, sys_, observable, pts, N)
+        ref, tol = _fsum_sups(a, sys_, observable, pts, N), _series_sup_bound(a, observable, N)
+    else:
+        if system == "torus_automorphism":
+            pts += [TorusPoint(3 << 47, 7 << 47), TorusPoint((1 << 53) - 1, 1)]
+        ref, tol = _reference_sups(a, sys_, observable, pts, N), None
     for block_terms in (numerics._BLOCK_TERMS, 512):  # one block, then six, the last partial
         monkeypatch.setattr(numerics, "_BLOCK_TERMS", block_terms)
         got = _maximal_sups(a, sys_, observable, pts, N)
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        if tol is None:
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        else:
+            assert np.max(np.abs(got - ref)) <= tol
     out = maximal_and_weak11(a, sys_, observable, [0.5, 1.0, 2.0], N, count, seed)
-    ref = ref[:count]
-    assert out["sup_quantiles"] == [float(q) for q in np.quantile(ref, [0.0, 0.5, 0.9, 1.0])]
+    ref, want = ref[:count], {"rotation": len(observable.meta.get("series", ())),
+                              "three_cycle": 3}.get(system, count)
+    quantiles = [float(q) for q in np.quantile(ref, [0.0, 0.5, 0.9, 1.0])]
+    if tol is None:
+        assert out["sup_quantiles"] == quantiles
+    else:
+        assert np.max(np.abs(np.subtract(out["sup_quantiles"], quantiles))) <= tol
     assert [row["empirical_tail"] for row in out["tails"]] == [
         float(np.mean(ref > lam)) for lam in (0.5, 1.0, 2.0)]
+    assert out["basis_traces"] == want
 
 
 def test_maximal_sups_keep_a_nan(monkeypatch):
@@ -393,6 +464,45 @@ def test_maximal_sups_keep_a_nan(monkeypatch):
     assert np.isnan(ref[0]) and np.isfinite(ref[1])
     got = _maximal_sups(a, rot, f, pts, 3000)
     assert np.isnan(got[0]) and got[1] == ref[1]
+
+
+def test_series_route_never_evaluates_the_observable():
+    # a rotation observable with a declared series is summed from the shared frequency
+    # traces: its coord_fn is never called, and no index m k meets the exact-angle range
+    def boom(z):
+        raise AssertionError("coord_fn called on the series route")
+    rot = make_system("rotation", angle_turns="sqrt2")
+    a = named_sequence("hardy_littlewood")
+    pts = sample_points(rot, 8, seed=2) + [RotationPoint(0.3, shift=-23)]
+    for f in (rotation_raised_cosine(), rotation_character(3), rotation_character(-2),
+              dynamics.constant_observable("rotation", 0.5 - 0.25j)):
+        blind = replace(f, coord_fn=boom)
+        got = _maximal_sups(a, rot, blind, pts, 1000)
+        ref = _fsum_sups(a, rot, f, pts, 1000)
+        assert np.max(np.abs(got - ref)) <= _series_sup_bound(a, f, 1000), f.label
+        out = maximal_and_weak11(a, rot, blind, [1.0], 1000, 8, seed=2)
+        assert out["basis_traces"] == len(f.meta["series"])
+    # m N = 5000 * 2^15 is beyond 2^27, but each index is |k| <= N; the reference here
+    # is the per-sample np.cumsum, a sequential sum too, so the bound counts that twice
+    f, N = rotation_character(5000), 1 << 15
+    assert 5000 * N >= numerics.MAX_PHASE_INDEX
+    got = _maximal_sups(a, rot, replace(f, coord_fn=boom), pts[:2], N)
+    ref = _reference_sups(a, rot, f, pts[:2], N)
+    assert np.max(np.abs(got - ref)) <= 2 * _series_sup_bound(a, f, N)
+
+
+def test_overflowing_shared_traces_leave_the_points_own_sums_to_decide():
+    # a_{+-k} near 1.5e308 against f = 1e-10: the frequency-0 trace sums a_k - a_{-k},
+    # which overflows, while every point's own terms 1e-10 (a_k - a_{-k}) stay finite
+    rot = make_system("rotation", angle_turns="sqrt2")
+    a = transform_sequence(named_sequence("hardy_littlewood"), "scale", c=1.5e308)
+    f = dynamics.constant_observable("rotation", 1e-10)
+    pts = sample_points(rot, 4, seed=1)
+    assert not np.isfinite(_maximal_sups(a, rot, f, pts, 64)).all()
+    out = maximal_and_weak11(a, rot, f, [1e297], 64, 4, seed=1)
+    ref = _reference_sups(a, rot, f, pts, 64)
+    assert out["sup_quantiles"] == [float(q) for q in np.quantile(ref, [0.0, 0.5, 0.9, 1.0])]
+    assert out["basis_traces"] == 4
 
 
 def test_maximal_sups_stay_small_in_memory():
@@ -707,6 +817,7 @@ def test_streamed_paths_keep_the_exact_angle_guard(monkeypatch):
         lambda: wiener_wintner_sweep(rot, f, RotationPoint(0.3, shift=-1), [0.25], (63,), False),
         lambda: _streamed([a], rot, f, [RotationPoint(0.3), RotationPoint(0.3, shift=-60)],
                           (2, 4)),
+        lambda: _maximal_sups(a, rot, f, [RotationPoint(0.3), RotationPoint(0.3, shift=-60)], 4),
     ]
     for case in cases:
         with pytest.raises(ValueError, match="exact-angle range"):
