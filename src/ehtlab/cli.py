@@ -239,7 +239,14 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 # --------------------------------------------------------------- experiments
 
-def _run_rates(cfg: ExperimentConfig, out: Path) -> dict:
+class _Rows(list):
+    """A CSV table: rows of Python strings and numbers, the header first; a cell is its str."""
+
+    def to_csv(self, path: Path) -> None:
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in self))
+
+
+def _run_rates(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
     seq = _sequence_from_spec(_spec(p, "sequence", {"name": "hardy_littlewood"}))
     klass = p.get("class", "a_alpha")
@@ -252,39 +259,37 @@ def _run_rates(cfg: ExperimentConfig, out: Path) -> dict:
                     grid_order=None if grid_order is None else _integer(grid_order, "grid_order"))
     report = rate_report(seq, klass, rp)
     parseval = parseval_holder_check(seq, schedule[0], 4 * schedule[0] + 1)
-    with open(out / "ratios.csv", "w") as fh:
-        fh.write("n,ratio\n")
-        for n, r in zip(report.schedule, report.ratios):
-            fh.write(f"{n},{r!r}\n")
-    return {"rate_report": asdict(report), "parseval_check_at_min_n": parseval}
+    return ({"rate_report": asdict(report), "parseval_check_at_min_n": parseval},
+            {"ratios.csv": _Rows([("n", "ratio"), *zip(report.schedule, report.ratios)])})
 
 
-def _run_transform(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_transform(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
     sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
     seq = _sequence_from_spec(_spec(p, "sequence", {"name": "sparse_dyadic"}))
     obs = _observable_from_spec(_spec(p, "observable", {"kind": "rotation_character"}), sys_.kind)
     checkpoints = as_checkpoints(_numbers(p.get("checkpoints", default_checkpoints(1 << 14)),
                                           "checkpoints", _integer))
+    with_abel = _flag(p, "with_abel", True)
+    if "maximal" in p:
+        m = _spec(p, "maximal")
+        maximal = (_numbers(m.get("lambdas", [0.5, 1, 2, 4]), "lambdas"),
+                   _integer(m.get("N", 1 << 14), "N"),
+                   _integer(m.get("sample_count", 512), "sample_count"))
     x0 = sys_.default_point()
     [trace] = orbit_traces([seq], orbit_pairs(sys_, obs, [x0], checkpoints[-1]), checkpoints,
-                           with_abel=_flag(p, "with_abel", True))
-    trace.to_csv(out / "trace.csv")
+                           with_abel=with_abel)
     verdict = make_convergence_verdict(checkpoints, trace.H_values)
     averages = cesaro_average_trace(seq, sys_, obs, x0, checkpoints)
     result = {"verdict": asdict(verdict), "checkpoints": list(checkpoints),
               "H_final": complex(trace.H_values[-1]),
               "cesaro_average_final_abs": float(abs(averages[-1]))}
     if "maximal" in p:
-        m = _spec(p, "maximal")
-        result["maximal"] = maximal_and_weak11(
-            seq, sys_, obs, _numbers(m.get("lambdas", [0.5, 1, 2, 4]), "lambdas"),
-            _integer(m.get("N", 1 << 14), "N"),
-            _integer(m.get("sample_count", 512), "sample_count"), cfg.seed)
-    return result
+        result["maximal"] = maximal_and_weak11(seq, sys_, obs, *maximal, cfg.seed)
+    return result, {"trace.csv": trace}
 
 
-def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_counterexample(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
     N = _integer(p.get("N", 100_000), "N")
     convention = p.get("convention", "symmetric")
@@ -295,9 +300,9 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
     cells = orbit_pairs(sys_, obs, [CyclePoint(cell) for cell in range(3)], checkpoints[-1])
     traces = orbit_traces([named_sequence("cycle_indicator", convention=conv)
                            for conv in conventions], cells, checkpoints)
-    results = {}
+    results, tables = {}, {}
     for s, conv in enumerate(conventions):
-        traces[s].to_csv(out / f"trace_{conv}.csv")
+        tables[f"trace_{conv}.csv"] = traces[s]
         results[conv] = {
             f"cell_{cell}": {
                 "H_final": complex(trace.H_values[-1]),
@@ -305,10 +310,10 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> dict:
             }
             for cell, trace in enumerate(traces[s :: len(conventions)])  # cell-major
         }
-    return {"N": N, "conventions": results}
+    return {"N": N, "conventions": results}, tables
 
 
-def _run_prop27(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_prop27(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
     h_name = p.get("h", "inverse-log")
     if h_name == "inverse-log":
@@ -320,6 +325,14 @@ def _run_prop27(cfg: ExperimentConfig, out: Path) -> dict:
     else:
         raise ConfigError(f"unknown majorant {h_name!r}")
     K, M = _integer(p.get("K", 20), "K"), p.get("M")
+    if "evaluate" in p:
+        ev = _spec(p, "evaluate")
+        xs = np.linspace(_number(ev.get("x_lo", 0.5), "x_lo"),
+                         _number(ev.get("x_hi", 5.78), "x_hi"),
+                         _integer(ev.get("x_count", 20), "x_count"))
+        tol = _number(ev.get("tol", 1e-6), "tol")
+    l1_profile = _flag(p, "l1_profile", False)
+    modulator_N = _integer(p["modulator_N"], "modulator_N") if "modulator_N" in p else None
     env = build_envelope(hm, K, M=None if M is None else _number(M, "M"))
     conditions = verify_envelope_conditions(env, hm)
     result = {
@@ -332,33 +345,26 @@ def _run_prop27(cfg: ExperimentConfig, out: Path) -> dict:
                 8, [0.5, 1.5, 3.0, 5.0]),
         },
     }
+    tables = {}
     if "evaluate" in p:
-        ev = _spec(p, "evaluate")
-        xs = np.linspace(_number(ev.get("x_lo", 0.5), "x_lo"),
-                         _number(ev.get("x_hi", 5.78), "x_hi"),
-                         _integer(ev.get("x_count", 20), "x_count"))
-        tol = _number(ev.get("tol", 1e-6), "tol")
         rows = evaluate_g(env, xs, tol)
-        with open(out / "g_eval.csv", "w") as fh:
-            fh.write("x,g,tail_bound,s_n_direct\n")
-            for r in rows:
-                fh.write(f"{r['x']!r},{r['g_value']!r},{r['tail_bound']!r},{r['s_n_direct']!r}\n")
+        tables["g_eval.csv"] = _Rows([("x", "g", "tail_bound", "s_n_direct")] + [
+            (r["x"], r["g_value"], r["tail_bound"], r["s_n_direct"]) for r in rows])
         result["evaluate_g"] = {
             "max_two_route_gap": max(r["two_route_gap"] for r in rows),
             "max_first_form_residual": max(r["first_form_residual"] for r in rows),
             "n_direct": rows[0]["n_direct"],
         }
-    if _flag(p, "l1_profile", False):
+    if l1_profile:
         # keep kernel orders resolvable: only breakpoints below 2^16
         usable = sum(1 for b in env.practical_breakpoints(1 << 16) if b >= 1) - 1
         result["l1_profile"] = kernel_series_l1_profile(env, max_terms=max(1, usable))
-    if "modulator_N" in p:
-        result["divergent_modulator"] = divergent_modulator_demo(
-            _integer(p["modulator_N"], "modulator_N"))
-    return result
+    if modulator_N is not None:
+        result["divergent_modulator"] = divergent_modulator_demo(modulator_N)
+    return result, tables
 
 
-def _run_spectral(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_spectral(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
     seq = _sequence_from_spec(_spec(p, "sequence", {"name": "hardy_littlewood"}))
     rsys = _system_from_spec(_spec(p, "resonance_system")) if "resonance_system" in p else None
@@ -370,41 +376,40 @@ def _run_spectral(cfg: ExperimentConfig, out: Path) -> dict:
     result = {"spectrum": est.to_dict()}
     if rsys is not None:
         result["resonance"] = match_resonances(est, rsys)
-    return result
+    return result, {}
 
 
-def _run_process(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_process(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
     sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
     seq = _sequence_from_spec(_spec(p, "sequence", {"name": "sparse_dyadic"}))
-    delta = rotation_raised_cosine() if sys_.kind == "rotation" else constant_observable(sys_.kind, 1.0)
-    F = build_process(sys_, delta, seed=cfg.seed, validation_count=_integer(
-        p.get("validation_count", 1000), "validation_count"))
+    validation_count = _integer(p.get("validation_count", 1000), "validation_count")
     r_schedule = _numbers(p.get("r_schedule", [4, 16, 64, 256]), "r_schedule", _integer)
     checkpoints = _numbers(p.get("checkpoints", default_checkpoints(1 << 13)), "checkpoints",
                            _integer)
+    alpha = _number(p.get("seminorm_alpha", 1.5), "seminorm_alpha")
+    schedule = tuple(_numbers(p.get("seminorm_schedule", [2**j for j in range(8, 14)]),
+                              "seminorm_schedule", _integer))
+    radii = p.get("truncation_radii")
+    radii = None if radii is None else _numbers(radii, "truncation_radii", _integer)
+    delta = rotation_raised_cosine() if sys_.kind == "rotation" else constant_observable(sys_.kind, 1.0)
+    F = build_process(sys_, delta, seed=cfg.seed, validation_count=validation_count)
     res = process_eht_trace(seq, F, sys_.default_point(), checkpoints, r_schedule)
-    res["trace"].to_csv(out / "process_trace.csv")
     payload = {
         "r_schedule": r_schedule,
         "deviations": [{"r": row["r"], "max_deviation": row["max_deviation"],
                         "bound": row["deviation_bound"]} for row in res["approximants"]],
         "verdict": asdict(res["verdict"]),
     }
-    alpha = _number(p.get("seminorm_alpha", 1.5), "seminorm_alpha")
-    schedule = tuple(_numbers(p.get("seminorm_schedule", [2**j for j in range(8, 14)]),
-                              "seminorm_schedule", _integer))
-    radii = p.get("truncation_radii")
-    sh = seminorm_and_hilbert(seq, alpha, schedule, None if radii is None else _numbers(
-        radii, "truncation_radii", _integer))
+    sh = seminorm_and_hilbert(seq, alpha, schedule, radii)
     payload["seminorm"] = asdict(sh["seminorm"])
     payload["hilbert_verdict"] = sh["verdict"].verdict
     if "truncation_experiment" in sh:
         payload["truncation_experiment"] = sh["truncation_experiment"]
-    return payload
+    return payload, {"process_trace.csv": res["trace"]}
 
 
-def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
     sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
     if sys_.kind != "rotation":
@@ -416,21 +421,21 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
               for item in p.get("lambdas_turns", ["resonant", 0.17, 0.35, 0.71])]
     rows = wiener_wintner_sweep(sys_, obs, sys_.default_point(), thetas, checkpoints,
                                 symmetric=_flag(p, "symmetric", True))
-    payload = []
+    payload, tables = [], {}
     for i, row in enumerate(rows):
-        row["trace"].to_csv(out / f"sweep_lambda_{i}.csv")
+        tables[f"sweep_lambda_{i}.csv"] = row["trace"]
         payload.append({
             "theta_turns": row["theta_turns"],
             "verdict": asdict(row["verdict"]),
             "H_final_abs": float(abs(row["trace"].H_values[-1])),
         })
-    return {"n_max": n_max, "per_lambda": payload}
+    return {"n_max": n_max, "per_lambda": payload}, tables
 
 
 class _Kind(NamedTuple):
     """One experiment kind: its runner, the params keys it accepts and its
     `describe` text (a field, not the runner's docstring, which -OO strips)."""
-    run: Callable[[ExperimentConfig, Path], dict]
+    run: Callable[[ExperimentConfig], tuple[dict, dict]]
     params: set[str]
     text: str
     needs_seed: bool = False  # the kind samples points
@@ -444,7 +449,6 @@ Classes: star (prefix |a_k| sums vs n^beta), m_alpha (prefix sums vs
 n^(alpha-1)/log^alpha n), a_alpha (grid sup of two-sided exponential sums,
 log-weighted), a_alpha_plain (same without the log factor), one_sided_sup
 (one-sided sums vs n^(1-beta)), two_sided_raw.
-Params: sequence, class, alpha, beta, schedule, grid_order.
 Output: report.json (schedule, ratios, sup_estimate, fitted_exponent,
 residual, verdict, grid_order) and ratios.csv."""),
     "transform": _Kind(
@@ -453,7 +457,6 @@ residual, verdict, grid_order) and ratios.csv."""),
         """transform: checkpointed weighted orbit sums sum' a_k f(T^k x)/k with the
 summation-by-parts split and a dyadic-window convergence verdict; optional
 maximal-function tail profile over a lambda grid (requires seed).
-Params: sequence, system, observable, checkpoints, with_abel, maximal.
 Orbits start at the system's default point.
 Output: trace.csv (n, re_H, im_H, abel_main, abel_tail), report.json.""", needs_seed=True),
     "counterexample": _Kind(
@@ -464,7 +467,6 @@ which makes the sums on the first cell grow like (2/3) log n, and 'signed'
 (a_{-n} = -1 wherever a_n = 1), whose displayed sums on the first cell
 cancel to zero; convention 'both' runs the pair. Traces are reported for a
 point of each cell.
-Params: N, convention.
 Output: trace_<convention>.csv, report.json with per-cell verdicts."""),
     "prop27": _Kind(
         _run_prop27, {"h", "K", "M", "evaluate", "modulator_N", "l1_profile"},
@@ -476,9 +478,8 @@ n_{k+1} <= 2(n_{k+1}-n_k), (vi) slope wedge s_k < s_{k+1}-s_k < -s_k;
 reports the weighted second-difference partial sums with a geometric tail,
 the positive-kernel integral check (= pi), and optionally the two-route
 evaluation of the limit function g, the L1 profile of the partial kernel
-series against its uniform bound, and the divergent-modulator demo.
-Params: h (inverse-log | inverse-log2 | inverse-linear), K, M, evaluate,
-modulator_N, l1_profile.
+series against its uniform bound, and the divergent-modulator demo. The
+minorant h is inverse-log, inverse-log2 or inverse-linear.
 Output: report.json, g_eval.csv (x, g, tail_bound, s_n_direct)."""),
     "spectral": _Kind(
         _run_spectral, {"sequence", "n", "grid_order", "threshold", "resonance_system"},
@@ -486,7 +487,6 @@ Output: report.json, g_eval.csv (x, g, tail_bound, s_n_direct)."""),
 threshold-plus-refinement atom detection, and optionally collisions of the
 detected atoms with a rotation's eigenvalue powers (which predict divergence
 of the symmetric modulation at the colliding atom).
-Params: sequence, n, grid_order, threshold, resonance_system.
 Output: report.json (n, gamma[{k,re,im}], atoms[{theta, gamma, mass}])."""),
     "process": _Kind(
         _run_process,
@@ -497,8 +497,6 @@ schedule v_r = (1-1/(r+1)) delta, with weighted process sums, truncated
 additive approximants at the given r schedule, deviation bounds, the
 log-weighted seminorm of the modulating sequence, and the truncation
 experiment (requires seed for validation sampling).
-Params: system, sequence, r_schedule, checkpoints, validation_count,
-seminorm_alpha, seminorm_schedule, truncation_radii.
 Output: process_trace.csv, report.json (r_schedule, deviations, seminorm,
 verdict).""", needs_seed=True),
     "sweep": _Kind(
@@ -507,7 +505,6 @@ verdict).""", needs_seed=True),
 lambdas_turns, in turns; 'resonant' selects the negated rotation angle, where
 the symmetric modulation grows like log n; off-resonance entries settle into a
 Cauchy trend. Each row's theta_turns is the angle as configured.
-Params: system, m, lambdas_turns, n_max, symmetric.
 Output: sweep_lambda_<i>.csv per lambda, report.json."""),
 }
 KINDS = tuple(_KINDS)
@@ -516,19 +513,22 @@ KINDS = tuple(_KINDS)
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     """Run one experiment; returns (exit_code, report dict) and writes files.
 
-    A spec the runner cannot turn into objects (a missing field, a value its
+    The runner reads every param before it computes and returns its tables
+    by file name; out_dir is made first and, once the report serializes, the
+    tables and then report.json are written. An unwritable out_dir, a spec
+    the runner cannot turn into objects (a missing field, a value its
     constructor rejects) or a report with a NaN or an infinity, which JSON
-    cannot carry, raises ConfigError; exhausted budgets, horizons and
-    memory return exit code 3 with the error in the report. An InvariantError
-    marks a fault of the program, not of the config, and propagates unchanged.
+    cannot carry, raises ConfigError; exhausted budgets, horizons and memory
+    return exit code 3 with the error in the report. An InvariantError marks
+    a fault of the program, not of the config, and propagates unchanged.
     """
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = {"version": __version__, "kind": cfg.kind, "config": cfg.identity_dict()}
-    code = 0
+    code, tables = 0, {}
     try:
+        out.mkdir(parents=True, exist_ok=True)
         try:
-            report["results"] = _KINDS[cfg.kind].run(cfg, out)
+            report["results"], tables = _KINDS[cfg.kind].run(cfg)
         except (BudgetExceededError, HorizonExceededError) as exc:
             report["error"] = str(exc)
             code = 3
@@ -538,20 +538,24 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         # the backstop, after the runner's own checks: a NaN or an infinity anywhere raises
         report["config_sha256"] = config_hash(cfg)
         text = canonical_json(report)
+        for name, table in tables.items():
+            table.to_csv(out / name)
+        (out / "report.json").write_text(text + "\n")
     except InvariantError:
         raise
     except KeyError as exc:
         raise ConfigError(f"missing field {exc.args[0]!r} in the {cfg.kind} params") from exc
+    except OSError as exc:  # runners open no file: this is out_dir
+        raise ConfigError(f"cannot write to out_dir {cfg.out_dir}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    (out / "report.json").write_text(text + "\n")
     return code, report
 
 
 def describe(kind: str) -> str:
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
-    return _KINDS[kind].text
+    return f"{_KINDS[kind].text}\nParams: {', '.join(sorted(_KINDS[kind].params))}."
 
 
 def _build_parser() -> argparse.ArgumentParser:

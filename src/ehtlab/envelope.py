@@ -435,6 +435,8 @@ def evaluate_g(env: EnvelopeSpec, xs: Sequence[float], tol: float,
     from mpmath import mp
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if len(xs) == 0:
+        raise ValueError("the evaluation points of g must be nonempty")
     bps = env.practical_breakpoints(direct_cap)
     n_direct = bps[-1]
     if n_direct < 1:

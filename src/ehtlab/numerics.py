@@ -133,11 +133,6 @@ class ComplexNeumaierSum:
 _BLOCK_TERMS = 1 << 13
 
 
-def term_blocks(n: int) -> Iterator[tuple[int, int]]:
-    """Blocks ``[lo, hi)`` of `_BLOCK_TERMS` terms covering ``[0, n)``, the last one partial."""
-    return ((lo, min(lo + _BLOCK_TERMS, n)) for lo in range(0, n, _BLOCK_TERMS))
-
-
 def checkpoint_blocks(ends: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
     """The block plan of the nondecreasing ``ends``: tuples ``(i, j, lo, hi)``.
 

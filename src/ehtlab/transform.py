@@ -44,7 +44,6 @@ from .numerics import (
     checkpoint_blocks,
     checkpoint_sums,
     fit_line,
-    term_blocks,
 )
 from .sequences import ModulatingSequence, named_sequence, transform_sequence
 
@@ -389,10 +388,10 @@ def maximal_and_weak11(a: ModulatingSequence, sys: DynamicalSystem, f: Observabl
         raise ValueError(f"maximal thresholds must be finite, got {list(lambdas)}")
     norm1 = f.norm("l1")
     points = sample_points(sys, sample_count, seed)
-    sups = _maximal_sups(a, sys, f, points, N)
+    sups, basis_traces = _maximal_sups(a, sys, f, points, N)
     if not np.isfinite(sups).all() and "series" in f.meta:
         f = replace(f, meta={})
-        sups = _maximal_sups(a, sys, f, points, N)
+        sups, basis_traces = _maximal_sups(a, sys, f, points, N)
     if not np.isfinite(sups).all():
         raise OverflowError("the partial sums H_n overflow to non-finite values")
     rows = []
@@ -400,16 +399,15 @@ def maximal_and_weak11(a: ModulatingSequence, sys: DynamicalSystem, f: Observabl
         tail = float(np.mean(sups > lam))
         rows.append({"lambda": float(lam), "empirical_tail": tail,
                      "bound_ratio": tail * float(lam) / norm1 if norm1 > 0 else 0.0})
-    traces = {b for combo in _orbit_basis(sys, f, points, N)[1] for b, _ in combo}
     return {"N": N, "sample_count": sample_count, "f_l1": norm1, "tails": rows,
-            "basis_traces": len(traces),
+            "basis_traces": basis_traces,
             "sup_quantiles": [float(q) for q in np.quantile(sups, [0.0, 0.5, 0.9, 1.0])]}
 
 
 def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, points,
-                  N: int) -> np.ndarray:
+                  N: int) -> tuple[np.ndarray, int]:
     """max_{1<=n<=N} |H_n(p)| for each point p, from the basis traces of `_orbit_basis`
-    streamed in blocks of k.
+    streamed in the blocks of `checkpoint_blocks`, and the number of those traces.
 
     A trace's terms are d_k fl(1/k) (`_reciprocals`), as in `orbit_traces`;
     its carried prefix is added into its first term of the block, so the
@@ -427,7 +425,7 @@ def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, po
     shared = {b for combo in combos for b, w in combo if w is not None}
     sups, block_sups = np.full(len(points), -np.inf), np.empty(len(points))
     with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects a non-finite sup
-        for lo, hi in term_blocks(N):
+        for _, _, lo, hi in checkpoint_blocks(np.array([N])):
             inv, mags = _reciprocals(buffers, lo, hi), buffers("mags", hi - lo, float)
             traces = []  # a shared trace's prefix sums, or the block sup of an own one
             for b, terms in enumerate(numerators(lo, hi)):
@@ -447,7 +445,7 @@ def _maximal_sups(a: ModulatingSequence, sys: DynamicalSystem, f: Observable, po
                     H += np.multiply(traces[b], w, out=buffers("scratch", hi - lo))
                 block_sups[i] = np.abs(H, out=mags).max()
             np.maximum(sups, block_sups, out=sups)
-    return sups
+    return sups, len({b for combo in combos for b, _ in combo})
 
 
 def wiener_wintner_sweep(sys: DynamicalSystem, f: Observable, x0, thetas: Sequence[float],

@@ -248,6 +248,11 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
         assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == code, klass
         assert capsys.readouterr().err == ("config error: schedule entries must be >= 2 so "
                                            "that log n > 0\n" if code else ""), klass
+    # an empty evaluation grid is refused by evaluate_g itself
+    bad.write_text(json.dumps({"kind": "prop27", "params": {
+        "h": "inverse-linear", "K": 10, "evaluate": {"x_count": 0}}}))
+    assert run_cli(["run", "--config", str(bad), "--out-dir", out]) == 2
+    assert capsys.readouterr().err == "config error: the evaluation points of g must be nonempty\n"
     # the envelope scale and the tail tolerance must be positive and finite
     envelope = {"h": "inverse-linear", "K": 10}
     for params in ({**envelope, "M": float("inf")},
@@ -293,12 +298,53 @@ def test_invariant_failure_is_not_a_config_error(tmp_path, monkeypatch):
     from ehtlab import cli
     from ehtlab.errors import InvariantError
 
-    def broken(cfg, out):
+    def broken(cfg):
         raise InvariantError("evaluator changed the index shape")
 
     monkeypatch.setitem(cli._KINDS, "rates", cli._KINDS["rates"]._replace(run=broken))
     with pytest.raises(InvariantError):
         run_cli(["run", "rates", "--out-dir", str(tmp_path / "o")])
+
+
+def test_failed_runs_leave_no_file(tmp_path, capsys):
+    # each rejection comes after the runner's main computation; the tables are written
+    # only once the report has serialized, so out_dir stays empty
+    for kind, params in (
+            ("transform", {"checkpoints": [64], "maximal": {"N": 0}}),
+            ("prop27", {"h": "inverse-log", "K": 34, "evaluate": {}, "modulator_N": 5}),
+            ("process", {"checkpoints": [64], "seminorm_alpha": 3})):
+        out = tmp_path / kind
+        raw = {"kind": kind, "seed": 1, "params": params}
+        (tmp_path / "c.json").write_text(json.dumps(raw))
+        assert run_cli(["run", "--config", str(tmp_path / "c.json"), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, (kind, err)
+        assert list(out.iterdir()) == [], kind
+
+
+def test_params_are_read_before_the_first_computation(tmp_path, monkeypatch, capsys):
+    from ehtlab import cli
+
+    def started(*args, **kwargs):
+        raise AssertionError("computation started before every param was read")
+    for name in ("orbit_traces", "build_envelope", "build_process"):
+        monkeypatch.setattr(cli, name, started)
+    for kind, params, message in (
+            ("transform", {"maximal": {"N": "many"}}, "N must be a number, got 'many'"),
+            ("prop27", {"evaluate": {"tol": "tiny"}}, "tol must be a number, got 'tiny'"),
+            ("process", {"seminorm_alpha": "x"}, "seminorm_alpha must be a number, got 'x'")):
+        (tmp_path / "c.json").write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
+        assert run_cli(["run", "--config", str(tmp_path / "c.json"),
+                        "--out-dir", str(tmp_path / kind)]) == 2, kind
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_unwritable_out_dir_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert run_cli(["run", "rates", "--class", "star", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write to out_dir ") and err.count("\n") == 1
 
 
 def test_run_via_flags(tmp_path):

@@ -27,7 +27,7 @@ from ehtlab.dynamics import (
     torus_character,
     torus_power,
 )
-from ehtlab.numerics import _BLOCK_TERMS, UnitPhases, term_blocks
+from ehtlab.numerics import _BLOCK_TERMS, UnitPhases, checkpoint_blocks
 
 _LATTICE = 1 << 53
 
@@ -379,7 +379,7 @@ def test_torus_orbit_rows_stream_in_small_memory():
     tracemalloc.start()
     try:
         pairs = orbit_pairs(tor, torus_character(1, 2), pts, N)
-        for lo, hi in term_blocks(N):
+        for _, _, lo, hi in checkpoint_blocks(np.array([N])):
             for row in pairs(lo, hi):
                 assert row[0].shape == row[1].shape == (hi - lo,)
         assert tracemalloc.get_traced_memory()[1] < 8 * 10**6
