@@ -333,6 +333,8 @@ def _run_prop27(cfg: ExperimentConfig) -> tuple[dict, dict]:
         tol = _number(ev.get("tol", 1e-6), "tol")
     l1_profile = _flag(p, "l1_profile", False)
     modulator_N = _integer(p["modulator_N"], "modulator_N") if "modulator_N" in p else None
+    if modulator_N is not None and modulator_N < 10:
+        raise ConfigError(f"modulator_N must be >= 10, got {modulator_N}")
     env = build_envelope(hm, K, M=None if M is None else _number(M, "M"))
     conditions = verify_envelope_conditions(env, hm)
     result = {

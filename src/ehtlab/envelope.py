@@ -9,10 +9,10 @@ independent ways: through the nonnegative-kernel resummation over breakpoint
 terms (with a certified tail bound) and through direct partial sums.
 
 Breakpoints grow doubly-exponentially for slowly vanishing h (for
-h(n) = 1/log(n+3) they are exactly 3^(2^k) - 3), far beyond int64 and even
-beyond float64 exponents, so they are carried as integer-valued mpmath
-floats: arbitrary exponent, exact comparisons, and slope ratios that never
-underflow. Everything consumed at practical indices is converted back to
+h(n) = 1/log(n+3) they are 3^(2^k) - 3 up to the rounding of M), far beyond
+int64 and even beyond float64 exponents, so they are carried as
+integer-valued mpmath floats: arbitrary exponent, exact comparisons, and
+slope ratios that never underflow. Everything consumed at practical indices is converted back to
 floats. mpmath is imported by the functions that use it, on first use, so a
 process that never builds an envelope or evaluates a kernel does not load it.
 """
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, HorizonExceededError
+from .errors import BudgetExceededError, DomainError, HorizonExceededError, InvariantError
 from .numerics import ComplexNeumaierSum, NeumaierSum, checkpoint_blocks, checkpoint_sums
 
 _WORKPREC = 140
@@ -39,16 +39,19 @@ _MAX_H_SCAN = 1 << 20
 
 @dataclass(frozen=True)
 class MajorantH:
-    """A target minorant h plus a computable nonincreasing majorant of it.
+    """A target minorant h, a computable nonincreasing majorant hhat of it, and
+    hhat's inverse.
 
     `h` is evaluated at integers; `hhat` must dominate h, never increase, and
-    tend to zero. It is evaluated at integer-valued mpmath floats during
-    breakpoint search, so it must tolerate huge arguments; the search is
-    capped only by an internal exponent guard.
+    tend to zero. `inverse(thr)` returns the real x with hhat(x) = thr; the
+    envelope reads each breakpoint off it, so it must be exact up to rounding
+    at the working precision, and a wrong one makes `build_envelope` raise.
+    Both take and return mpmath floats of arbitrary magnitude.
     """
 
     h: Callable
     hhat: Callable
+    inverse: Callable
     label: str
 
     def max_h(self) -> float:
@@ -78,13 +81,13 @@ def inverse_log_majorant(shift: int = 3) -> MajorantH:
     from mpmath import mp
     if shift < 2:
         raise ValueError("shift must be >= 2 so that log(n + shift) > 0 at n = 0")
-    # hhat accepts mpmath arguments of arbitrary magnitude
     return MajorantH(lambda n: 1.0 / math.log(n + shift), lambda n: 1.0 / mp.log(n + shift),
-                     label=f"1/log(n+{shift})")
+                     lambda thr: mp.exp(1 / thr) - shift, label=f"1/log(n+{shift})")
 
 
 def inverse_linear_majorant() -> MajorantH:
-    return MajorantH(lambda n: 1.0 / (n + 1.0), lambda n: 1.0 / (n + 1), label="1/(n+1)")
+    return MajorantH(lambda n: 1.0 / (n + 1.0), lambda n: 1.0 / (n + 1),
+                     lambda thr: 1 / thr - 1, label="1/(n+1)")
 
 
 # ------------------------------------------------------------------- envelope
@@ -160,51 +163,30 @@ class EnvelopeSpec:
         }
 
 
-def _search_threshold_index(hm: MajorantH, threshold) -> "mp.mpf":
-    """Smallest found integer n with hhat(n) <= threshold (minimal when exact
-    integer arithmetic applies; within rounding of minimal beyond 2^53).
-
-    Three phases keep the cost logarithmic in the answer's exponent even when
-    that exponent is itself astronomical: double the exponent to bracket,
-    bisect the exponent to a ratio-2^(1/4) bracket, then bisect the value.
-    """
+def _threshold_index(hm: MajorantH, thr) -> "mp.mpf":
+    """The index m_k of `build_envelope` for the threshold `thr`, at the
+    caller's working precision."""
     from mpmath import mp
-    thr = mp.mpf(threshold)
     if mp.mpf(hm.hhat(0)) <= thr:
         return mp.mpf(0)
-
-    def passes(n) -> bool:
-        return mp.mpf(hm.hhat(n)) <= thr
-
-    e_lo, e_hi, e = 0.0, None, 1.0
-    while e <= 2.0**40:  # the exponent guard: no n beyond 2^(2^40) is searched
-        if passes(mp.floor(mp.power(2, e))):
-            e_hi = e
-            break
-        e_lo = e
-        e *= 2
-    if e_hi is None:
+    x = mp.mpf(hm.inverse(thr))
+    if x > mp.ldexp(1, 1 << 40):
         raise HorizonExceededError(
             f"{hm.label}: majorant never reaches {float(thr)} within its horizon"
         )
-    while e_hi - e_lo > 0.25:
-        e_mid = 0.5 * (e_lo + e_hi)
-        if passes(mp.floor(mp.power(2, e_mid))):
-            e_hi = e_mid
-        else:
-            e_lo = e_mid
-
-    lo, hi = mp.floor(mp.power(2, e_lo)), mp.floor(mp.power(2, e_hi))
-    if passes(lo):  # exponent bracket can collapse at small scales
-        return lo if lo >= 1 else mp.mpf(1)
-    while True:
-        mid = mp.floor((lo + hi) / 2)
-        if mid <= lo or mid >= hi:
-            return hi
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
+    passes = lambda n: mp.mpf(hm.hhat(n)) <= thr
+    eps = mp.ldexp(1, 48 - _WORKPREC)
+    if x < mp.ldexp(1, _WORKPREC - 50):
+        lo = max(mp.mpf(1), mp.ceil(x * (1 - eps)))
+        m = next((n for n in (lo, lo + 1, lo + 2) if passes(n)), None)
+        certified = m is not None and not passes(lo - 1)
+    else:
+        m = mp.ceil(x * (1 + eps))
+        certified = passes(m)
+    if not certified:
+        raise InvariantError(f"{hm.label}: hhat does not cross {float(thr)} at its "
+                             f"declared inverse {mp.nstr(x, 20)}")
+    return m
 
 
 def _probe_majorant(hm: MajorantH) -> None:
@@ -227,10 +209,15 @@ def _probe_majorant(hm: MajorantH) -> None:
 def build_envelope(hm: MajorantH, K: int, M: float | None = None) -> EnvelopeSpec:
     """Doubling-breakpoint envelope with K segments above the majorant.
 
-    n_0 = 0, n_k = max(m_k, 2 n_{k-1} + 3) where m_k is the first index at
-    which hhat drops below M/2^(k+1); values a(n_k) = M/2^k with affine
-    interpolation. By construction a(n) >= hhat(n) >= h(n) everywhere and
-    the gap/doubling/slope conditions hold.
+    n_0 = 0, n_k = max(m_k, 2 n_{k-1} + 3) with values a(n_k) = M/2^k and
+    affine interpolation. m_k is read off `hm.inverse(M/2^(k+1))` and
+    certified by hhat at 140 bits: below 2^90 it is the minimal n with
+    hhat(n) <= M/2^(k+1); beyond, where hhat is flat over many representable
+    n and no minimal n is defined, it is an integer a relative 2^-92 past the
+    inverse at which hhat has dropped to the threshold. Either way
+    a(n) >= hhat(n) >= h(n) everywhere and the gap/doubling/slope conditions
+    hold. A breakpoint past 2^(2^40) raises HorizonExceededError, and an
+    inverse that hhat contradicts raises InvariantError.
 
     M defaults to twice the certified max of h; a degenerate h (max <= 0)
     is rejected so callers must supply an explicit positive, finite M.
@@ -252,7 +239,7 @@ def build_envelope(hm: MajorantH, K: int, M: float | None = None) -> EnvelopeSpe
             raise ValueError(f"M must be positive and finite, got {M!r}")
         bps, values, slopes = [mp.mpf(0)], [float(M)], []
         for k in range(1, K + 1):
-            m_k = _search_threshold_index(hm, mp.mpf(M) / mp.power(2, k + 1))
+            m_k = _threshold_index(hm, mp.mpf(M) / mp.power(2, k + 1))
             n_k = max(m_k, 2 * bps[-1] + 3)
             v_k = float(M / 2.0**k)
             slopes.append((mp.mpf(v_k) - mp.mpf(values[-1])) / (n_k - bps[-1]))

@@ -135,6 +135,10 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     bad.write_text(json.dumps({"kind": "transform", "seed": 1, "params": {"x0_angle": 0.3}}))
     assert run_cli(["run", "--config", str(bad)]) == 2
     assert "unknown params for transform: ['x0_angle']" in capsys.readouterr().err
+    bad.write_text(json.dumps({"kind": "prop27", "params": {
+        "h": "inverse-log", "K": 34, "evaluate": {}, "modulator_N": 5}}))
+    assert run_cli(["run", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == "config error: modulator_N must be >= 10, got 5\n"
     # values and specs the runner rejects while building its objects
     out = str(tmp_path / "o")
     assert run_cli(["run", "rates", "--alpha", "3", "--out-dir", out]) == 2
@@ -311,7 +315,7 @@ def test_failed_runs_leave_no_file(tmp_path, capsys):
     # only once the report has serialized, so out_dir stays empty
     for kind, params in (
             ("transform", {"checkpoints": [64], "maximal": {"N": 0}}),
-            ("prop27", {"h": "inverse-log", "K": 34, "evaluate": {}, "modulator_N": 5}),
+            ("prop27", {"h": "inverse-log", "K": 34, "evaluate": {"tol": -1}}),
             ("process", {"checkpoints": [64], "seminorm_alpha": 3})):
         out = tmp_path / kind
         raw = {"kind": kind, "seed": 1, "params": params}
@@ -332,6 +336,7 @@ def test_params_are_read_before_the_first_computation(tmp_path, monkeypatch, cap
     for kind, params, message in (
             ("transform", {"maximal": {"N": "many"}}, "N must be a number, got 'many'"),
             ("prop27", {"evaluate": {"tol": "tiny"}}, "tol must be a number, got 'tiny'"),
+            ("prop27", {"modulator_N": 5}, "modulator_N must be >= 10, got 5"),
             ("process", {"seminorm_alpha": "x"}, "seminorm_alpha must be a number, got 'x'")):
         (tmp_path / "c.json").write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
         assert run_cli(["run", "--config", str(tmp_path / "c.json"),

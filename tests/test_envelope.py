@@ -9,6 +9,9 @@ from ehtlab import numerics
 from ehtlab.envelope import (
     EnvelopeSpec,
     MajorantH,
+    _WORKPREC,
+    _probe_majorant,
+    _threshold_index,
     build_envelope,
     divergent_modulator_demo,
     evaluate_g,
@@ -19,7 +22,7 @@ from ehtlab.envelope import (
     kernel_eval,
     verify_envelope_conditions,
 )
-from ehtlab.errors import BudgetExceededError, DomainError, HorizonExceededError
+from ehtlab.errors import BudgetExceededError, DomainError, HorizonExceededError, InvariantError
 
 
 # ---------------------------------------------------------------- kernels
@@ -141,14 +144,19 @@ def test_kernel_validation_for_arrays():
 # ---------------------------------------------------------------- envelopes
 
 def test_build_inverse_log_breakpoints():
+    # the thresholds M/2^(k+1) sit near hhat(3^(2^k) - 3); below 2^90 every breakpoint
+    # the doubling rule leaves alone is the minimal n with hhat(n) <= M/2^(k+1)
     hm = inverse_log_majorant(3)
     env = build_envelope(hm, K=8)
-    bps = env.practical_breakpoints()
-    # thresholds M/2^(k+1) are met at 3^(2^k) - 3 (up to the float knife edge)
-    for k, expect in ((1, 3**2 - 3), (2, 3**4 - 3), (3, 3**8 - 3), (4, 3**16 - 3)):
-        assert abs(bps[k] - expect) <= 1
-        with mp.workprec(120):
-            assert float(hm.hhat(bps[k])) <= env.M / 2.0 ** (k + 1) * (1 + 1e-12)
+    checked = 0
+    with mp.workprec(_WORKPREC):
+        for k in range(1, env.K + 1):
+            n_k, thr = env.breakpoints[k], mp.mpf(env.M) / mp.power(2, k + 1)
+            if n_k == 2 * env.breakpoints[k - 1] + 3 or n_k >= mp.ldexp(1, 90):
+                continue
+            assert hm.hhat(n_k) <= thr < hm.hhat(n_k - 1), k
+            checked += 1
+    assert checked == 5
     assert env.values[0] == env.M
     assert env.values[3] == pytest.approx(env.M / 8.0)
 
@@ -187,7 +195,8 @@ def test_envelope_stays_above_h():
 
 
 def test_degenerate_h_rejected():
-    zero = MajorantH(lambda n: 0.0, lambda n: mp.mpf(2) ** (-n), label="zero")
+    zero = MajorantH(lambda n: 0.0, lambda n: mp.mpf(2) ** (-n), lambda thr: -mp.log(thr, 2),
+                     label="zero")
     with pytest.raises(ValueError, match="explicit positive M"):
         build_envelope(zero, K=4)
     env = build_envelope(zero, K=4, M=1.0)  # explicit scale builds fine
@@ -195,9 +204,119 @@ def test_degenerate_h_rejected():
 
 
 def test_horizon_exceeded():
-    # the breakpoints are 3^(2^k) - 3, whose exponents pass the 2^40 search cap before k = 45
+    # the breakpoints are 3^(2^k) - 3, which pass the 2^(2^40) horizon at k = 40
+    assert build_envelope(inverse_log_majorant(), K=39).K == 39
     with pytest.raises(HorizonExceededError, match="within its horizon"):
-        build_envelope(inverse_log_majorant(), K=45)
+        build_envelope(inverse_log_majorant(), K=40)
+
+
+def _searched_threshold_index(hm, thr):
+    """Reference: the first passing integer found by search (minimal where integers
+    are exact). Double the exponent to bracket, bisect the exponent to a
+    ratio-2^(1/4) bracket, then bisect the value."""
+    if mp.mpf(hm.hhat(0)) <= thr:
+        return mp.mpf(0)
+
+    def passes(n) -> bool:
+        return mp.mpf(hm.hhat(n)) <= thr
+
+    e_lo, e_hi, e = 0.0, None, 1.0
+    while e <= 2.0**40:
+        if passes(mp.floor(mp.power(2, e))):
+            e_hi = e
+            break
+        e_lo = e
+        e *= 2
+    if e_hi is None:
+        raise HorizonExceededError(f"{hm.label}: beyond the horizon")
+    while e_hi - e_lo > 0.25:
+        e_mid = 0.5 * (e_lo + e_hi)
+        if passes(mp.floor(mp.power(2, e_mid))):
+            e_hi = e_mid
+        else:
+            e_lo = e_mid
+    lo, hi = mp.floor(mp.power(2, e_lo)), mp.floor(mp.power(2, e_hi))
+    if passes(lo):
+        return lo if lo >= 1 else mp.mpf(1)
+    while True:
+        mid = mp.floor((lo + hi) / 2)
+        if mid <= lo or mid >= hi:
+            return hi
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+_MAJORANTS = (inverse_log_majorant(3), inverse_log_majorant(2), inverse_linear_majorant())
+
+
+@pytest.mark.parametrize("hm", _MAJORANTS, ids=lambda hm: hm.label)
+def test_threshold_index_matches_the_search(hm):
+    # thresholds hhat(x) at random real and integer x in [1, 2^90), where integers are
+    # exact and the two picks are the same integer, and in [2^90, 2^(2^40)), where hhat
+    # is flat over many representable n and both picks only have to pass and agree
+    rng = np.random.default_rng(11)
+    exact, plateau = rng.uniform(0.5, 89.9, 120), 2.0 ** rng.uniform(math.log2(90), 40, 60)
+    with mp.workprec(_WORKPREC):
+        for i, bits in enumerate(np.concatenate([exact, plateau])):
+            x = mp.power(2, bits)
+            thr = mp.mpf(hm.hhat(mp.floor(x) if i % 2 else x))
+            got, want = _threshold_index(hm, thr), _searched_threshold_index(hm, thr)
+            if bits < 90:
+                assert got == want, (bits, got, want)
+            else:
+                assert hm.hhat(got) <= thr and hm.hhat(want) <= thr
+                assert abs(got - want) <= want * mp.ldexp(1, 50 - _WORKPREC), bits
+
+
+@pytest.mark.parametrize("hm, K", zip(_MAJORANTS, (39, 39, 60)),
+                         ids=lambda v: getattr(v, "label", str(v)))
+def test_build_thresholds_match_the_search(hm, K):
+    # every build threshold M/2^(k+1) of the default M and three explicit ones, up to
+    # the horizon; a threshold past it raises on both sides
+    for M in (2.0 * hm.max_h(), 0.3, 1.0, 7.5):
+        for k in range(1, K + 1):
+            with mp.workprec(_WORKPREC):
+                thr = mp.mpf(M) / mp.power(2, k + 1)
+                try:
+                    want = _searched_threshold_index(hm, thr)
+                except HorizonExceededError:
+                    with pytest.raises(HorizonExceededError):
+                        _threshold_index(hm, thr)
+                    break
+                got = _threshold_index(hm, thr)
+            assert repr(got) == repr(want), (M, k)
+
+
+def test_wrong_inverse_raises():
+    # an inverse short of the crossing, one past it, and short of it by a relative
+    # 1e-9 where hhat is flat
+    hm = inverse_linear_majorant()
+    for inverse in (lambda thr: 1 / (2 * thr), lambda thr: 1 / thr):
+        with pytest.raises(InvariantError, match="declared inverse"):
+            build_envelope(MajorantH(hm.h, hm.hhat, inverse, label="wrong"), K=4)
+    log = inverse_log_majorant(3)
+    short = MajorantH(log.h, log.hhat, lambda thr: log.inverse(thr) * (1 - 1e-9), label="short")
+    with mp.workprec(_WORKPREC), pytest.raises(InvariantError, match="declared inverse"):
+        _threshold_index(short, log.hhat(mp.ldexp(1, 200)))
+
+
+def test_each_breakpoint_costs_at_most_three_hhat_calls():
+    hm, calls = inverse_log_majorant(3), []
+
+    def counted(n):
+        calls.append(n)
+        return hm.hhat(n)
+    # beyond the calls of the contract probe and max_h, each breakpoint costs hhat(0)
+    # plus one check on the plateau, or two below 2^90 (three after a unit step)
+    counting = MajorantH(hm.h, counted, hm.inverse, hm.label)
+    _probe_majorant(counting)
+    counting.max_h()
+    overhead = len(calls)
+    calls.clear()
+    build_envelope(counting, K=34)
+    assert len(calls) <= overhead + 3 * 34
 
 
 def test_hand_built_violations_detected():
@@ -331,10 +450,11 @@ def test_values_at_bounds():
 
 
 def test_majorant_contract_probed():
-    bad = MajorantH(lambda n: 1.0 / (n + 1.0), lambda n: 0.5 / (n + 1), label="undershoot")
+    bad = MajorantH(lambda n: 1.0 / (n + 1.0), lambda n: 0.5 / (n + 1), lambda thr: 0.5 / thr - 1,
+                    label="undershoot")
     with pytest.raises(ValueError, match="not a majorant"):
         build_envelope(bad, K=4)
-    rising = MajorantH(lambda n: 0.0, lambda n: float(n), label="rising")
+    rising = MajorantH(lambda n: 0.0, lambda n: float(n), lambda thr: thr, label="rising")
     with pytest.raises(ValueError, match="increases"):
         build_envelope(rising, K=4)
 
