@@ -172,10 +172,12 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
-def _integer(value, key: str) -> int:
-    """`_number`, and a whole one (1e5 is 100000)."""
+def _integer(value, key: str, least: int | None = None) -> int:
+    """`_number`, and a whole one (1e5 is 100000), at least `least` when given."""
     if not _number(value, key).is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {int(value)}")
     return int(value)
 
 
@@ -274,8 +276,8 @@ def _run_transform(cfg: ExperimentConfig) -> tuple[dict, dict]:
     if "maximal" in p:
         m = _spec(p, "maximal")
         maximal = (_numbers(m.get("lambdas", [0.5, 1, 2, 4]), "lambdas"),
-                   _integer(m.get("N", 1 << 14), "N"),
-                   _integer(m.get("sample_count", 512), "sample_count"))
+                   _integer(m.get("N", 1 << 14), "N", 1),
+                   _integer(m.get("sample_count", 512), "sample_count", 1))
     x0 = sys_.default_point()
     [trace] = orbit_traces([seq], orbit_pairs(sys_, obs, [x0], checkpoints[-1]), checkpoints,
                            with_abel=with_abel)
@@ -332,9 +334,7 @@ def _run_prop27(cfg: ExperimentConfig) -> tuple[dict, dict]:
                          _integer(ev.get("x_count", 20), "x_count"))
         tol = _number(ev.get("tol", 1e-6), "tol")
     l1_profile = _flag(p, "l1_profile", False)
-    modulator_N = _integer(p["modulator_N"], "modulator_N") if "modulator_N" in p else None
-    if modulator_N is not None and modulator_N < 10:
-        raise ConfigError(f"modulator_N must be >= 10, got {modulator_N}")
+    modulator_N = _integer(p["modulator_N"], "modulator_N", 10) if "modulator_N" in p else None
     env = build_envelope(hm, K, M=None if M is None else _number(M, "M"))
     conditions = verify_envelope_conditions(env, hm)
     result = {
@@ -390,6 +390,8 @@ def _run_process(cfg: ExperimentConfig) -> tuple[dict, dict]:
     checkpoints = _numbers(p.get("checkpoints", default_checkpoints(1 << 13)), "checkpoints",
                            _integer)
     alpha = _number(p.get("seminorm_alpha", 1.5), "seminorm_alpha")
+    if not 1.0 < alpha <= 2.0:  # NaN fails too
+        raise ConfigError(f"seminorm_alpha must lie in (1, 2], got {alpha}")
     schedule = tuple(_numbers(p.get("seminorm_schedule", [2**j for j in range(8, 14)]),
                               "seminorm_schedule", _integer))
     radii = p.get("truncation_radii")

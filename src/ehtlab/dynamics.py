@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .numerics import MAX_PHASE_INDEX, UnitPhases
+from .numerics import MAX_PHASE_INDEX, UnitPhases, periodic_runs
 
 SQRT2_TURNS = math.sqrt(2.0) - 1.0  # sqrt(2) mod 1
 _MAX_SHIFT = MAX_PHASE_INDEX  # the orbit index |k + shift| must stay below it
@@ -345,8 +345,8 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
     come from the rotation's `UnitPhases` table once per call and are shared
     by every unshifted point, which only multiplies them by its anchor phase
     e(t0) to get its coordinates z; a shifted point gets rows of its own.
-    Three-cycle rows are views: slices of the cell values tiled forward and
-    reversed, shared by every point and grown on demand. On the torus the
+    Three-cycle rows are read-only views: runs of the cell values forward and
+    reversed (`numerics.periodic_runs`), shared by every point. On the torus the
     Fibonacci table of the block is built once per call and shared by every
     point (`lattice_orbit`); the rows are exact integers, so they equal
     `orbit_coords`'s at every k. Every point is
@@ -364,18 +364,11 @@ def orbit_pairs(sys: DynamicalSystem, f: Observable, points: Sequence,
         return torus_pairs
     if isinstance(sys, ThreeCycle):
         # f(T^+-k p) = f(cell (c +- k) % 3) for c = cell0 + shift: the rows of every point are
-        # slices of the cell values tiled forward, f(t % 3), and reversed, f(-t % 3)
-        cells, tiles = point_values(sys, f, [CyclePoint(c) for c in range(3)]), ()
-
-        def cycle_pairs(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-            nonlocal tiles
-            if not tiles or tiles[0].size < hi - lo + 2:  # grown on demand
-                reps = (hi - lo) // 3 + 2
-                tiles = np.tile(cells, reps), np.tile(cells[[0, 2, 1]], reps)
-            for p in points:
-                fwd, rev = (lo + 1 + p.cell0 + p.shift) % 3, (lo + 1 - p.cell0 - p.shift) % 3
-                yield tiles[0][fwd : fwd + hi - lo], tiles[1][rev : rev + hi - lo]
-        return cycle_pairs
+        # runs of the cell values forward, f(t % 3), and reversed, f(-t % 3)
+        cells = point_values(sys, f, [CyclePoint(c) for c in range(3)])
+        fwd, rev = periodic_runs(cells), periodic_runs(cells[[0, 2, 1]])
+        return lambda lo, hi: ((fwd(lo + 1 + p.cell0 + p.shift, hi - lo),
+                                rev(lo + 1 - p.cell0 - p.shift, hi - lo)) for p in points)
 
     anchors = _anchor_phases(points)
 

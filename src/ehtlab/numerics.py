@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,6 +84,20 @@ class UnitPhases:
             return out if ks[0] == lo else out[::-1]
         out = self._table[ks & mask]
         return np.multiply(out, _table_phases(self._parts, ks & ~mask), out=out)
+
+
+def periodic_runs(period: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """(start, count) -> the read-only run v[(start + i) % p], i < count, of the period v of
+    length p: a slice of v tiled, the tile grown on demand."""
+    tile = period[:0]
+
+    def run(start: int, count: int) -> np.ndarray:
+        nonlocal tile
+        if tile.size < count + period.size - 1:  # room for a run at every offset
+            tile = np.tile(period, count // period.size + 2)
+            tile.setflags(write=False)
+        return tile[start % period.size :][:count]
+    return run
 
 
 class NeumaierSum:

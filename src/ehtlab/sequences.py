@@ -5,9 +5,10 @@ metadata flags (finite bound, symmetry a_{-k} = a_k, one-sidedness) that the
 rest of the package relies on. Evaluation is vectorized over numpy int64
 index arrays. `range_values` memoizes the largest symmetric range asked for,
 so the several passes of one experiment over a_{-n}..a_n evaluate it once;
-`pair_values` evaluates a_{+-k} for one block of indices, which lets long
-orbit sums stream without holding a 2n+1 range. Both check the flags on
-what they evaluate, and neither changes values.
+`pair_values` gives a_{+-k} for one block of indices, which lets long orbit
+sums stream without holding a 2n+1 range, and evaluates each distinct value
+once for `symmetrize`d sequences and the cycle indicator. Both check the
+flags on what they return, and neither changes values.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvariantError
-from .numerics import UnitPhases
+from .numerics import UnitPhases, periodic_runs
 
 _BOUND_RTOL = 1e-9
 
@@ -30,7 +31,8 @@ class ModulatingSequence:
 
     `fn` maps an int64 index array to complex128 values; it must be pure.
     `bound` is a finite sup bound or None for unbounded sequences. Flags are
-    enforced on every evaluated range (see `range_values`).
+    enforced on every evaluated range (see `range_values`). `_pairs`, if set,
+    is the type's rule (seq, ks) -> (a_ks, a_-ks) for `pair_values`.
     """
 
     label: str
@@ -39,6 +41,7 @@ class ModulatingSequence:
     symmetric: bool = False
     one_sided: bool = False
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _pairs: Callable[..., tuple] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bound is not None and not math.isfinite(self.bound):
@@ -65,40 +68,38 @@ class ModulatingSequence:
                 arr = self.values(np.arange(-n, n + 1, dtype=np.int64))
             self._check_flags(arr[n:], arr[n::-1], lambda: f"[-{n}, {n}]")
             arr.setflags(write=False)
-            self._cache["range"] = (n, arr)
-            cached_n, cached = n, arr
-        mid = cached_n
-        view = cached[mid - n : mid + n + 1]
-        view.setflags(write=False)
-        return view
+            self._cache["range"] = cached_n, cached = n, arr
+        return cached[cached_n - n : cached_n + n + 1]  # a view of the read-only memo
 
     def pair_values(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values a_k and a_{-k} for the nonnegative indices ks, flag-checked, not memoized.
+        """Read-only a_k and a_{-k} for the indices ks >= 0, bitwise (values(ks), values(-ks)).
 
-        The flags are checked on exactly the values evaluated here, so a
-        stream of blocks that together cover 0..n checks what
-        `range_values(n)` checks.
+        `_pairs` evaluates each distinct value once: one array for both sides of a
+        `symmetrize`d sequence, tile slices of the cycle indicator for a run of ks. The flags
+        are checked on what is returned, so blocks covering 0..n check what `range_values(n)`
+        checks; the symmetry comparison is skipped only when both sides are one array.
         """
         ks = np.asarray(ks, dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore"):
-            pos, neg = self.values(ks), self.values(-ks)
+            pos, neg = self._pairs(self, ks) if self._pairs else (self.values(ks), self.values(-ks))
         self._check_flags(pos, neg, lambda: f"+-[{ks.min()}, {ks.max()}]")  # no empty ks fails
+        pos.setflags(write=False)
+        neg.setflags(write=False)
         return pos, neg
 
     def _check_flags(self, pos: np.ndarray, neg: np.ndarray, where: Callable[[], str]) -> None:
         """Check the flags on a_k (`pos`) and a_{-k} (`neg`), k >= 0; a failure calls `where()`."""
+        sides = (pos,) if pos is neg else (pos, neg)  # one array is symmetric by construction
         if self.bound is not None:
-            # np.maximum keeps a NaN, as one np.max over the whole range does
-            worst = float(np.maximum(np.max(np.abs(pos), initial=0.0),
-                                     np.max(np.abs(neg), initial=0.0)))
+            # np.max keeps a NaN, as one np.max over the whole range does
+            worst = float(np.max([np.max(np.abs(side), initial=0.0) for side in sides]))
             if worst > self.bound * (1.0 + _BOUND_RTOL) + 1e-300:
-                raise InvariantError(
-                    f"{self.label}: |a_k| = {worst} exceeds declared bound {self.bound}"
-                )
-        elif not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+                raise InvariantError(f"{self.label}: |a_k| = {worst} exceeds declared bound "
+                                     f"{self.bound}")
+        elif not all(np.isfinite(side).all() for side in sides):
             # no declared bound catches overflow in a scaled or multiplied unbounded sequence
             raise OverflowError(f"{self.label}: non-finite values on {where()}")
-        if self.symmetric and not np.array_equal(pos, neg):
+        if self.symmetric and pos is not neg and not np.array_equal(pos, neg):
             raise InvariantError(f"{self.label}: symmetric flag violated on {where()}")
         if self.one_sided and np.any(neg != 0):
             raise InvariantError(f"{self.label}: one_sided flag violated on {where()}")
@@ -167,22 +168,15 @@ def _hardy_littlewood(ks: np.ndarray) -> np.ndarray:
 
 
 def _sparse_dyadic(ks: np.ndarray) -> np.ndarray:
-    out = np.zeros(ks.shape, dtype=complex)
     mag = np.abs(ks)
-    pos = mag >= 2
-    m = mag[pos]
-    j = np.round(np.log2(m)).astype(np.int64)
-    hit = (np.int64(1) << j) == m
-    vals = np.zeros(m.shape, dtype=complex)
-    vals[hit] = j[hit]
-    out[pos] = vals
-    return out
+    j = np.round(np.log2(np.maximum(mag, 1))).astype(np.int64)
+    return np.where((mag >= 2) & ((np.int64(1) << j) == mag), j, 0).astype(complex)
 
 
 def _cycle_indicator(ks: np.ndarray, signed_negative: bool) -> np.ndarray:
-    # positive side: 1 exactly when the 3-cycle shift of state 1 lands in {2},
-    # i.e. k = 1 mod 3; negative side (-k = 1 mod 3, i.e. k = 2 mod 3) per the
-    # chosen convention; the table is indexed by k mod 3, plus 3 for k < 0
+    # a_k = 1 for k > 0 with k = 1 mod 3 (the 3-cycle shift of state 1 lands in {2});
+    # a_k = +-1, per the chosen convention, for k < 0 with k = 2 mod 3, that is at k = -n
+    # wherever a_n = 1; 0 elsewhere. The table is indexed by k mod 3, plus 3 for k < 0
     table = np.array([0, 1, 0, 0, 0, -1 if signed_negative else 1], dtype=complex)
     return table[ks % 3 + 3 * (ks < 0)]
 
@@ -206,11 +200,18 @@ def named_sequence(name: str, value: complex = 1.0, convention: str = "symmetric
         if convention not in ("symmetric", "signed"):
             raise ValueError(f"unknown cycle_indicator convention {convention!r}")
         signed = convention == "signed"
-        return ModulatingSequence(
-            f"cycle_indicator[{convention}]",
-            lambda ks, s=signed: _cycle_indicator(ks, s),
-            bound=1.0, symmetric=not signed,
-        )
+        # the period-3 tiles a_{+-k}, k = 0, 1, 2, serve a run of consecutive ks >= 0
+        pos, neg = (periodic_runs(_cycle_indicator(np.arange(0, 3 * side, side), signed))
+                    for side in (1, -1))
+
+        def pairs(seq: ModulatingSequence, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            start = int(ks[0]) if ks.ndim == 1 and ks.size else -1
+            if 0 <= start == int(ks[-1]) - ks.size + 1 and np.all(ks[1:] > ks[:-1]):
+                return pos(start, ks.size), neg(start, ks.size)
+            return seq.values(ks), seq.values(-ks)
+        return ModulatingSequence(f"cycle_indicator[{convention}]",
+                                  lambda ks, s=signed: _cycle_indicator(ks, s),
+                                  bound=1.0, symmetric=not signed, _pairs=pairs)
     if name == "constant":
         c = complex(value)
         return ModulatingSequence(
@@ -234,15 +235,14 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
     if op == "symmetrize":
         def fn(ks: np.ndarray) -> np.ndarray:
             return a.values(np.abs(ks).astype(np.int64, copy=False))
-        return ModulatingSequence(f"symmetrize({a.label})", fn, bound=a.bound, symmetric=True)
+        return ModulatingSequence(f"symmetrize({a.label})", fn, bound=a.bound, symmetric=True,
+                                  _pairs=lambda seq, ks: (seq.values(ks),) * 2)
 
     if op == "truncate":
         if r is None or r < 0:
             raise ValueError("truncate needs a radius r >= 0")
         def fn(ks: np.ndarray) -> np.ndarray:
-            out = a.values(ks).copy()
-            out[np.abs(ks) > r] = 0.0
-            return out
+            return np.where(np.abs(ks) > r, 0.0, a.values(ks))
         return ModulatingSequence(f"truncate({a.label},{r})", fn, bound=a.bound,
                                   symmetric=a.symmetric, one_sided=a.one_sided)
 

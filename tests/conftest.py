@@ -62,7 +62,8 @@ def piecewise_checkpoint_sums(terms: np.ndarray, ends) -> np.ndarray:
 def reference_traces(seqs, sys_, f, points, checkpoints, with_abel=False):
     """Oracle of `orbit_traces` on the `orbit_pairs` rows of the points: (H, Abel parts)
     per trace, row-major. Each trace streams the block plan alone, from its point's whole
-    `orbit_values` row, with its terms formed by the complex division d_k / k."""
+    `orbit_values` row, with its terms formed by the complex division d_k / k, and a_{+-k}
+    from `values`, not the `pair_values` rules of the streamed path."""
     ends = np.asarray(checkpoints, dtype=np.int64)
     N, out = int(ends[-1]), []
     for p in points:
@@ -72,7 +73,7 @@ def reference_traces(seqs, sys_, f, points, checkpoints, with_abel=False):
             D_lo = complex(-0.0, -0.0)
             for i, j, lo, hi in checkpoint_blocks(ends):
                 ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
-                pos, neg = a.pair_values(ks)
+                pos, neg = a.values(ks), a.values(-ks)
                 d = pos * v[N + ks] - neg * v[N - ks]
                 if with_abel:
                     start, D = max(lo, 1), np.cumsum(np.concatenate(([D_lo], d)))

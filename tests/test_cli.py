@@ -160,6 +160,9 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     for raw in ({"kind": "transform", "seed": 1, "params": {"maximal": 5}},
                 maximal_at(0),
                 maximal_at(-1),
+                {"kind": "transform", "seed": 1, "params": {"maximal": {"sample_count": 0}}},
+                {"kind": "process", "seed": 1, "params": {"seminorm_alpha": 1}},
+                {"kind": "process", "seed": 1, "params": {"seminorm_alpha": float("nan")}},
                 {"kind": "rates", "params": typo_seq},
                 {"kind": "rates", "params": {"class": "bogus"}},
                 {"kind": "transform", "seed": 1, "params": typo_obs},
@@ -314,9 +317,9 @@ def test_failed_runs_leave_no_file(tmp_path, capsys):
     # each rejection comes after the runner's main computation; the tables are written
     # only once the report has serialized, so out_dir stays empty
     for kind, params in (
-            ("transform", {"checkpoints": [64], "maximal": {"N": 0}}),
+            ("transform", {"checkpoints": [64], "maximal": {"lambdas": [float("nan")]}}),
             ("prop27", {"h": "inverse-log", "K": 34, "evaluate": {"tol": -1}}),
-            ("process", {"checkpoints": [64], "seminorm_alpha": 3})):
+            ("process", {"checkpoints": [64], "truncation_radii": [-1]})):
         out = tmp_path / kind
         raw = {"kind": kind, "seed": 1, "params": params}
         (tmp_path / "c.json").write_text(json.dumps(raw))
@@ -336,8 +339,11 @@ def test_params_are_read_before_the_first_computation(tmp_path, monkeypatch, cap
     for kind, params, message in (
             ("transform", {"maximal": {"N": "many"}}, "N must be a number, got 'many'"),
             ("prop27", {"evaluate": {"tol": "tiny"}}, "tol must be a number, got 'tiny'"),
+            ("transform", {"maximal": {"N": 0}}, "N must be >= 1, got 0"),
+            ("transform", {"maximal": {"sample_count": 0}}, "sample_count must be >= 1, got 0"),
             ("prop27", {"modulator_N": 5}, "modulator_N must be >= 10, got 5"),
-            ("process", {"seminorm_alpha": "x"}, "seminorm_alpha must be a number, got 'x'")):
+            ("process", {"seminorm_alpha": "x"}, "seminorm_alpha must be a number, got 'x'"),
+            ("process", {"seminorm_alpha": 3}, "seminorm_alpha must lie in (1, 2], got 3.0")):
         (tmp_path / "c.json").write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
         assert run_cli(["run", "--config", str(tmp_path / "c.json"),
                         "--out-dir", str(tmp_path / kind)]) == 2, kind

@@ -9,6 +9,7 @@ from ehtlab.cli import _sequence_from_spec
 from ehtlab.dynamics import SQRT2_TURNS, RotationPoint, make_system
 from ehtlab.errors import InvariantError
 from ehtlab.sequences import (
+    ModulatingSequence,
     _cycle_indicator,
     from_values,
     named_sequence,
@@ -201,6 +202,46 @@ def test_flag_failures_name_the_range():
     with pytest.raises(InvariantError, match=re.escape("asym: symmetric flag violated on [-2, 2]")):
         bad.range_values(2)
     bad.pair_values(np.arange(0, 0))  # no empty block fails
+
+
+def test_symmetrize_evaluates_its_base_once_per_block():
+    calls = []
+
+    def fn(ks):
+        calls.append(ks.size)
+        return np.exp(1j * ks.astype(float))
+    base = ModulatingSequence("counted", fn, bound=1.0)
+    sym = transform_sequence(base, "symmetrize")
+    ks = np.arange(1, 301, dtype=np.int64)
+    for a in (sym, transform_sequence(sym, "symmetrize")):  # nested too
+        calls.clear()
+        pos, neg = a.pair_values(ks)
+        assert calls == [ks.size] and pos is neg
+    # a sequence without a pair rule evaluates both sides
+    calls.clear()
+    transform_sequence(sym, "scale", c=2.0).pair_values(ks)
+    assert calls == [ks.size, ks.size]
+
+
+def test_declared_symmetry_is_still_compared_in_pair_values(monkeypatch):
+    # a table that breaks its symmetric flag is caught through a product with a
+    # symmetrized sequence, whose own two sides are one array
+    liar = from_values([1.0, 0.0, 2.0], label="liar", symmetric=True)
+    sym = transform_sequence(named_sequence("hardy_littlewood"), "symmetrize")
+    p = transform_sequence(sym, "product", b=liar)
+    assert p.symmetric
+    with pytest.raises(InvariantError, match="liar.*symmetric flag violated"):
+        p.pair_values(np.arange(0, 3))
+    # the symmetric cycle indicator returns two tiles, so its sides are compared
+    compared = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal",
+                        lambda *args: compared.append(1) or array_equal(*args))
+    pos, neg = named_sequence("cycle_indicator").pair_values(np.arange(1, 100))
+    assert pos is not neg and compared == [1]
+    compared.clear()
+    sym.pair_values(np.arange(1, 100))
+    assert compared == []
 
 
 def _masked_cycle_indicator(ks, signed_negative):
