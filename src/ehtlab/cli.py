@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -275,8 +277,10 @@ def _run_transform(cfg: ExperimentConfig) -> tuple[dict, dict]:
     with_abel = _flag(p, "with_abel", True)
     if "maximal" in p:
         m = _spec(p, "maximal")
-        maximal = (_numbers(m.get("lambdas", [0.5, 1, 2, 4]), "lambdas"),
-                   _integer(m.get("N", 1 << 14), "N", 1),
+        lambdas = _numbers(m.get("lambdas", [0.5, 1, 2, 4]), "lambdas")
+        if not all(map(math.isfinite, lambdas)):
+            raise ConfigError(f"lambdas must be finite, got {lambdas}")
+        maximal = (lambdas, _integer(m.get("N", 1 << 14), "N", 1),
                    _integer(m.get("sample_count", 512), "sample_count", 1))
     x0 = sys_.default_point()
     [trace] = orbit_traces([seq], orbit_pairs(sys_, obs, [x0], checkpoints[-1]), checkpoints,
@@ -333,6 +337,8 @@ def _run_prop27(cfg: ExperimentConfig) -> tuple[dict, dict]:
                          _number(ev.get("x_hi", 5.78), "x_hi"),
                          _integer(ev.get("x_count", 20), "x_count"))
         tol = _number(ev.get("tol", 1e-6), "tol")
+        if not 0 < tol < math.inf:  # NaN fails too
+            raise ConfigError(f"tol must be positive and finite, got {tol!r}")
     l1_profile = _flag(p, "l1_profile", False)
     modulator_N = _integer(p["modulator_N"], "modulator_N", 10) if "modulator_N" in p else None
     env = build_envelope(hm, K, M=None if M is None else _number(M, "M"))
@@ -386,16 +392,18 @@ def _run_process(cfg: ExperimentConfig) -> tuple[dict, dict]:
     sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
     seq = _sequence_from_spec(_spec(p, "sequence", {"name": "sparse_dyadic"}))
     validation_count = _integer(p.get("validation_count", 1000), "validation_count")
-    r_schedule = _numbers(p.get("r_schedule", [4, 16, 64, 256]), "r_schedule", _integer)
-    checkpoints = _numbers(p.get("checkpoints", default_checkpoints(1 << 13)), "checkpoints",
-                           _integer)
+    r_schedule = _numbers(p.get("r_schedule", [4, 16, 64, 256]), "r_schedule",
+                          partial(_integer, least=0))
+    checkpoints = as_checkpoints(_numbers(p.get("checkpoints", default_checkpoints(1 << 13)),
+                                          "checkpoints", _integer))
     alpha = _number(p.get("seminorm_alpha", 1.5), "seminorm_alpha")
     if not 1.0 < alpha <= 2.0:  # NaN fails too
         raise ConfigError(f"seminorm_alpha must lie in (1, 2], got {alpha}")
     schedule = tuple(_numbers(p.get("seminorm_schedule", [2**j for j in range(8, 14)]),
-                              "seminorm_schedule", _integer))
+                              "seminorm_schedule", partial(_integer, least=2)))
     radii = p.get("truncation_radii")
-    radii = None if radii is None else _numbers(radii, "truncation_radii", _integer)
+    radii = None if radii is None else _numbers(radii, "truncation_radii",
+                                                partial(_integer, least=0))
     delta = rotation_raised_cosine() if sys_.kind == "rotation" else constant_observable(sys_.kind, 1.0)
     F = build_process(sys_, delta, seed=cfg.seed, validation_count=validation_count)
     res = process_eht_trace(seq, F, sys_.default_point(), checkpoints, r_schedule)

@@ -30,11 +30,6 @@ SQRT2_TURNS = math.sqrt(2.0) - 1.0  # sqrt(2) mod 1
 _MAX_SHIFT = MAX_PHASE_INDEX  # the orbit index |k + shift| must stay below it
 
 
-def _check_index_range(max_abs_k: int) -> None:
-    if max_abs_k >= _MAX_SHIFT:
-        raise ValueError(f"orbit index beyond the exact-angle range (|k| < {_MAX_SHIFT})")
-
-
 def _anchor_phases(points: Sequence) -> np.ndarray:
     """e(t0) of each rotation point, one array evaluation on every path."""
     return np.exp(2j * np.pi * np.array([p.t0 for p in points], dtype=float))
@@ -309,29 +304,20 @@ def constant_observable(sys_kind: str, c: complex = 1.0) -> Observable:
 
 # ----------------------------------------------------------------- operations
 
-def _check_orbit_request(sys: DynamicalSystem, f: Observable, N: int) -> None:
+def _check_points(sys: DynamicalSystem, f: Observable, points: Sequence, N: int) -> None:
+    """The orbit request of radius N around the points, checked before any allocation."""
     if N < 0:
         raise ValueError("orbit radius must be nonnegative")
     if f.system_kind != sys.kind:
         raise ValueError(f"observable {f.label} does not belong to system {sys.kind}")
-
-
-def _check_anchor_range(sys: DynamicalSystem, x0, N: int) -> None:
-    """The exact-angle guard for the orbit of radius N around x0, raised before any allocation."""
-    if isinstance(sys, Rotation):
-        _check_index_range(N + abs(x0.shift))
-
-
-def _check_points(sys: DynamicalSystem, f: Observable, points: Sequence, N: int) -> None:
-    _check_orbit_request(sys, f, N)
-    for p in points:
-        _check_anchor_range(sys, p, N)
+    if isinstance(sys, Rotation) and (
+            N + max((abs(p.shift) for p in points), default=0) >= _MAX_SHIFT):
+        raise ValueError(f"orbit index beyond the exact-angle range (|k| < {_MAX_SHIFT})")
 
 
 def orbit_values(sys: DynamicalSystem, f: Observable, x0, N: int) -> np.ndarray:
     """f(T^k x0) for -N <= k <= N as a length 2N+1 complex array."""
-    _check_orbit_request(sys, f, N)
-    _check_anchor_range(sys, x0, N)
+    _check_points(sys, f, [x0], N)
     ks = np.arange(-N, N + 1, dtype=np.int64)
     return np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
 
@@ -443,10 +429,9 @@ def point_values(sys: DynamicalSystem, f: Observable, points: Sequence) -> np.nd
     The coordinates are the ones `orbit_coords(p, [0])` gives, computed with
     the same arithmetic for all points at once.
     """
-    _check_orbit_request(sys, f, 0)
+    _check_points(sys, f, points, 0)
     if isinstance(sys, Rotation):
         shifts = np.array([p.shift for p in points], dtype=np.int64)
-        _check_index_range(int(np.max(np.abs(shifts), initial=0)))
         coords = np.multiply(sys.phases(shifts), _anchor_phases(points))
     elif isinstance(sys, ThreeCycle):
         coords = np.array([p.cell0 + p.shift for p in points], dtype=np.int64) % 3

@@ -1,15 +1,16 @@
 """Accurate summation and small fitting helpers used throughout the package.
 
 Partial sums with 1/k weights lose digits under naive accumulation once n
-reaches 1e6-1e7, so every checkpointed sum goes through `checkpoint_sums`,
-which combines pairwise segment sums with a compensated merge.
+reaches 1e6-1e7, so every checkpointed sum goes through `checkpoint_sums`
+(pairwise segment sums, compensated merge), block by block in `stream_sums`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -178,8 +179,8 @@ def checkpoint_sums(terms: np.ndarray, ends: Sequence[int],
     within a segment) and the segment totals are merged with a compensated
     accumulator, so the error never accumulates linearly across the range.
     A given `acc` continues the sums and is advanced over every term, those
-    after the last end forming one more segment, so a stream is summed one
-    block of `checkpoint_blocks` at a time with its accumulator carried. A
+    after the last end forming one more segment, so `stream_sums` sums a
+    stream one block of `checkpoint_blocks` at a time, its accumulator carried. A
     segment's sum depends on its own terms only: the streamed sums are
     bitwise the whole-array ones wherever no segment is longer than
     `_BLOCK_TERMS`, and a longer one is the compensated merge of its pieces.
@@ -203,6 +204,28 @@ def checkpoint_sums(terms: np.ndarray, ends: Sequence[int],
         acc.add(z)
         out[i] = acc.value
     return out[: ends.size]
+
+
+def stream_sums(blocks: Callable[[int, int], Iterable[np.ndarray]], ends: np.ndarray,
+                overflow: str) -> np.ndarray:
+    """Prefix sums at the increasing `ends` of streams fed block by block, row s stream s's.
+
+    Per block ``(i, j, lo, hi)`` of `checkpoint_blocks`, `blocks(lo, hi)` yields
+    each stream's terms up to index ``hi - 1`` in stream order (a stream that
+    starts later yields a shorter first array), each summed by `checkpoint_sums`
+    with the stream's carried accumulator before the next is drawn. Overflow
+    warnings are off; a non-finite sum raises OverflowError(`overflow`).
+    """
+    sums = defaultdict(lambda: np.empty(ends.size, dtype=complex))
+    accs = defaultdict(ComplexNeumaierSum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j, lo, hi in checkpoint_blocks(ends):
+            for s, terms in enumerate(blocks(lo, hi)):
+                sums[s][i:j] = checkpoint_sums(terms, ends[i:j] - (hi - terms.size), accs[s])
+    sums = np.array(list(sums.values()))
+    if not np.isfinite(sums).all():
+        raise OverflowError(overflow)
+    return sums
 
 
 @dataclass(frozen=True)

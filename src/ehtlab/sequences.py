@@ -91,9 +91,9 @@ class ModulatingSequence:
         """Check the flags on a_k (`pos`) and a_{-k} (`neg`), k >= 0; a failure calls `where()`."""
         sides = (pos,) if pos is neg else (pos, neg)  # one array is symmetric by construction
         if self.bound is not None:
-            # np.max keeps a NaN, as one np.max over the whole range does
+            # np.max keeps a NaN, as one np.max over the whole range does, and a NaN fails
             worst = float(np.max([np.max(np.abs(side), initial=0.0) for side in sides]))
-            if worst > self.bound * (1.0 + _BOUND_RTOL) + 1e-300:
+            if not worst <= self.bound * (1.0 + _BOUND_RTOL) + 1e-300:
                 raise InvariantError(f"{self.label}: |a_k| = {worst} exceeds declared bound "
                                      f"{self.bound}")
         elif not all(np.isfinite(side).all() for side in sides):

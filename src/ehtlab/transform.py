@@ -20,7 +20,6 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -30,8 +29,7 @@ from .dynamics import (
     TorusAutomorphism,
     DynamicalSystem,
     Observable,
-    _check_anchor_range,
-    _check_orbit_request,
+    _check_points,
     _orbit_basis,
     array_pairs,
     lattice_orbit,
@@ -39,12 +37,7 @@ from .dynamics import (
     sample_points,
 )
 from .errors import InvariantError
-from .numerics import (
-    ComplexNeumaierSum,
-    checkpoint_blocks,
-    checkpoint_sums,
-    fit_line,
-)
+from .numerics import checkpoint_blocks, fit_line, stream_sums
 from .sequences import ModulatingSequence, named_sequence, transform_sequence
 
 
@@ -129,7 +122,7 @@ class _Buffers(dict):
 def _reciprocals(buffers: _Buffers, lo: int, hi: int) -> np.ndarray:
     """fl(1/k) + 0i, k = lo+1..hi. numpy divides a + bi by k + 0i as (a + b 0, b - a 0) fl(1/k),
     so for finite d the product d fl(1/k) is d / k up to the sign of a zero, which no
-    sum tells apart: a `ComplexNeumaierSum` never returns -0.0, and |H_n| drops the sign."""
+    sum tells apart: a `stream_sums` sum is never -0.0, and |H_n| drops the sign."""
     inv = buffers("inv", hi - lo)  # the imaginary parts stay the zeros made
     np.divide(1.0, np.arange(lo + 1, hi + 1, dtype=float), out=inv.real)
     return inv
@@ -202,47 +195,45 @@ def orbit_traces(seqs: Sequence[ModulatingSequence], rows: Callable,
 
     `rows(lo, hi)` yields (v_k, v_{-k}) for k = lo+1..hi per row, in order
     (`orbit_pairs`, `array_pairs`). The traces are row-major: row r against
-    sequence s is trace `r * len(seqs) + s`. No array of length N, the last
-    checkpoint, is built: each block of `checkpoint_blocks`, at most
-    `_BLOCK_TERMS` terms, sums every trace's terms d_k fl(1/k) (`_reciprocals`)
-    by `checkpoint_sums` with the trace's carried accumulator. Each trace's
-    state is allocated on the first block, the block arrays once per stream.
+    sequence s is trace `r * len(seqs) + s`. Each trace's terms d_k fl(1/k)
+    (`_reciprocals`) are one stream of `stream_sums`, so no array of length N
+    is built, and the block arrays are made once.
     `with_abel` adds the two halves of the summation-by-parts identity
         H_n = sum_{k<n} (S_k - S_{-k})/(k(k+1)) + (S_n - S_{-n})/n,
-    whose sum must reproduce H_n up to pure rounding error; D_k = S_k - S_{-k}
-    is one sequential `np.cumsum` carried across the blocks. Non-finite sums raise OverflowError.
+    whose sum must reproduce H_n up to pure rounding error: D_k = S_k - S_{-k}
+    is one sequential `np.cumsum` carried across the blocks, the main terms
+    (k >= 1) stream before the trace's own, and the tails are read off D.
+    Non-finite sums raise OverflowError.
     """
     checkpoints = as_checkpoints(checkpoints)
     ends = np.asarray(checkpoints, dtype=np.int64)
     numerators, buffers = _numerator_blocks(seqs, rows), _Buffers()
-    whole = partial(np.empty, ends.size, dtype=complex)
-    H, accs = defaultdict(whole), defaultdict(ComplexNeumaierSum)
-    if with_abel:
-        mains, tails = defaultdict(whole), defaultdict(whole)
-        main_accs = defaultdict(ComplexNeumaierSum)
-        D_lo = defaultdict(lambda: complex(-0.0, -0.0))  # -0.0 + x is x, even for x = -0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
-        for i, j, lo, hi in checkpoint_blocks(ends):
-            inv = _reciprocals(buffers, lo, hi)
+    tails = defaultdict(lambda: np.empty(ends.size, dtype=complex))
+    D_lo = defaultdict(lambda: complex(-0.0, -0.0))  # -0.0 + x is x, even for x = -0.0
+    overflow = "the partial sums H_n overflow to non-finite values"
+
+    def block(lo: int, hi: int) -> Iterator[np.ndarray]:
+        inv = _reciprocals(buffers, lo, hi)
+        if with_abel:
+            # D_lo..D_hi; the block's main terms D_k / (k(k+1)) run k = start..hi-1,
+            # and its checkpoints lo < n <= hi are ends[i:j]
+            start, D = max(lo, 1), buffers("D", hi - lo + 1)
+            i, j = np.searchsorted(ends, (lo, hi), side="right")
+            kf = np.arange(start, hi, dtype=float)
+            denominators = np.multiply(kf, kf + 1.0, out=buffers("den", kf.size, float))
+        for p, d in enumerate(numerators(lo, hi)):
             if with_abel:
-                # D_lo..D_hi; the block's main terms D_k / (k(k+1)) run k = start..hi-1
-                start, D = max(lo, 1), buffers("D", hi - lo + 1)
-                kf = np.arange(start, hi, dtype=float)
-                denominators = np.multiply(kf, kf + 1.0, out=buffers("den", kf.size, float))
-            for p, d in enumerate(numerators(lo, hi)):
-                if with_abel:
-                    D[0], D[1:] = D_lo[p], d
-                    D_lo[p] = np.cumsum(D, out=D)[-1]
-                    tails[p][i:j] = D[ends[i:j] - lo] / ends[i:j]  # before D holds the main terms
-                    terms = np.divide(D[start - lo : -1], denominators, out=D[start - lo : -1])
-                    mains[p][i:j] = checkpoint_sums(terms, ends[i:j] - start, main_accs[p])
-                H[p][i:j] = checkpoint_sums(np.multiply(d, inv, out=d), ends[i:j] - lo, accs[p])
-    sums = [np.array(list(x.values())) for x in ((H, mains, tails) if with_abel else (H,))]
-    if not all(np.isfinite(x).all() for x in sums):
-        raise OverflowError("the partial sums H_n overflow to non-finite values")
+                D[0], D[1:] = D_lo[p], d
+                D_lo[p] = np.cumsum(D, out=D)[-1]
+                tails[p][i:j] = D[ends[i:j] - lo] / ends[i:j]  # before D holds the main terms
+                yield np.divide(D[start - lo : -1], denominators, out=D[start - lo : -1])
+            yield np.multiply(d, inv, out=d)
+    sums = stream_sums(block, ends, overflow)
     if not with_abel:
-        return [TransformTrace(checkpoints, h) for h in sums[0]]
-    H, mains, tails = sums
+        return [TransformTrace(checkpoints, h) for h in sums]
+    H, mains, tails = sums[1::2], sums[::2], np.array(list(tails.values()))
+    if not np.isfinite(tails).all():
+        raise OverflowError(overflow)
     if not np.all(np.abs(H - (mains + tails)) <= 1e-10 * (1.0 + np.abs(H))):  # NaN fails too
         raise InvariantError("summation-by-parts split disagrees with the direct sum beyond "
                              "rounding scale")
@@ -352,21 +343,16 @@ def cesaro_average_trace(a: ModulatingSequence, sys: DynamicalSystem, f: Observa
                          checkpoints: Sequence[int]) -> np.ndarray:
     """(1/n) sum_{k=0}^{n-1} a_k f(T^k x0) at each checkpoint.
 
-    The terms stream through the blocks of `checkpoint_blocks`, summed by
-    `checkpoint_sums` with one carried accumulator, so no array of length n is
-    built. The orbit request is validated first; a non-finite sum raises OverflowError.
+    The terms stream through `stream_sums`, so no array of length n is built.
+    The orbit request is validated first; a non-finite sum raises OverflowError.
     """
     checkpoints = np.asarray(as_checkpoints(checkpoints), dtype=np.int64)
-    _check_orbit_request(sys, f, checkpoints[-1] - 1)
-    _check_anchor_range(sys, x0, checkpoints[-1] - 1)
-    sums, acc = np.empty(checkpoints.size, dtype=complex), ComplexNeumaierSum()
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
-        for i, j, lo, hi in checkpoint_blocks(checkpoints):
-            ks = np.arange(lo, hi, dtype=np.int64)
-            terms = a.values(ks) * np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
-            sums[i:j] = checkpoint_sums(terms, checkpoints[i:j] - lo, acc)
-    if not np.isfinite(sums).all():
-        raise OverflowError("the Cesaro sums overflow to non-finite values")
+    _check_points(sys, f, [x0], checkpoints[-1] - 1)
+
+    def block(lo: int, hi: int) -> Iterator[np.ndarray]:
+        ks = np.arange(lo, hi, dtype=np.int64)
+        yield a.values(ks) * np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
+    [sums] = stream_sums(block, checkpoints, "the Cesaro sums overflow to non-finite values")
     return sums / checkpoints
 
 
@@ -502,12 +488,8 @@ def l2_diff_vs_spectral(a: ModulatingSequence, sys: DynamicalSystem, f: Observab
             pows = sys.phases(m * np.arange(lo + 1, hi + 1, dtype=np.int64))
             return itertools.chain([(pows, np.conj(pows))], orbits(lo, hi))
 
-        numerators = _numerator_blocks([a], rows)
-        P = np.empty((sample_count + 1, ends.size), dtype=complex)
-        accs = [ComplexNeumaierSum() for _ in range(sample_count + 1)]
-        for i, j, lo, hi in checkpoint_blocks(ends):
-            for s, d in enumerate(numerators(lo, hi)):
-                P[s, i:j] = checkpoint_sums(d, ends[i:j] - lo, accs[s])
+        P = stream_sums(_numerator_blocks([a], rows), ends,
+                        "the sums S_j - S_-j overflow to non-finite values")
         spectral = np.abs(P[0]) * f.norm("l2")
 
         acc = np.zeros(ends.size)

@@ -316,10 +316,12 @@ def test_invariant_failure_is_not_a_config_error(tmp_path, monkeypatch):
 def test_failed_runs_leave_no_file(tmp_path, capsys):
     # each rejection comes after the runner's main computation; the tables are written
     # only once the report has serialized, so out_dir stays empty
+    huge = {"op": "scale", "c": 1e308, "base": {"name": "constant"}}
     for kind, params in (
-            ("transform", {"checkpoints": [64], "maximal": {"lambdas": [float("nan")]}}),
-            ("prop27", {"h": "inverse-log", "K": 34, "evaluate": {"tol": -1}}),
-            ("process", {"checkpoints": [64], "truncation_radii": [-1]})):
+            ("transform", {"checkpoints": [64], "sequence": huge,
+                           "observable": {"kind": "raised_cosine"}}),
+            ("prop27", {"h": "inverse-log", "K": 34, "evaluate": {"x_lo": 0}}),
+            ("process", {"checkpoints": [64], "sequence": huge})):
         out = tmp_path / kind
         raw = {"kind": kind, "seed": 1, "params": params}
         (tmp_path / "c.json").write_text(json.dumps(raw))
@@ -336,6 +338,7 @@ def test_params_are_read_before_the_first_computation(tmp_path, monkeypatch, cap
         raise AssertionError("computation started before every param was read")
     for name in ("orbit_traces", "build_envelope", "build_process"):
         monkeypatch.setattr(cli, name, started)
+    nan, inf = float("nan"), float("inf")
     for kind, params, message in (
             ("transform", {"maximal": {"N": "many"}}, "N must be a number, got 'many'"),
             ("prop27", {"evaluate": {"tol": "tiny"}}, "tol must be a number, got 'tiny'"),
@@ -343,7 +346,20 @@ def test_params_are_read_before_the_first_computation(tmp_path, monkeypatch, cap
             ("transform", {"maximal": {"sample_count": 0}}, "sample_count must be >= 1, got 0"),
             ("prop27", {"modulator_N": 5}, "modulator_N must be >= 10, got 5"),
             ("process", {"seminorm_alpha": "x"}, "seminorm_alpha must be a number, got 'x'"),
-            ("process", {"seminorm_alpha": 3}, "seminorm_alpha must lie in (1, 2], got 3.0")):
+            ("process", {"seminorm_alpha": 3}, "seminorm_alpha must lie in (1, 2], got 3.0"),
+            ("transform", {"maximal": {"lambdas": [1, nan]}},
+             "lambdas must be finite, got [1.0, nan]"),
+            ("transform", {"maximal": {"lambdas": [-inf]}}, "lambdas must be finite, got [-inf]"),
+            ("process", {"truncation_radii": [4, -1]}, "truncation_radii must be >= 0, got -1"),
+            ("process", {"r_schedule": [-1]}, "r_schedule must be >= 0, got -1"),
+            ("process", {"checkpoints": [64, 16]},
+             "checkpoints must be nonempty, positive and strictly increasing"),
+            ("process", {"checkpoints": []},
+             "checkpoints must be nonempty, positive and strictly increasing"),
+            ("process", {"seminorm_schedule": [1, 64]}, "seminorm_schedule must be >= 2, got 1"),
+            ("prop27", {"evaluate": {"tol": -1}}, "tol must be positive and finite, got -1.0"),
+            ("prop27", {"evaluate": {"tol": nan}}, "tol must be positive and finite, got nan"),
+            ("prop27", {"evaluate": {"tol": inf}}, "tol must be positive and finite, got inf")):
         (tmp_path / "c.json").write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
         assert run_cli(["run", "--config", str(tmp_path / "c.json"),
                         "--out-dir", str(tmp_path / kind)]) == 2, kind

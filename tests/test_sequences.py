@@ -187,6 +187,15 @@ def test_bound_invariant_enforced():
         bad.range_values(1)
 
 
+def test_nan_values_fail_a_declared_bound():
+    # NaN compares False with any bound, so the check must pass only values <= the bound
+    nan = ModulatingSequence("x", lambda ks: np.full(ks.shape, np.nan + 0j), bound=1.0)
+    with pytest.raises(InvariantError, match="exceeds declared bound"):
+        nan.range_values(2)
+    with pytest.raises(InvariantError, match="exceeds declared bound"):
+        nan.pair_values(np.arange(3))
+
+
 def test_symmetric_flag_enforced():
     vals = np.array([1.0, 0.0, 2.0])  # a_{-1} != a_1
     bad = from_values(vals, label="asym", symmetric=True)

@@ -95,3 +95,11 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used and (path.stem, name) not in UNUSED_IMPORTS_ALLOWED:
                     unused.append(f"{path.stem}: {name}")
     assert unused == []
+
+
+def test_only_numerics_names_the_stream_accumulator():
+    # a checkpointed sum streams through numerics.stream_sums, which carries the
+    # accumulators; a module naming ComplexNeumaierSum keeps a stream loop of its own
+    naming = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "numerics"
+              and _name_counts(ast.parse(path.read_text()))["ComplexNeumaierSum"]]
+    assert naming == []

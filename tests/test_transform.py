@@ -690,6 +690,14 @@ def test_overflowing_sums_raise_without_warnings():
         maximal_and_weak11(named_sequence("constant"), rot, f, [1.0, math.nan], 64, 4, seed=0)
     with pytest.raises(OverflowError, match="non-finite"):
         cesaro_average_trace(named_sequence("constant", value=1e306), rot, f, x0, (1 << 12,))
+    with pytest.raises(OverflowError, match="non-finite"):
+        l2_diff_vs_spectral(huge, rot, rotation_character(1), [16, 64], sample_count=2)
+    # D_n overflows at the checkpoint n alone, so H_n and the main part stay finite
+    # and the tail must raise before the identity check
+    n, table = 8, np.zeros(17)
+    table[n + n - 1 :] = 1e308
+    with pytest.raises(OverflowError, match="non-finite"):
+        eht_trace(from_values(table), np.ones(2 * n + 1, dtype=complex), [n], with_abel=True)
 
 
 def _assert_streams_like_eht_trace(seqs, sys_, f, anchors, cps):
