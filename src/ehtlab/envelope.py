@@ -549,7 +549,7 @@ def divergent_modulator_demo(N: int) -> dict:
     ends = np.asarray(checkpoints, dtype=np.int64) - 1
     dominated = []
 
-    def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def block(lo: int, hi: int, *_) -> tuple[np.ndarray, np.ndarray]:
         ns = np.arange(lo + 2, hi + 2, dtype=np.int64)
         h_vals = 1.0 / np.log(ns + 2.0)
         a_vals = env.values_at(ns)

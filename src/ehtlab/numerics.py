@@ -206,21 +206,22 @@ def checkpoint_sums(terms: np.ndarray, ends: Sequence[int],
     return out[: ends.size]
 
 
-def stream_sums(blocks: Callable[[int, int], Iterable[np.ndarray]], ends: np.ndarray,
+def stream_sums(blocks: Callable[[int, int, int, int], Iterable[np.ndarray]], ends: np.ndarray,
                 overflow: str) -> np.ndarray:
     """Prefix sums at the increasing `ends` of streams fed block by block, row s stream s's.
 
-    Per block ``(i, j, lo, hi)`` of `checkpoint_blocks`, `blocks(lo, hi)` yields
-    each stream's terms up to index ``hi - 1`` in stream order (a stream that
-    starts later yields a shorter first array), each summed by `checkpoint_sums`
-    with the stream's carried accumulator before the next is drawn. Overflow
+    Per block ``(i, j, lo, hi)`` of `checkpoint_blocks`, `blocks(lo, hi, i, j)`
+    yields each stream's terms up to index ``hi - 1`` in stream order (a stream
+    that starts later yields a shorter first array), each summed by
+    `checkpoint_sums` at ``ends[i:j]`` with the stream's carried accumulator
+    before the next is drawn. Overflow
     warnings are off; a non-finite sum raises OverflowError(`overflow`).
     """
     sums = defaultdict(lambda: np.empty(ends.size, dtype=complex))
     accs = defaultdict(ComplexNeumaierSum)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, j, lo, hi in checkpoint_blocks(ends):
-            for s, terms in enumerate(blocks(lo, hi)):
+            for s, terms in enumerate(blocks(lo, hi, i, j)):
                 sums[s][i:j] = checkpoint_sums(terms, ends[i:j] - (hi - terms.size), accs[s])
     sums = np.array(list(sums.values()))
     if not np.isfinite(sums).all():

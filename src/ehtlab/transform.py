@@ -142,8 +142,8 @@ def _numerators(weights: tuple[np.ndarray, np.ndarray], vpos: np.ndarray, vneg: 
 
 def _numerator_blocks(seqs: Sequence[ModulatingSequence], rows: Callable,
                       buffers: _Buffers | None = None
-                      ) -> Callable[[int, int], Iterator[np.ndarray]]:
-    """A function (lo, hi) -> d_k for k = lo+1..hi of every sequence against every row, row-major.
+                      ) -> Callable[..., Iterator[np.ndarray]]:
+    """A function (lo, hi, *_) -> d_k, k = lo+1..hi, of every sequence against every row, row-major.
 
     Per block a_{+-k} of each sequence is evaluated once (`pair_values`) and
     the rows of `rows(lo, hi)` are read one at a time; each d_k is written
@@ -156,7 +156,7 @@ def _numerator_blocks(seqs: Sequence[ModulatingSequence], rows: Callable,
         a.pair_values(np.zeros(1, dtype=np.int64))
     first_rows, buffers = math.inf, _Buffers() if buffers is None else buffers
 
-    def block(lo: int, hi: int) -> Iterator[np.ndarray]:
+    def block(lo: int, hi: int, *_) -> Iterator[np.ndarray]:
         nonlocal first_rows
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
         weights = [a.pair_values(ks) for a in seqs]
@@ -212,13 +212,12 @@ def orbit_traces(seqs: Sequence[ModulatingSequence], rows: Callable,
     D_lo = defaultdict(lambda: complex(-0.0, -0.0))  # -0.0 + x is x, even for x = -0.0
     overflow = "the partial sums H_n overflow to non-finite values"
 
-    def block(lo: int, hi: int) -> Iterator[np.ndarray]:
+    def block(lo: int, hi: int, i: int, j: int) -> Iterator[np.ndarray]:
         inv = _reciprocals(buffers, lo, hi)
         if with_abel:
             # D_lo..D_hi; the block's main terms D_k / (k(k+1)) run k = start..hi-1,
             # and its checkpoints lo < n <= hi are ends[i:j]
             start, D = max(lo, 1), buffers("D", hi - lo + 1)
-            i, j = np.searchsorted(ends, (lo, hi), side="right")
             kf = np.arange(start, hi, dtype=float)
             denominators = np.multiply(kf, kf + 1.0, out=buffers("den", kf.size, float))
         for p, d in enumerate(numerators(lo, hi)):
@@ -349,7 +348,7 @@ def cesaro_average_trace(a: ModulatingSequence, sys: DynamicalSystem, f: Observa
     checkpoints = np.asarray(as_checkpoints(checkpoints), dtype=np.int64)
     _check_points(sys, f, [x0], checkpoints[-1] - 1)
 
-    def block(lo: int, hi: int) -> Iterator[np.ndarray]:
+    def block(lo: int, hi: int, *_) -> Iterator[np.ndarray]:
         ks = np.arange(lo, hi, dtype=np.int64)
         yield a.values(ks) * np.asarray(f.coord_fn(sys.orbit_coords(x0, ks)), dtype=complex)
     [sums] = stream_sums(block, checkpoints, "the Cesaro sums overflow to non-finite values")

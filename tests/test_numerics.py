@@ -72,10 +72,10 @@ _SEGMENT = st.one_of(st.just(0), st.integers(1, 40), st.integers(500, 20_000),
 @example(seed=5, lengths=[_BLOCK_TERMS - 1, 1, 2, _BLOCK_TERMS, 1], spare=9)  # blocks end exactly
 @example(seed=6, lengths=[2 * _BLOCK_TERMS + 5, 3], spare=1)  # a long first segment
 def test_block_plan_is_bitwise_the_whole_array_sum(seed, lengths, spare):
-    ends = 1 + np.cumsum(lengths)  # >= 1, so the stream from index 1 has every end
+    ends = np.cumsum(lengths)
     ends = ends[ends <= 4 * _BLOCK_TERMS]
     if ends.size == 0:
-        ends = np.ones(1, dtype=np.int64)
+        ends = np.zeros(1, dtype=np.int64)
     rng = np.random.default_rng(seed)
     n = int(ends[-1]) + spare
     scale = 10.0 ** rng.uniform(-3, 3, n)
@@ -89,29 +89,37 @@ def test_block_plan_is_bitwise_the_whole_array_sum(seed, lengths, spare):
     assert blocks[-1][1] == ends.size and blocks[-1][3] == ends[-1]
     assert all(hi - lo <= _BLOCK_TERMS for _, _, lo, hi in blocks)
     assert all(hi == (ends[j - 1] if j > i else lo + _BLOCK_TERMS) for i, j, lo, hi in blocks)
-    # the streamed form: two streams through stream_sums, the terms from index 0 and, as
-    # the Abel main terms do, from index 1, so a term shorter in the first block
-    def two_streams(lo, hi):
+    # the streamed form through stream_sums: the terms from index 0 and, where every end
+    # is >= 1, a second stream from index 1, as the Abel main terms are, so a term
+    # shorter in the first block
+    shifted = ends[0] >= 1
+    def streams(lo, hi, *_):
         yield terms[lo:hi]
-        yield terms[max(lo, 1) : hi]
-    streamed, shorter = stream_sums(two_streams, ends, "overflow")
+        if shifted:
+            yield terms[max(lo, 1) : hi]
+    streamed, *shorter = stream_sums(streams, ends, "overflow")
+    assert len(shorter) == shifted
     fits = np.diff(ends, prepend=0).max() <= _BLOCK_TERMS
     reference = _whole_array_checkpoint_sums if fits else piecewise_checkpoint_sums
     assert np.array_equal(streamed.view(np.int64), reference(terms, ends).view(np.int64))
+    for e, value in zip(ends, streamed):
+        magnitude = math.fsum(np.abs(terms[:e]))
+        assert abs(value - _fsum_prefix(terms, e)) <= 1e-13 * (1.0 + magnitude)
+    if not shifted:
+        return
     # the second stream is the sum of terms[1:] at ends - 1; where its first segment spans
     # blocks its first piece is a term short, so the pieces differ from the reference's
     if ends[0] <= _BLOCK_TERMS:
         want = reference(terms[1:], ends - 1)
-        assert np.array_equal(shorter.view(np.int64), want.view(np.int64))
-    for e, value, value1 in zip(ends, streamed, shorter):
+        assert np.array_equal(shorter[0].view(np.int64), want.view(np.int64))
+    for e, value in zip(ends, shorter[0]):
         magnitude = math.fsum(np.abs(terms[:e]))
-        assert abs(value - _fsum_prefix(terms, e)) <= 1e-13 * (1.0 + magnitude)
-        assert abs(value1 - _fsum_prefix(terms[1:], e - 1)) <= 1e-13 * (1.0 + magnitude)
+        assert abs(value - _fsum_prefix(terms[1:], e - 1)) <= 1e-13 * (1.0 + magnitude)
 
 
 def test_stream_sums_raise_the_callers_overflow_error():
     # pytest turns a RuntimeWarning into an error: the overflow stays silent until the raise
-    def huge(lo, hi):
+    def huge(lo, hi, *_):
         yield np.full(hi - lo, 1e308, dtype=complex)
     with pytest.raises(OverflowError, match="^the sums overflow$"):
         stream_sums(huge, np.array([2, 3 * _BLOCK_TERMS]), "the sums overflow")
