@@ -80,76 +80,105 @@ _TOP_KEYS = {"kind", "seed", "out_dir", "params"}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
+    if unknown := set(raw) - _TOP_KEYS:
         raise ConfigError(f"unknown top-level config fields: {sorted(unknown)}")
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be an object")
-    bad = set(params) - _KINDS[kind].params
-    if bad:
+    if not isinstance(params := raw.get("params", {}), dict):
+        raise ConfigError(f"params must be a JSON object, got {params!r}")
+    if bad := set(params) - _KINDS[kind].params:
         raise ConfigError(f"unknown params for {kind}: {sorted(bad)}")
     seed = raw.get("seed")
     if seed is None and _KINDS[kind].needs_seed:
         raise ConfigError(f"experiment kind {kind!r} samples points and requires a seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
-    return ExperimentConfig(kind=kind, seed=seed, out_dir=str(raw.get("out_dir", ".")),
-                            params=params)
+    out_dir = raw.get("out_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+    return ExperimentConfig(kind=kind, seed=seed, out_dir=out_dir, params=params)
 
 
 # ------------------------------------------------------------ spec -> objects
 
-_SEQUENCE_KEYS = {"name", "value", "convention", "terms", "op", "base", "r", "c", "angle_turns", "b"}
-_SYSTEM_KEYS = {"kind", "angle_turns"}
-# the keys each nested spec may hold; params keys are checked per kind in parse_config
-_SPEC_KEYS = {
-    "sequence": _SEQUENCE_KEYS, "base": _SEQUENCE_KEYS, "b": _SEQUENCE_KEYS,
-    "system": _SYSTEM_KEYS, "resonance_system": _SYSTEM_KEYS,
-    "observable": {"kind", "m", "p", "q", "value"},
-    "maximal": {"lambdas", "N", "sample_count"},
-    "evaluate": {"x_lo", "x_hi", "x_count", "tol"},
-}
+class _Form(NamedTuple):
+    """One form of a nested spec: the keys it takes and its builder (spec, *caller's args)."""
+    keys: set[str]
+    build: Callable[..., object] = lambda sp: sp
 
 
-def _spec(parent: dict, key: str, default: dict | None = None) -> dict:
-    """The nested spec parent[key] (or `default` when absent; required when no
-    default is given), which must be a JSON object holding only known keys."""
+def _spec(parent: dict, key: str, forms: _Form | dict, default: dict | None = None, *args):
+    """The object that spec parent[key] (`default` when absent) describes. It names its form by
+    the first field of `forms` it holds, else needs the last (or `forms` is its one form), and
+    it holds only that form's keys."""
     sp = parent[key] if default is None else parent.get(key, default)
     if not isinstance(sp, dict):
         raise ConfigError(f"{key} must be a JSON object, got {sp!r}")
-    unknown = set(sp) - _SPEC_KEYS.get(key, set(sp))
-    if unknown:
+    if not isinstance(forms, _Form):
+        field = next((f for f in forms if f in sp), [*forms][-1])
+        if not isinstance(name := sp[field], str) or name not in forms[field]:
+            raise ConfigError(f"unknown {key} {field} {name!r}")
+        forms = forms[field][name]
+    if unknown := set(sp) - forms.keys:
         raise ConfigError(f"unknown fields in {key}: {sorted(unknown)}")
-    return sp
+    return forms.build(sp, *args)
 
 
-def _sequence_from_spec(sp: dict) -> ModulatingSequence:
-    if "op" in sp:
-        base = _sequence_from_spec(_spec(sp, "base", {}))
-        op = sp["op"]
-        kwargs = {}
-        if op == "truncate":
-            kwargs["r"] = _integer(sp["r"], "r")
-        elif op == "scale":
-            kwargs["c"] = _complex_of(sp["c"])
-        elif op == "modulate":
-            kwargs["turns"] = _number(sp["angle_turns"], "angle_turns")
-        elif op == "product":
-            kwargs["b"] = _sequence_from_spec(_spec(sp, "b"))
-        return transform_sequence(base, op, **kwargs)
-    name = sp["name"]
-    if name == "trig_poly":
-        return trig_poly_sequence([(_complex_of(coeff), _number(turns, "terms"))
-                                   for coeff, turns in sp["terms"]])
-    if name == "constant":
-        return named_sequence("constant", value=_complex_of(sp.get("value", 1.0)))
-    if name == "cycle_indicator":
-        return named_sequence("cycle_indicator", convention=sp.get("convention", "symmetric"))
-    return named_sequence(name)
+def _op(sp: dict, **kwargs) -> ModulatingSequence:
+    return transform_sequence(_spec(sp, "base", _SEQUENCES, {}), sp["op"], **kwargs)
+
+
+_SEQUENCES = {
+    "op": {
+        "symmetrize": _Form({"op", "base"}, _op),
+        "truncate": _Form({"op", "base", "r"}, lambda sp: _op(sp, r=_integer(sp["r"], "r"))),
+        "scale": _Form({"op", "base", "c"}, lambda sp: _op(sp, c=_complex_of(sp["c"]))),
+        "modulate": _Form({"op", "base", "angle_turns"}, lambda sp: _op(
+            sp, turns=_number(sp["angle_turns"], "angle_turns"))),
+        "product": _Form({"op", "base", "b"}, lambda sp: _op(sp, b=_spec(sp, "b", _SEQUENCES))),
+    },
+    "name": {
+        **{name: _Form({"name"}, lambda sp: named_sequence(sp["name"]))
+           for name in ("hardy_littlewood", "sparse_dyadic")},
+        "constant": _Form({"name", "value"}, lambda sp: named_sequence(
+            "constant", value=_complex_of(sp.get("value", 1.0)))),
+        "cycle_indicator": _Form({"name", "convention"}, lambda sp: named_sequence(
+            "cycle_indicator", convention=sp.get("convention", "symmetric"))),
+        "trig_poly": _Form({"name", "terms"}, lambda sp: trig_poly_sequence(
+            [(_complex_of(coeff), _number(turns, "terms")) for coeff, turns in sp["terms"]])),
+    },
+}
+
+
+def _rotation(sp: dict):
+    angle = sp.get("angle_turns", "sqrt2")
+    return make_system("rotation",
+                       angle_turns=angle if angle == "sqrt2" else _number(angle, "angle_turns"))
+
+
+_SYSTEMS = {"kind": {
+    "rotation": _Form({"kind", "angle_turns"}, _rotation),
+    **{kind: _Form({"kind"}, lambda sp: make_system(sp["kind"]))
+       for kind in ("three_cycle", "torus_automorphism")},
+}}
+_OBSERVABLES = {"kind": {
+    "rotation_character": _Form({"kind", "m"}, lambda sp, _: rotation_character(
+        _integer(sp.get("m", 1), "m"))),
+    "raised_cosine": _Form({"kind"}, lambda sp, _: rotation_raised_cosine()),
+    "cycle_step": _Form({"kind"}, lambda sp, _: cycle_step_observable()),
+    "indicator_A": _Form({"kind"}, lambda sp, _: cycle_indicator_observable()),
+    "torus_character": _Form({"kind", "p", "q"}, lambda sp, _: torus_character(
+        _integer(sp.get("p", 1), "p"), _integer(sp.get("q", 0), "q"))),
+    "constant": _Form({"kind", "value"}, lambda sp, sys_kind: constant_observable(
+        sys_kind, _complex_of(sp.get("value", 1.0)))),
+}}
+# read in place by their runners
+_MAXIMAL = _Form({"lambdas", "N", "sample_count"})
+_EVALUATE = _Form({"x_lo", "x_hi", "x_count", "tol"})
+_MAJORANTS = {"inverse-log": partial(inverse_log_majorant, shift=3),
+              "inverse-log2": partial(inverse_log_majorant, shift=2),
+              "inverse-linear": inverse_linear_majorant}
 
 
 def _complex_of(v) -> complex:
@@ -190,30 +219,6 @@ def _numbers(values, key: str, each=_number) -> list:
     return [each(v, key) for v in values]
 
 
-def _system_from_spec(sp: dict):
-    angle = sp.get("angle_turns", "sqrt2")
-    return make_system(sp["kind"],
-                       angle_turns=angle if angle == "sqrt2" else _number(angle, "angle_turns"))
-
-
-def _observable_from_spec(sp: dict, sys_kind: str):
-    kind = sp.get("kind")
-    if kind == "rotation_character":
-        return rotation_character(_integer(sp.get("m", 1), "m"))
-    if kind == "raised_cosine":
-        return rotation_raised_cosine()
-    if kind == "cycle_step":
-        return cycle_step_observable()
-    if kind == "indicator_A":
-        return cycle_indicator_observable()
-    if kind == "torus_character":
-        return torus_character(_integer(sp.get("p", 1), "p"),
-                               _integer(sp.get("q", 0), "q"))
-    if kind == "constant":
-        return constant_observable(sys_kind, _complex_of(sp.get("value", 1.0)))
-    raise ConfigError(f"unknown observable kind {kind!r}")
-
-
 # ------------------------------------------------------------- serialization
 
 def _jsonable(obj):
@@ -252,7 +257,7 @@ class _Rows(list):
 
 def _run_rates(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
-    seq = _sequence_from_spec(_spec(p, "sequence", {"name": "hardy_littlewood"}))
+    seq = _spec(p, "sequence", _SEQUENCES, {"name": "hardy_littlewood"})
     klass = p.get("class", "a_alpha")
     klass = {"A": "a_alpha", "A-plain": "a_alpha_plain", "M": "m_alpha"}.get(klass, klass)
     schedule = tuple(_numbers(p.get("schedule", [2**j for j in range(8, 16)]), "schedule",
@@ -269,14 +274,14 @@ def _run_rates(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_transform(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
-    sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
-    seq = _sequence_from_spec(_spec(p, "sequence", {"name": "sparse_dyadic"}))
-    obs = _observable_from_spec(_spec(p, "observable", {"kind": "rotation_character"}), sys_.kind)
+    sys_ = _spec(p, "system", _SYSTEMS, {"kind": "rotation"})
+    seq = _spec(p, "sequence", _SEQUENCES, {"name": "sparse_dyadic"})
+    obs = _spec(p, "observable", _OBSERVABLES, {"kind": "rotation_character"}, sys_.kind)
     checkpoints = as_checkpoints(_numbers(p.get("checkpoints", default_checkpoints(1 << 14)),
                                           "checkpoints", _integer))
     with_abel = _flag(p, "with_abel", True)
     if "maximal" in p:
-        m = _spec(p, "maximal")
+        m = _spec(p, "maximal", _MAXIMAL)
         lambdas = _numbers(m.get("lambdas", [0.5, 1, 2, 4]), "lambdas")
         if not all(map(math.isfinite, lambdas)):
             raise ConfigError(f"lambdas must be finite, got {lambdas}")
@@ -321,18 +326,12 @@ def _run_counterexample(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_prop27(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
-    h_name = p.get("h", "inverse-log")
-    if h_name == "inverse-log":
-        hm = inverse_log_majorant(shift=3)
-    elif h_name == "inverse-log2":
-        hm = inverse_log_majorant(shift=2)
-    elif h_name == "inverse-linear":
-        hm = inverse_linear_majorant()
-    else:
-        raise ConfigError(f"unknown majorant {h_name!r}")
+    if not isinstance(h := p.get("h", "inverse-log"), str) or h not in _MAJORANTS:
+        raise ConfigError(f"unknown majorant {h!r}")
+    hm = _MAJORANTS[h]()
     K, M = _integer(p.get("K", 20), "K"), p.get("M")
     if "evaluate" in p:
-        ev = _spec(p, "evaluate")
+        ev = _spec(p, "evaluate", _EVALUATE)
         xs = np.linspace(_number(ev.get("x_lo", 0.5), "x_lo"),
                          _number(ev.get("x_hi", 5.78), "x_hi"),
                          _integer(ev.get("x_count", 20), "x_count"))
@@ -374,8 +373,8 @@ def _run_prop27(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_spectral(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
-    seq = _sequence_from_spec(_spec(p, "sequence", {"name": "hardy_littlewood"}))
-    rsys = _system_from_spec(_spec(p, "resonance_system")) if "resonance_system" in p else None
+    seq = _spec(p, "sequence", _SEQUENCES, {"name": "hardy_littlewood"})
+    rsys = _spec(p, "resonance_system", _SYSTEMS) if "resonance_system" in p else None
     if rsys is not None and rsys.kind == "three_cycle":
         raise ConfigError("resonance_system must be a rotation or the torus_automorphism")
     n = _integer(p.get("n", 1 << 12), "n")
@@ -389,8 +388,8 @@ def _run_spectral(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_process(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
-    sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
-    seq = _sequence_from_spec(_spec(p, "sequence", {"name": "sparse_dyadic"}))
+    sys_ = _spec(p, "system", _SYSTEMS, {"kind": "rotation"})
+    seq = _spec(p, "sequence", _SEQUENCES, {"name": "sparse_dyadic"})
     validation_count = _integer(p.get("validation_count", 1000), "validation_count")
     r_schedule = _numbers(p.get("r_schedule", [4, 16, 64, 256]), "r_schedule",
                           partial(_integer, least=0))
@@ -401,6 +400,9 @@ def _run_process(cfg: ExperimentConfig) -> tuple[dict, dict]:
         raise ConfigError(f"seminorm_alpha must lie in (1, 2], got {alpha}")
     schedule = tuple(_numbers(p.get("seminorm_schedule", [2**j for j in range(8, 14)]),
                               "seminorm_schedule", partial(_integer, least=2)))
+    # the rate checks' rule, and the Hilbert verdict's grid, which starts at 16
+    if not schedule or schedule[-1] < 16 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError(f"seminorm_schedule must increase strictly to >= 16, got {schedule}")
     radii = p.get("truncation_radii")
     radii = None if radii is None else _numbers(radii, "truncation_radii",
                                                 partial(_integer, least=0))
@@ -423,7 +425,7 @@ def _run_process(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
-    sys_ = _system_from_spec(_spec(p, "system", {"kind": "rotation"}))
+    sys_ = _spec(p, "system", _SYSTEMS, {"kind": "rotation"})
     if sys_.kind != "rotation":
         raise ConfigError("sweep experiments run on rotations")
     obs = rotation_character(_integer(p.get("m", 1), "m"))
@@ -606,21 +608,18 @@ def _config_from_args(args) -> ExperimentConfig:
         raw.setdefault("kind", args.kind)
     if "kind" not in raw:
         raise ConfigError("no experiment kind given (positional or in --config)")
-    params = dict(_spec(raw, "params", {}))
+    shortcuts = {"convention": args.convention, "class": args.klass, "alpha": args.alpha,
+                 "beta": args.beta, "h": args.h, "K": args.K,
+                 "sequence": None if args.seq is None else {"name": args.seq}}
     if args.N is not None:
-        key = "N" if raw["kind"] == "counterexample" else "modulator_N"
         try:
-            params[key] = int(float(args.N))
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"--N must be a finite number, got {args.N!r}") from exc
-    if args.seq is not None:
-        params["sequence"] = {"name": args.seq}
-    shortcuts = {"convention": "convention", "klass": "class", "alpha": "alpha", "beta": "beta",
-                 "h": "h", "K": "K"}
-    params.update({key: getattr(args, attr) for attr, key in shortcuts.items()
-                   if getattr(args, attr) is not None})
-    if params:
-        raw["params"] = params
+            N = float(args.N)
+        except ValueError as exc:
+            raise ConfigError(f"--N must be a number, got {args.N!r}") from exc
+        # a whole --N is stored as an int, so 1e3 hashes as 1000
+        shortcuts["N" if raw["kind"] == "counterexample" else "modulator_N"] = _integer(N, "--N")
+    if isinstance(params := raw.setdefault("params", {}), dict):  # parse_config rejects others
+        params.update({key: value for key, value in shortcuts.items() if value is not None})
     raw.update({key: getattr(args, key) for key in ("seed", "out_dir")
                 if getattr(args, key) is not None})
     return parse_config(raw)

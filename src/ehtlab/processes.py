@@ -84,9 +84,10 @@ def build_process(sys: DynamicalSystem, delta: Observable, schedule: FactorSched
                   validation_count: int = 1000, seed: int = 7) -> AdmissibleProcess:
     """Validated process from a monotone factor schedule (default: SHRINK).
 
-    Validation draws `validation_count` points and requires, at every probe
-    level r in 0, 1, 2, 4, 8, 16, real nonnegative values with
-    v_r <= v_{r+1} <= delta pointwise; any violation is a hard error.
+    Validation draws `validation_count` points, on which delta must be real and
+    nonnegative, and requires the probe factors 0 <= c(0) <= c(1) <= c(2) <= c(4)
+    <= c(8) <= c(16) <= 1 (a NaN fails). Rounding is monotone, so v_r <= v_{r+1}
+    <= delta then holds on every sample; any violation is a hard error.
     """
     pts = sample_points(sys, validation_count, seed)
     dvals = point_values(sys, delta, pts)
@@ -95,17 +96,16 @@ def build_process(sys: DynamicalSystem, delta: Observable, schedule: FactorSched
     if np.any(dvals.real < 0):
         raise InvariantError("invalid process: delta takes negative values")
     probe_radii = (0, 1, 2, 4, 8, 16)
-    factors = schedule.factor(np.asarray(probe_radii, dtype=float))
-    prev = None
+    factors = np.asarray(schedule.factor(np.asarray(probe_radii, dtype=float)))
+    prev = 0.0
     for r, c in zip(probe_radii, factors):
-        vr = c * dvals
-        if np.any(np.abs(vr.imag) > 0) or np.any(vr.real < 0):
+        if c.imag != 0 or not c.real >= 0:
             raise InvariantError(f"invalid process: v_{r} is not real nonnegative")
-        if np.any(vr.real > dvals.real):
+        if c.real > 1:
             raise InvariantError(f"invalid process: v_{r} exceeds delta on a sample")
-        if prev is not None and np.any(vr.real < prev):
+        if c.real < prev:
             raise InvariantError(f"invalid process: schedule decreases at r = {r}")
-        prev = vr.real
+        prev = c.real
     return AdmissibleProcess(sys, delta, schedule)
 
 

@@ -87,6 +87,10 @@ def test_config_schema_validation():
         parse_config({"params": {}})
     cfg = parse_config({"kind": "rates", "params": {"class": "star"}})
     assert cfg.seed is None
+    # out_dir names a directory, so it must be a string
+    for out_dir in (None, ["a"], 3):
+        with pytest.raises(ConfigError, match="out_dir must be a string"):
+            parse_config({"kind": "rates", "out_dir": out_dir})
 
 
 def _not_numbers():
@@ -359,11 +363,180 @@ def test_params_are_read_before_the_first_computation(tmp_path, monkeypatch, cap
             ("process", {"seminorm_schedule": [1, 64]}, "seminorm_schedule must be >= 2, got 1"),
             ("prop27", {"evaluate": {"tol": -1}}, "tol must be positive and finite, got -1.0"),
             ("prop27", {"evaluate": {"tol": nan}}, "tol must be positive and finite, got nan"),
-            ("prop27", {"evaluate": {"tol": inf}}, "tol must be positive and finite, got inf")):
+            ("prop27", {"evaluate": {"tol": inf}}, "tol must be positive and finite, got inf"),
+            ("process", {"seminorm_schedule": [64, 32]},
+             "seminorm_schedule must increase strictly to >= 16, got (64, 32)"),
+            ("process", {"seminorm_schedule": [4, 8]},
+             "seminorm_schedule must increase strictly to >= 16, got (4, 8)")):
         (tmp_path / "c.json").write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
         assert run_cli(["run", "--config", str(tmp_path / "c.json"),
                         "--out-dir", str(tmp_path / kind)]) == 2, kind
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+class _Lookups(dict):
+    """A config object that records which of its keys are looked up."""
+
+    def __init__(self, raw: dict):
+        super().__init__({k: _Lookups(v) if isinstance(v, dict) else v for k, v in raw.items()})
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def unread(self, path="params") -> list[str]:
+        """The keys of this object and of every nested one that nothing looked up."""
+        return [f"{path}.{key}" for key in sorted(set(self) - self.read)] + [
+            miss for key, v in self.items() if isinstance(v, _Lookups)
+            for miss in v.unread(f"{path}.{key}")]
+
+
+# every params key of every kind, and every key of every nested form they hold
+_ALL_PARAMS = {
+    "rates": {"sequence": {"op": "truncate", "base": {"name": "constant", "value": 2}, "r": 9},
+              "class": "star", "alpha": 1.5, "beta": 0.5, "schedule": [64, 128],
+              "grid_order": 1024},
+    "transform": {"sequence": {"op": "product", "base": {"name": "sparse_dyadic"},
+                               "b": {"name": "cycle_indicator", "convention": "signed"}},
+                  "system": {"kind": "rotation", "angle_turns": 0.3090169943749474},
+                  "observable": {"kind": "rotation_character", "m": 2},
+                  "checkpoints": [16, 64], "with_abel": True,
+                  "maximal": {"lambdas": [1], "N": 64, "sample_count": 2}},
+    "counterexample": {"N": 64, "convention": "both"},
+    "prop27": {"h": "inverse-linear", "K": 10, "M": 1.0, "l1_profile": True, "modulator_N": 100,
+               "evaluate": {"x_lo": 0.5, "x_hi": 1.0, "x_count": 2, "tol": 1e-6}},
+    "spectral": {"sequence": {"op": "modulate", "angle_turns": 0.25, "base": {
+                     "name": "trig_poly", "terms": [[1, 0.25]]}},
+                 "n": 64, "grid_order": 256, "threshold": 0.1,
+                 "resonance_system": {"kind": "torus_automorphism"}},
+    "process": {"system": {"kind": "rotation"}, "sequence": {
+                    "op": "scale", "c": [1, 2], "base": {"op": "symmetrize", "base": {
+                        "name": "hardy_littlewood"}}},
+                "r_schedule": [4], "checkpoints": [64], "validation_count": 10,
+                "seminorm_alpha": 1.5, "seminorm_schedule": [16, 64], "truncation_radii": [4]},
+    "sweep": {"system": {"kind": "rotation", "angle_turns": "sqrt2"}, "m": 1,
+              "lambdas_turns": [0.25], "n_max": 256, "symmetric": True},
+}
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_declared_param_is_read_before_the_first_computation(kind, monkeypatch):
+    # a declared key that its runner never looks up would be a knob that does nothing
+    from ehtlab import cli
+    from ehtlab.cli import ExperimentConfig
+
+    def started(*args, **kwargs):
+        raise _Started
+    for name in ("orbit_traces", "build_envelope", "build_process", "rate_report",
+                 "gamma_and_spectrum", "wiener_wintner_sweep"):
+        monkeypatch.setattr(cli, name, started)
+    assert set(_ALL_PARAMS[kind]) == _KINDS[kind].params
+    params = _Lookups(_ALL_PARAMS[kind])
+    with pytest.raises(_Started):
+        _KINDS[kind].run(ExperimentConfig(kind, 1, ".", params))
+    assert params.unread() == []
+
+
+# one spec of every form, holding every key the form declares
+_FULL_FORMS = (
+    ("sequence", {"op": "symmetrize", "base": {"name": "hardy_littlewood"}}),
+    ("sequence", {"op": "truncate", "base": {"name": "hardy_littlewood"}, "r": 3}),
+    ("sequence", {"op": "scale", "base": {"name": "hardy_littlewood"}, "c": [1, 2]}),
+    ("sequence", {"op": "modulate", "base": {"name": "hardy_littlewood"}, "angle_turns": 0.25}),
+    ("sequence", {"op": "product", "base": {"name": "hardy_littlewood"},
+                  "b": {"name": "sparse_dyadic"}}),
+    ("sequence", {"name": "hardy_littlewood"}),
+    ("sequence", {"name": "sparse_dyadic"}),
+    ("sequence", {"name": "constant", "value": 2}),
+    ("sequence", {"name": "cycle_indicator", "convention": "signed"}),
+    ("sequence", {"name": "trig_poly", "terms": [[1, 0.25]]}),
+    ("system", {"kind": "rotation", "angle_turns": 0.3090169943749474}),
+    ("system", {"kind": "three_cycle"}),
+    ("system", {"kind": "torus_automorphism"}),
+    ("observable", {"kind": "rotation_character", "m": 2}),
+    ("observable", {"kind": "raised_cosine"}),
+    ("observable", {"kind": "cycle_step"}),
+    ("observable", {"kind": "indicator_A"}),
+    ("observable", {"kind": "torus_character", "p": 1, "q": 2}),
+    ("observable", {"kind": "constant", "value": 1}),
+)
+
+
+def test_every_declared_spec_key_is_read_by_its_builder():
+    from ehtlab.cli import _OBSERVABLES, _SEQUENCES, _SYSTEMS, _spec
+    families = {"sequence": _SEQUENCES, "system": _SYSTEMS, "observable": _OBSERVABLES}
+    seen = set()
+    for key, raw in _FULL_FORMS:
+        field = "op" if "op" in raw else "name" if key == "sequence" else "kind"
+        form = families[key][field][raw[field]]
+        assert set(raw) == form.keys, raw
+        seen.add((key, field, raw[field]))
+        sp = _Lookups(raw)
+        _spec({key: sp}, key, families[key], None, *(("rotation",) if key == "observable" else ()))
+        assert sp.unread(key) == [], raw
+    assert seen == {(key, field, name) for key, forms in families.items()
+                    for field, table in forms.items() for name in table}
+
+
+# a valid spec of each form plus a key of another form of the same spec; without that
+# key, each config runs
+def _sequence(raw):
+    return "spectral", {"sequence": raw, "n": 64}
+
+
+def _orbit(**specs):
+    return "transform", {"checkpoints": [64], **specs}
+
+
+_CYCLE, _TORUS = {"kind": "three_cycle"}, {"kind": "torus_automorphism"}
+
+
+@pytest.mark.parametrize("config, key, foreign", [
+    (_sequence({"op": "symmetrize", "base": {"name": "constant"}, "c": 2}), "sequence", ["c"]),
+    (_sequence({"op": "truncate", "base": {"name": "constant"}, "r": 3, "name": "constant"}),
+     "sequence", ["name"]),
+    (_sequence({"op": "scale", "base": {"name": "constant"}, "c": 2, "angle_turns": 0.25}),
+     "sequence", ["angle_turns"]),
+    (_sequence({"op": "modulate", "base": {"name": "constant"}, "angle_turns": 0.25,
+                "b": {"name": "constant"}}), "sequence", ["b"]),
+    (_sequence({"op": "product", "base": {"name": "constant"}, "b": {"name": "constant"},
+                "r": 3}), "sequence", ["r"]),
+    (_sequence({"name": "hardy_littlewood", "value": 2}), "sequence", ["value"]),
+    (_sequence({"name": "sparse_dyadic", "convention": "signed"}), "sequence", ["convention"]),
+    # the nested b was never parsed
+    (_sequence({"name": "constant", "r": 3, "b": {"name": "zzz"}}), "sequence", ["b", "r"]),
+    (_sequence({"name": "cycle_indicator", "terms": [[1, 0.25]]}), "sequence", ["terms"]),
+    (_sequence({"name": "trig_poly", "terms": [[1, 0.25]], "base": {"name": "constant"}}),
+     "sequence", ["base"]),
+    (_orbit(system={**_CYCLE, "angle_turns": 0.25}, observable={"kind": "cycle_step"}),
+     "system", ["angle_turns"]),
+    (_orbit(system={**_TORUS, "angle_turns": 0.25}, observable={"kind": "torus_character"}),
+     "system", ["angle_turns"]),
+    (_orbit(observable={"kind": "rotation_character", "m": 2, "value": 1}),
+     "observable", ["value"]),
+    (_orbit(observable={"kind": "raised_cosine", "m": 2}), "observable", ["m"]),
+    (_orbit(system=_CYCLE, observable={"kind": "cycle_step", "p": 1}), "observable", ["p"]),
+    (_orbit(system=_CYCLE, observable={"kind": "indicator_A", "q": 1}), "observable", ["q"]),
+    (_orbit(system=_TORUS, observable={"kind": "torus_character", "p": 1, "m": 2}),
+     "observable", ["m"]),
+    (_orbit(observable={"kind": "constant", "value": 1, "m": 2}), "observable", ["m"]),
+])
+def test_a_key_of_another_form_exits_2(tmp_path, capsys, config, key, foreign):
+    kind, params = config
+    (tmp_path / "c.json").write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", str(tmp_path / "c.json"), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown fields in {key}: {foreign}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):
@@ -393,8 +566,10 @@ def test_run_via_flags(tmp_path):
 def test_bad_sizes_exit_2_with_one_config_error_line(tmp_path, capsys):
     out = str(tmp_path / "o")
     cfg = tmp_path / "small.json"
-    runs = [["run", "counterexample", "--N", n] for n in ("abc", "nan", "1e400", "2.5", "0")]
-    runs.append(["run", "prop27", "--N", "1e400"])
+    runs = [["run", "counterexample", "--N", n]
+            for n in ("abc", "nan", "1e400", "2.5", "0", "4000.9")]
+    # a fraction is not truncated: 10.5 is not the modulator size 10
+    runs += [["run", "prop27", "--N", n] for n in ("1e400", "10.5")]
     for N in (0, 1, 2, 3):  # a counterexample needs a checkpoint in [4, N]
         cfg.write_text(json.dumps({"kind": "counterexample", "params": {"N": N}}))
         runs.append(["run", "--config", str(cfg)])
@@ -451,8 +626,9 @@ def test_near_real_trig_poly_frequencies_run(tmp_path):
     assert _run_config(tmp_path, {"kind": "spectral", "params": {
         "sequence": near, "n": 256}}, "spectral") == 0
     # angles of exactly 0 and 1/2 turn stay symmetric through the phase kernel
-    from ehtlab.cli import _sequence_from_spec
-    sym = _sequence_from_spec({"name": "trig_poly", "terms": [[1, 0], [2, 0.5]]})
+    from ehtlab.cli import _SEQUENCES, _spec
+    sym = _spec({"sequence": {"name": "trig_poly", "terms": [[1, 0], [2, 0.5]]}}, "sequence",
+                _SEQUENCES)
     assert sym.symmetric
     sym.range_values(2**14)
     assert _run_config(tmp_path, {"kind": "spectral", "params": {

@@ -55,6 +55,11 @@ def test_build_validation_rejects_bad_schedules(rotation):
     with pytest.raises(InvariantError, match="exceeds delta"):
         build_process(rotation, delta, doubled)
 
+    # a NaN factor passes every comparison on the samples; the factor check fails it
+    undefined = FactorSchedule(lambda r: np.full(np.shape(r), np.nan), lambda r: np.nan)
+    with pytest.raises(InvariantError, match="not real nonnegative"):
+        build_process(rotation, delta, undefined)
+
 
 def test_validation_deltas_are_the_pointwise_ones(rotation):
     delta = rotation_raised_cosine()

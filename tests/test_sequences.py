@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehtlab.cli import _sequence_from_spec
+from ehtlab.cli import _SEQUENCES, _spec
 from ehtlab.dynamics import SQRT2_TURNS, RotationPoint, make_system
 from ehtlab.errors import InvariantError
 from ehtlab.sequences import (
@@ -16,6 +16,10 @@ from ehtlab.sequences import (
     transform_sequence,
     trig_poly_sequence,
 )
+
+
+def _sequence_from_spec(sp: dict) -> ModulatingSequence:
+    return _spec({"sequence": sp}, "sequence", _SEQUENCES)
 
 
 def test_trig_poly_constant():
