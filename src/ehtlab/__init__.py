@@ -25,8 +25,8 @@ from .rates import (
     check_A_alpha,
     exp_sum_grid,
     exp_sum_sup,
-    one_sided_sup_ratios,
     parseval_holder_check,
+    rate_report,
 )
 from .dynamics import (
     Observable,

@@ -46,7 +46,8 @@ from .envelope import (
 )
 from .errors import BudgetExceededError, HorizonExceededError, InvariantError
 from .processes import build_process, process_eht_trace, seminorm_and_hilbert
-from .rates import RateParams, parseval_holder_check, rate_report
+from .rates import (RATE_ALIASES, RATE_CLASSES, RateParams, parseval_holder_check, rate_class,
+                    rate_report)
 from .sequences import ModulatingSequence, named_sequence, trig_poly_sequence, transform_sequence
 from .spectral import gamma_and_spectrum, match_resonances
 from .transform import (
@@ -255,17 +256,21 @@ class _Rows(list):
         path.write_text("".join(",".join(map(str, row)) + "\n" for row in self))
 
 
+# the RateParams fields that a rates class may read, by their config keys
+_RATE_KEYS = {"alpha": _number, "beta": _number, "grid_order": _integer}
+
+
 def _run_rates(cfg: ExperimentConfig) -> tuple[dict, dict]:
     p = cfg.params
-    seq = _spec(p, "sequence", _SEQUENCES, {"name": "hardy_littlewood"})
     klass = p.get("class", "a_alpha")
-    klass = {"A": "a_alpha", "A-plain": "a_alpha_plain", "M": "m_alpha"}.get(klass, klass)
+    reads = rate_class(klass).reads
+    if unread := [key for key in _RATE_KEYS if key in p and key not in reads]:
+        raise ConfigError(f"rates class {klass} does not read {unread}")
+    seq = _spec(p, "sequence", _SEQUENCES, {"name": "hardy_littlewood"})
     schedule = tuple(_numbers(p.get("schedule", [2**j for j in range(8, 16)]), "schedule",
                               _integer))
-    grid_order = p.get("grid_order")
-    rp = RateParams(alpha=_number(p.get("alpha", 1.5), "alpha"),
-                    beta=_number(p.get("beta", 0.5), "beta"), schedule=schedule,
-                    grid_order=None if grid_order is None else _integer(grid_order, "grid_order"))
+    rp = RateParams(schedule=schedule, **{key: _RATE_KEYS[key](p[key], key)
+                                          for key in reads if key in p})
     report = rate_report(seq, klass, rp)
     parseval = parseval_holder_check(seq, schedule[0], 4 * schedule[0] + 1)
     return ({"rate_report": asdict(report), "parseval_check_at_min_n": parseval},
@@ -459,12 +464,14 @@ _KINDS = {
     "rates": _Kind(
         _run_rates, {"sequence", "class", "alpha", "beta", "schedule", "grid_order"},
         """rates: growth-rate membership tests for a modulating sequence.
-Classes: star (prefix |a_k| sums vs n^beta), m_alpha (prefix sums vs
-n^(alpha-1)/log^alpha n), a_alpha (grid sup of two-sided exponential sums,
-log-weighted), a_alpha_plain (same without the log factor), one_sided_sup
-(one-sided sums vs n^(1-beta)), two_sided_raw.
+Classes, each with the params of alpha, beta and grid_order it reads; a
+config that sets one it does not read exits 2:
+{}Aliases: {}.
 Output: report.json (schedule, ratios, sup_estimate, fitted_exponent,
-residual, verdict, grid_order) and ratios.csv."""),
+residual, verdict, grid_order) and ratios.csv.""".format(
+            "".join(f"  {name}: {c.text} [{', '.join(c.reads) or 'none'}]\n"
+                    for name, c in RATE_CLASSES.items()),
+            ", ".join(f"{alias} = {name}" for alias, name in RATE_ALIASES.items()))),
     "transform": _Kind(
         _run_transform,
         {"sequence", "system", "observable", "checkpoints", "with_abel", "maximal"},
@@ -617,7 +624,7 @@ def _config_from_args(args) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"--N must be a number, got {args.N!r}") from exc
         # a whole --N is stored as an int, so 1e3 hashes as 1000
-        shortcuts["N" if raw["kind"] == "counterexample" else "modulator_N"] = _integer(N, "--N")
+        shortcuts["modulator_N" if raw["kind"] == "prop27" else "N"] = _integer(N, "--N")
     if isinstance(params := raw.setdefault("params", {}), dict):  # parse_config rejects others
         params.update({key: value for key, value in shortcuts.items() if value is not None})
     raw.update({key: getattr(args, key) for key in ("seed", "out_dir")

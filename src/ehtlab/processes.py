@@ -31,7 +31,6 @@ from .errors import InvariantError
 from .rates import RateParams, abs_prefix_ratios
 from .sequences import ModulatingSequence, transform_sequence
 from .transform import (
-    ConvergenceVerdict,
     as_checkpoints,
     default_checkpoints,
     eht_trace,  # unused here; perfbench/test_perfbench.py looks it up in this module
@@ -214,19 +213,14 @@ def _seminorm_values(c: ModulatingSequence, alpha: float, schedule: Sequence[int
     return SeminormEstimate(alpha, tuple(int(n) for n in schedule), vals, float(proxy))
 
 
-def hilbert_partial_sums(c: ModulatingSequence, checkpoints: Sequence[int]) -> np.ndarray:
-    """sum_{1<=|k|<=n} c_k / k at the checkpoints: `orbit_traces` against one row of ones."""
+def hilbert_partial_sums(cs: Sequence[ModulatingSequence],
+                         checkpoints: Sequence[int]) -> list[np.ndarray]:
+    """sum_{1<=|k|<=n} c_k / k at the checkpoints for each sequence c: one `orbit_traces`
+    call, one stream per sequence, against one row of ones."""
     def ones(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         one = np.ones(hi - lo, dtype=complex)
         yield one, one
-    return orbit_traces([c], ones, checkpoints)[0].H_values
-
-
-def _hilbert_verdict(c: ModulatingSequence, n_max: int) -> ConvergenceVerdict:
-    # the verdict grid is denser than any user schedule: window oscillations
-    # need several samples per octave to be meaningful
-    cps = default_checkpoints(n_max, n_min=min(64, max(16, n_max // 64)))
-    return make_convergence_verdict(cps, hilbert_partial_sums(c, cps))
+    return [trace.H_values for trace in orbit_traces(cs, ones, checkpoints)]
 
 
 def seminorm_and_hilbert(c: ModulatingSequence, alpha: float, N_schedule: Sequence[int],
@@ -241,19 +235,21 @@ def seminorm_and_hilbert(c: ModulatingSequence, alpha: float, N_schedule: Sequen
     """
     schedule = tuple(int(n) for n in N_schedule)
     est = _seminorm_values(c, alpha, schedule)
-    verdict = _hilbert_verdict(c, schedule[-1])
+    radii = [] if truncation_radii is None else [int(r) for r in truncation_radii]
+    truncated = [transform_sequence(c, "truncate", r=r) for r in radii]
+    # the verdict grid is denser than any user schedule: window oscillations
+    # need several samples per octave to be meaningful
+    cps = default_checkpoints(schedule[-1], n_min=min(64, max(16, schedule[-1] // 64)))
+    verdict, *verdicts = (make_convergence_verdict(cps, sums)
+                          for sums in hilbert_partial_sums([c, *truncated], cps))
     out = {"seminorm": est, "verdict": verdict}
     if truncation_radii is not None:
         rows = []
-        for r in truncation_radii:
-            tr = transform_sequence(c, "truncate", r=int(r))
+        for r, tr, tr_verdict in zip(radii, truncated, verdicts):
             tail_fn = lambda ks, base=c, t=tr: base.values(ks) - t.values(ks)
             tail = ModulatingSequence(f"tail({c.label},{r})", tail_fn, bound=None)
             tail_est = _seminorm_values(tail, alpha, schedule)
-            rows.append({
-                "r": int(r),
-                "tail_seminorm_proxy": tail_est.limsup_proxy,
-                "verdict": _hilbert_verdict(tr, schedule[-1]).verdict,
-            })
+            rows.append({"r": r, "tail_seminorm_proxy": tail_est.limsup_proxy,
+                         "verdict": tr_verdict.verdict})
         out["truncation_experiment"] = rows
     return out

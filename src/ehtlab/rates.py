@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,20 +80,46 @@ def _verdict(ratios: np.ndarray) -> str:
     return "growing" if tail > GROWTH_FACTOR * head else "bounded_on_schedule"
 
 
-def _report(kind: str, schedule, ratios, grids=None, **params) -> RateReport:
-    ratios = np.asarray(ratios, dtype=float)
-    fit = fit_loglog(np.asarray(schedule, dtype=float), ratios)
-    return RateReport(
-        kind=kind,
-        schedule=tuple(int(n) for n in schedule),
-        ratios=tuple(float(r) for r in ratios),
-        sup_estimate=float(ratios.max()) if ratios.size else 0.0,
-        fitted_exponent=fit.slope,
-        residual=fit.residual,
-        verdict=_verdict(ratios),
-        grid_order=None if grids is None else tuple(int(g) for g in grids),
-        params=params,
-    )
+class RateClass(NamedTuple):
+    """One growth-rate class: its report `kind`, the sums it weighs (`side` None for the
+    prefix sums of |a_k|, else the side of the grid sups), whether its weight takes log n,
+    the `RateParams` fields it reads besides the schedule, a line for `describe` and its
+    ratio of the sums s at the radii n."""
+    kind: str
+    side: str | None
+    log: bool
+    reads: tuple[str, ...]
+    text: str
+    ratio: Callable[[np.ndarray, np.ndarray, RateParams], np.ndarray]
+
+
+RATE_CLASSES = {
+    "star": RateClass("abs_prefix[star]", None, False, ("beta",), "prefix |a_k| sums vs n^beta",
+                      lambda s, n, p: s / n**p.beta),
+    "m_alpha": RateClass("abs_prefix[m_alpha]", None, True, ("alpha",),
+                         "prefix |a_k| sums vs n^(alpha-1)/log^alpha n",
+                         lambda s, n, p: s * np.log(n) ** p.alpha / n ** (p.alpha - 1.0)),
+    "two_sided_raw": RateClass("abs_prefix[two_sided_raw]", None, False, (),
+                               "prefix |a_k| sums, unnormalized", lambda s, n, p: s),
+    "a_alpha": RateClass("A_alpha", "two_sided", True, ("alpha", "grid_order"),
+                         "grid sup of two-sided exponential sums vs n^(alpha-1)/log^alpha n",
+                         lambda s, n, p: s * (1.0 / n ** (p.alpha - 1.0) * np.log(n) ** p.alpha)),
+    # unit-modulus oscillating sequences with O(sqrt n) sums are bounded here at alpha = 3/2
+    "a_alpha_plain": RateClass("A_alpha_plain", "two_sided", False, ("alpha", "grid_order"),
+                               "the same vs n^(alpha-1), without the log factor",
+                               lambda s, n, p: s * (1.0 / n ** (p.alpha - 1.0))),
+    "one_sided_sup": RateClass("one_sided_sup", "one_sided", False, ("beta", "grid_order"),
+                               "grid sup of one-sided exponential sums vs n^(1-beta)",
+                               lambda s, n, p: s / n ** (1.0 - p.beta)),
+}
+RATE_ALIASES = {"A": "a_alpha", "A-plain": "a_alpha_plain", "M": "m_alpha"}
+
+
+def rate_class(name) -> RateClass:
+    """The entry of `RATE_CLASSES` that `name`, or the alias `name`, names."""
+    if not isinstance(name, str) or RATE_ALIASES.get(name, name) not in RATE_CLASSES:
+        raise ValueError(f"unknown rates class {name!r}")
+    return RATE_CLASSES[RATE_ALIASES.get(name, name)]
 
 
 def abs_prefix_sums(a: ModulatingSequence, schedule: Sequence[int]) -> np.ndarray:
@@ -106,27 +132,8 @@ def abs_prefix_sums(a: ModulatingSequence, schedule: Sequence[int]) -> np.ndarra
 
 
 def abs_prefix_ratios(a: ModulatingSequence, kind: str, params: RateParams) -> RateReport:
-    """Prefix absolute sums against the requested normalization.
-
-    kind = "star" divides by n^beta, "m_alpha" by n^(alpha-1)/log^alpha(n),
-    "two_sided_raw" leaves the sums unnormalized.
-    """
-    if kind == "m_alpha" and min(params.schedule) < 2:
-        raise ValueError("schedule entries must be >= 2 so that log n > 0")
-    sums = abs_prefix_sums(a, params.schedule)
-    n = np.asarray(params.schedule, dtype=float)
-    if kind == "star":
-        ratios = sums / n**params.beta
-        extra = {"beta": params.beta}
-    elif kind == "m_alpha":
-        ratios = sums * np.log(n) ** params.alpha / n ** (params.alpha - 1.0)
-        extra = {"alpha": params.alpha}
-    elif kind == "two_sided_raw":
-        ratios = sums
-        extra = {}
-    else:
-        raise ValueError(f"unknown prefix-ratio kind {kind!r}")
-    return _report(f"abs_prefix[{kind}]", params.schedule, ratios, sequence=a.label, **extra)
+    """`rate_report` of a prefix-sum class: star, m_alpha or two_sided_raw."""
+    return rate_report(a, kind, params)
 
 
 def exp_sum_grid(a: ModulatingSequence, n: int, grid_order: int, side: str = "two_sided") -> np.ndarray:
@@ -157,54 +164,41 @@ def exp_sum_sup(a: ModulatingSequence, n: int, grid_order: int, side: str = "two
     return float(np.max(np.abs(exp_sum_grid(a, n, grid_order, side))))
 
 
-def _schedule_sups(a: ModulatingSequence, params: RateParams, side: str) -> tuple[np.ndarray, list[int]]:
-    """`exp_sum_sup` over the schedule, and its grid orders. The radii run largest
-    first, so the `range_values` memo is filled once (smaller radii read views)
-    and the largest FFT runs while no smaller grid is alive."""
-    grids = [params.grid_for(n) for n in params.schedule]
-    sups = [exp_sum_sup(a, n, g, side) for n, g in zip(params.schedule[::-1], grids[::-1])]
-    return np.array(sups[::-1]), grids
-
-
 def check_A_alpha(a: ModulatingSequence, params: RateParams, *, include_log: bool = True) -> RateReport:
-    """Two-sided exponential-sum growth class.
-
-    ratio_n = (log^alpha n / n^(alpha-1)) * sup_grid |sum_{|k|<=n} a_k z^k|;
-    `include_log=False` drops the log factor (the plain n^(1-alpha) weight),
-    which is the variant under which unit-modulus oscillating sequences with
-    O(sqrt n) sums register as bounded at alpha = 3/2.
-    """
-    if include_log and min(params.schedule) < 2:
-        raise ValueError("schedule entries must be >= 2 so that log n > 0")
-    sups, grids = _schedule_sups(a, params, "two_sided")
-    n = np.asarray(params.schedule, dtype=float)
-    weight = 1.0 / n ** (params.alpha - 1.0)
-    if include_log:
-        weight = weight * np.log(n) ** params.alpha
-    kind = "A_alpha" if include_log else "A_alpha_plain"
-    return _report(kind, params.schedule, sups * weight, grids,
-                   alpha=params.alpha, sequence=a.label)
-
-
-def one_sided_sup_ratios(a: ModulatingSequence, params: RateParams) -> RateReport:
-    """One-sided exponential-sum condition: sup_grid |sum_{k=1}^n a_k z^k| / n^(1-beta)."""
-    sups, grids = _schedule_sups(a, params, "one_sided")
-    n = np.asarray(params.schedule, dtype=float)
-    return _report("one_sided_sup", params.schedule, sups / n ** (1.0 - params.beta), grids,
-                   beta=params.beta, sequence=a.label)
+    """`rate_report` of class a_alpha, or a_alpha_plain with `include_log=False`."""
+    return rate_report(a, "a_alpha" if include_log else "a_alpha_plain", params)
 
 
 def rate_report(a: ModulatingSequence, klass: str, params: RateParams) -> RateReport:
-    """The rate check of one class: star, m_alpha or two_sided_raw (prefix
-    |a_k| sums), a_alpha or a_alpha_plain (two-sided exponential sums with or
-    without the log weight), or one_sided_sup."""
-    if klass in ("star", "m_alpha", "two_sided_raw"):
-        return abs_prefix_ratios(a, klass, params)
-    if klass in ("a_alpha", "a_alpha_plain"):
-        return check_A_alpha(a, params, include_log=klass == "a_alpha")
-    if klass == "one_sided_sup":
-        return one_sided_sup_ratios(a, params)
-    raise ValueError(f"unknown rates class {klass!r}")
+    """The rate check of the class `klass` (a name or an alias): its ratios over the
+    schedule and their verdict. The grid classes run their schedule largest radius
+    first, so the `range_values` memo is filled once (smaller radii read views) and
+    the largest FFT runs while no smaller grid is alive."""
+    c = rate_class(klass)
+    if c.log and min(params.schedule) < 2:
+        raise ValueError("schedule entries must be >= 2 so that log n > 0")
+    grids = None
+    if c.side is None:
+        sums = abs_prefix_sums(a, params.schedule)
+    else:
+        grids = [params.grid_for(n) for n in params.schedule]
+        sums = np.array([exp_sum_sup(a, n, g, c.side)
+                         for n, g in zip(params.schedule[::-1], grids[::-1])][::-1])
+    n = np.asarray(params.schedule, dtype=float)
+    ratios = c.ratio(sums, n, params)
+    fit = fit_loglog(n, ratios)
+    return RateReport(
+        kind=c.kind,
+        schedule=params.schedule,
+        ratios=tuple(float(r) for r in ratios),
+        sup_estimate=float(ratios.max()),
+        fitted_exponent=fit.slope,
+        residual=fit.residual,
+        verdict=_verdict(ratios),
+        grid_order=None if grids is None else tuple(grids),
+        params={"sequence": a.label, **{key: getattr(params, key) for key in c.reads
+                                        if key != "grid_order"}},
+    )
 
 
 def parseval_holder_check(a: ModulatingSequence, n: int, grid_order: int) -> dict:

@@ -8,12 +8,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from ehtlab import __version__
 from ehtlab.dynamics import SQRT2_TURNS
 from ehtlab.cli import (
     _KINDS,
+    _OBSERVABLES,
+    _SEQUENCES,
+    _SYSTEMS,
     ConfigError,
     KINDS,
     describe,
@@ -21,6 +24,7 @@ from ehtlab.cli import (
     parse_config,
     run_experiment,
 )
+from ehtlab.rates import RATE_ALIASES, RATE_CLASSES, rate_class
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -116,7 +120,7 @@ def _not_numbers():
             (prop27(evaluate={"tol": True}), "tol"), (prop27(evaluate={"x_lo": "0.5"}), "x_lo"),
             ({"kind": "rates", "params": {"schedule": [True, 64]}}, "schedule"),
             ({"kind": "rates", "params": {"alpha": True}}, "alpha"),
-            ({"kind": "rates", "params": {"beta": True}}, "beta"),
+            ({"kind": "rates", "params": {"class": "star", "beta": True}}, "beta"),
             ({"kind": "spectral", "params": {"n": 64, "sequence": modulate(True)}}, "angle_turns"),
             ({"kind": "spectral", "params": {"n": 64, "sequence": {
                 "name": "trig_poly", "terms": [[1, True]]}}}, "terms"),
@@ -139,6 +143,10 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     bad.write_text(json.dumps({"kind": "transform", "seed": 1, "params": {"x0_angle": 0.3}}))
     assert run_cli(["run", "--config", str(bad)]) == 2
     assert "unknown params for transform: ['x0_angle']" in capsys.readouterr().err
+    # --N is the modulator size of prop27 and N everywhere else, the key it names
+    for kind, N in (("rates", "5"), ("spectral", "64")):
+        assert run_cli(["run", kind, "--N", N, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: unknown params for {kind}: ['N']\n"
     bad.write_text(json.dumps({"kind": "prop27", "params": {
         "h": "inverse-log", "K": 34, "evaluate": {}, "modulator_N": 5}}))
     assert run_cli(["run", "--config", str(bad)]) == 2
@@ -398,9 +406,11 @@ class _Lookups(dict):
 
 # every params key of every kind, and every key of every nested form they hold
 _ALL_PARAMS = {
-    "rates": {"sequence": {"op": "truncate", "base": {"name": "constant", "value": 2}, "r": 9},
-              "class": "star", "alpha": 1.5, "beta": 0.5, "schedule": [64, 128],
-              "grid_order": 1024},
+    # one config per class, holding the params of alpha, beta and grid_order the class reads
+    "rates": [{"sequence": {"op": "truncate", "base": {"name": "constant", "value": 2}, "r": 9},
+               "class": klass, "schedule": [64, 128],
+               **{k: v for k, v in (("alpha", 1.7), ("beta", 0.3), ("grid_order", 1024))
+                  if k in RATE_CLASSES[klass].reads}} for klass in RATE_CLASSES],
     "transform": {"sequence": {"op": "product", "base": {"name": "sparse_dyadic"},
                                "b": {"name": "cycle_indicator", "convention": "signed"}},
                   "system": {"kind": "rotation", "angle_turns": 0.3090169943749474},
@@ -439,11 +449,13 @@ def test_every_declared_param_is_read_before_the_first_computation(kind, monkeyp
     for name in ("orbit_traces", "build_envelope", "build_process", "rate_report",
                  "gamma_and_spectrum", "wiener_wintner_sweep"):
         monkeypatch.setattr(cli, name, started)
-    assert set(_ALL_PARAMS[kind]) == _KINDS[kind].params
-    params = _Lookups(_ALL_PARAMS[kind])
-    with pytest.raises(_Started):
-        _KINDS[kind].run(ExperimentConfig(kind, 1, ".", params))
-    assert params.unread() == []
+    configs = _ALL_PARAMS[kind] if kind == "rates" else [_ALL_PARAMS[kind]]
+    assert set().union(*configs) == _KINDS[kind].params
+    for raw in configs:
+        params = _Lookups(raw)
+        with pytest.raises(_Started):
+            _KINDS[kind].run(ExperimentConfig(kind, 1, ".", params))
+        assert params.unread() == [], raw
 
 
 # one spec of every form, holding every key the form declares
@@ -537,6 +549,70 @@ def test_a_key_of_another_form_exits_2(tmp_path, capsys, config, key, foreign):
     assert run_cli(["run", "--config", str(tmp_path / "c.json"), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: unknown fields in {key}: {foreign}\n"
     assert list(out.iterdir()) == []
+
+
+# every (class, param) pair whose param the class does not read: a knob that would change
+# the config hash and nothing else
+_UNREAD_RATE_PARAMS = [("star", "alpha"), ("star", "grid_order"), ("m_alpha", "beta"),
+                       ("m_alpha", "grid_order"), ("two_sided_raw", "alpha"),
+                       ("two_sided_raw", "beta"), ("two_sided_raw", "grid_order"),
+                       ("a_alpha", "beta"), ("a_alpha_plain", "beta"), ("one_sided_sup", "alpha")]
+
+
+@pytest.mark.parametrize("klass, key, route", [
+    (klass, key, route) for klass, key in _UNREAD_RATE_PARAMS
+    for route in ("config", "flag") if route == "config" or key != "grid_order"])  # no --grid_order
+def test_a_param_the_rates_class_does_not_read_exits_2(tmp_path, monkeypatch, capsys, klass,
+                                                       key, route):
+    from ehtlab import cli
+
+    def started(*args, **kwargs):
+        raise AssertionError("computation started before the params were checked")
+    for name in ("rate_report", "parseval_holder_check"):
+        monkeypatch.setattr(cli, name, started)
+    value = {"alpha": 1.9, "beta": 0.3, "grid_order": 99999}[key]
+    out = tmp_path / "out"
+    if route == "flag":
+        args = ["run", "rates", "--class", klass, f"--{key}", str(value)]
+    else:
+        (tmp_path / "c.json").write_text(json.dumps({"kind": "rates", "params": {
+            "class": klass, key: value}}))
+        args = ["run", "--config", str(tmp_path / "c.json")]
+    assert run_cli(args + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: rates class {klass} does not read ['{key}']\n"
+    assert list(out.iterdir()) == []
+    assert sorted(set(_UNREAD_RATE_PARAMS)) == sorted(
+        (c, k) for c in RATE_CLASSES for k in ("alpha", "beta", "grid_order")
+        if k not in RATE_CLASSES[c].reads)
+
+
+# sha256 of ratios.csv and then report.json of one small config per class, as the
+# rates classes wrote them before they became one table
+_RATES_DIGESTS = {
+    "star": ({"beta": 0.3},
+             "1a0bba99e4ca09e0a352ddc5ba8ff8cfe11011646243ac34ef0fdb71c6a02911"),
+    "m_alpha": ({"alpha": 1.7},
+                "a68b9759d32eacb9e4230ce16a39a8496baabd990853f0b3fd29459ca795c09d"),
+    "two_sided_raw": ({}, "c856a89864e5d510a5b3056f0b52362b63f783dcfb7e42f0f394f24e30d99515"),
+    "a_alpha": ({"alpha": 1.7, "grid_order": 2049},
+                "a46dd37488a8b03e07fa741f20884b301ab89d82d1f503a6e766c95d9b2f80ae"),
+    "a_alpha_plain": ({"alpha": 1.7, "grid_order": 2049},
+                      "5318ab4540a1555c9835328f9a2586df23608f8dd8fcd298aacf57c3d1878c32"),
+    "one_sided_sup": ({"beta": 0.3, "grid_order": 2049},
+                      "135e4b587fdfd69aca3e17644172f09cd124c9c33f634fece01f83e1d376fd86"),
+}
+
+
+@pytest.mark.parametrize("klass", sorted(_RATES_DIGESTS))
+def test_each_rates_class_keeps_its_report_bytes(tmp_path, klass):
+    import hashlib
+    params, digest = _RATES_DIGESTS[klass]
+    assert _run_config(tmp_path, {"kind": "rates", "params": {
+        "sequence": {"name": "sparse_dyadic"}, "class": klass, "schedule": [16, 64, 512],
+        **params}}, "rates") == 0
+    out = tmp_path / "rates"
+    data = (out / "ratios.csv").read_bytes() + (out / "report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):
@@ -770,22 +846,22 @@ _WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
 _MISSING = object()
 
 
-def _mostly(good, other):
-    """`good` three times in four, so that most configs get past their first key."""
-    return st.integers(0, 3).flatmap(lambda i: good if i else other)
+def _mostly(good, other, odds=4):
+    """`good` odds - 1 times in `odds`, so that most configs get past their first key."""
+    return st.integers(1, odds).flatmap(lambda i: other if i == odds else good)
 
 
-def _value(good):
-    return _mostly(good, st.one_of(_NASTY, _WRONG))
+def _value(good, odds=4):
+    return _mostly(good, st.one_of(_NASTY, _WRONG), odds)
 
 
-def _size(cap):
-    return _value(st.integers(1, cap))
+def _size(cap, odds=4):
+    return _value(st.integers(1, cap), odds)
 
 
-def _keys(required, optional):
-    """The required keys, and each optional key three times in four."""
-    keys = {**required, **{k: _mostly(v, st.just(_MISSING)) for k, v in optional.items()}}
+def _keys(required, optional, odds=4):
+    """The required keys, and each optional key odds - 1 times in `odds`."""
+    keys = {**required, **{k: _mostly(v, st.just(_MISSING), odds) for k, v in optional.items()}}
     return st.fixed_dictionaries(keys).map(
         lambda d: {k: v for k, v in d.items() if v is not _MISSING})
 
@@ -796,46 +872,52 @@ def _obj(required, optional=None):
 
 _REAL = _value(st.floats(-2, 2))
 _TURNS = _value(st.floats(0, 1))
-_LEAF = st.one_of(
-    _obj({"name": _value(st.sampled_from(["hardy_littlewood", "sparse_dyadic", "nope"]))}),
-    _obj({"name": st.just("constant")}, {"value": _REAL}),
-    _obj({"name": st.just("cycle_indicator")},
-         {"convention": _value(st.sampled_from(["symmetric", "signed"]))}),
-    _obj({"name": st.just("trig_poly"),
-          "terms": _value(st.lists(_value(st.lists(_REAL, min_size=2, max_size=2)),
-                                   max_size=3))}),
-)
+# A spec is nested in other specs, so its own faults are rarer, one in eight each: a spec
+# of the wrong type, a wrong name, a missing key, a nasty value or a key of another form.
+def _with_foreign(spec, foreign: dict):
+    """`spec`, a strategy of dicts, that one time in eight also holds one key of `foreign`."""
+    if not foreign:
+        return spec
+    extra = st.sampled_from(sorted(foreign)).flatmap(lambda k: foreign[k].map(lambda v: {k: v}))
+    return _mostly(spec, st.tuples(spec, extra).map(lambda t: {**t[0], **t[1]}), 8)
 
 
-def _op(inner):
-    return _obj({"op": _value(st.sampled_from(
-                     ["symmetrize", "truncate", "scale", "modulate", "product", "nope"]))},
-                {"base": inner, "r": _size(50), "c": _REAL, "angle_turns": _TURNS,
-                 "b": inner})
+def _forms(table, values) -> dict:
+    """A strategy per form of `table`, a `cli` table of spec forms, by form name: the form's
+    naming field holds its name, each other key of the form is drawn from `values`, and a
+    spec may hold a key of another form too."""
+    return {name: _value(_with_foreign(
+                _keys({field: _value(st.just(name), 8)},
+                      {k: values[k] for k in form.keys - {field}}, 8),
+                {k: v for k, v in values.items() if k not in form.keys}), 8)
+            for field, forms in table.items() for name, form in forms.items()}
 
 
-_SEQUENCE = _LEAF
+def _sequence_values(inner):
+    real = _value(st.floats(-2, 2), 8)
+    return {"base": inner, "b": inner, "r": _size(50, 8), "c": real,
+            "angle_turns": _value(st.floats(0, 1), 8), "value": real,
+            "convention": _value(st.sampled_from(["symmetric", "signed"]), 8),
+            "terms": _value(st.lists(_value(st.lists(real, min_size=2, max_size=2), 8),
+                                     min_size=1, max_size=3), 8)}
+
+
+_SEQUENCE = st.one_of(*_forms({"name": _SEQUENCES["name"]},
+                              _sequence_values(st.just({"name": "constant"}))).values())
 for _ in range(3):  # sequence ops nest up to depth 3
-    _SEQUENCE = st.one_of(_LEAF, _op(_SEQUENCE))
-_SYSTEM = _obj({"kind": _value(st.sampled_from(
-                   ["rotation", "three_cycle", "torus_automorphism", "nope"]))},
-               {"angle_turns": _value(st.one_of(st.just("sqrt2"), st.floats(0, 1)))})
-_OBSERVABLE = _obj({"kind": _value(st.sampled_from(
-                       ["rotation_character", "raised_cosine", "cycle_step", "indicator_A",
-                        "torus_character", "constant", "nope"]))},
-                   {"m": _value(st.integers(-3, 3)), "p": _value(st.integers(-3, 3)),
-                    "q": _value(st.integers(-3, 3)), "value": _REAL})
+    _SEQUENCE_FORMS = _forms(_SEQUENCES, _sequence_values(_SEQUENCE))
+    _SEQUENCE = st.one_of(*_SEQUENCE_FORMS.values())
+_SYSTEM_FORMS = _forms(_SYSTEMS, {"angle_turns": _value(st.one_of(st.just("sqrt2"),
+                                                                  st.floats(0, 1)), 8)})
+_SYSTEM = st.one_of(*_SYSTEM_FORMS.values())
+_OBSERVABLE_FORMS = _forms(_OBSERVABLES, {**{k: _value(st.integers(-3, 3), 8) for k in "mpq"},
+                                          "value": _value(st.floats(-2, 2), 8)})
+_OBSERVABLE = st.one_of(*_OBSERVABLE_FORMS.values())
 _POINTS = _value(st.lists(st.integers(1, 2000), min_size=1, max_size=4))
 _ALPHA = _value(st.floats(1.01, 2))
 _BOOL = _value(st.booleans())
 
 _PARAMS = {
-    "rates": {"sequence": _SEQUENCE,
-              "class": _value(st.sampled_from(["star", "m_alpha", "a_alpha", "a_alpha_plain",
-                                               "one_sided_sup", "two_sided_raw", "A", "M",
-                                               "A-plain", "nope"])),
-              "alpha": _ALPHA, "beta": _value(st.floats(0, 1)), "schedule": _POINTS,
-              "grid_order": _size(2000)},
     "transform": {"sequence": _SEQUENCE, "system": _SYSTEM, "observable": _OBSERVABLE,
                   "checkpoints": _POINTS, "with_abel": _BOOL,
                   "maximal": _obj({}, {"lambdas": _value(st.lists(_REAL, max_size=3)),
@@ -864,7 +946,24 @@ _PARAMS = {
 }
 
 
+# the params of each rates class, named or by alias: the keys of its class, drawn like a
+# spec form's, and one time in eight a key of another class
+_RATE_VALUES = {"alpha": _value(st.floats(1.01, 2), 8), "beta": _value(st.floats(0.01, 0.99), 8),
+                # mostly at least 4 max(schedule) + 1, as a fixed grid must be
+                "grid_order": _value(_mostly(st.integers(8001, 9000), st.integers(1, 8000)), 8)}
+_RATES_FORMS = {
+    name: _value(_with_foreign(
+        _keys({}, {"sequence": _SEQUENCE, "class": _value(st.just(name), 8),
+                   "schedule": _value(st.lists(st.integers(1, 2000), min_size=1, max_size=4,
+                                               unique=True).map(sorted), 8),
+                   **{k: _RATE_VALUES[k] for k in rate_class(name).reads}}, 8),
+        {k: v for k, v in _RATE_VALUES.items() if k not in rate_class(name).reads}), 8)
+    for name in (*RATE_CLASSES, *RATE_ALIASES)}
+
+
 def _params(kind):
+    if kind == "rates":
+        return st.one_of(*_RATES_FORMS.values())
     params = _obj({}, _PARAMS[kind])
     if kind == "spectral":
         # every local maximum above the threshold is refined, so a small
@@ -907,6 +1006,60 @@ def test_fuzzed_configs_exit_0_2_or_3(raw):
         cfg.write_text(json.dumps(raw))
         code = run_cli(["run", "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
+
+
+def _draws(strategy, n: int) -> list:
+    """`n` draws of `strategy`, the same ones on every run."""
+    drawn = []
+
+    @settings(derandomize=True, database=None, max_examples=n, phases=[Phase.generate],
+              deadline=None, suppress_health_check=list(HealthCheck))
+    @given(strategy)
+    def draw(x):
+        drawn.append(x)
+    draw()
+    return drawn
+
+
+def _reaches_rate_report(raw, monkeypatch) -> bool:
+    from ehtlab import cli
+
+    def started(*args, **kwargs):
+        raise _Started
+    monkeypatch.setattr(cli, "rate_report", started)
+    try:
+        cfg = parse_config({"kind": "rates", "params": raw})
+        _KINDS["rates"].run(cfg)
+    except _Started:
+        return True
+    except (ConfigError, ValueError, TypeError, KeyError):
+        return False
+    raise AssertionError("the rates runner returned without computing")
+
+
+def _builds(key, table, raw) -> bool:
+    from ehtlab.cli import _spec
+    try:
+        _spec({key: raw}, key, table, None, *(("rotation",) if key == "observable" else ()))
+    except (ConfigError, ValueError, TypeError, KeyError):
+        return False
+    return True
+
+
+def test_every_fuzzed_form_builds_above_its_floor(monkeypatch):
+    # a form that the fuzz almost never builds is tested no further than its key check; each
+    # form's draws are a fixed set, so the count is exact, and one draw in ten must build
+    draws, counts = 60, {}
+    for key, table, forms in (("sequence", _SEQUENCES, _SEQUENCE_FORMS),
+                              ("system", _SYSTEMS, _SYSTEM_FORMS),
+                              ("observable", _OBSERVABLES, _OBSERVABLE_FORMS)):
+        for name, strategy in forms.items():
+            counts[key, name] = sum(_builds(key, table, raw) for raw in _draws(strategy, draws))
+    for name in RATE_CLASSES:  # an alias draws its class's keys
+        counts["rates", name] = sum(_reaches_rate_report(raw, monkeypatch)
+                                    for raw in _draws(_RATES_FORMS[name], draws))
+    assert len(counts) == 25
+    assert {form: n for form, n in counts.items() if n < draws // 10} == {}
 
 
 # ----------------------------------------------------- fuzzed shortcut flags

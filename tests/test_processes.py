@@ -138,7 +138,7 @@ def test_hilbert_partial_sums_routes():
     lam = complex(np.exp(2j * np.pi * 0.29))
     geo = transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=0.29)
     cps = default_checkpoints(1 << 14, n_min=32)
-    sums = hilbert_partial_sums(geo, cps)
+    [sums] = hilbert_partial_sums([geo], cps)
     ks = np.arange(1, cps[-1] + 1)
     expect = np.sum((lam**ks - lam ** (-ks)) / ks)
     assert sums[-1] == pytest.approx(expect, abs=1e-10)

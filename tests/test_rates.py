@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,14 +6,15 @@ import numpy as np
 import pytest
 
 from ehtlab.rates import (
+    RATE_CLASSES,
     RateParams,
     abs_prefix_ratios,
     abs_prefix_sums,
     check_A_alpha,
     exp_sum_grid,
     exp_sum_sup,
-    one_sided_sup_ratios,
     parseval_holder_check,
+    rate_class,
     rate_report,
 )
 from ehtlab.sequences import (
@@ -70,6 +72,21 @@ def test_schedule_validation():
     for kind in ("star", "two_sided_raw"):
         rep = abs_prefix_ratios(named_sequence("constant"), kind, RateParams(schedule=(1, 4)))
         assert rep.ratios[0] == 3.0  # |a_k| = 1 for |k| <= 1
+
+
+@pytest.mark.parametrize("klass", sorted(RATE_CLASSES))
+def test_each_class_reads_exactly_its_declared_params(klass):
+    # a class's ratios move with each field it declares and with no other one, so a
+    # config key of a field it does not declare would change nothing
+    base = RateParams(schedule=(16, 64, 256))
+    ratios = rate_report(named_sequence("hardy_littlewood"), klass, base).ratios
+    for key, value in (("alpha", 1.75), ("beta", 0.25), ("grid_order", 4099)):
+        moved = rate_report(named_sequence("hardy_littlewood"), klass,
+                            dataclasses.replace(base, **{key: value})).ratios
+        assert (moved != ratios) == (key in RATE_CLASSES[klass].reads), key
+    assert rate_class("A") is RATE_CLASSES["a_alpha"]
+    with pytest.raises(ValueError, match="unknown rates class"):
+        rate_class("nope")
 
 
 def test_exp_sum_matches_brute_force():
@@ -131,7 +148,7 @@ def test_hardy_littlewood_class_memberships():
         check_A_alpha(counted, tiny)
     assert calls == []
     assert len(check_A_alpha(hl, tiny, include_log=False).ratios) == 4
-    assert len(one_sided_sup_ratios(hl, tiny).ratios) == 4
+    assert len(rate_report(hl, "one_sided_sup", tiny).ratios) == 4
 
 
 def test_hardy_littlewood_sqrt_exponent():
@@ -155,12 +172,12 @@ def test_bounded_class_example():
 
 def test_one_sided_sup_report(sparse_dyadic):
     # dyadic-support sums are O(log^2 n) uniformly on the circle
-    rep = one_sided_sup_ratios(sparse_dyadic, RateParams(beta=0.5, schedule=SCHEDULE))
+    rep = rate_report(sparse_dyadic, "one_sided_sup", RateParams(beta=0.5, schedule=SCHEDULE))
     assert rep.verdict == "bounded_on_schedule"
     # a one-sided geometric sum peaks at height ~ n near its conjugate
     # frequency, so the n^(1-beta) weight cannot tame it
     a = transform_sequence(named_sequence("constant", value=1.0), "modulate", turns=0.31)
-    rep2 = one_sided_sup_ratios(a, RateParams(beta=0.5, schedule=SCHEDULE))
+    rep2 = rate_report(a, "one_sided_sup", RateParams(beta=0.5, schedule=SCHEDULE))
     assert rep2.verdict == "growing"
 
 
@@ -273,7 +290,7 @@ def test_schedule_runs_largest_grid_first_on_one_evaluation(monkeypatch):
     a = ModulatingSequence("counted", lambda ks: evaluated.append(ks.size) or hl.values(ks), bound=1.0)
     params = RateParams(schedule=(256, 512, 1024))
     check_A_alpha(a, params)
-    one_sided_sup_ratios(a, params)
+    rate_report(a, "one_sided_sup", params)
     assert lengths == [8192, 4096, 2048] * 2
     assert evaluated == [2 * 1024 + 1]  # the memo is filled once, at the largest radius
 
