@@ -93,6 +93,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     seed = raw.get("seed")
     if seed is None and _KINDS[kind].needs_seed:
         raise ConfigError(f"experiment kind {kind!r} samples points and requires a seed")
+    if seed is not None and not _KINDS[kind].needs_seed:
+        raise ConfigError(f"experiment kind {kind!r} never samples and takes no seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     out_dir = raw.get("out_dir", ".")

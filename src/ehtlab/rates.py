@@ -2,7 +2,8 @@
 
 Everything here is a finite computation: prefix sums of |a_k| against power
 or power-over-log normalizations, suprema of two-sided exponential sums over
-roots-of-unity grids (via FFT, never O(G*n)), and the Cauchy-Schwarz /
+roots-of-unity grids (via FFT, never O(G*n), one coset of at most 2^18
+points at a time, so no G-point array is built), and the Cauchy-Schwarz /
 Parseval chain that links the two. Boundedness can only be judged "on
 schedule", so reports carry the raw ratios alongside the verdict.
 """
@@ -11,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import fit_loglog
+from .numerics import _BLOCK_TERMS, UnitPhases, fit_loglog
 from .sequences import ModulatingSequence
 
 GROWTH_FACTOR = 1.5
@@ -136,11 +137,29 @@ def abs_prefix_ratios(a: ModulatingSequence, kind: str, params: RateParams) -> R
     return rate_report(a, kind, params)
 
 
-def exp_sum_grid(a: ModulatingSequence, n: int, grid_order: int, side: str = "two_sided") -> np.ndarray:
-    """Values of the exponential sum on all G-th roots of unity.
+_MAX_COSET_POINTS = 1 << 18
 
-    Entry g holds sum_k a_k z^k at z = exp(2*pi*i*g/G), with k over [-n, n]
-    (two_sided) or [1, n] (one_sided). Computed with one in-place FFT: O(G log G + n).
+
+def _coset_count(grid_order: int) -> int:
+    """The number q of cosets a G-point grid is split into: the least power of two dividing
+    G with G/q <= `_MAX_COSET_POINTS`, or, when none does, the largest power of two dividing G."""
+    q = 1
+    while grid_order // q > _MAX_COSET_POINTS and grid_order % (2 * q) == 0:
+        q *= 2
+    return q
+
+
+def _coset_grids(a: ModulatingSequence, n: int, grid_order: int, side: str,
+                 q: int) -> Iterator[np.ndarray]:
+    """The exponential sum on the G-th roots of unity, one coset of the grid at a time.
+
+    For r = 0..q-1, yields X[q m + r], m = 0..M-1 (M = G/q), where X[g] = sum_k a_k
+    e(kg/G), in one M-point buffer that the next coset overwrites. With coef the G-point
+    zero-padded coefficients (a_k at k mod G), X[q m + r] = M ifft(y_r)[m] for
+    y_r[j] = e(jr/G) sum_c e(cr/q) coef[j + cM]. The coefficients a_k0..a_k1 are one cyclic
+    run of k, so the fold over c takes slices of that run: each piece between multiples of M
+    lands at j = k mod M with the weight of its c. At q = 1 this is the in-place FFT of
+    coef, O(G log G + n); each coset costs O(M log M + n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -149,19 +168,54 @@ def exp_sum_grid(a: ModulatingSequence, n: int, grid_order: int, side: str = "tw
     if side not in ("two_sided", "one_sided"):
         raise ValueError(f"unknown side {side!r}")
     vals = a.range_values(n)
-    coeffs = np.zeros(grid_order, dtype=complex)
-    if side == "two_sided":
-        coeffs[: n + 1] = vals[n:]
-        coeffs[grid_order - n :] = vals[:n]
-    else:
-        coeffs[1 : n + 1] = vals[n + 1 :]
-    np.fft.ifft(coeffs, out=coeffs)
-    return np.multiply(coeffs, grid_order, out=coeffs)
+    run, k0 = (vals, -n) if side == "two_sided" else (vals[n + 1 :], 1)
+    m_points, end = grid_order // q, k0 + run.size
+    # pieces of the run of k that cross no multiple of M and not the end of its first M terms
+    cuts = sorted({k0, end, min(k0 + m_points, end),
+                   *range(-(-k0 // m_points) * m_points, end, m_points)})
+    buf = np.empty(m_points, dtype=complex)
+    for r in range(q):
+        weights = UnitPhases(r / q)(np.arange(q))  # e(cr/q); exactly 1 at c = 0 and at r = 0
+        buf.fill(0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            piece, w = run[lo - k0 : hi - k0], weights[lo % grid_order // m_points]
+            dst = buf[lo % m_points :][: hi - lo]
+            # the first M terms land on distinct j and are copied with their bits (signed
+            # zeros too, so q = 1 lays out coef exactly); the later ones fold onto them
+            if lo >= k0 + m_points:
+                dst += piece if w == 1 else piece * w
+            elif w == 1:
+                dst[...] = piece
+            else:
+                np.multiply(piece, w, out=dst)
+        if r:
+            phases = UnitPhases(r / grid_order)
+            for lo in range(0, m_points, _BLOCK_TERMS):
+                dst = buf[lo : lo + _BLOCK_TERMS]
+                np.multiply(dst, phases(np.arange(lo, lo + dst.size)), out=dst)
+        np.fft.ifft(buf, out=buf)
+        yield np.multiply(buf, m_points, out=buf)
+
+
+def exp_sum_grid(a: ModulatingSequence, n: int, grid_order: int, side: str = "two_sided") -> np.ndarray:
+    """Values of the exponential sum on all G-th roots of unity.
+
+    Entry g holds sum_k a_k z^k at z = exp(2*pi*i*g/G), with k over [-n, n]
+    (two_sided) or [1, n] (one_sided). Computed with one in-place G-point FFT
+    (the one coset of `_coset_grids` at q = 1): O(G log G + n).
+    """
+    grid, = _coset_grids(a, n, grid_order, side, 1)
+    return grid
 
 
 def exp_sum_sup(a: ModulatingSequence, n: int, grid_order: int, side: str = "two_sided") -> float:
-    """max over the G-th roots of unity of |sum a_k z^k|."""
-    return float(np.max(np.abs(exp_sum_grid(a, n, grid_order, side))))
+    """max over the G-th roots of unity of |sum a_k z^k|, one coset of `_coset_count(G)` at a
+    time, so no FFT is longer than `_MAX_COSET_POINTS` points unless G has too few factors
+    of two; bitwise max |exp_sum_grid| wherever G <= `_MAX_COSET_POINTS`."""
+    q = _coset_count(grid_order)
+    mags = np.empty(grid_order // q)
+    return float(np.max([np.abs(grid, out=mags).max()
+                         for grid in _coset_grids(a, n, grid_order, side, q)]))
 
 
 def check_A_alpha(a: ModulatingSequence, params: RateParams, *, include_log: bool = True) -> RateReport:

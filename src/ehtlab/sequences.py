@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvariantError
-from .numerics import UnitPhases, periodic_runs
+from .numerics import _BLOCK_TERMS, UnitPhases, periodic_runs
 
 _BOUND_RTOL = 1e-9
 
@@ -29,7 +29,10 @@ _BOUND_RTOL = 1e-9
 class ModulatingSequence:
     """Evaluator of a_k for k in Z plus metadata flags.
 
-    `fn` maps an int64 index array to complex128 values; it must be pure.
+    `fn` maps an int64 index array to complex128 values; it must be pure and
+    elementwise: the value at each index depends on that index alone, not on
+    the other indices of the array, so evaluating a range in blocks gives the
+    bits of one call.
     `bound` is a finite sup bound or None for unbounded sequences. Flags are
     enforced on every evaluated range (see `range_values`). `_pairs`, if set,
     is the type's rule (seq, ks) -> (a_ks, a_-ks) for `pair_values`.
@@ -58,14 +61,22 @@ class ModulatingSequence:
         return complex(self.values(np.array([k], dtype=np.int64))[0])
 
     def range_values(self, n: int) -> np.ndarray:
-        """Values a_{-n} .. a_n (length 2n+1), memoized and flag-checked."""
+        """Values a_{-n} .. a_n (length 2n+1), memoized and flag-checked.
+
+        `fn` is evaluated on blocks of `_BLOCK_TERMS` indices written into one
+        array, so no whole-range temporary of `fn` is alive; as `fn` is
+        elementwise, the memo is bitwise one `values(arange(-n, n + 1))` call.
+        """
         if n < 0:
             raise ValueError("range radius must be nonnegative")
         cached_n, cached = self._cache.get("range", (-1, None))
         if cached_n < n:
+            arr = np.empty(2 * n + 1, dtype=complex)
             # overflow surfaces as the non-finite values _check_flags rejects
             with np.errstate(over="ignore", invalid="ignore"):
-                arr = self.values(np.arange(-n, n + 1, dtype=np.int64))
+                for lo in range(-n, n + 1, _BLOCK_TERMS):
+                    block = arr[lo + n : lo + n + _BLOCK_TERMS]
+                    block[...] = self.values(np.arange(lo, lo + block.size, dtype=np.int64))
             self._check_flags(arr[n:], arr[n::-1], lambda: f"[-{n}, {n}]")
             arr.setflags(write=False)
             self._cache["range"] = cached_n, cached = n, arr
@@ -251,7 +262,10 @@ def transform_sequence(a: ModulatingSequence, op: str, *, r: int | None = None,
             raise ValueError("scale needs a factor c")
         cc = complex(c)
         def fn(ks: np.ndarray) -> np.ndarray:
-            return cc * a.values(ks)
+            # this operand order at every size: numpy evaluates `cc * a.values(ks)` in place as
+            # values * cc once the temporary reaches 256 KiB, and the swapped complex product
+            # rounds differently, so the bits would depend on how many ks one call takes
+            return np.multiply(cc, a.values(ks))
         return ModulatingSequence(f"scale({a.label},{cc:.6g})", fn,
                                   bound=None if a.bound is None else abs(cc) * a.bound,
                                   symmetric=a.symmetric, one_sided=a.one_sided)

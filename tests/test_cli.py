@@ -34,6 +34,11 @@ def run_cli(args):
     return main(args)
 
 
+def _raw(kind, params):
+    """A config of `kind` with `params`, seeded exactly when the kind samples."""
+    return {"kind": kind, **({"seed": 1} if _KINDS[kind].needs_seed else {}), "params": params}
+
+
 def test_describe_all_kinds(capsys):
     for kind in KINDS:
         assert run_cli(["describe", kind]) == 0
@@ -95,6 +100,19 @@ def test_config_schema_validation():
     for out_dir in (None, ["a"], 3):
         with pytest.raises(ConfigError, match="out_dir must be a string"):
             parse_config({"kind": "rates", "out_dir": out_dir})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_seed_is_taken_exactly_by_the_kinds_that_sample(tmp_path, capsys, kind):
+    # a seed that no sampling reads would change config_sha256 and nothing else
+    if _KINDS[kind].needs_seed:
+        assert parse_config({"kind": kind, "seed": 7}).seed == 7
+        return
+    out = tmp_path / "out"
+    assert run_cli(["run", kind, "--seed", "7", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: experiment kind {kind!r} never samples and takes no seed\n"
+    assert not out.exists()
 
 
 def _not_numbers():
@@ -335,7 +353,7 @@ def test_failed_runs_leave_no_file(tmp_path, capsys):
             ("prop27", {"h": "inverse-log", "K": 34, "evaluate": {"x_lo": 0}}),
             ("process", {"checkpoints": [64], "sequence": huge})):
         out = tmp_path / kind
-        raw = {"kind": kind, "seed": 1, "params": params}
+        raw = _raw(kind, params)
         (tmp_path / "c.json").write_text(json.dumps(raw))
         assert run_cli(["run", "--config", str(tmp_path / "c.json"), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
@@ -376,7 +394,7 @@ def test_params_are_read_before_the_first_computation(tmp_path, monkeypatch, cap
              "seminorm_schedule must increase strictly to >= 16, got (64, 32)"),
             ("process", {"seminorm_schedule": [4, 8]},
              "seminorm_schedule must increase strictly to >= 16, got (4, 8)")):
-        (tmp_path / "c.json").write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
+        (tmp_path / "c.json").write_text(json.dumps(_raw(kind, params)))
         assert run_cli(["run", "--config", str(tmp_path / "c.json"),
                         "--out-dir", str(tmp_path / kind)]) == 2, kind
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -544,7 +562,7 @@ _CYCLE, _TORUS = {"kind": "three_cycle"}, {"kind": "torus_automorphism"}
 ])
 def test_a_key_of_another_form_exits_2(tmp_path, capsys, config, key, foreign):
     kind, params = config
-    (tmp_path / "c.json").write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
+    (tmp_path / "c.json").write_text(json.dumps(_raw(kind, params)))
     out = tmp_path / "out"
     assert run_cli(["run", "--config", str(tmp_path / "c.json"), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: unknown fields in {key}: {foreign}\n"

@@ -1,13 +1,22 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ehtlab import rates
 from ehtlab.rates import (
     RATE_CLASSES,
     RateParams,
+    _coset_count,
+    _coset_grids,
     abs_prefix_ratios,
     abs_prefix_sums,
     check_A_alpha,
@@ -25,6 +34,7 @@ from ehtlab.sequences import (
 )
 
 SCHEDULE = tuple(2**j for j in range(8, 16))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def power_log_decay():
@@ -296,14 +306,123 @@ def test_schedule_runs_largest_grid_first_on_one_evaluation(monkeypatch):
 
 
 def test_exp_sum_sup_stays_near_one_grid_in_memory():
-    # the scatter grid peaked at 2.14 grids of 16 G bytes here: the
-    # coefficients, the ifft output, its scaled copy and the index arrays
-    n, G = 2**16, 2**19
+    # the one G-point grid (32 MiB here) peaked at 48 MiB under tracemalloc; the cosets
+    # reuse one 2^18-point complex buffer (4 MiB) and one float buffer (2 MiB), and
+    # evaluate their phases in blocks, so the working set stays that of one coset
+    n, G = 2**18, 2**21
     a = named_sequence("hardy_littlewood")
     a.range_values(n)
     tracemalloc.start()
     try:
         exp_sum_sup(a, n, G)
-        assert tracemalloc.get_traced_memory()[1] < 1.6 * 16 * G
+        assert tracemalloc.get_traced_memory()[1] < 12 * 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_a_alpha_run_to_radius_2_18_stays_below_100_mb(tmp_path):
+    # tracemalloc does not see pocketfft's plan and scratch, so this takes the peak RSS of
+    # a fresh `ehtlab run`; one 2^21-point FFT took it to 138 MB. A child's ru_maxrss keeps
+    # the resident size of the image it was spawned from, so a small launcher spawns the
+    # run and reads its rusage from os.wait4
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"kind": "rates", "params": {
+        "sequence": {"name": "hardy_littlewood"}, "class": "a_alpha",
+        "schedule": [2**j for j in range(8, 19)]}}))
+    launcher = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL);"
+                "_, status, usage = os.wait4(p.pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m", "ehtlab.cli", "run",
+                           "--config", str(config), "--out-dir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    code, maxrss_kib = map(int, done.stdout.split())
+    assert code == 0 and maxrss_kib / 1024.0 < 100.0
+
+
+# ------------------------------------------------------------------ grid cosets
+
+def _grid_shapes(n):
+    """G = 8n, G = 2 and 4 (mod 8), odd G and the minimal odd G = 2n+1."""
+    return (8 * n, 8 * n + 2, 8 * n + 4, 8 * n + 1, 2 * n + 1)
+
+
+def _coset_tolerance(a, n, G, side):
+    """The distance that the computed sup and the computed max |exp_sum_grid| may lie apart.
+
+    Let S = sum |a_k| over the run of k, u = 2^-53, q = `_coset_count(G)` and M = G/q.
+    Each grid value is a sum of the coefficients times unit phases, so a relative error
+    e on each term's path moves the value by at most e S.
+    - FFT bound: a radix FFT of N points takes each term through log2 N levels, each a
+      product by a twiddle within 2u (sqrt(5) u for the complex product) and a rounded
+      sum (u), so e <= 5.3 u log2 N; pocketfft's Bluestein path, for a large prime
+      factor, takes two FFTs of < 4N points and two chirp products. 8 u log2(4N) covers
+      either, plus 2u for the scaling by 1/N and back by N.
+    - The full grid is one FFT, N = G.
+    - A coset multiplies each term by e(cr/q) and, after the fold, by e(jr/G), both from
+      `UnitPhases` within 24 u, each product adding sqrt(5) u, and the fold adds at most
+      ceil((2n+1)/M) terms per j: e <= (48 + 2 sqrt(5) + ceil((2n+1)/M)) u before its
+      FFT, N = M.
+    |max |x| - max |y|| <= max |x - y|, plus u S for each of the two moduli, so the
+    difference is within (8 log2 4G + 8 log2 4M + 60 + ceil((2n+1)/M)) u S. The errors
+    measured over the test's cases stay below 1 % of it.
+    """
+    M = G // _coset_count(G)
+    vals = a.range_values(n) if side == "two_sided" else a.range_values(n)[n + 1 :]
+    u, S = 2.0**-53, float(np.sum(np.abs(vals)))
+    return u * S * (8 * (math.log2(4 * G) + math.log2(4 * M)) + 60 + -(-(2 * n + 1) // M))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 300), shape=st.integers(0, 4), cap=st.sampled_from([8, 64, 1024]),
+       side=st.sampled_from(["two_sided", "one_sided"]), tabulated=st.booleans())
+@example(n=256, shape=0, cap=64, side="two_sided", tabulated=False)  # q = 32, three folds
+@example(n=300, shape=0, cap=8, side="one_sided", tabulated=True)  # no q reaches the cap
+def test_coset_sup_is_the_full_grid_sup(n, shape, cap, side, tabulated):
+    G = _grid_shapes(n)[shape]
+    if tabulated:
+        rng = np.random.default_rng(n)
+        a = from_values(rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1))
+    else:
+        a = named_sequence("hardy_littlewood")
+    full = float(np.max(np.abs(exp_sum_grid(a, n, G, side))))
+    lengths, ifft = [], np.fft.ifft
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rates, "_MAX_COSET_POINTS", cap)
+        mp.setattr(np.fft, "ifft", lambda c, *args, **kw: lengths.append(c.size) or ifft(c, *args, **kw))
+        q = _coset_count(G)
+        sup = exp_sum_sup(a, n, G, side)
+    # q is the least power of two dividing G with G/q <= cap, else the largest one
+    assert lengths == [G // q] * q and G % q == 0 and q & (q - 1) == 0
+    assert (G // q <= cap or q == G & -G) and (q == 1 or G // (q // 2) > cap)
+    assert abs(sup - full) <= _coset_tolerance(a, n, G, side)
+    if G <= cap:
+        assert q == 1 and sup == full
+
+
+def test_coset_sup_at_the_shipped_cap_is_bitwise_max_of_the_grid():
+    a = named_sequence("hardy_littlewood")
+    for n, G in ((2**15, 2**18), (2**15 + 3, 2**18 - 1)):
+        assert _coset_count(G) == 1
+        assert exp_sum_sup(a, n, G) == float(np.max(np.abs(exp_sum_grid(a, n, G))))
+
+
+@pytest.mark.parametrize("cap", [16, 256])
+@pytest.mark.parametrize("n, G", [(64, 512), (100, 1024), (255, 2048)])
+def test_geometric_sums_peak_on_their_coset(monkeypatch, cap, n, G):
+    """Exact oracle: with G = 2^p, the constant 1 and its turns = 1/2 modulation
+    ((-1)^k exactly) fold into integers on coset 0, and a power-of-two FFT forms
+    its outputs at m = 0 and m = M/2 from sums and exact +-1, +-i rotations only,
+    so the peaks 2n+1 at g = 0 and g = G/2 come out exactly. A turns = -g/G
+    modulation peaks at g, on coset g mod q, within the coset tolerance."""
+    monkeypatch.setattr(rates, "_MAX_COSET_POINTS", cap)
+    q = _coset_count(G)
+    one = named_sequence("constant", value=1.0)
+    for g in (0, G // 2, 1, q - 1, q + 3, G // 3, G - 1):
+        turns = 0.5 if g == G // 2 else -g / G
+        a = transform_sequence(one, "modulate", turns=turns)
+        sups = [float(np.max(np.abs(grid))) for grid in _coset_grids(a, n, G, "two_sided", q)]
+        assert int(np.argmax(sups)) == g % q
+        if g in (0, G // 2):
+            assert sups[0] == exp_sum_sup(a, n, G) == 2 * n + 1
+        else:
+            assert abs(sups[g % q] - (2 * n + 1)) <= _coset_tolerance(a, n, G, "two_sided")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ehtlab.cli import _SEQUENCES, _spec
 from ehtlab.dynamics import SQRT2_TURNS, RotationPoint, make_system
 from ehtlab.errors import InvariantError
+from ehtlab.numerics import _BLOCK_TERMS
 from ehtlab.sequences import (
     ModulatingSequence,
     _cycle_indicator,
@@ -215,6 +216,44 @@ def test_flag_failures_name_the_range():
     with pytest.raises(InvariantError, match=re.escape("asym: symmetric flag violated on [-2, 2]")):
         bad.range_values(2)
     bad.pair_values(np.arange(0, 0))  # no empty block fails
+
+
+def _block_corpus():
+    """Every named sequence, a trig polynomial, a table and each `transform_sequence` op."""
+    rng = np.random.default_rng(7)
+    table = from_values(rng.standard_normal(2 * _BLOCK_TERMS + 1)
+                        + 1j * rng.standard_normal(2 * _BLOCK_TERMS + 1))
+    hl = named_sequence("hardy_littlewood")
+    tp = trig_poly_sequence([(1.0, 0.3), (0.5 - 2j, -0.123456789), (2.0, 0.5)])
+    return [hl, named_sequence("sparse_dyadic"), named_sequence("cycle_indicator"),
+            named_sequence("cycle_indicator", convention="signed"),
+            named_sequence("constant", value=0.7 - 0.3j), tp, table,
+            transform_sequence(hl, "symmetrize"), transform_sequence(tp, "truncate", r=5000),
+            transform_sequence(hl, "scale", c=-1.5 + 0.5j), transform_sequence(hl, "product", b=tp),
+            *(transform_sequence(hl, "modulate", turns=t) for t in (0.0, 0.5, 0.3183))]
+
+
+@pytest.mark.parametrize("n", [_BLOCK_TERMS - 1, _BLOCK_TERMS, 3 * _BLOCK_TERMS + 5])
+def test_range_values_in_blocks_is_bitwise_one_call(n):
+    for fresh, one in zip(_block_corpus(), _block_corpus()):
+        sizes = []
+        counted = ModulatingSequence(fresh.label, lambda ks, f=fresh.fn: sizes.append(ks.size) or f(ks),
+                                     bound=fresh.bound, symmetric=fresh.symmetric)
+        whole = one.values(np.arange(-n, n + 1))
+        assert counted.range_values(n).tobytes() == whole.tobytes(), fresh.label
+        assert max(sizes) <= _BLOCK_TERMS and sum(sizes) == 2 * n + 1
+
+
+def test_flag_failures_in_a_late_block_raise_the_one_call_message():
+    n = 3 * _BLOCK_TERMS + 5
+    lopsided = lambda ks: np.where(ks == n, 2.0, np.where(ks == -n, 0.5, 1.0)).astype(complex)
+    with pytest.raises(InvariantError, match=re.escape("liar: |a_k| = 2.0 exceeds declared bound 1.0")):
+        ModulatingSequence("liar", lopsided, bound=1.0).range_values(n)
+    with pytest.raises(InvariantError, match=re.escape(f"asym: symmetric flag violated on [-{n}, {n}]")):
+        ModulatingSequence("asym", lopsided, bound=2.0, symmetric=True).range_values(n)
+    shrunk = ModulatingSequence("short", lambda ks: np.ones(min(ks.size, 10), dtype=complex), bound=1.0)
+    with pytest.raises(InvariantError, match="short: evaluator changed the index shape"):
+        shrunk.range_values(n)
 
 
 def test_symmetrize_evaluates_its_base_once_per_block():
